@@ -3,105 +3,89 @@
 Every mode writes one deterministic artifact (JSON by default, CSV for
 the product tables) to stdout or to the path given with -o.  Exit codes:
 0 on success, 1 when a verification report contains failures, 2 on bad
-usage.
+usage.  Each subcommand accepts only the flags it reads.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import floer, moduli, quiver, theta
 
-TABLE_MODES = ("theta", "floer-direct", "floer-brion")
-MODES = TABLE_MODES + ("verify", "moduli", "quiver", "assoc")
+# every flag once, by its argparse destination
+FLAGS = {
+    "n": (("--n",), {"type": int, "default": 1, "help": "number of components"}),
+    "trunc": (("--trunc",), {"type": int, "default": 6, "help": "total-degree truncation D"}),
+    "max_m": (("--max-m",), {"type": int, "default": 1, "help": "weight cap"}),
+    "eps": (("--eps",), {"type": Fraction, "help": "direct-count offset, a rational like 1/100"}),
+    "jobs": (("--jobs",), {"type": int, "default": 0, "help": "workers, 0 = all usable cores"}),
+    "fmt": (("--format",), {"choices": ("json", "csv"), "default": "json"}),
+    "output": (("-o", "--output"), {"help": "output path"}),
+}
+
+# smallest accepted value of each integer flag
+LOWEST = {"n": 1, "trunc": 0, "max_m": 1, "jobs": 0}
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """One batch invocation: what to compute and where to put it."""
-
-    mode: str
-    n: int = 1
-    D: int = 6
-    max_m: int = 1
-    eps_override: Fraction | None = None
-    jobs: int = 0  # 0 means use available parallelism
-    output: str | None = None
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.D < 0:
-            raise ValueError(f"truncation must be >= 0, got {self.D}")
-        if self.max_m < 1:
-            raise ValueError(f"max_m must be >= 1, got {self.max_m}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.fmt!r}")
-        if self.fmt == "csv" and self.mode not in TABLE_MODES:
-            raise ValueError("csv output only applies to product tables")
-        if self.eps_override is not None and self.eps_override <= 0:
-            raise ValueError("eps must be positive")
-        if self.jobs < 0:
-            raise ValueError("jobs must be >= 0")
+def _check_ranges(args: argparse.Namespace):
+    for dest, low in LOWEST.items():
+        value = getattr(args, dest, low)
+        if value < low:
+            raise ValueError(f"{FLAGS[dest][0][0]} must be >= {low}, got {value}")
+    eps = getattr(args, "eps", None)
+    if eps is not None and eps <= 0:
+        raise ValueError(f"--eps must be positive, got {eps}")
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _emit(path: str | None, text: str):
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _table_product(cfg: RunConfig):
-    if cfg.mode == "theta":
-        return theta.theta_product
-    counting = "direct" if cfg.mode == "floer-direct" else "brion"
-
-    def product(a, b, n, D):
-        return floer.floer_product(
-            n, a.m, a.p, b.m, b.p, D, mode=counting, eps=cfg.eps_override
-        )
-
-    return product
-
-
-def _run_table(cfg: RunConfig) -> int:
-    table = theta.build_table(cfg.n, cfg.max_m, cfg.D, product=_table_product(cfg))
-    if cfg.fmt == "csv":
-        _emit(cfg, table.to_csv())
+def _run_table(mode: str | None, args) -> int:
+    """Product table by the series route (mode None) or a counting route."""
+    if mode is None:
+        product = theta.theta_product
     else:
-        _emit(cfg, _json_text(table.to_json_obj()))
+        eps = args.eps if mode == "direct" else None
+
+        def product(a, b, n, D):
+            return floer.floer_product(n, a.m, a.p, b.m, b.p, D, mode, eps=eps)
+
+    table = theta.build_table(args.n, args.max_m, args.trunc, product=product)
+    text = table.to_csv() if args.fmt == "csv" else _json_text(table.to_json_obj())
+    _emit(args.output, text)
     return 0
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    jobs = cfg.jobs or os.cpu_count() or 1
-    merged = {"n": cfg.n, "D": cfg.D, "pairs_checked": 0, "failures": []}
-    for counting in ("direct", "brion"):
-        report = floer.mirror_verify(
-            cfg.n, cfg.max_m, cfg.D, mode=counting, eps=cfg.eps_override, jobs=jobs
-        )
-        merged["pairs_checked"] += report["pairs_checked"]
-        merged["failures"].extend(report["failures"])
-    _emit(cfg, _json_text(merged))
-    return 1 if merged["failures"] else 0
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _run_moduli(cfg: RunConfig) -> int:
-    n, D = cfg.n, cfg.D
+def _run_verify(args) -> int:
+    report = floer.mirror_verify(
+        args.n, args.max_m, args.trunc, eps=args.eps, jobs=args.jobs or _usable_cpus()
+    )
+    _emit(args.output, _json_text(report))
+    return 1 if report["failures"] else 0
+
+
+def _run_moduli(args) -> int:
+    n, D = args.n, args.trunc
     out = {"n": n, "D": D, "s": moduli.solve_s(n, D).to_json_obj()}
     if n >= 2:
         for i in range(n):
@@ -111,55 +95,81 @@ def _run_moduli(cfg: RunConfig) -> int:
             out[f"b_{i}_{j}"] = v.to_json_obj()
         for i, v in b_diag.items():
             out[f"b_{i}"] = v.to_json_obj()
-    if n >= 3:
-        for (i, j), v in moduli.coords_c(n, D).items():
-            out[f"c_{i}_{j}"] = v.to_json_obj()
-    _emit(cfg, _json_text(out))
+        if n >= 3:
+            for (i, j), v in moduli.coords_c_from_b(n, D, b_off, b_diag).items():
+                out[f"c_{i}_{j}"] = v.to_json_obj()
+    _emit(args.output, _json_text(out))
     return 0
 
 
-def _run_quiver(cfg: RunConfig) -> int:
-    if cfg.n < 2:
-        raise ValueError("the quiver report needs n >= 2")
-    d0, d1, total = quiver.graded_dims(cfg.n)
+def _run_quiver(args) -> int:
+    d0, d1, total = quiver.graded_dims(args.n)
     out = {
-        "n": cfg.n,
+        "n": args.n,
         "dims": {"deg0": d0, "deg1": d1, "total": total},
         "hom": {
             f"{u},{v}": list(c)
-            for (u, v), c in sorted(quiver.hom_table(cfg.n).items())
+            for (u, v), c in sorted(quiver.hom_table(args.n).items())
         },
         "node_dual_hilbert": [quiver.node_dual_hilbert(d) for d in range(8)],
-        "table": quiver.multiplication_table(cfg.n),
+        "table": quiver.multiplication_table(args.n),
     }
-    _emit(cfg, _json_text(out))
+    _emit(args.output, _json_text(out))
     return 0
 
 
-def _run_assoc(cfg: RunConfig) -> int:
-    reports = []
-    bad = 0
-    for m1 in range(1, cfg.max_m + 1):
-        for m2 in range(1, cfg.max_m + 1):
-            for m3 in range(1, cfg.max_m + 1):
-                rep = theta.check_associativity(cfg.n, cfg.D, (m1, m2, m3))
-                bad += len(rep["failures"])
-                reports.append(rep)
-    _emit(cfg, _json_text({"n": cfg.n, "D": cfg.D, "reports": reports}))
-    return 1 if bad else 0
+def _run_assoc(args) -> int:
+    weights = range(1, args.max_m + 1)
+    reports = [
+        theta.check_associativity(args.n, args.trunc, (m1, m2, m3))
+        for m1 in weights
+        for m2 in weights
+        for m3 in weights
+    ]
+    _emit(args.output, _json_text({"n": args.n, "D": args.trunc, "reports": reports}))
+    return 1 if any(rep["failures"] for rep in reports) else 0
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configured batch run; returns the process exit code."""
-    dispatch = {
-        "verify": _run_verify,
-        "moduli": _run_moduli,
-        "quiver": _run_quiver,
-        "assoc": _run_assoc,
-    }
-    if cfg.mode in TABLE_MODES:
-        return _run_table(cfg)
-    return dispatch[cfg.mode](cfg)
+TABLE_FLAGS = ("n", "trunc", "max_m", "fmt", "output")
+
+# subcommand: (handler, help, the flags it reads)
+SUBCOMMANDS = {
+    "theta": (
+        partial(_run_table, None),
+        "product table from the closed series formula",
+        TABLE_FLAGS,
+    ),
+    "floer-direct": (
+        partial(_run_table, "direct"),
+        "product table from direct lattice point counts",
+        TABLE_FLAGS + ("eps",),
+    ),
+    "floer-brion": (
+        partial(_run_table, "brion"),
+        "product table from vertex generating functions",
+        TABLE_FLAGS,
+    ),
+    "verify": (
+        _run_verify,
+        "compare both counting tables against the series table",
+        ("n", "trunc", "max_m", "eps", "jobs", "output"),
+    ),
+    "moduli": (
+        _run_moduli,
+        "root series, residues, and b/c coordinate report",
+        ("n", "trunc", "output"),
+    ),
+    "quiver": (
+        _run_quiver,
+        "graded dimensions and multiplication table of the path algebra",
+        ("n", "output"),
+    ),
+    "assoc": (
+        _run_assoc,
+        "associativity report over all weight triples up to max-m",
+        ("n", "trunc", "max_m", "output"),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,54 +180,21 @@ def _build_parser() -> argparse.ArgumentParser:
             "ring, two independent ways, with verification reports."
         ),
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    help_by_mode = {
-        "theta": "product table from the closed series formula",
-        "floer-direct": "product table from direct lattice point counts",
-        "floer-brion": "product table from vertex generating functions",
-        "verify": "compare both counting tables against the series table",
-        "moduli": "root series, residues, and b/c coordinate report",
-        "quiver": "graded dimensions and multiplication table of the path algebra",
-        "assoc": "associativity report over all weight triples up to max-m",
-    }
-    for mode in MODES:
-        p = sub.add_parser(mode, help=help_by_mode[mode])
-        p.add_argument("--n", type=int, default=1, help="number of components")
-        p.add_argument(
-            "--trunc", type=int, default=6, help="total-degree truncation D"
-        )
-        p.add_argument("--max-m", type=int, default=1, help="weight cap")
-        p.add_argument(
-            "--eps",
-            type=Fraction,
-            default=None,
-            help="override the counting offset (a rational like 1/100)",
-        )
-        p.add_argument(
-            "--jobs", type=int, default=0, help="worker count, 0 = all cores"
-        )
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", dest="fmt"
-        )
-        p.add_argument("-o", "--output", default=None, help="output path")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in flags:
+            option_strings, settings = FLAGS[dest]
+            p.add_argument(*option_strings, dest=dest, **settings)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = SUBCOMMANDS[args.command][0]
     try:
-        cfg = RunConfig(
-            mode=args.mode,
-            n=args.n,
-            D=args.trunc,
-            max_m=args.max_m,
-            eps_override=args.eps,
-            jobs=args.jobs,
-            output=args.output,
-            fmt=args.fmt,
-        )
-        return run(cfg)
+        _check_ranges(args)
+        return handler(args)
     except ValueError as exc:
         print(f"mirror-ring: {exc}", file=sys.stderr)
         return 2

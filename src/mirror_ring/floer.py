@@ -16,13 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import plgeom
+from . import plgeom, theta
 from .series import TruncSeries
 from .theta import RingElement, ThetaIndex, canonical_p
-
-
-class FloerBasisElement(ThetaIndex):
-    """Generator label x_{m,p}; same canonical form as the ring-side index."""
 
 
 @dataclass(frozen=True)
@@ -192,10 +188,12 @@ def floer_product(n: int, m1: int, p1, m2: int, p2, D: int, mode: str, eps=None)
 
     mode selects the counting route for the t-exponents: "direct" for the
     perturbed enumeration, "brion" for the closed form.  The optional eps
-    overrides the per-k default perturbation (direct mode only).
+    overrides the per-k default perturbation; the brion route has none.
     """
     if mode not in ("direct", "brion"):
         raise ValueError(f"mode must be 'direct' or 'brion', got {mode!r}")
+    if mode == "brion" and eps is not None:
+        raise ValueError("eps applies to the direct count only")
     p1 = canonical_p(m1, p1, n)
     p2 = canonical_p(m2, p2, n)
     out = RingElement(m1 + m2, n, D)
@@ -230,32 +228,42 @@ def _first_difference(lhs: RingElement, rhs: RingElement):
 
 
 def _verify_pair(args):
-    n, m1, p1, m2, p2, D, mode, eps = args
-    from . import theta
-
-    lhs = floer_product(n, m1, p1, m2, p2, D, mode, eps=eps)
+    """Per counting mode, the first difference from the closed form as a
+    failure entry, or None; the closed form is computed once for all."""
+    n, m1, p1, m2, p2, D, modes, eps = args
     rhs = theta.theta_product(
         ThetaIndex.make(m1, p1, n), ThetaIndex.make(m2, p2, n), n, D
     )
-    diff = _first_difference(lhs, rhs)
-    if diff is None:
-        return None
-    p, e, lc, rc = diff
-    return {
-        "a": {"m": m1, "p": f"{Fraction(p1).numerator}/{Fraction(p1).denominator}"},
-        "b": {"m": m2, "p": f"{Fraction(p2).numerator}/{Fraction(p2).denominator}"},
-        "monomial": {"p": f"{p.numerator}/{p.denominator}", "e": list(e)},
-        "lhs": str(lc),
-        "rhs": str(rc),
-    }
+    out = []
+    for mode in modes:
+        lhs = floer_product(n, m1, p1, m2, p2, D, mode, eps=eps if mode == "direct" else None)
+        diff = _first_difference(lhs, rhs)
+        if diff is not None:
+            p, e, lc, rc = diff
+            diff = {
+                "mode": mode,
+                "a": {"m": m1, "p": f"{p1.numerator}/{p1.denominator}"},
+                "b": {"m": m2, "p": f"{p2.numerator}/{p2.denominator}"},
+                "monomial": {"p": f"{p.numerator}/{p.denominator}", "e": list(e)},
+                "lhs": str(lc),
+                "rhs": str(rc),
+            }
+        out.append(diff)
+    return out
 
 
-def mirror_verify(n: int, max_m: int, D: int, mode: str = "direct", eps=None, jobs: int = 1) -> dict:
-    """Compare the triangle-count product against the closed form everywhere.
+def mirror_verify(
+    n: int, max_m: int, D: int, modes=("direct", "brion"), eps=None, jobs: int = 1
+) -> dict:
+    """Compare the triangle-count products against the closed form everywhere.
 
-    Runs over all generator pairs with weights up to max_m and reports the
-    first differing monomial of every failing pair.  The pair list and the
-    merge order are fixed, so the report is deterministic for any jobs.
+    Runs over all generator pairs with weights up to max_m, computes the
+    closed form once per pair and checks every counting mode in ``modes``
+    against it; eps reaches only the direct count.  ``pairs_checked``
+    counts (pair, mode) checks, and the first differing monomial of every
+    failing check is listed mode by mode, in pair order.  The pair list
+    and the merge order are fixed, so the report is deterministic for any
+    jobs.
     """
     tasks = []
     for m1 in range(1, max_m + 1):
@@ -263,7 +271,7 @@ def mirror_verify(n: int, max_m: int, D: int, mode: str = "direct", eps=None, jo
             for i1 in range(m1 * n):
                 for i2 in range(m2 * n):
                     tasks.append(
-                        (n, m1, Fraction(i1, m1), m2, Fraction(i2, m2), D, mode, eps)
+                        (n, m1, Fraction(i1, m1), m2, Fraction(i2, m2), D, modes, eps)
                     )
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -272,5 +280,5 @@ def mirror_verify(n: int, max_m: int, D: int, mode: str = "direct", eps=None, jo
             results = list(pool.map(_verify_pair, tasks, chunksize=8))
     else:
         results = [_verify_pair(t) for t in tasks]
-    failures = [r for r in results if r is not None]
-    return {"n": n, "D": D, "pairs_checked": len(tasks), "failures": failures}
+    failures = [r[i] for i in range(len(modes)) for r in results if r[i] is not None]
+    return {"n": n, "D": D, "pairs_checked": len(tasks) * len(modes), "failures": failures}

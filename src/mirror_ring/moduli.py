@@ -347,7 +347,11 @@ def coords_c(n: int, D: int) -> dict:
     """
     if n < 3:
         raise ValueError("the c coordinate system is unsupported for n < 3")
-    b_off, b_diag = coords_b(n, D)
+    return coords_c_from_b(n, D, *coords_b(n, D))
+
+
+def coords_c_from_b(n: int, D: int, b_off: dict, b_diag: dict) -> dict:
+    """coords_c from the (b_off, b_diag) values coords_b(n, D) returned."""
 
     def boff(r: int, j: int) -> TruncSeries:
         return b_off[(r % n, j % n)]

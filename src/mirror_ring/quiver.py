@@ -235,11 +235,14 @@ class AlgebraElement:
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear product; words with mismatched endpoints contribute zero."""
+    return _multiply(a, b, basis_registry(a.n))
+
+
+def _multiply(a: AlgebraElement, b: AlgebraElement, reg: dict) -> AlgebraElement:
+    """multiply, with the basis registry built once by the caller."""
     if a.n != b.n:
         raise ValueError("mixed spoke counts")
     n = a.n
-    _ensure_spokes(n)
-    reg = basis_registry(n)
     out = AlgebraElement.zero(n)
     for s1, c1 in a.terms.items():
         w1 = reg[s1]
@@ -276,30 +279,14 @@ def _composable_words(n: int, max_len: int):
         chains = nxt
 
 
-def graded_dims(n: int) -> tuple[int, int, int]:
-    """(dimension in degree 0, in degree 1, total), by enumeration.
-
-    Walks every composable word up to length four, reduces each to the
-    basis, and counts the distinct nonzero images together with the
-    idempotents.  Nothing about the expected answer is wired in.
-    """
-    _ensure_spokes(n)
-    found = {f"e_{v}" for v in range(n + 1)}
-    for arrows in _composable_words(n, 4):
-        nf = normal_form(PathWord(arrows), n)
-        found.update(nf.terms)
-    d0 = sum(1 for s in found if symbol_degree(s) == 0)
-    d1 = sum(1 for s in found if symbol_degree(s) == 1)
-    return d0, d1, d0 + d1
-
-
 def hom_table(n: int) -> dict:
     """Per-vertex-pair dimensions: (u, v) -> [deg-0 count, deg-1 count].
 
-    Derived from the same enumeration as graded_dims, bucketed by the
-    source and target of each surviving basis element.
+    Walks every composable word up to length four, reduces each to the
+    basis, and buckets the distinct nonzero images together with the
+    idempotents by source and target.  Nothing about the expected answer
+    is wired in.
     """
-    _ensure_spokes(n)
     reg = basis_registry(n)
     found = {f"e_{v}" for v in range(n + 1)}
     for arrows in _composable_words(n, 4):
@@ -311,6 +298,14 @@ def hom_table(n: int) -> dict:
         slot = table.setdefault(key, [0, 0])
         slot[symbol_degree(sym)] += 1
     return table
+
+
+def graded_dims(n: int) -> tuple[int, int, int]:
+    """(dimension in degree 0, in degree 1, total), summed over hom_table."""
+    slots = hom_table(n).values()
+    d0 = sum(s[0] for s in slots)
+    d1 = sum(s[1] for s in slots)
+    return d0, d1, d0 + d1
 
 
 def node_dual_hilbert(d: int) -> int:
@@ -331,11 +326,10 @@ def node_dual_hilbert(d: int) -> int:
 
 def multiplication_table(n: int) -> dict:
     """Full basis-by-basis product table, keyed "x*y" in registry order."""
-    _ensure_spokes(n)
-    syms = list(basis_registry(n))
+    reg = basis_registry(n)
     out = {}
-    for s1, s2 in itertools.product(syms, repeat=2):
-        prod = multiply(AlgebraElement.basis(n, s1), AlgebraElement.basis(n, s2))
+    for s1, s2 in itertools.product(reg, repeat=2):
+        prod = _multiply(AlgebraElement(n, {s1: 1}), AlgebraElement(n, {s2: 1}), reg)
         out[f"{s1}*{s2}"] = dict(sorted(prod.terms.items()))
     return out
 
@@ -343,12 +337,12 @@ def multiplication_table(n: int) -> dict:
 def check_basis_associativity(n: int) -> int:
     """(x*y)*z == x*(y*z) over all basis triples; returns the number of
     triples checked, raising on the first failure."""
-    _ensure_spokes(n)
-    syms = [AlgebraElement.basis(n, s) for s in basis_registry(n)]
+    reg = basis_registry(n)
+    syms = [AlgebraElement(n, {s: 1}) for s in reg]
     checked = 0
     for x, y, z in itertools.product(syms, repeat=3):
-        left = multiply(multiply(x, y), z)
-        right = multiply(x, multiply(y, z))
+        left = _multiply(_multiply(x, y, reg), z, reg)
+        right = _multiply(x, _multiply(y, z, reg), reg)
         if left != right:
             raise AssertionError(f"associativity fails at {x}, {y}, {z}")
         checked += 1

@@ -80,12 +80,6 @@ class RingElement:
             out.add_term(p, s)
         return out
 
-    def scale_series(self, s: TruncSeries) -> "RingElement":
-        out = RingElement(self.m, self.n, self.D)
-        for p, c in self.coeffs.items():
-            out.add_term(p, c.mul(s))
-        return out
-
     def items(self):
         return sorted(self.coeffs.items())
 
@@ -140,19 +134,14 @@ def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
     return out
 
 
-def _mul_elem_basis(elem: RingElement, b: ThetaIndex, n: int, D: int) -> RingElement:
+def _mul_with_basis(
+    elem: RingElement, b: ThetaIndex, n: int, D: int, basis_left: bool
+) -> RingElement:
+    """elem * b, or b * elem when basis_left, expanded over elem's terms."""
     out = RingElement(elem.m + b.m, n, D)
     for p, s in elem.coeffs.items():
-        prod = theta_product(ThetaIndex(elem.m, p), b, n, D)
-        for p3, s3 in prod.coeffs.items():
-            out.add_term(p3, s3.mul(s))
-    return out
-
-
-def _mul_basis_elem(a: ThetaIndex, elem: RingElement, n: int, D: int) -> RingElement:
-    out = RingElement(a.m + elem.m, n, D)
-    for p, s in elem.coeffs.items():
-        prod = theta_product(a, ThetaIndex(elem.m, p), n, D)
+        e = ThetaIndex(elem.m, p)
+        prod = theta_product(b, e, n, D) if basis_left else theta_product(e, b, n, D)
         for p3, s3 in prod.coeffs.items():
             out.add_term(p3, s3.mul(s))
     return out
@@ -243,9 +232,9 @@ def check_associativity(n: int, D: int, weights) -> dict:
         for b in basis_indices(n, m2):
             ab = theta_product(a, b, n, D)
             for c in basis_indices(n, m3):
-                left = _mul_elem_basis(ab, c, n, D)
+                left = _mul_with_basis(ab, c, n, D, basis_left=False)
                 bc = theta_product(b, c, n, D)
-                right = _mul_basis_elem(a, bc, n, D)
+                right = _mul_with_basis(bc, a, n, D, basis_left=True)
                 checked += 1
                 if left != right:
                     failures.append(

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from mirror_ring import cli, floer
-from mirror_ring.cli import RunConfig, main
+from mirror_ring.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -79,24 +79,64 @@ def test_assoc_report(capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert main(["theta", "--n", "0"]) == 2
-    assert main(["moduli", "--format", "csv"]) == 2
     assert main(["quiver", "--n", "1"]) == 2
-    assert main(["theta", "--eps=-1/2"]) == 2
+    assert main(["floer-direct", "--eps=-1/2"]) == 2
+    assert main(["verify", "--eps=-1/2"]) == 2
     err = capsys.readouterr().err
     assert "mirror-ring:" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-mode"])
-    assert exc.value.code == 2
+    for argv in (["no-such-mode"], ["moduli", "--format", "csv"], ["theta", "--eps=1/2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+# the flags each subcommand reads; every other flag is refused
+READS = {
+    "theta": {"--n", "--trunc", "--max-m", "--format", "-o"},
+    "floer-direct": {"--n", "--trunc", "--max-m", "--format", "-o", "--eps"},
+    "floer-brion": {"--n", "--trunc", "--max-m", "--format", "-o"},
+    "verify": {"--n", "--trunc", "--max-m", "--eps", "--jobs", "-o"},
+    "moduli": {"--n", "--trunc", "-o"},
+    "quiver": {"--n", "-o"},
+    "assoc": {"--n", "--trunc", "--max-m", "-o"},
+}
+SAMPLE_VALUES = {
+    "--n": "2",
+    "--trunc": "3",
+    "--max-m": "2",
+    "--eps": "1/100",
+    "--jobs": "1",
+    "--format": "json",
+    "-o": "report.json",
+}
+
+
+def test_settable_values_per_subcommand():
+    assert set(cli.SUBCOMMANDS) == set(READS)
+    assert sum(len(flags) for _, _, flags in cli.SUBCOMMANDS.values()) == 31
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c in READS for f in SAMPLE_VALUES]
+)
+def test_subcommand_takes_only_the_flags_it_reads(command, flag):
+    argv = [command, flag, SAMPLE_VALUES[flag]]
+    if flag in READS[command]:
+        args = cli._build_parser().parse_args(argv)
+        assert args.command == command
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_verification_failure_exits_one(tmp_path, monkeypatch):
-    def fake_verify(n, max_m, D, mode="direct", eps=None, jobs=0):
+    def fake_verify(n, max_m, D, eps=None, jobs=1):
         return {
             "n": n,
             "D": D,
-            "mode": mode,
-            "pairs_checked": 1,
-            "failures": [{"a": "x", "b": "y"}],
+            "pairs_checked": 2,
+            "failures": [{"mode": "direct", "a": "x"}, {"mode": "brion", "a": "x"}],
         }
 
     monkeypatch.setattr(floer, "mirror_verify", fake_verify)
@@ -104,8 +144,37 @@ def test_verification_failure_exits_one(tmp_path, monkeypatch):
     rc = main(["verify", "--n", "2", "-o", str(out)])
     assert rc == 1
     report = json.loads(out.read_text())
-    assert report["pairs_checked"] == 2
-    assert len(report["failures"]) == 2
+    assert report == fake_verify(2, 1, 6)
+
+
+def record_verify_jobs(monkeypatch) -> list:
+    seen = []
+
+    def fake_verify(n, max_m, D, eps=None, jobs=1):
+        seen.append(jobs)
+        return {"n": n, "D": D, "pairs_checked": 0, "failures": []}
+
+    monkeypatch.setattr(floer, "mirror_verify", fake_verify)
+    return seen
+
+
+def test_jobs_zero_uses_cpu_affinity(tmp_path, monkeypatch):
+    seen = record_verify_jobs(monkeypatch)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert main(["verify", "--jobs", "0", "-o", str(tmp_path / "v.json")]) == 0
+    assert main(["verify", "--jobs", "2", "-o", str(tmp_path / "v.json")]) == 0
+    assert seen == [3, 2]
+
+
+def test_jobs_zero_falls_back_to_cpu_count(tmp_path, monkeypatch):
+    seen = record_verify_jobs(monkeypatch)
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+    assert main(["verify", "-o", str(tmp_path / "v.json")]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(["verify", "-o", str(tmp_path / "v.json")]) == 0
+    assert seen == [5, 1]
 
 
 def test_counting_modes_accept_eps_override(tmp_path):
@@ -113,19 +182,22 @@ def test_counting_modes_accept_eps_override(tmp_path):
     _, plain = run_to_file(tmp_path, "p.json", base)
     _, tweaked = run_to_file(tmp_path, "t.json", base + ["--eps", "1/1000"])
     assert plain == tweaked
+    verify = ["verify", "--n", "2", "--max-m", "1", "--trunc", "4"]
+    _, verified = run_to_file(tmp_path, "v.json", verify + ["--eps", "1/1000"])
+    assert verified == (GOLDEN / "cli_verify_n2.json").read_text()
 
 
-def test_config_validation_direct():
-    with pytest.raises(ValueError):
-        RunConfig(mode="nope")
-    with pytest.raises(ValueError):
-        RunConfig(mode="verify", fmt="csv")
-    with pytest.raises(ValueError):
-        RunConfig(mode="theta", D=-1)
-    with pytest.raises(ValueError):
-        RunConfig(mode="theta", jobs=-1)
-    cfg = RunConfig(mode="theta", n=2, fmt="csv")
-    assert cfg.D == 6
+def test_value_checks_through_main(capsys):
+    for argv in (["nope"], ["verify", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert main(["theta", "--trunc", "-1"]) == 2
+    assert main(["assoc", "--max-m", "0"]) == 2
+    assert main(["verify", "--jobs", "-1"]) == 2
+    capsys.readouterr()
+    assert main(["theta", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["D"] == 6
 
 
 def test_counting_table_agrees_with_series_table(tmp_path):

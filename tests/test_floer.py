@@ -160,17 +160,38 @@ def test_floer_product_rejects_unknown_mode():
         floer_product(1, 1, 0, 1, 0, 2, "guess")
 
 
+def test_brion_refuses_eps():
+    with pytest.raises(ValueError):
+        floer_product(1, 1, 0, 1, 0, 2, "brion", eps=Fraction(1, 100))
+
+
 def test_mirror_verify_passes():
-    rep = mirror_verify(4, 1, 4, mode="brion")
+    rep = mirror_verify(4, 1, 4, modes=("brion",))
     assert rep["failures"] == []
     assert rep["pairs_checked"] == 16
     assert rep["n"] == 4 and rep["D"] == 4
 
 
 def test_mirror_verify_jobs_deterministic():
-    one = mirror_verify(2, 2, 4, mode="direct", jobs=1)
-    two = mirror_verify(2, 2, 4, mode="direct", jobs=2)
+    one = mirror_verify(2, 2, 4, modes=("direct",), jobs=1)
+    two = mirror_verify(2, 2, 4, modes=("direct",), jobs=2)
     assert one == two
+
+
+def test_mirror_verify_one_reference_per_pair(monkeypatch):
+    calls = []
+    reference = theta.theta_product
+
+    def counted(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(theta, "theta_product", counted)
+    rep = mirror_verify(3, 2, 4, jobs=1)
+    pairs = (1 * 3 + 2 * 3) ** 2
+    assert len(calls) == pairs
+    assert rep["pairs_checked"] == 2 * pairs
+    assert rep["failures"] == []
 
 
 def test_mirror_verify_pinpoints_corruption(monkeypatch):
@@ -183,8 +204,13 @@ def test_mirror_verify_pinpoints_corruption(monkeypatch):
         return val
 
     monkeypatch.setattr(theta, "_exponent", crooked)
-    rep = mirror_verify(2, 1, 4, mode="direct", jobs=1)
+    rep = mirror_verify(2, 1, 4, jobs=1)
     assert rep["failures"], "corrupted closed form went unnoticed"
     first = rep["failures"][0]
-    assert set(first) == {"a", "b", "monomial", "lhs", "rhs"}
+    assert set(first) == {"mode", "a", "b", "monomial", "lhs", "rhs"}
     assert first["lhs"] != first["rhs"]
+    # both counts see the same corrupted reference: direct first, then brion
+    modes = [f["mode"] for f in rep["failures"]]
+    half = len(modes) // 2
+    assert modes == ["direct"] * half + ["brion"] * half
+    assert [f["a"] for f in rep["failures"][:half]] == [f["a"] for f in rep["failures"][half:]]
