@@ -294,9 +294,12 @@ def coords_b(n: int, D: int):
     core_lh = {
         l: dth[l].mul(inv_dth_full) for l in range(1, n - 1)
     }
+    # R_i is R_0 rotated and rotation is a ring automorphism, so the
+    # inverse of R_i is the same rotation of the inverse of R_0
+    r0_inv = residue_R(0, n, D).invert_unit()
     b_off = {}
     for i in range(n):
-        r_inv = residue_R(i, n, D).invert_unit()
+        r_inv = r0_inv.rotate(-i)
         for j in range(n):
             if j == i or j == (i + 1) % n:
                 continue

@@ -11,6 +11,7 @@ after construction.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Iterable, Iterator
 
 
@@ -120,26 +121,25 @@ class TruncSeries:
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
         self._compat(other)
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return TruncSeries.zero(self.n, self.D)
         D = self.D
-        out: dict[tuple, int] = {}
-        # iterate the smaller operand outside for fewer tuple adds
-        a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        for ea, ca in a.items():
-            da = sum(ea)
-            for eb, cb in b.items():
-                if da + sum(eb) > D:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(e, 0) + ca * cb
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-        return TruncSeries._raw(self.n, self.D, out)
+        if len(a) == 1:
+            # a monomial times a series, too small to repay packing; distinct
+            # terms of b give distinct products, so nothing cancels
+            ((ea, ca),) = a.items()
+            room = D - sum(ea)
+            out = {
+                tuple(map(operator.add, ea, eb)): ca * cb
+                for eb, cb in b.items()
+                if sum(eb) <= room
+            }
+            return TruncSeries._raw(self.n, D, out)
+        prod = _graded_mul(_pack(a, D), _pack(b, D), D)
+        return TruncSeries._raw(self.n, D, _unpack(prod, self.n, D))
 
     def pow(self, k: int) -> "TruncSeries":
         if k < 0:
@@ -159,16 +159,23 @@ class TruncSeries:
         c0 = self.constant_term()
         if c0 not in (1, -1):
             raise SeriesError(f"series with constant term {c0} is not invertible over Z")
-        # a = c0*(1 + r)  =>  a^-1 = c0 * sum_k (-r)^k, r has no constant term
-        r = self.scale(c0).sub(TruncSeries.one(self.n, self.D))
-        acc = TruncSeries.one(self.n, self.D)
-        p = TruncSeries.one(self.n, self.D)
-        for _ in range(self.D):
-            p = p.mul(r).neg()
-            if p.is_zero():
-                break
-            acc = acc.add(p)
-        return acc.scale(c0)
+        # Newton doubling y <- y + y*(1 - a*y): when a*y = 1 through degree
+        # prec, 1 - a*y starts at degree prec+1, so the new y is the old one
+        # through prec and -(y * (a*y restricted above prec)) above it, and
+        # a*y_new = 1 - (1 - a*y)^2 holds through degree 2*prec+1.
+        D = self.D
+        a = _pack(self.terms, D)
+        y = _pack({(0,) * self.n: c0}, D)
+        prec = 0
+        while prec < D:
+            new = min(2 * prec + 1, D)
+            ay = _graded_mul(a, y, new)
+            err = [{}] * (prec + 1) + [
+                {k: -c for k, c in ay[d].items() if c} for d in range(prec + 1, new + 1)
+            ]
+            y = y[: prec + 1] + _graded_mul(y, err, new)[prec + 1 :]
+            prec = new
+        return TruncSeries._raw(self.n, D, _unpack(y, self.n, D))
 
     def rotate(self, shift: int) -> "TruncSeries":
         """Cyclic substitution of variables: new exponent of t_j is the old
@@ -252,6 +259,68 @@ class TruncSeries:
     @classmethod
     def from_json(cls, text: str) -> "TruncSeries":
         return cls.from_json_obj(json.loads(text))
+
+
+# -- the product kernel ------------------------------------------------------
+#
+# Inside a product, terms are held graded: a list indexed by total degree
+# 0..D of dicts mapping the exponent vector, packed as one base-(D+1)
+# integer with t_0 in the most significant digit, to its coefficient.
+# Adding packed keys multiplies monomials.  No digit can carry, because
+# a kept product has total degree <= D, so each of its exponents is < D+1;
+# the degree of a product is the sum of the bucket indices, so it is never
+# recomputed from the exponents.
+
+
+def _pack(terms: dict, D: int) -> list[dict]:
+    base = D + 1
+    graded: list[dict] = [{} for _ in range(D + 1)]
+    for e, c in terms.items():
+        k = 0
+        for x in e:
+            k = k * base + x
+        graded[sum(e)][k] = c
+    return graded
+
+
+def _unpack(graded: list[dict], n: int, D: int) -> dict:
+    base = D + 1
+    digits = range(n - 1, 0, -1)
+    out = {}
+    for bucket in graded:
+        for k, c in bucket.items():
+            if not c:
+                continue
+            e = [0] * n
+            for j in digits:
+                k, e[j] = divmod(k, base)
+            e[0] = k
+            out[tuple(e)] = c
+    return out
+
+
+def _graded_mul(a: list[dict], b: list[dict], cap: int) -> list[dict]:
+    """Product of two graded operands, keeping total degrees <= cap.
+
+    Coefficients that cancel stay in the result as zeros; _unpack drops
+    them.
+    """
+    out: list[dict] = [{} for _ in range(cap + 1)]
+    for da in range(min(len(a) - 1, cap) + 1):
+        ta = a[da]
+        if not ta:
+            continue
+        for db in range(min(len(b) - 1, cap - da) + 1):
+            tb = b[db]
+            if not tb:
+                continue
+            acc = out[da + db]
+            get = acc.get
+            for ka, ca in ta.items():
+                for kb, cb in tb.items():
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+    return out
 
 
 def monomial(coeff: int, e: Iterable[int], D: int) -> TruncSeries:

@@ -135,13 +135,14 @@ def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
 
 
 def _mul_with_basis(
-    elem: RingElement, b: ThetaIndex, n: int, D: int, basis_left: bool
+    elem: RingElement, b: ThetaIndex, product, basis_left: bool
 ) -> RingElement:
-    """elem * b, or b * elem when basis_left, expanded over elem's terms."""
-    out = RingElement(elem.m + b.m, n, D)
+    """elem * b, or b * elem when basis_left, expanded over elem's terms;
+    product(x, y) is the basis product x * y."""
+    out = RingElement(elem.m + b.m, elem.n, elem.D)
     for p, s in elem.coeffs.items():
         e = ThetaIndex(elem.m, p)
-        prod = theta_product(b, e, n, D) if basis_left else theta_product(e, b, n, D)
+        prod = product(b, e) if basis_left else product(e, b)
         for p3, s3 in prod.coeffs.items():
             out.add_term(p3, s3.mul(s))
     return out
@@ -226,15 +227,25 @@ def check_associativity(n: int, D: int, weights) -> dict:
     failures (empty when the ring laws hold at truncation D).
     """
     m1, m2, m3 = weights
+    # every basis pair recurs across triples; results are never mutated,
+    # so one product per ordered pair is shared for this call only
+    memo: dict[tuple[ThetaIndex, ThetaIndex], RingElement] = {}
+
+    def product(x: ThetaIndex, y: ThetaIndex) -> RingElement:
+        got = memo.get((x, y))
+        if got is None:
+            got = memo[(x, y)] = theta_product(x, y, n, D)
+        return got
+
     failures = []
     checked = 0
     for a in basis_indices(n, m1):
         for b in basis_indices(n, m2):
-            ab = theta_product(a, b, n, D)
+            ab = product(a, b)
             for c in basis_indices(n, m3):
-                left = _mul_with_basis(ab, c, n, D, basis_left=False)
-                bc = theta_product(b, c, n, D)
-                right = _mul_with_basis(bc, a, n, D, basis_left=True)
+                left = _mul_with_basis(ab, c, product, basis_left=False)
+                bc = product(b, c)
+                right = _mul_with_basis(bc, a, product, basis_left=True)
                 checked += 1
                 if left != right:
                     failures.append(

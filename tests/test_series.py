@@ -4,6 +4,8 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirror_ring.series import SeriesError, TruncSeries, monomial
 
@@ -139,3 +141,111 @@ def test_json_round_trip():
 def test_iter_terms_sorted_deterministically():
     s = TruncSeries(2, 4, {(0, 2): 1, (1, 0): 2, (0, 1): 3})
     assert [e for e, _ in s.iter_terms()] == sorted(s.support())
+
+
+# -- the product kernel against a naive reference ----------------------------
+
+
+def naive_mul(a, b):
+    """Every pair of terms, degrees recomputed per pair: the reference."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            if sum(ea) + sum(eb) <= a.D:
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+    return TruncSeries(a.n, a.D, out)
+
+
+def geometric_inverse(a):
+    """a = c0*(1 + r)  =>  a^-1 = c0 * sum_k (-r)^k, D terms of naive_mul."""
+    c0 = a.constant_term()
+    one = TruncSeries.one(a.n, a.D)
+    r = a.scale(c0).sub(one)
+    acc = one
+    p = one
+    for _ in range(a.D):
+        p = naive_mul(p, r).neg()
+        acc = acc.add(p)
+    return acc.scale(c0)
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3), st.integers(-(2**80), 2**80), st.sampled_from((2**64, -(2**64) - 1))
+)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series sharing (n, D), n in 1..5 and D in 0..12, their terms
+    drawn up to degree D so that products land on and past the cap."""
+    n = draw(st.integers(1, 5))
+    D = draw(st.integers(0, 12))
+
+    def one_series():
+        terms = {}
+        for _ in range(draw(st.integers(0, 8))):
+            e = [0] * n
+            for _ in range(draw(st.integers(0, D))):
+                e[draw(st.integers(0, n - 1))] += 1
+            terms[tuple(e)] = draw(COEFFS)
+        return TruncSeries(n, D, terms)
+
+    return one_series(), one_series()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(series_pairs())
+@example((monomial(1, (0, 5, 0), 5), monomial(3, (0, 0, 0), 5)))  # exponent exactly D
+@example((monomial(1, (0, 5, 0), 5), monomial(3, (1, 0, 0), 5)))  # one past D
+@example((monomial(2, (2, 1), 6), TruncSeries(2, 6, {(1, 2): 5, (0, 0): 1, (3, 0): 7})))
+@example(  # (1 + t0)(1 - t0): the t0 coefficients cancel
+    (TruncSeries(2, 4, {(0, 0): 1, (1, 0): 1}), TruncSeries(2, 4, {(0, 0): 1, (1, 0): -1}))
+)
+@example(  # coefficients past 64 bits on both sides, products exactly at D
+    (
+        TruncSeries(3, 4, {(1, 1, 0): 2**70, (0, 0, 2): -(2**65), (0, 0, 0): 3}),
+        TruncSeries(3, 4, {(0, 1, 1): 2**66 + 1, (2, 0, 0): -(2**64), (4, 0, 0): 1}),
+    )
+)
+def test_mul_matches_naive_reference(pair):
+    a, b = pair
+    got = a.mul(b)
+    assert got == naive_mul(a, b)
+    assert got == b.mul(a)
+    assert all(got.terms.values()), "a zero coefficient was kept"
+    assert all(sum(e) <= a.D for e in got.terms)
+
+
+def test_mul_cancellation_and_cap_edges():
+    x = TruncSeries(2, 4, {(0, 0): 1, (1, 0): 1})
+    y = TruncSeries(2, 4, {(0, 0): 1, (1, 0): -1})
+    assert x.mul(y).terms == {(0, 0): 1, (2, 0): -1}
+    top = monomial(1, (0, 0, 4), 4)
+    assert top.mul(TruncSeries(3, 4, {(0, 0, 0): 2, (1, 0, 0): 1})).terms == {(0, 0, 4): 2}
+    big = TruncSeries(1, 3, {(1,): 2**64, (2,): 1})
+    assert big.mul(big).terms == {(2,): 2**128, (3,): 2**65}
+
+
+@st.composite
+def units(draw):
+    """A series with constant term +1 or -1, n in 1..5 and D in 0..12."""
+    a, _ = draw(series_pairs())
+    c0 = draw(st.sampled_from((1, -1)))
+    terms = dict(a.terms)
+    terms[(0,) * a.n] = c0
+    return TruncSeries(a.n, a.D, terms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(units())
+@example(TruncSeries(1, 0, {(0,): -1}))
+@example(TruncSeries(1, 1, {(0,): 1, (1,): 2**70}))
+@example(TruncSeries(1, 1, {(0,): -1, (1,): 3}))
+@example(TruncSeries(3, 1, {(0, 0, 0): -1, (0, 1, 0): 1, (1, 0, 0): -(2**65)}))
+@example(TruncSeries(1, 12, {(0,): 1, (1,): -1}))
+def test_invert_unit_matches_geometric_series(a):
+    inv = a.invert_unit()
+    assert a.mul(inv) == TruncSeries.one(a.n, a.D)
+    assert inv == geometric_inverse(a)
+    assert all(inv.terms.values()), "a zero coefficient was kept"

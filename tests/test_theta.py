@@ -158,6 +158,23 @@ def test_associativity_detects_corruption(monkeypatch):
     assert rep["failures"], "corrupted exponent slipped through"
 
 
+def test_associativity_one_product_per_pair(monkeypatch):
+    calls = []
+    real = theta.theta_product
+
+    def counted(a, b, n, D):
+        calls.append((a, b))
+        return real(a, b, n, D)
+
+    monkeypatch.setattr(theta, "theta_product", counted)
+    rep = check_associativity(3, 4, (1, 2, 1))
+    assert rep["failures"] == [] and rep["triples_checked"] == 3 * 6 * 3
+    assert len(calls) == len(set(calls)), "a basis pair was multiplied twice"
+    # the memo lives for one call only
+    check_associativity(3, 4, (1, 2, 1))
+    assert len(calls) == 2 * len(set(calls))
+
+
 def test_commutativity_exhaustive_small():
     for n in (1, 2, 3):
         for m1 in (1, 2):
