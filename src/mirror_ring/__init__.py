@@ -8,7 +8,7 @@ marked-point moduli coordinates, and the finite quiver algebra that both
 sides share.
 """
 
-from .plgeom import WeightedPoint, lambda_defect, phi, psi, t_exponent, t_exponent_qr
+from .plgeom import lambda_defect, phi, psi, t_exponent, t_exponent_qr
 from .series import SeriesError, TruncSeries
 from .theta import (
     RingElement,
@@ -48,7 +48,6 @@ __all__ = [
     "ThetaIndex",
     "Triangle",
     "TruncSeries",
-    "WeightedPoint",
     "basis_indices",
     "build_table",
     "check_associativity",

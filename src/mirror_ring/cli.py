@@ -1,9 +1,11 @@
 """Batch front-end: build tables, run verifications, export reports.
 
 Every mode writes one deterministic artifact (JSON by default, CSV for
-the product tables) to stdout or to the path given with -o.  Exit codes:
-0 on success, 1 when a verification report contains failures, 2 on bad
-usage.  Each subcommand accepts only the flags it reads.
+the product tables) to stdout or to the path given with -o.  The -o file
+is replaced atomically, so a run that fails leaves an earlier report as
+it was.  Exit codes: 0 on success, 1 when a verification report contains
+failures, 2 on bad usage, including an -o path that cannot be written.
+Each subcommand accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -47,11 +49,21 @@ def _json_text(obj) -> str:
 
 
 def _emit(path: str | None, text: str):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
+    """Write text to stdout, or replace the file at path atomically: the
+    text goes to a temporary file beside it, which is then renamed."""
+    if not path:
         sys.stdout.write(text)
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _run_table(mode: str | None, args) -> int:

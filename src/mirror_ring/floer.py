@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import plgeom, theta
 from .series import TruncSeries
-from .theta import RingElement, ThetaIndex, canonical_p
+from .theta import RingElement, canonical_p
 
 
 @dataclass(frozen=True)
@@ -230,20 +230,18 @@ def _first_difference(lhs: RingElement, rhs: RingElement):
 def _verify_pair(args):
     """Per counting mode, the first difference from the closed form as a
     failure entry, or None; the closed form is computed once for all."""
-    n, m1, p1, m2, p2, D, modes, eps = args
-    rhs = theta.theta_product(
-        ThetaIndex.make(m1, p1, n), ThetaIndex.make(m2, p2, n), n, D
-    )
+    n, a, b, D, modes, eps = args
+    rhs = theta.theta_product(a, b, n, D)
     out = []
     for mode in modes:
-        lhs = floer_product(n, m1, p1, m2, p2, D, mode, eps=eps if mode == "direct" else None)
+        lhs = floer_product(n, a.m, a.p, b.m, b.p, D, mode, eps=eps if mode == "direct" else None)
         diff = _first_difference(lhs, rhs)
         if diff is not None:
             p, e, lc, rc = diff
             diff = {
                 "mode": mode,
-                "a": {"m": m1, "p": f"{p1.numerator}/{p1.denominator}"},
-                "b": {"m": m2, "p": f"{p2.numerator}/{p2.denominator}"},
+                "a": a.to_json_obj(),
+                "b": b.to_json_obj(),
                 "monomial": {"p": f"{p.numerator}/{p.denominator}", "e": list(e)},
                 "lhs": str(lc),
                 "rhs": str(rc),
@@ -265,14 +263,14 @@ def mirror_verify(
     and the merge order are fixed, so the report is deterministic for any
     jobs.
     """
-    tasks = []
-    for m1 in range(1, max_m + 1):
-        for m2 in range(1, max_m + 1):
-            for i1 in range(m1 * n):
-                for i2 in range(m2 * n):
-                    tasks.append(
-                        (n, m1, Fraction(i1, m1), m2, Fraction(i2, m2), D, modes, eps)
-                    )
+    weights = range(1, max_m + 1)
+    tasks = [
+        (n, a, b, D, modes, eps)
+        for m1 in weights
+        for m2 in weights
+        for a in theta.basis_indices(n, m1)
+        for b in theta.basis_indices(n, m2)
+    ]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -54,10 +54,6 @@ class ULaurent:
                     )
                 self.terms[e] = self.terms[e].add(s) if e in self.terms else s
 
-    @classmethod
-    def zero(cls, n: int, D: int) -> "ULaurent":
-        return cls(n, D)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -72,15 +68,6 @@ class ULaurent:
             else:
                 out[e] = acc
         return ULaurent(self.n, self.D, out)
-
-    def neg(self) -> "ULaurent":
-        return ULaurent(self.n, self.D, {e: s.neg() for e, s in self.terms.items()})
-
-    def sub(self, other: "ULaurent") -> "ULaurent":
-        return self.add(other.neg())
-
-    def scale(self, c: int) -> "ULaurent":
-        return ULaurent(self.n, self.D, {e: s.scale(c) for e, s in self.terms.items()})
 
     def mul(self, other: "ULaurent") -> "ULaurent":
         if (self.n, self.D) != (other.n, other.D):

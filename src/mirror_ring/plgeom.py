@@ -13,28 +13,7 @@ division, giving two independent routes to the same number.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
-
-
-@dataclasses.dataclass(frozen=True)
-class WeightedPoint:
-    """A weight m >= 1 together with a rational point p with m*p integral.
-
-    The point is stored as given, without reduction mod n; the graded
-    ring layer owns canonicalization.
-    """
-
-    m: int
-    p: Fraction
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"weight must be a positive integer, got {self.m}")
-        p = Fraction(self.p)
-        if (self.m * p).denominator != 1:
-            raise ValueError(f"{self.m} * {p} is not an integer")
-        object.__setattr__(self, "p", p)
 
 
 def floor_frac(t) -> int:

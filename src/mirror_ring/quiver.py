@@ -19,7 +19,9 @@ different means.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+from types import MappingProxyType
 
 
 def _ensure_spokes(n: int):
@@ -162,8 +164,12 @@ def normal_form(w: PathWord, n: int) -> "AlgebraElement":
     return AlgebraElement(n, {_word_symbol(w.arrows): 1})
 
 
-def basis_registry(n: int) -> dict:
-    """Ordered map from basis symbol to a representative word."""
+@functools.lru_cache(maxsize=None)
+def basis_registry(n: int) -> MappingProxyType:
+    """Ordered map from basis symbol to a representative word.
+
+    Cached per n and shared by every caller, hence read-only.
+    """
     _ensure_spokes(n)
     reg = {}
     for v in range(n + 1):
@@ -175,7 +181,7 @@ def basis_registry(n: int) -> dict:
     reg["c"] = PathWord((("B", 1), ("A", 1)))
     for i in range(1, n + 1):
         reg[f"A_{i}B_{i}"] = PathWord((("A", i), ("B", i)))
-    return reg
+    return MappingProxyType(reg)
 
 
 def symbol_degree(sym: str) -> int:
@@ -235,14 +241,10 @@ class AlgebraElement:
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear product; words with mismatched endpoints contribute zero."""
-    return _multiply(a, b, basis_registry(a.n))
-
-
-def _multiply(a: AlgebraElement, b: AlgebraElement, reg: dict) -> AlgebraElement:
-    """multiply, with the basis registry built once by the caller."""
     if a.n != b.n:
         raise ValueError("mixed spoke counts")
     n = a.n
+    reg = basis_registry(n)
     out = AlgebraElement.zero(n)
     for s1, c1 in a.terms.items():
         w1 = reg[s1]
@@ -326,10 +328,9 @@ def node_dual_hilbert(d: int) -> int:
 
 def multiplication_table(n: int) -> dict:
     """Full basis-by-basis product table, keyed "x*y" in registry order."""
-    reg = basis_registry(n)
     out = {}
-    for s1, s2 in itertools.product(reg, repeat=2):
-        prod = _multiply(AlgebraElement(n, {s1: 1}), AlgebraElement(n, {s2: 1}), reg)
+    for s1, s2 in itertools.product(basis_registry(n), repeat=2):
+        prod = multiply(AlgebraElement(n, {s1: 1}), AlgebraElement(n, {s2: 1}))
         out[f"{s1}*{s2}"] = dict(sorted(prod.terms.items()))
     return out
 
@@ -337,12 +338,11 @@ def multiplication_table(n: int) -> dict:
 def check_basis_associativity(n: int) -> int:
     """(x*y)*z == x*(y*z) over all basis triples; returns the number of
     triples checked, raising on the first failure."""
-    reg = basis_registry(n)
-    syms = [AlgebraElement(n, {s: 1}) for s in reg]
+    syms = [AlgebraElement(n, {s: 1}) for s in basis_registry(n)]
     checked = 0
     for x, y, z in itertools.product(syms, repeat=3):
-        left = _multiply(_multiply(x, y, reg), z, reg)
-        right = _multiply(x, _multiply(y, z, reg), reg)
+        left = multiply(multiply(x, y), z)
+        right = multiply(x, multiply(y, z))
         if left != right:
             raise AssertionError(f"associativity fails at {x}, {y}, {z}")
         checked += 1

@@ -10,9 +10,8 @@ after construction.
 
 from __future__ import annotations
 
-import json
 import operator
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class SeriesError(ValueError):
@@ -75,12 +74,6 @@ class TruncSeries:
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.n, 0)
 
-    def coefficient(self, e) -> int:
-        return self.terms.get(tuple(e), 0)
-
-    def support(self) -> list[tuple]:
-        return sorted(self.terms)
-
     def iter_terms(self) -> Iterator[tuple[tuple, int]]:
         for e in sorted(self.terms):
             yield e, self.terms[e]
@@ -141,19 +134,6 @@ class TruncSeries:
         prod = _graded_mul(_pack(a, D), _pack(b, D), D)
         return TruncSeries._raw(self.n, D, _unpack(prod, self.n, D))
 
-    def pow(self, k: int) -> "TruncSeries":
-        if k < 0:
-            return self.invert_unit().pow(-k)
-        out = TruncSeries.one(self.n, self.D)
-        base = self
-        while k:
-            if k & 1:
-                out = out.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
-        return out
-
     def invert_unit(self) -> "TruncSeries":
         """Multiplicative inverse; requires constant term +1 or -1."""
         c0 = self.constant_term()
@@ -188,12 +168,6 @@ class TruncSeries:
             tuple(e[(j + s) % n] for j in range(n)): c for e, c in self.terms.items()
         }
         return TruncSeries._raw(n, self.D, out)
-
-    def truncate(self, D: int) -> "TruncSeries":
-        """Re-truncate to a lower (or equal) total degree."""
-        if D > self.D:
-            raise SeriesError(f"cannot extend truncation {self.D} to {D}")
-        return TruncSeries(self.n, D, {e: c for e, c in self.terms.items() if sum(e) <= D})
 
     # -- operator sugar ---------------------------------------------------
 
@@ -244,9 +218,6 @@ class TruncSeries:
             ],
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TruncSeries":
         try:
@@ -255,10 +226,6 @@ class TruncSeries:
         except (KeyError, TypeError) as exc:
             raise SeriesError(f"malformed series object: {exc}") from exc
         return cls(n, D, terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncSeries":
-        return cls.from_json_obj(json.loads(text))
 
 
 # -- the product kernel ------------------------------------------------------
@@ -322,8 +289,3 @@ def _graded_mul(a: list[dict], b: list[dict], cap: int) -> list[dict]:
                     acc[k] = get(k, 0) + ca * cb
     return out
 
-
-def monomial(coeff: int, e: Iterable[int], D: int) -> TruncSeries:
-    """Single-term series coeff * t^e, with n inferred from len(e)."""
-    e = tuple(e)
-    return TruncSeries(len(e), D, {e: coeff})

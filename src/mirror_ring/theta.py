@@ -9,7 +9,6 @@ exponents given by ``plgeom.t_exponent``.  Everything is exact over Z.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,14 +53,11 @@ class RingElement:
 
     __slots__ = ("m", "n", "D", "coeffs")
 
-    def __init__(self, m: int, n: int, D: int, coeffs: dict | None = None):
+    def __init__(self, m: int, n: int, D: int):
         self.m = m
         self.n = n
         self.D = D
         self.coeffs: dict[Fraction, TruncSeries] = {}
-        if coeffs:
-            for p, s in coeffs.items():
-                self.add_term(p, s)
 
     def add_term(self, p, series: TruncSeries):
         p = canonical_p(self.m, p, self.n)
@@ -71,14 +67,6 @@ class RingElement:
             self.coeffs.pop(p, None)
         else:
             self.coeffs[p] = acc
-
-    def add(self, other: "RingElement") -> "RingElement":
-        if (self.m, self.n, self.D) != (other.m, other.n, other.D):
-            raise ValueError("cannot add elements of different weight or context")
-        out = RingElement(self.m, self.n, self.D, dict(self.coeffs))
-        for p, s in other.coeffs.items():
-            out.add_term(p, s)
-        return out
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -172,9 +160,6 @@ class StructureTable:
                 for a, b in self.sorted_keys()
             ],
         }
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
 
     def to_csv(self) -> str:
         """One monomial per row: flat, diff-friendly dump of the table."""

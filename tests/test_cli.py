@@ -90,6 +90,30 @@ def test_usage_errors_exit_two(capsys):
         assert exc.value.code == 2
 
 
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    assert main(["theta", "--n", "1", "-o", str(tmp_path)]) == 2
+    assert main(["theta", "--n", "1", "-o", str(tmp_path / "missing" / "x.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("mirror-ring: cannot write ") for line in err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_earlier_report(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.json"
+    assert main(["theta", "--n", "1", "-o", str(out)]) == 0
+    before = out.read_bytes()
+
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", full_disk)
+    assert main(["theta", "--n", "2", "-o", str(out)]) == 2
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert "No space left on device" in capsys.readouterr().err
+
+
 # the flags each subcommand reads; every other flag is refused
 READS = {
     "theta": {"--n", "--trunc", "--max-m", "--format", "-o"},

@@ -21,7 +21,7 @@ from mirror_ring.moduli import (
     theta_chart0,
     theta_full_chart0,
 )
-from mirror_ring.series import TruncSeries, monomial
+from mirror_ring.series import TruncSeries
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -42,9 +42,9 @@ def test_full_section_low_order_terms():
     assert terms[1] == one.neg()
     assert terms[-1] == t_var(0, n, D).neg()
     assert terms[2] == t_var(n - 1, n, D)
-    assert terms[-2] == t_var(0, n, D).pow(2).mul(t_var(1, n, D))
+    assert terms[-2] == TruncSeries(n, D, {(2, 1, 0): 1})
     # u^3 carries t_{n-2} t_{n-1}^2 with a minus sign
-    assert terms[3] == t_var(n - 2, n, D).mul(t_var(n - 1, n, D).pow(2)).neg()
+    assert terms[3] == TruncSeries(n, D, {(0, 1, 2): -1})
 
 
 def test_section_at_t0_is_one_minus_u():
@@ -62,7 +62,7 @@ def test_residue_part_zero_contains_unit():
 
 def test_residue_parts_sum_to_full_section():
     n, D = 3, 4
-    total = ULaurent.zero(n, D)
+    total = ULaurent(n, D)
     for l in range(n):
         total = total.add(theta_chart0(l, n, D))
     assert total == theta_full_chart0(n, D)
@@ -95,11 +95,8 @@ def test_eval_is_ring_map():
         terms = {}
         for _ in range(4):
             e = rng.randrange(-2, 3)
-            coeff = monomial(
-                rng.randrange(-4, 5),
-                tuple(rng.randrange(0, 2) for _ in range(n)),
-                D,
-            )
+            c = rng.randrange(-4, 5)
+            coeff = TruncSeries(n, D, {tuple(rng.randrange(0, 2) for _ in range(n)): c})
             terms[e] = terms[e].add(coeff) if e in terms else coeff
         return ULaurent(n, D, terms)
 
@@ -174,7 +171,7 @@ def test_residue_cross_check_neighbor_chart():
         return moduli._eval_at(g, s1)
 
     # the point is a root of the full section in this chart too
-    full = ULaurent.zero(n, D)
+    full = ULaurent(n, D)
     for g in th1:
         full = full.add(g)
     assert ev(full).is_zero()

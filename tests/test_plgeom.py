@@ -8,7 +8,6 @@ import pytest
 
 from mirror_ring import plgeom
 from mirror_ring.plgeom import (
-    WeightedPoint,
     admissible_k_range,
     average_E,
     floor_frac,
@@ -88,16 +87,6 @@ def test_lambda_nonnegative_and_zero_on_affine_stretch():
     # both points inside one linearity interval: defect vanishes
     assert lambda_defect(2, Fraction(1, 5), 3, Fraction(4, 5)) == 0
     assert lambda_defect(1, Fraction(7, 3), 1, Fraction(8, 3)) == 0
-
-
-def test_weighted_point_validation():
-    wp = WeightedPoint(2, Fraction(3, 2))
-    assert wp.m == 2 and wp.p == Fraction(3, 2)
-    assert WeightedPoint(3, 2).p == Fraction(2)
-    with pytest.raises(ValueError):
-        WeightedPoint(0, Fraction(0))
-    with pytest.raises(ValueError):
-        WeightedPoint(2, Fraction(1, 3))
 
 
 def sample_tuples(rng, count, nmax=4, mmax=3, kmax=6):

@@ -189,6 +189,22 @@ def test_multiplication_table_shape():
     assert table["e_0*e_1"] == {}
 
 
+def test_multiplication_table_goes_through_multiply(monkeypatch):
+    calls = []
+    reference = quiver.multiply
+
+    def counted(a, b):
+        calls.append((a, b))
+        return reference(a, b)
+
+    monkeypatch.setattr(quiver, "multiply", counted)
+    multiplication_table(2)
+    assert len(calls) == len(basis_registry(2)) ** 2 == 100
+    assert basis_registry(3) is basis_registry(3)
+    with pytest.raises(TypeError):
+        basis_registry(3)["c"] = PathWord((("B", 2), ("A", 2)))
+
+
 def test_associativity_over_all_basis_triples():
     assert check_basis_associativity(2) == 10 ** 3
     assert check_basis_associativity(3) == 14 ** 3

@@ -83,7 +83,7 @@ def test_truncation_zero_keeps_only_flat_terms():
         full = theta_product(a, b, n, 5)
         for p, s in flat.coeffs.items():
             assert s.constant_term() == full.coeffs[p].constant_term()
-            assert all(sum(e) == 0 for e in s.support())
+            assert all(sum(e) == 0 for e in s.terms)
 
 
 def _product_with_extra_window(a, b, n, D, extra):
