@@ -5,6 +5,9 @@ the product tables) to stdout or to the path given with -o.  The -o file
 is replaced atomically, so a run that fails leaves an earlier report as
 it was.  Exit codes: 0 on success, 1 when a verification report contains
 failures, 2 on bad usage, including an -o path that cannot be written.
+An -o path that exists but is not a regular file once links are followed
+(a FIFO, device node or socket) is refused with exit code 2 before
+anything is written.
 Each subcommand accepts only the flags it reads.
 """
 
@@ -51,6 +54,8 @@ def _emit(path: str | None, text: str):
         return
     if os.path.isdir(path):
         raise ValueError(f"cannot write {path}: Is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"cannot write {path}: not a regular file")
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:

@@ -18,9 +18,8 @@ e*u^e action.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
-from . import plgeom
+from . import toric
 from .series import TruncSeries
 
 
@@ -99,15 +98,16 @@ class ULaurent:
         return " + ".join(parts) if parts else "0"
 
 
-def _chart_term_exponents(iota: int, c: int, n: int) -> tuple[int, ...]:
-    """t-exponents of the iota-th summand expanded in chart c."""
+def _chart_term_exponents(iota: int, c: int, w_c: tuple) -> tuple[int, ...]:
+    """t-exponents of the iota-th summand expanded in chart c.
+
+    They are the y-coordinates of w_iota - w_c (toric.w_point), less the
+    shear iota - c on the slots j < c; w_c is the y-part of w_point(c, n).
+    """
+    w_iota = toric.w_point(iota, len(w_c)).y
     exps = []
-    for j in range(n):
-        g = (
-            n * plgeom.phi(Fraction(j - iota, n))
-            - n * plgeom.phi(Fraction(j - c, n))
-            - (iota - c) * (1 if j <= c - 1 else 0)
-        )
+    for j, (a, b) in enumerate(zip(w_iota, w_c)):
+        g = a - b - (iota - c if j < c else 0)
         assert g.denominator == 1 and g >= 0, f"bad chart exponent at {iota}, {c}, {j}"
         exps.append(int(g))
     return tuple(exps)
@@ -123,10 +123,11 @@ def _theta_chart(l: int | None, c: int, n: int, D: int) -> ULaurent:
     """
     terms: dict[int, TruncSeries] = {}
     reach = D + n + 2
+    w_c = toric.w_point(c, n).y
     for iota in range(c - reach, c + reach + 1):
         if l is not None and (iota - l) % n != 0:
             continue
-        exps = _chart_term_exponents(iota, c, n)
+        exps = _chart_term_exponents(iota, c, w_c)
         if sum(exps) > D:
             continue
         sign = -1 if (iota - c) % 2 else 1
@@ -231,7 +232,7 @@ def _ensure_multi(n: int):
 @functools.lru_cache(maxsize=None)
 def _point_data(n: int, D: int):
     """Evaluations at the base point of every residue part and its
-    logarithmic derivative, the full-section derivative and its inverse,
+    logarithmic derivative, the inverse of the full-section derivative,
     and the residue R_0 that every R_i rotates."""
     th = []
     dth = []
@@ -245,7 +246,7 @@ def _point_data(n: int, D: int):
     inv_dth_full = dth_full.invert_unit()
     r0 = th[0].mul(inv_dth_full).neg()
     assert r0.constant_term() == 1, "residue is not 1 at t=0"
-    return th, dth, dth_full, inv_dth_full, r0
+    return th, dth, inv_dth_full, r0
 
 
 def residue_R(i: int, n: int, D: int) -> TruncSeries:
@@ -268,13 +269,16 @@ def coords_b(n: int, D: int):
     Keys are 0-based mod n: b_off[(i,j)] for j distinct from i and i+1,
     b_diag[i] for every i.  Every evaluation is a ratio whose denominator
     is a unit; where the raw value sits over a vanishing constant term,
-    the derivative substitute is used instead, once, in fixed form.  The
-    residue parts away from their own two points vanish at t = 0 but not
-    identically, so the diagonal value keeps its ratio-difference form;
-    see diagonal_routes for the residue-weighted alternative.
+    the derivative substitute is used instead, once, in fixed form.
+
+    b_0 is the logarithmic derivative u d/du log(theta_{n-1}/theta_0) of
+    the two residue parts that meet at the base point, evaluated there;
+    b_i is its rotation by i.  Multiplying every residue part by one unit
+    e(u) changes the local frame but not the point, and leaves b_i as it
+    is: the log-derivative of e cancels in the ratio.
     """
     _ensure_multi(n)
-    th, dth, _, inv_dth_full, r0 = _point_data(n, D)
+    th, dth, inv_dth_full, r0 = _point_data(n, D)
     for l in range(1, n - 1):
         assert th[l].constant_term() == 0, (
             f"residue-{l} part has a nonzero value at t=0 at the base point"
@@ -295,37 +299,12 @@ def coords_b(n: int, D: int):
             val = core_lh[l].rotate(-j).mul(r_inv)
             assert val.constant_term() == 0, "off-diagonal value at t=0 is nonzero"
             b_off[(i, j)] = val
-    core_diag, core_diag_alt = diagonal_routes(n, D)
-    if n == 2:
-        # with only two marked points the two displayed forms coincide
-        assert core_diag == core_diag_alt, "diagonal routes disagree at n=2"
-    assert core_diag.constant_term() == 1, "diagonal value at t=0 is not 1"
-    b_diag = {i: core_diag.rotate(-i) for i in range(n)}
-    return b_off, b_diag
-
-
-def diagonal_routes(n: int, D: int) -> tuple[TruncSeries, TruncSeries]:
-    """Both published forms of the diagonal b value at the base point.
-
-    First the logarithmic ratio difference of the two adjacent residue
-    parts (the form coords_b returns), then the residue-weighted
-    combination it is usually simplified from.  The simplification step
-    divides by an evaluation that vanishes only at t = 0 once n >= 3, so
-    the two agree identically just for n = 2; beyond that they share the
-    constant term and diverge at first order.  Both are exact series and
-    both are exposed so the divergence itself stays under test.
-    """
-    _ensure_multi(n)
-    th, dth, dth_full, _, r0 = _point_data(n, D)
-    r_prev = r0.rotate(1)  # the (n-1)-st residue
     core_diag = dth[n - 1].mul(th[n - 1].invert_unit()).sub(
         dth[0].mul(th[0].invert_unit())
     )
-    numer = r0.mul(dth[n - 1]).add(r_prev.mul(dth[0]))
-    denom = r_prev.mul(r0).mul(dth_full)
-    core_diag_alt = numer.mul(denom.invert_unit())
-    assert core_diag.constant_term() == core_diag_alt.constant_term() == 1
-    return core_diag, core_diag_alt
+    assert core_diag.constant_term() == 1, "diagonal value at t=0 is not 1"
+    b_diag = {i: core_diag.rotate(-i) for i in range(n)}
+    return b_off, b_diag
 
 
 def coords_c(n: int, D: int) -> dict:

@@ -1,7 +1,9 @@
 """Command line behavior: determinism, exit codes, report shapes."""
 
 import json
+import os
 import pathlib
+import stat
 
 import pytest
 
@@ -103,6 +105,22 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     assert all(line.startswith("mirror-ring: cannot write ") for line in err)
     assert all(line.endswith(": Is a directory") for line in err[:2])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no mkfifo on this platform")
+def test_non_regular_output_exits_two(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    link = tmp_path / "link"
+    link.symlink_to(fifo)
+    for target in (fifo, link):
+        assert main(["theta", "--n", "1", "-o", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"mirror-ring: cannot write {t}: not a regular file" for t in (fifo, link)]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert link.is_symlink()
+    # no temporary file was made beside either target
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "pipe"]
 
 
 def test_failed_write_keeps_earlier_report(tmp_path, monkeypatch, capsys):

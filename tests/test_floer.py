@@ -200,6 +200,33 @@ def test_direct_count_eps_robust_on_lifted_triangles(case):
             assert count_direct(t, n, j, eps) == count_direct(t, n, j, eps / 7) == brion
 
 
+@st.composite
+def route_tuples(draw):
+    n = draw(st.integers(1, 7))
+    m1, m2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    p1 = Fraction(draw(st.integers(0, m1 * n - 1)), m1)
+    p2 = Fraction(draw(st.integers(0, m2 * n - 1)), m2)
+    return n, m1, p1, m2, p2, draw(st.integers(-50, 50))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(route_tuples())
+@example((7, 6, Fraction(41, 6), 6, Fraction(41, 6), 50))
+@example((7, 6, Fraction(41, 6), 6, Fraction(0), 20))  # largest direct scan
+@example((7, 6, Fraction(0), 1, Fraction(0), -50))
+def test_four_routes_agree_far_out(case):
+    """t_exponent, t_exponent_qr and count_brion agree for every slot j
+    out to |k| = 50; count_direct at default_eps joins them for |k| <= 20."""
+    n, m1, p1, m2, p2, k = case
+    t = lift_triangle(n, m1, p1, m2, p2, k) if abs(k) <= 20 else None
+    for j in range(n):
+        te = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
+        assert plgeom.t_exponent_qr(n, m1, p1, m2, p2, k, j) == te
+        assert count_brion(n, m1, p1, m2, p2, k, j) == te
+        if t is not None:
+            assert count_direct(t, n, j, default_eps(n, m1, m2, k)) == te
+
+
 def test_floer_product_matches_theta_reference():
     for mode in ("direct", "brion"):
         out = floer_product(1, 1, 0, 1, 0, 4, mode)

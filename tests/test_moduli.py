@@ -14,7 +14,6 @@ from mirror_ring.moduli import (
     coords_b,
     coords_c,
     d_log_derivative,
-    diagonal_routes,
     eval_at_p0,
     residue_R,
     solve_s,
@@ -159,11 +158,13 @@ def test_residue_rejects_bad_input():
         residue_R(2, 2, 3)
 
 
-def test_residue_cross_check_neighbor_chart():
-    """Recompute R_1 for n=2 inside the next chart and compare with the
-    rotation route.  The neighboring chart sees the same point as its own
-    base point with rotated gluing parameters."""
-    n, D = 2, 3
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_residue_cross_check_neighbor_chart(n):
+    """Recompute R_1 and the diagonal b_1 inside the next chart and compare
+    with the rotation route.  The neighboring chart sees the same point as
+    its own base point with rotated gluing parameters, and there the
+    residue parts 0 and 1 play the roles of n-1 and 0."""
+    D = 3
     s1 = solve_s(n, D).rotate(-1)
     th1 = [moduli._theta_chart(l, 1, n, D) for l in range(n)]
 
@@ -178,6 +179,54 @@ def test_residue_cross_check_neighbor_chart():
     dfull = ev(d_log_derivative(full)).neg()
     r1_direct = ev(th1[1]).mul(dfull.invert_unit())
     assert r1_direct == residue_R(1, n, D)
+
+    def dlog(g):
+        return ev(d_log_derivative(g)).mul(ev(g).invert_unit())
+
+    b1_direct = dlog(th1[0]).sub(dlog(th1[1]))
+    assert b1_direct == coords_b(n, D)[1][1]
+
+
+def _frame_units(n, D):
+    """Units e(u) of the base chart: 1 + t_0 u, -1/u, u^2 (1 - t_{n-1} u^2)."""
+    one = TruncSeries.one(n, D)
+    return [
+        ULaurent(n, D, {0: one, 1: t_var(0, n, D)}),
+        ULaurent(n, D, {-1: one.neg()}),
+        ULaurent(n, D, {2: one, 4: t_var(n - 1, n, D).neg()}),
+    ]
+
+
+def test_residues_and_diagonal_b_are_frame_independent(monkeypatch):
+    """Multiplying every residue part by one unit e(u) moves the local
+    frame, not the point: R_i and the diagonal b_i must not change.  The
+    rescaled parts go through the package's own path via theta_chart0."""
+    D = 5
+    ns = (2, 3, 4, 5)
+    want = {
+        n: (
+            moduli._point_data(n, D)[0],
+            [residue_R(i, n, D) for i in range(n)],
+            coords_b(n, D)[1],
+        )
+        for n in ns
+    }
+    orig = moduli.theta_chart0
+    try:
+        for n in ns:
+            want_th, want_R, want_b = want[n]
+            for e in _frame_units(n, D):
+                monkeypatch.setattr(
+                    moduli, "theta_chart0", lambda *a, _e=e: orig(*a).mul(_e)
+                )
+                moduli._point_data.cache_clear()
+                # the frame did move: the residue parts take new values
+                assert moduli._point_data(n, D)[0] != want_th, (n, e)
+                assert [residue_R(i, n, D) for i in range(n)] == want_R, (n, e)
+                assert coords_b(n, D)[1] == want_b, (n, e)
+    finally:
+        monkeypatch.undo()
+        moduli._point_data.cache_clear()
 
 
 def test_coords_b_shape_and_constants():
@@ -212,23 +261,6 @@ def test_coords_integer_coefficients():
         for v in series:
             for _, c in v.iter_terms():
                 assert isinstance(c, int) or c.denominator == 1
-
-
-def test_diagonal_routes_agree_exactly_for_two_components():
-    r_main, r_alt = diagonal_routes(2, 6)
-    assert r_main == r_alt
-
-
-def test_diagonal_routes_split_at_first_order_beyond():
-    """With three or more marked points the residue-weighted form and the
-    ratio-difference form share only the constant term; the leading gap
-    is pinned here so any change to it is visible."""
-    r_main, r_alt = diagonal_routes(3, 3)
-    diff = r_main.sub(r_alt)
-    assert diff.constant_term() == 0
-    assert not diff.is_zero()
-    deg1 = TruncSeries(3, 3, {e: c for e, c in diff.iter_terms() if sum(e) == 1})
-    assert deg1 == t_var(1, 3, 3).sub(t_var(0, 3, 3))
 
 
 def test_coords_c_case_formula_constants():
