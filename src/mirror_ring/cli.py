@@ -7,7 +7,8 @@ it was.  Exit codes: 0 on success, 1 when a verification report contains
 failures, 2 on bad usage, including an -o path that cannot be written.
 An -o path that exists but is not a regular file once links are followed
 (a FIFO, device node or socket) is refused with exit code 2 before
-anything is written.
+anything is written.  An -o path through a symbolic link writes the
+link's target and leaves the link in place.
 Each subcommand accepts only the flags it reads.
 """
 
@@ -52,16 +53,18 @@ def _emit(path: str | None, text: str):
     if not path:
         sys.stdout.write(text)
         return
-    if os.path.isdir(path):
+    # a link is written through, so the rename lands on its final target
+    real = os.path.realpath(path)
+    if os.path.isdir(real):
         raise ValueError(f"cannot write {path}: Is a directory")
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.exists(real) and not os.path.isfile(real):
         raise ValueError(f"cannot write {path}: not a regular file")
-    head, tail = os.path.split(path)
+    head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except OSError as exc:
         if os.path.isfile(tmp):
             os.remove(tmp)

@@ -254,10 +254,13 @@ def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
         for a in theta.basis_indices(n, m1)
         for b in theta.basis_indices(n, m2)
     ]
-    if jobs > 1:
+    # a pool starts all its workers at the first submit, so never ask for
+    # more than there are pairs
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_pair, tasks, chunksize=8))
     else:
         results = [_verify_pair(t) for t in tasks]

@@ -184,12 +184,6 @@ def basis_registry(n: int) -> MappingProxyType:
     return MappingProxyType(reg)
 
 
-def symbol_degree(sym: str) -> int:
-    if sym.startswith("e_") or (sym.startswith("A_") and "B" not in sym):
-        return 0
-    return 1
-
-
 @dataclasses.dataclass
 class AlgebraElement:
     """Integer combination of canonical basis symbols."""
@@ -296,9 +290,7 @@ def hom_table(n: int) -> dict:
     table = {}
     for sym in found:
         w = reg[sym]
-        key = (w.source, w.target)
-        slot = table.setdefault(key, [0, 0])
-        slot[symbol_degree(sym)] += 1
+        table.setdefault((w.source, w.target), [0, 0])[w.degree] += 1
     return table
 
 

@@ -122,15 +122,12 @@ def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
     return out
 
 
-def _mul_with_basis(
-    elem: RingElement, b: ThetaIndex, product, basis_left: bool
-) -> RingElement:
-    """elem * b, or b * elem when basis_left, expanded over elem's terms;
-    product(x, y) is the basis product x * y."""
+def _mul_with_basis(elem: RingElement, b: ThetaIndex, product) -> RingElement:
+    """elem * b expanded over elem's terms; product(x, y) is the basis
+    product x * y, so passing it with swapped arguments gives b * elem."""
     out = RingElement(elem.m + b.m, elem.n, elem.D)
     for p, s in elem.coeffs.items():
-        e = ThetaIndex(elem.m, p)
-        prod = product(b, e) if basis_left else product(e, b)
+        prod = product(ThetaIndex(elem.m, p), b)
         for p3, s3 in prod.coeffs.items():
             out.add_term(p3, s3.mul(s))
     return out
@@ -228,9 +225,9 @@ def check_associativity(n: int, D: int, weights) -> dict:
         for b in basis_indices(n, m2):
             ab = product(a, b)
             for c in basis_indices(n, m3):
-                left = _mul_with_basis(ab, c, product, basis_left=False)
+                left = _mul_with_basis(ab, c, product)
                 bc = product(b, c)
-                right = _mul_with_basis(bc, a, product, basis_left=True)
+                right = _mul_with_basis(bc, a, lambda x, y: product(y, x))
                 checked += 1
                 if left != right:
                     failures.append(

@@ -1,10 +1,12 @@
 """Character-lattice geometry: w-points, the shear automorphism, and the
-unbounded polytope whose lattice points enumerate graded sections.
+unbounded region Delta whose lattice points index graded sections.
 
 Points live in coordinates (x; y_0..y_{n-1}) for the basis (f, e_0..e_{n-1}).
 The basis of e's is indexed 0..n-1 throughout this package.  The fan itself
-is infinite and never materialized; this module only answers membership
-queries and applies the two structure maps (w_point, tau_apply).
+is infinite and never materialized; this module holds the point type, the
+two structure maps (w_point, tau_apply) and the membership test for Delta.
+The moduli charts read w_point; the shift and the region are checked
+against each other by the acceptance tests.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .plgeom import floor_frac, phi
+from .plgeom import phi
 
 
 @dataclass(frozen=True)
@@ -29,37 +31,6 @@ class MPoint:
     @property
     def n(self) -> int:
         return len(self.y)
-
-    def __add__(self, other: "MPoint") -> "MPoint":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return MPoint(self.x + other.x, tuple(a + b for a, b in zip(self.y, other.y)))
-
-    def __sub__(self, other: "MPoint") -> "MPoint":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return MPoint(self.x - other.x, tuple(a - b for a, b in zip(self.y, other.y)))
-
-    def scale(self, c) -> "MPoint":
-        c = Fraction(c)
-        return MPoint(c * self.x, tuple(c * v for v in self.y))
-
-    def is_integral(self) -> bool:
-        return self.x.denominator == 1 and all(v.denominator == 1 for v in self.y)
-
-
-def zero_point(n: int) -> MPoint:
-    return MPoint(Fraction(0), (Fraction(0),) * n)
-
-
-def f_point(n: int) -> MPoint:
-    return MPoint(Fraction(1), (Fraction(0),) * n)
-
-
-def e_point(j: int, n: int) -> MPoint:
-    y = [Fraction(0)] * n
-    y[j % n] = Fraction(1)
-    return MPoint(Fraction(0), tuple(y))
 
 
 def w_point(p, n: int) -> MPoint:
@@ -85,39 +56,3 @@ def in_delta(v: MPoint, n: int) -> bool:
     if v.n != n:
         raise ValueError(f"point has {v.n} y-coordinates, expected {n}")
     return all(v.y[j] >= n * phi(Fraction(v.x + j, n)) for j in range(n))
-
-
-def in_dual_cone(v: MPoint, i: int, n: int) -> bool:
-    """Membership in the i-th vertex cone, cut out by 2n inequalities:
-
-        y_j + (floor((i-j)/n) + 1)*x >= 0
-        y_j + (floor((i-j-1)/n) + 1)*x >= 0      for j = 0..n-1.
-    """
-    if v.n != n:
-        raise ValueError(f"point has {v.n} y-coordinates, expected {n}")
-    for j in range(n):
-        if v.y[j] + ((i - j) // n + 1) * v.x < 0:
-            return False
-        if v.y[j] + ((i - j - 1) // n + 1) * v.x < 0:
-            return False
-    return True
-
-
-def section_basis(m: int, n: int, p_window) -> list[tuple[Fraction, MPoint]]:
-    """Basis markers (p, m*w_p) for p in (1/m)Z intersected with [lo, hi).
-
-    The returned points are integral and lie in the m-fold dilation of the
-    section polytope.
-    """
-    if m < 1:
-        raise ValueError(f"weight must be >= 1, got m={m}")
-    lo, hi = (Fraction(t) for t in p_window)
-    out = []
-    i = -floor_frac(-lo * m)  # smallest integer i with i/m >= lo
-    while Fraction(i, m) < hi:
-        p = Fraction(i, m)
-        pt = w_point(p, n).scale(m)
-        assert pt.is_integral(), f"m*w_p must be a lattice point, got {pt} at p={p}"
-        out.append((p, pt))
-        i += 1
-    return out

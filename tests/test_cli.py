@@ -123,6 +123,21 @@ def test_non_regular_output_exits_two(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "pipe"]
 
 
+def test_output_through_symlink_writes_target(tmp_path, capsys):
+    real = tmp_path / "real"
+    real.mkdir()
+    target = real / "r.json"
+    target.write_text("old\n")
+    link = tmp_path / "l.json"
+    link.symlink_to(target)
+    assert main(["theta", "--n", "1", "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert main(["theta", "--n", "1"]) == 0
+    assert target.read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.json", "real"]
+    assert [p.name for p in real.iterdir()] == ["r.json"]
+
+
 def test_failed_write_keeps_earlier_report(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report.json"
     assert main(["theta", "--n", "1", "-o", str(out)]) == 0

@@ -265,6 +265,33 @@ def test_mirror_verify_jobs_deterministic():
     assert one == two
 
 
+def test_mirror_verify_caps_workers_at_pairs(monkeypatch):
+    """A pool starts every worker it is sized for, so --jobs beyond the
+    pair count must not reach it; the fake pool maps in-process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert mirror_verify(2, 1, 4, jobs=64) == mirror_verify(2, 1, 4, jobs=1)
+    assert sizes == [4]
+    mirror_verify(1, 1, 4, jobs=64)
+    assert sizes == [4]
+
+
 def test_mirror_verify_one_reference_per_pair(monkeypatch):
     calls = []
     reference = theta.theta_product

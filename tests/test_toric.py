@@ -1,40 +1,19 @@
-"""Lattice points, the shear automorphism, and the section polytope."""
+"""Lattice points, the shear automorphism, and the section region."""
 
 import os
 import random
 from fractions import Fraction
 
-import pytest
-
-from mirror_ring.toric import (
-    MPoint,
-    e_point,
-    f_point,
-    in_delta,
-    in_dual_cone,
-    section_basis,
-    tau_apply,
-    w_point,
-    zero_point,
-)
+from mirror_ring.theta import basis_indices
+from mirror_ring.toric import MPoint, in_delta, tau_apply, w_point
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
-
-
-def test_point_arithmetic():
-    n = 3
-    a = f_point(n) + e_point(1, n)
-    assert a.x == 1 and a.y == (0, 1, 0)
-    assert (a - a) == zero_point(n)
-    assert a.scale(2).y == (0, 2, 0)
-    assert a.is_integral()
-    assert not MPoint(Fraction(1, 2), (0, 0, 0)).is_integral()
 
 
 def test_w_point_basics():
     n = 2
     w0 = w_point(0, n)
-    assert w0 == zero_point(n)
+    assert w0 == MPoint(0, (0, 0))
     w1 = w_point(1, n)
     assert w1.x == -1
     # y_j = n*phi((j-1)/n): phi(-1/2) = 1/2, phi(0) = 0
@@ -67,10 +46,9 @@ def test_w_points_lie_in_delta():
 
 def test_delta_membership_examples():
     n = 2
-    assert in_delta(zero_point(n), n)
-    assert in_delta(e_point(0, n), n)
-    below = zero_point(n) - e_point(1, n)
-    assert not in_delta(below, n)
+    assert in_delta(MPoint(0, (0, 0)), n)
+    assert in_delta(MPoint(0, (1, 0)), n)
+    assert not in_delta(MPoint(0, (0, -1)), n)
 
 
 def test_box_decomposition():
@@ -95,28 +73,17 @@ def test_box_decomposition():
                     assert inside == cone_membership, (n, m, v)
 
 
-def test_dual_cone_contains_translated_orthant():
-    n = 3
-    for i in range(-3, 4):
-        apex = w_point(i, n)
-        assert in_dual_cone(apex - apex, i, n)  # origin after recentering
-        for j in range(n):
-            assert in_dual_cone(e_point(j, n), i, n)
-
-
-def test_dual_cone_rejects():
-    n = 2
-    assert not in_dual_cone(zero_point(n) - e_point(0, n), 0, n)
-
-
 def test_section_basis_counts_and_integrality():
+    """The theta basis labels of weight m are the weight-m sections: each
+    class lies in [0, n), its m-fold w-point is a lattice point (so theta
+    exponents are integers), and its w-point lies in the region."""
     for n in (1, 2, 3, 4):
         for m in (1, 2, 3, 4, 5):
-            basis = section_basis(m, n, (0, n))
-            assert len(basis) == m * n
-            for p, pt in basis:
+            labels = basis_indices(n, m)
+            assert len(labels) == m * n
+            for label in labels:
+                p = label.p
                 assert 0 <= p < n
-                assert pt.is_integral()
-                assert in_delta(pt.scale(Fraction(1, m)), n)
-    with pytest.raises(ValueError):
-        section_basis(0, 2, (0, 2))
+                w = w_point(p, n)
+                assert all((m * v).denominator == 1 for v in (w.x,) + w.y)
+                assert in_delta(w, n)
