@@ -8,7 +8,7 @@ marked-point moduli coordinates, and the finite quiver algebra that both
 sides share.
 """
 
-from .plgeom import lambda_defect, phi, psi, t_exponent, t_exponent_qr
+from .plgeom import InvariantError, lambda_defect, phi, psi, t_exponent, t_exponent_qr
 from .series import SeriesError, TruncSeries
 from .theta import (
     RingElement,
@@ -41,6 +41,7 @@ from .quiver import (
 
 __all__ = [
     "AlgebraElement",
+    "InvariantError",
     "PathWord",
     "RingElement",
     "SeriesError",

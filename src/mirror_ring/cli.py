@@ -4,7 +4,11 @@ Every mode writes one deterministic artifact (JSON by default, CSV for
 the product tables) to stdout or to the path given with -o.  The -o file
 is replaced atomically, so a run that fails leaves an earlier report as
 it was.  Exit codes: 0 on success, 1 when a verification report contains
-failures, 2 on bad usage, including an -o path that cannot be written.
+failures, 2 on bad usage, including an -o path that cannot be written,
+and 3 on an internal fault: a checked invariant of the package failed
+(``InvariantError``), which is reported on one stderr line and leaves
+any -o file as it was.  The invariants are explicit raises, so they hold
+under ``python -O`` too.
 An -o path that exists but is not a regular file once links are followed
 (a FIFO, device node or socket) is refused with exit code 2 before
 anything is written.  An -o path through a symbolic link writes the
@@ -21,6 +25,7 @@ import sys
 from functools import partial
 
 from . import floer, moduli, quiver, theta
+from .plgeom import InvariantError
 
 # every flag once, by its argparse destination
 FLAGS = {
@@ -208,6 +213,9 @@ def main(argv=None) -> int:
     try:
         _check_ranges(args)
         return handler(args)
+    except InvariantError as exc:
+        print(f"mirror-ring: internal fault: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"mirror-ring: {exc}", file=sys.stderr)
         return 2

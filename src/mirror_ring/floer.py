@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import plgeom, theta
+from .plgeom import InvariantError
 from .series import TruncSeries
 from .theta import RingElement, canonical_p
 
@@ -93,19 +94,24 @@ def count_direct(t: Triangle, n: int, j: int, eps) -> int:
     """Number of integer pairs (a,b) with (a - j/n + eps, b + eps) in t.
 
     These are the lattice points of t shifted by (j/n - eps, -eps).  The
-    shifted vertices are scaled by the lcm L of their six denominators,
-    so the degeneracy test, the bounding box and the three edge tests are
-    all integer arithmetic.  The triangle is taken closed; the
+    shifted vertices are scaled by L = lcm(n, den(eps), the six vertex
+    denominators), read straight off numerators and denominators, so the
+    degeneracy test, the bounding box and the three edge tests are all
+    integer arithmetic.  Any common multiple would do: each edge test is
+    homogeneous in the scale.  The triangle is taken closed; the
     perturbation moves every candidate off the edges, so open versus
     closed never matters.  Degenerate triangles count 0.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    sx = Fraction(j, n) - eps
-    shifted = [(x + sx, y - eps) for x, y in t.vertices()]
-    L = math.lcm(*(c.denominator for v in shifted for c in v))
-    verts = [(int(x * L), int(y * L)) for x, y in shifted]
+    L = math.lcm(n, eps.denominator, *(c.denominator for v in t.vertices() for c in v))
+    sy = eps.numerator * (L // eps.denominator)
+    sx = j * (L // n) - sy
+    verts = [
+        (x.numerator * (L // x.denominator) + sx, y.numerator * (L // y.denominator) - sy)
+        for x, y in t.vertices()
+    ]
     (ax, ay), (bx, by), (cx, cy) = verts
     area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if area == 0:
@@ -134,7 +140,7 @@ def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     from the primitive parallelogram of its cone; the combination
     h(x) = g1(x) + x^2 g2(x) - x g3(x) vanishes to second order at x=1 and
     the count is h''(1)/2.  Both vanishing statements and the r-identity
-    are asserted on every call.
+    are checked on every call.
     """
     p1 = Fraction(p1)
     p2 = Fraction(p2)
@@ -148,10 +154,11 @@ def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     q1, r1 = divmod(a1 + m1 * j, m1 * n)
     q2, r2 = divmod(a2 + m2 * (k * n + j), m2 * n)
     q3, r3 = divmod(a1 + a2 + m2 * k * n + m3 * j, m3 * n)
-    assert r1 + r2 - r3 == n * (m3 * q3 - m2 * q2 - m1 * q1), (
-        f"remainder identity violated at n={n} m=({m1},{m2}) "
-        f"p=({p1},{p2}) k={k} j={j}"
-    )
+    if r1 + r2 - r3 != n * (m3 * q3 - m2 * q2 - m1 * q1):
+        raise InvariantError(
+            f"remainder identity violated at n={n} m=({m1},{m2}) "
+            f"p=({p1},{p2}) k={k} j={j}"
+        )
     h: dict[int, int] = {}
 
     def acc(e: int, c: int):
@@ -164,12 +171,16 @@ def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     acc(q2 + 2, r2)
     acc(q3 + 1, -(n * m3 - r3))  # -x * g3
     acc(q3 + 1 + 1, -r3)
-    assert sum(h.values()) == 0, f"h(1) != 0 at {(n, m1, p1, m2, p2, k, j)}"
-    assert sum(c * e for e, c in h.items()) == 0, (
-        f"h'(1) != 0 at {(n, m1, p1, m2, p2, k, j)}"
-    )
+    if sum(h.values()) != 0:
+        raise InvariantError(f"h(1) != 0 at {(n, m1, p1, m2, p2, k, j)}")
+    if sum(c * e for e, c in h.items()) != 0:
+        raise InvariantError(f"h'(1) != 0 at {(n, m1, p1, m2, p2, k, j)}")
     twice = sum(c * e * (e - 1) for e, c in h.items())
-    assert twice % 2 == 0 and twice >= 0
+    if twice % 2 or twice < 0:
+        raise InvariantError(
+            f"h''(1) = {twice} is not a nonnegative even number at "
+            f"{(n, m1, p1, m2, p2, k, j)}"
+        )
     return twice // 2
 
 

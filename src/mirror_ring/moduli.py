@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 
 from . import toric
+from .plgeom import InvariantError
 from .series import TruncSeries
 
 
@@ -32,7 +33,7 @@ class ULaurent:
 
     The u-exponent window is |e| <= D + n + 1; the constructions used
     here keep every discarded exponent's coefficient at t-degree > D, so
-    the window loses nothing.  That containment is asserted, not assumed.
+    the window loses nothing.  That containment is checked, not assumed.
     """
 
     __slots__ = ("n", "D", "terms")
@@ -48,7 +49,7 @@ class ULaurent:
                 if (s.n, s.D) != (n, D):
                     raise ValueError("coefficient context mismatch")
                 if abs(e) > _window(n, D):
-                    raise AssertionError(
+                    raise InvariantError(
                         f"u-exponent {e} outside window +-{_window(n, D)}"
                     )
                 self.terms[e] = self.terms[e].add(s) if e in self.terms else s
@@ -108,7 +109,8 @@ def _chart_term_exponents(iota: int, c: int, w_c: tuple) -> tuple[int, ...]:
     exps = []
     for j, (a, b) in enumerate(zip(w_iota, w_c)):
         g = a - b - (iota - c if j < c else 0)
-        assert g.denominator == 1 and g >= 0, f"bad chart exponent at {iota}, {c}, {j}"
+        if g.denominator != 1 or g < 0:
+            raise InvariantError(f"bad chart exponent at {iota}, {c}, {j}")
         exps.append(int(g))
     return tuple(exps)
 
@@ -141,7 +143,7 @@ def theta_chart0(i: int, n: int, D: int) -> ULaurent:
     """Residue-i part of the section in the base chart.
 
     The summand at index iota carries t-degree exactly iota(iota+1)/2,
-    which is asserted; that quadratic growth is what keeps the Laurent
+    which is checked; that quadratic growth is what keeps the Laurent
     window finite.
     """
     if not 0 <= i < n:
@@ -150,9 +152,8 @@ def theta_chart0(i: int, n: int, D: int) -> ULaurent:
     for e, s in g.terms.items():
         iota = -e
         for exps, _ in s.iter_terms():
-            assert sum(exps) == iota * (iota + 1) // 2, (
-                f"t-degree of summand {iota} is not triangular"
-            )
+            if sum(exps) != iota * (iota + 1) // 2:
+                raise InvariantError(f"t-degree of summand {iota} is not triangular")
     return g
 
 
@@ -209,9 +210,11 @@ def solve_s(n: int, D: int) -> TruncSeries:
     s = TruncSeries.zero(n, D)
     for d in range(1, D + 1):
         residual = _eval_at(th, s)
-        assert all(sum(e) >= d for e in residual.terms), "lower defect survived"
+        if any(sum(e) < d for e in residual.terms):
+            raise InvariantError("lower defect survived")
         s = s.add(_hpart(residual, d))
-    assert _eval_at(th, s).is_zero(), "root substitution left a nonzero residual"
+    if not _eval_at(th, s).is_zero():
+        raise InvariantError("root substitution left a nonzero residual")
     return s
 
 
@@ -245,7 +248,8 @@ def _point_data(n: int, D: int):
         dth_full = dth_full.add(s)
     inv_dth_full = dth_full.invert_unit()
     r0 = th[0].mul(inv_dth_full).neg()
-    assert r0.constant_term() == 1, "residue is not 1 at t=0"
+    if r0.constant_term() != 1:
+        raise InvariantError("residue is not 1 at t=0")
     return th, dth, inv_dth_full, r0
 
 
@@ -280,9 +284,10 @@ def coords_b(n: int, D: int):
     _ensure_multi(n)
     th, dth, inv_dth_full, r0 = _point_data(n, D)
     for l in range(1, n - 1):
-        assert th[l].constant_term() == 0, (
-            f"residue-{l} part has a nonzero value at t=0 at the base point"
-        )
+        if th[l].constant_term() != 0:
+            raise InvariantError(
+                f"residue-{l} part has a nonzero value at t=0 at the base point"
+            )
     core_lh = {
         l: dth[l].mul(inv_dth_full) for l in range(1, n - 1)
     }
@@ -297,12 +302,14 @@ def coords_b(n: int, D: int):
                 continue
             l = (i - j) % n
             val = core_lh[l].rotate(-j).mul(r_inv)
-            assert val.constant_term() == 0, "off-diagonal value at t=0 is nonzero"
+            if val.constant_term() != 0:
+                raise InvariantError("off-diagonal value at t=0 is nonzero")
             b_off[(i, j)] = val
     core_diag = dth[n - 1].mul(th[n - 1].invert_unit()).sub(
         dth[0].mul(th[0].invert_unit())
     )
-    assert core_diag.constant_term() == 1, "diagonal value at t=0 is not 1"
+    if core_diag.constant_term() != 1:
+        raise InvariantError("diagonal value at t=0 is not 1")
     b_diag = {i: core_diag.rotate(-i) for i in range(n)}
     return b_off, b_diag
 

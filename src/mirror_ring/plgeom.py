@@ -16,6 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+class InvariantError(RuntimeError):
+    """A proof obligation of the package failed at run time: an internal
+    fault, never bad input.  Raised explicitly, so ``python -O`` keeps it."""
+
+
 def floor_frac(t) -> int:
     """Exact floor of a rational, via integer Euclidean division."""
     t = Fraction(t)
@@ -45,7 +50,8 @@ def average_E(m1: int, a, m2: int, b) -> Fraction:
 def lambda_defect(m1: int, a, m2: int, b) -> Fraction:
     """Convexity defect m1*phi(a) + m2*phi(b) - (m1+m2)*phi(E); always >= 0."""
     val = m1 * phi(a) + m2 * phi(b) - (m1 + m2) * phi(average_E(m1, a, m2, b))
-    assert val >= 0, f"convexity defect came out negative: {val}"
+    if val < 0:
+        raise InvariantError(f"convexity defect came out negative: {val}")
     return val
 
 
@@ -59,10 +65,11 @@ def t_exponent(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     a = Fraction(Fraction(p1) + j, n)
     b = Fraction(Fraction(p2) + j, n) + k
     val = n * lambda_defect(m1, a, m2, b)
-    assert val.denominator == 1 and val >= 0, (
-        f"t-exponent must be a nonnegative integer, got {val} "
-        f"for n={n} m=({m1},{m2}) p=({p1},{p2}) k={k} j={j}"
-    )
+    if val.denominator != 1 or val < 0:
+        raise InvariantError(
+            f"t-exponent must be a nonnegative integer, got {val} "
+            f"for n={n} m=({m1},{m2}) p=({p1},{p2}) k={k} j={j}"
+        )
     return int(val)
 
 
@@ -88,7 +95,8 @@ def t_exponent_qr(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
         + r2 * q2
         - r3 * q3
     )
-    assert val >= 0, f"integer-route exponent came out negative: {val}"
+    if val < 0:
+        raise InvariantError(f"integer-route exponent came out negative: {val}")
     return val
 
 

@@ -23,6 +23,8 @@ import functools
 import itertools
 from types import MappingProxyType
 
+from .plgeom import InvariantError
+
 
 def _ensure_spokes(n: int):
     if n < 2:
@@ -127,7 +129,7 @@ def _word_symbol(arrows: tuple) -> str:
             return "c"
         i = arrows[0][1]
         return f"A_{i}B_{i}"
-    raise AssertionError(f"irreducible word of length {len(arrows)}: {arrows}")
+    raise InvariantError(f"irreducible word of length {len(arrows)}: {arrows}")
 
 
 def normal_form(w: PathWord, n: int) -> "AlgebraElement":
@@ -336,6 +338,6 @@ def check_basis_associativity(n: int) -> int:
         left = multiply(multiply(x, y), z)
         right = multiply(x, multiply(y, z))
         if left != right:
-            raise AssertionError(f"associativity fails at {x}, {y}, {z}")
+            raise InvariantError(f"associativity fails at {x}, {y}, {z}")
         checked += 1
     return checked

@@ -4,7 +4,9 @@ product.
 Basis elements are indexed by a weight m >= 1 and a class p in (1/m)Z
 taken mod n; the product of two of them is a finite sum of basis elements
 at weight m1+m2 whose coefficients are monomials in t_0..t_{n-1} with
-exponents given by ``plgeom.t_exponent``.  Everything is exact over Z.
+exponents n*lambda, computed here in scaled integers; ``plgeom.t_exponent``
+is the Fraction reference they are tested against.  Everything is exact
+over Z.
 """
 
 from __future__ import annotations
@@ -13,11 +15,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import plgeom
+from .plgeom import InvariantError
 from .series import TruncSeries
 
-# module-level alias so tests can corrupt the theta route without touching
-# the independently counted route in floer
-_exponent = plgeom.t_exponent
+
+def _exponent(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
+    """Exponent of t_j in the k-th product term, n*lambda in integers.
+
+    With N1 = m1*p1 + m1*j and N2 = m2*p2 + m2*(j + n*k) the three points
+    of lambda are N1/(m1 n), N2/(m2 n) and their average N3/(m3 n), where
+    N3 = N1 + N2, and n*m*phi(N/(m n)) = kappa*N - n*m*kappa*(kappa+1)/2
+    with kappa = N // (m n).  Module level, so tests can corrupt the theta
+    route without touching the counted routes in floer.
+    """
+    a1, r1 = divmod(m1 * p1.numerator, p1.denominator)
+    a2, r2 = divmod(m2 * p2.numerator, p2.denominator)
+    if r1 or r2:
+        raise ValueError(f"p1, p2 must lie in (1/m)Z: got {p1}, {p2}")
+    N1 = a1 + m1 * j
+    N2 = a2 + m2 * (j + n * k)
+    N3 = N1 + N2
+    w1, w2, w3 = m1 * n, m2 * n, (m1 + m2) * n
+    k1, k2, k3 = N1 // w1, N2 // w2, N3 // w3
+    # each w*kappa*(kappa+1) is even, so the halving is exact
+    val = k1 * N1 + k2 * N2 - k3 * N3 - (
+        w1 * k1 * (k1 + 1) + w2 * k2 * (k2 + 1) - w3 * k3 * (k3 + 1)
+    ) // 2
+    if val < 0:
+        raise InvariantError(
+            f"t-exponent came out negative: {val} "
+            f"for n={n} m=({m1},{m2}) p=({p1},{p2}) k={k} j={j}"
+        )
+    return val
 
 
 def canonical_p(m: int, p, n: int) -> Fraction:

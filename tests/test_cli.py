@@ -4,11 +4,15 @@ import json
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 
 import pytest
 
-from mirror_ring import cli, floer
+import mirror_ring
+from mirror_ring import cli, floer, moduli
 from mirror_ring.cli import main
+from mirror_ring.series import TruncSeries
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -209,6 +213,54 @@ def test_verification_failure_exits_one(tmp_path, monkeypatch):
     assert rc == 1
     report = json.loads(out.read_text())
     assert report == fake_verify(2, 1, 6)
+
+
+def test_invariant_failure_exits_three(tmp_path, monkeypatch, capsys):
+    """A root substitution that leaves a residual breaks solve_s's check:
+    exit 3, one stderr line, no report."""
+    real = moduli._eval_at
+
+    def leaky(g, s):
+        return real(g, s).add(TruncSeries(s.n, s.D, {(0,) * s.n: 1}))
+
+    moduli.solve_s.cache_clear()
+    monkeypatch.setattr(moduli, "_eval_at", leaky)
+    out = tmp_path / "moduli.json"
+    assert main(["moduli", "--n", "2", "--trunc", "3", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("mirror-ring: internal fault: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# the same break in a python -O interpreter, where a bare assert is gone
+OPTIMIZED_BREAK = """
+import sys
+from mirror_ring import cli, moduli
+from mirror_ring.plgeom import InvariantError
+from mirror_ring.series import TruncSeries
+if __debug__:
+    sys.exit("not running under -O")
+real = moduli._eval_at
+moduli._eval_at = lambda g, s: real(g, s).add(TruncSeries(s.n, s.D, {(0,) * s.n: 1}))
+try:
+    moduli.solve_s(2, 3)
+except InvariantError:
+    print("InvariantError")
+sys.exit(cli.main(["moduli", "--n", "2", "--trunc", "3"]))
+"""
+
+
+def test_invariant_failure_survives_python_O():
+    src = str(pathlib.Path(mirror_ring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_BREAK],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "InvariantError\n"
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("mirror-ring: internal fault: ")
 
 
 def record_verify_jobs(monkeypatch) -> list:

@@ -215,12 +215,14 @@ def route_tuples(draw):
 @example((7, 6, Fraction(41, 6), 6, Fraction(0), 20))  # largest direct scan
 @example((7, 6, Fraction(0), 1, Fraction(0), -50))
 def test_four_routes_agree_far_out(case):
-    """t_exponent, t_exponent_qr and count_brion agree for every slot j
-    out to |k| = 50; count_direct at default_eps joins them for |k| <= 20."""
+    """t_exponent, theta's integer kernel, t_exponent_qr and count_brion
+    agree for every slot j out to |k| = 50; count_direct at default_eps
+    joins them for |k| <= 20."""
     n, m1, p1, m2, p2, k = case
     t = lift_triangle(n, m1, p1, m2, p2, k) if abs(k) <= 20 else None
     for j in range(n):
         te = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
+        assert theta._exponent(n, m1, p1, m2, p2, k, j) == te
         assert plgeom.t_exponent_qr(n, m1, p1, m2, p2, k, j) == te
         assert count_brion(n, m1, p1, m2, p2, k, j) == te
         if t is not None:
@@ -309,7 +311,7 @@ def test_mirror_verify_one_reference_per_pair(monkeypatch):
 
 
 def test_mirror_verify_pinpoints_corruption(monkeypatch):
-    good = plgeom.t_exponent
+    good = theta._exponent
 
     def crooked(n, m1, p1, m2, p2, k, j):
         val = good(n, m1, p1, m2, p2, k, j)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mirror_ring import plgeom, theta
+from mirror_ring import floer, plgeom, theta
 from mirror_ring.series import TruncSeries
 from mirror_ring.theta import (
     RingElement,
@@ -145,7 +145,7 @@ def test_associativity_reports():
 
 
 def test_associativity_detects_corruption(monkeypatch):
-    good = plgeom.t_exponent
+    good = theta._exponent
 
     def crooked(n, m1, p1, m2, p2, k, j):
         val = good(n, m1, p1, m2, p2, k, j)
@@ -203,16 +203,68 @@ def test_specialize_rotation_invariance():
         }
 
 
+def ngon_block(table) -> dict:
+    """specialize_ngon of a table, keyed as in ngon_tables.json."""
+    block = {}
+    for (a, b), consts in specialize_ngon(table).items():
+        key = f"{a.m},{a.p}|{b.m},{b.p}"
+        block[key] = {str(p): c for p, c in sorted(consts.items())}
+    return block
+
+
 def test_specialize_against_golden():
     data = json.loads((GOLDEN / "ngon_tables.json").read_text())
     for n in (1, 2, 3, 4):
-        table = build_table(n, 2, 2)
-        spec = specialize_ngon(table)
-        got = {}
-        for (a, b), consts in spec.items():
-            key = f"{a.m},{a.p}|{b.m},{b.p}"
-            got[key] = {str(p): c for p, c in sorted(consts.items())}
+        got = ngon_block(build_table(n, 2, 2))
         assert got == data[str(n)], f"n-gon table drifted at n={n}"
+
+
+def test_integer_exponent_matches_fraction_reference():
+    """theta._exponent equals plgeom.t_exponent for every slot j and every
+    admissible k at D = 12, over every basis pair with n <= 5, m <= 4."""
+    D = 12
+    for n in range(1, 6):
+        for m1 in range(1, 5):
+            for m2 in range(1, 5):
+                for a in basis_indices(n, m1):
+                    for b in basis_indices(n, m2):
+                        args = (n, m1, a.p, m2, b.p)
+                        for k in plgeom.admissible_k_range(*args, D):
+                            for j in range(n):
+                                got = theta._exponent(*args, k, j)
+                                assert got == plgeom.t_exponent(*args, k, j), (args, k, j)
+
+
+def test_integer_exponent_takes_int_and_fraction_p():
+    for n, m1, p1, m2, p2, k, j in [
+        (3, 1, 2, 2, Fraction(3, 2), 1, 0),
+        (4, 2, 3, 3, 0, -2, 3),
+        (1, 1, 0, 1, 0, 5, 0),
+    ]:
+        want = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
+        for q1 in (p1, Fraction(p1)):
+            for q2 in (p2, Fraction(p2)):
+                got = theta._exponent(n, m1, q1, m2, q2, k, j)
+                assert type(got) is int and got == want
+    with pytest.raises(ValueError):
+        theta._exponent(3, 2, Fraction(1, 3), 1, 0, 0, 0)
+
+
+def test_theta_route_is_independent_of_the_other_routes(monkeypatch):
+    """With every other exponent route made to raise, the theta tables
+    come out as before."""
+    before = build_table(3, 2, 6).entries
+    golden = json.loads((GOLDEN / "ngon_tables.json").read_text())["3"]
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the theta route called another route")
+
+    for name in ("t_exponent", "t_exponent_qr", "phi", "lambda_defect"):
+        monkeypatch.setattr(plgeom, name, forbidden)
+    for name in ("count_brion", "count_direct"):
+        monkeypatch.setattr(floer, name, forbidden)
+    assert build_table(3, 2, 6).entries == before
+    assert ngon_block(build_table(3, 2, 2)) == golden
 
 
 def test_json_schema_shape():
