@@ -49,7 +49,8 @@ def lift_triangle(n: int, m1: int, p1, m2: int, p2, k: int) -> Triangle:
 
     Two corners sit on the x-axis at p1/n and at the weighted average of
     the inputs; the third hangs below (or above) at depth proportional to
-    the gap p2 + nk - p1.
+    the gap p2 + nk - p1.  In Fractions: the reference for the integer
+    frame that floer_product counts in.
     """
     p1 = Fraction(p1)
     p2 = Fraction(p2)
@@ -90,17 +91,50 @@ def point_in_triangle(t: Triangle, x, y) -> bool:
     return True
 
 
+def _count_scaled(verts, L: int) -> int:
+    """Number of integer pairs (a, b) with (L a, L b) in the closed
+    triangle on the integer vertices verts; 0 when they are collinear.
+
+    Each edge PQ keeps the side of the third vertex: s * cross(Q - P, X - P)
+    >= 0, with s the orientation.  At X = (L a, L b) that reads
+    fa * a + fb * b + fc >= 0, so in each column a of the bounding box an
+    edge with fb > 0 bounds b from below and one with fb < 0 from above.
+    A vertical edge (fb = 0) sits at one end of the column range and keeps
+    every column in it.
+    """
+    (ax, ay), (bx, by), (cx, cy) = verts
+    area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if area == 0:
+        return 0
+    s = 1 if area > 0 else -1
+    edges = [
+        (-s * (qy - py) * L, s * (qx - px) * L, s * ((qy - py) * px - (qx - px) * py))
+        for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1])
+    ]
+    b_lo, b_hi = -(-min(ay, by, cy) // L), max(ay, by, cy) // L
+    count = 0
+    for a in range(-(-min(ax, bx, cx) // L), max(ax, bx, cx) // L + 1):
+        lo, hi = b_lo, b_hi
+        for fa, fb, fc in edges:
+            if fb > 0:
+                lo = max(lo, -((fa * a + fc) // fb))
+            elif fb < 0:
+                hi = min(hi, (fa * a + fc) // -fb)
+        if hi >= lo:
+            count += hi - lo + 1
+    return count
+
+
 def count_direct(t: Triangle, n: int, j: int, eps) -> int:
     """Number of integer pairs (a,b) with (a - j/n + eps, b + eps) in t.
 
     These are the lattice points of t shifted by (j/n - eps, -eps).  The
     shifted vertices are scaled by L = lcm(n, den(eps), the six vertex
-    denominators), read straight off numerators and denominators, so the
-    degeneracy test, the bounding box and the three edge tests are all
-    integer arithmetic.  Any common multiple would do: each edge test is
-    homogeneous in the scale.  The triangle is taken closed; the
-    perturbation moves every candidate off the edges, so open versus
-    closed never matters.  Degenerate triangles count 0.
+    denominators), read straight off numerators and denominators, and
+    counted in that integer frame by _count_scaled.  Any common multiple
+    would do: each edge test is homogeneous in the scale.  The triangle is
+    taken closed; the perturbation moves every candidate off the edges, so
+    open versus closed never matters.  Degenerate triangles count 0.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -112,25 +146,32 @@ def count_direct(t: Triangle, n: int, j: int, eps) -> int:
         (x.numerator * (L // x.denominator) + sx, y.numerator * (L // y.denominator) - sy)
         for x, y in t.vertices()
     ]
-    (ax, ay), (bx, by), (cx, cy) = verts
-    area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if area == 0:
-        return 0
-    s = 1 if area > 0 else -1
-    # s * cross(Q - P, X - P) >= 0 for each edge PQ, at X = (L a, L b)
-    (fa1, fb1, fc1), (fa2, fb2, fc2), (fa3, fb3, fc3) = [
-        (-s * (qy - py) * L, s * (qx - px) * L, s * ((qy - py) * px - (qx - px) * py))
-        for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1])
-    ]
-    a_lo, a_hi = -(-min(ax, bx, cx) // L), max(ax, bx, cx) // L
-    b_lo, b_hi = -(-min(ay, by, cy) // L), max(ay, by, cy) // L
-    count = 0
-    for a in range(a_lo, a_hi + 1):
-        r1, r2, r3 = fa1 * a + fc1, fa2 * a + fc2, fa3 * a + fc3
-        for b in range(b_lo, b_hi + 1):
-            if r1 + fb1 * b >= 0 and r2 + fb2 * b >= 0 and r3 + fb3 * b >= 0:
-                count += 1
-    return count
+    return _count_scaled(verts, L)
+
+
+def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
+    """count_direct of lift_triangle(n, m1, p1, m2, p2, k) at default_eps,
+    for every slot j, from one integer frame; a1 = m1*p1, a2 = m2*p2.
+
+    With b2 = a2 + m2*n*k the lifted vertices are A = (a1/(m1 n), 0),
+    B = (b2/(m2 n), -(m1 b2 - m2 a1)/m2) and C = ((a1 + b2)/(m3 n), 0).
+    They are scaled by L, a common multiple of every denominator, and
+    shifted by (-eps, -eps) once; slot j then adds j*L/n to each x.
+    """
+    m3 = m1 + m2
+    eps = default_eps(n, m1, m2, k)
+    L = math.lcm(m1 * n, m2 * n, m3 * n, eps.denominator)
+    sy = eps.numerator * (L // eps.denominator)
+    b2 = a2 + m2 * n * k
+    ax = a1 * (L // (m1 * n)) - sy
+    bx = b2 * (L // (m2 * n)) - sy
+    cx = (a1 + b2) * (L // (m3 * n)) - sy
+    by = -(m1 * b2 - m2 * a1) * (L // m2) - sy
+    step = L // n
+    return tuple(
+        _count_scaled(((ax + d, -sy), (bx + d, by), (cx + d, -sy)), L)
+        for d in range(0, L, step)
+    )
 
 
 def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
@@ -142,14 +183,10 @@ def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     the count is h''(1)/2.  Both vanishing statements and the r-identity
     are checked on every call.
     """
-    p1 = Fraction(p1)
-    p2 = Fraction(p2)
-    a1 = m1 * p1
-    a2 = m2 * p2
-    if a1.denominator != 1 or a2.denominator != 1:
-        raise ValueError("indices must satisfy m*p integral")
-    a1 = a1.numerator
-    a2 = a2.numerator
+    a1, rem1 = divmod(m1 * p1.numerator, p1.denominator)
+    a2, rem2 = divmod(m2 * p2.numerator, p2.denominator)
+    if rem1 or rem2:
+        raise ValueError(f"indices must satisfy m*p integral: got {p1}, {p2}")
     m3 = m1 + m2
     q1, r1 = divmod(a1 + m1 * j, m1 * n)
     q2, r2 = divmod(a2 + m2 * (k * n + j), m2 * n)
@@ -159,23 +196,25 @@ def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
             f"remainder identity violated at n={n} m=({m1},{m2}) "
             f"p=({p1},{p2}) k={k} j={j}"
         )
-    h: dict[int, int] = {}
-
-    def acc(e: int, c: int):
-        if c:
-            h[e] = h.get(e, 0) + c
-
-    acc(q1 + 1, n * m1 - r1)
-    acc(q1 + 2, r1)
-    acc(q2 - 1 + 2, n * m2 - r2)  # x^2 * g2
-    acc(q2 + 2, r2)
-    acc(q3 + 1, -(n * m3 - r3))  # -x * g3
-    acc(q3 + 1 + 1, -r3)
-    if sum(h.values()) != 0:
+    # the six (exponent, coefficient) terms of h; a repeated exponent only
+    # splits a coefficient, and every check below is linear in the terms
+    h = (
+        (q1 + 1, n * m1 - r1),
+        (q1 + 2, r1),
+        (q2 + 1, n * m2 - r2),  # x^2 * g2
+        (q2 + 2, r2),
+        (q3 + 1, r3 - n * m3),  # -x * g3
+        (q3 + 2, -r3),
+    )
+    h1 = dh1 = twice = 0  # h(1), h'(1) and h''(1)
+    for e, c in h:
+        h1 += c
+        dh1 += c * e
+        twice += c * e * (e - 1)
+    if h1 != 0:
         raise InvariantError(f"h(1) != 0 at {(n, m1, p1, m2, p2, k, j)}")
-    if sum(c * e for e, c in h.items()) != 0:
+    if dh1 != 0:
         raise InvariantError(f"h'(1) != 0 at {(n, m1, p1, m2, p2, k, j)}")
-    twice = sum(c * e * (e - 1) for e, c in h.items())
     if twice % 2 or twice < 0:
         raise InvariantError(
             f"h''(1) = {twice} is not a nonnegative even number at "
@@ -189,22 +228,26 @@ def floer_product(n: int, m1: int, p1, m2: int, p2, D: int, mode: str) -> RingEl
 
     mode selects the counting route for the t-exponents: "direct" for the
     enumeration perturbed by default_eps, "brion" for the closed form.
+    Both work on the integers a = m*p: the direct route counts all n slots
+    of each lifted triangle in one integer frame, and the output class is
+    (a1 + a2 + m2*n*k) mod (m3*n) over m3.
     """
     if mode not in COUNTING_MODES:
         raise ValueError(f"mode must be 'direct' or 'brion', got {mode!r}")
     p1 = canonical_p(m1, p1, n)
     p2 = canonical_p(m2, p2, n)
-    out = RingElement(m1 + m2, n, D)
+    m3 = m1 + m2
+    a1 = m1 * p1.numerator // p1.denominator
+    a2 = m2 * p2.numerator // p2.denominator
+    out = RingElement(m3, n, D)
     for k in plgeom.admissible_k_range(n, m1, p1, m2, p2, D):
         if mode == "brion":
             exps = tuple(count_brion(n, m1, p1, m2, p2, k, j) for j in range(n))
         else:
-            t = lift_triangle(n, m1, p1, m2, p2, k)
-            e = default_eps(n, m1, m2, k)
-            exps = tuple(count_direct(t, n, j, e) for j in range(n))
+            exps = _lifted_counts(n, m1, a1, m2, a2, k)
         if sum(exps) > D:
             continue
-        p3 = plgeom.average_E(m1, p1, m2, p2 + k * n)
+        p3 = Fraction((a1 + a2 + m2 * n * k) % (m3 * n), m3)
         out.add_term(p3, TruncSeries(n, D, {exps: 1}))
     return out
 

@@ -8,23 +8,19 @@ its supporting lines psi(q, .), weighted averages, and the convexity
 defect lambda.  The integer exponents of the t-variables produced by
 multiplying ring generators are n*lambda values; ``t_exponent`` computes
 them through phi while ``t_exponent_qr`` recomputes them by pure integer
-division, giving two independent routes to the same number.
+division, giving two independent routes to the same number.  The
+k-window of a product, ``admissible_k_range``, is solved in integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
 class InvariantError(RuntimeError):
     """A proof obligation of the package failed at run time: an internal
     fault, never bad input.  Raised explicitly, so ``python -O`` keeps it."""
-
-
-def floor_frac(t) -> int:
-    """Exact floor of a rational, via integer Euclidean division."""
-    t = Fraction(t)
-    return t.numerator // t.denominator
 
 
 def phi(t) -> Fraction:
@@ -113,23 +109,18 @@ def admissible_k_range(n: int, m1: int, p1, m2: int, p2, D: int) -> list[int]:
     and (t-1/2)^2/2, so the total is at least
     m1*m2/(2*(m1+m2)) * (p1 - p2 - k*n)^2 - (m1+m2)/8.  Any k violating
     the resulting quadratic bound is provably degree > D and is skipped.
+
+    With p1 - p2 = P/Q, the bound reads 4*m1*m2*u^2 <= (8*m3*D + m3^2)*Q^2
+    for u = P - k*n*Q, so |u| <= s with s solved in integers by isqrt,
+    and the window is the k between the two roots.  A negative right side
+    (D < 0) admits no k.  p1 and p2 are ints or Fractions.
     """
     m3 = m1 + m2
-    gap = Fraction(p1) - Fraction(p2)
-    bound = Fraction(2 * m3 * D, m1 * m2) + Fraction(m3 * m3, 4 * m1 * m2)
-
-    def ok(k: int) -> bool:
-        return (gap - k * n) ** 2 <= bound
-
-    k0 = floor_frac(gap / n + Fraction(1, 2))  # nearest integer to gap/n
-    ks = []
-    k = k0
-    while ok(k):  # the bound is exactly quadratic in k, so no gaps
-        ks.append(k)
-        k += 1
-    k = k0 - 1
-    while ok(k):
-        ks.append(k)
-        k -= 1
-    ks.sort()
-    return ks
+    Q = p1.denominator * p2.denominator
+    P = p1.numerator * p2.denominator - p2.numerator * p1.denominator
+    rhs = (8 * m3 * D + m3 * m3) * Q * Q
+    if rhs < 0:
+        return []
+    s = math.isqrt(rhs // (4 * m1 * m2))
+    step = n * Q
+    return list(range(-((s - P) // step), (P + s) // step + 1))

@@ -50,11 +50,15 @@ def _exponent(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
 
 
 def canonical_p(m: int, p, n: int) -> Fraction:
-    """Reduce p mod n into [0, n); requires m*p integral."""
-    p = Fraction(p)
-    if (m * p).denominator != 1:
+    """Reduce p (an int or a Fraction) mod n into [0, n); requires m*p
+    integral.  Works on the integer a = m*p, so a class already in range
+    comes back as the same object."""
+    a, rem = divmod(m * p.numerator, p.denominator)
+    if rem:
         raise ValueError(f"index p={p} does not satisfy m*p integral for m={m}")
-    return p - n * plgeom.floor_frac(p / n)
+    if 0 <= a < m * n and type(p) is Fraction:
+        return p
+    return Fraction(a % (m * n), m)
 
 
 @dataclass(frozen=True)
@@ -137,16 +141,20 @@ def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
 
     For each shift k in the admissible window the term lands on the class
     E(p1, p2 + k*n) mod n with coefficient prod_j t_j^(exponent); the
-    exponents are computed at the un-reduced representative and only then
-    is the output class canonicalized.  Terms of total degree > D drop.
+    exponents are computed at the un-reduced representative.  With
+    a = m*p, the class is (a1 + a2 + m2*n*k) mod (m3*n) over m3, in
+    integers.  Terms of total degree > D drop.
     """
     m1, p1, m2, p2 = a.m, a.p, b.m, b.p
-    out = RingElement(m1 + m2, n, D)
+    m3 = m1 + m2
+    a1 = m1 * p1.numerator // p1.denominator
+    a2 = m2 * p2.numerator // p2.denominator
+    out = RingElement(m3, n, D)
     for k in plgeom.admissible_k_range(n, m1, p1, m2, p2, D):
         exps = tuple(_exponent(n, m1, p1, m2, p2, k, j) for j in range(n))
         if sum(exps) > D:
             continue
-        p3 = plgeom.average_E(m1, p1, m2, p2 + k * n)
+        p3 = Fraction((a1 + a2 + m2 * n * k) % (m3 * n), m3)
         out.add_term(p3, TruncSeries(n, D, {exps: 1}))
     return out
 

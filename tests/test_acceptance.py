@@ -7,6 +7,7 @@ anywhere in this file.
 
 import functools
 import json
+import math
 import pathlib
 import random
 import time
@@ -193,7 +194,7 @@ def test_criterion_6_profile_identities():
             failures.append((t, "quasi-periodicity"))
     for _ in range(2000):
         t = Fraction(rng.randrange(-400, 401), rng.randrange(1, 25))
-        kc = plgeom.floor_frac(t)
+        kc = math.floor(t)
         best = max(
             Fraction(k) * t - Fraction(k * (k + 1), 2) for k in range(kc - 4, kc + 5)
         )

@@ -1,5 +1,6 @@
 """Lattice-point counting routes and the cross-verification report."""
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -129,8 +130,8 @@ def test_marked_point_partition():
         xs = [v[0] for v in (t.A, t.B, t.C)]
         ys = [v[1] for v in (t.A, t.B, t.C)]
         refined = 0
-        for u in range(plgeom.floor_frac(min(xs) * n) - 1, plgeom.floor_frac(max(xs) * n) + 2):
-            for b in range(plgeom.floor_frac(min(ys)) - 1, plgeom.floor_frac(max(ys)) + 2):
+        for u in range(math.floor(min(xs) * n) - 1, math.floor(max(xs) * n) + 2):
+            for b in range(math.floor(min(ys)) - 1, math.floor(max(ys)) + 2):
                 if point_in_triangle(t, Fraction(u, n) + eps, b + eps):
                     refined += 1
         assert by_slots == refined, (n, m1, p1, m2, p2, k)
@@ -171,8 +172,8 @@ def test_direct_count_matches_fraction_scan(case):
     ys = [v[1] - eps for v in t.vertices()]
     expected = 0
     if not t.is_degenerate():
-        for a in range(plgeom.floor_frac(min(xs)) - 1, plgeom.floor_frac(max(xs)) + 2):
-            for b in range(plgeom.floor_frac(min(ys)) - 1, plgeom.floor_frac(max(ys)) + 2):
+        for a in range(math.floor(min(xs)) - 1, math.floor(max(xs)) + 2):
+            for b in range(math.floor(min(ys)) - 1, math.floor(max(ys)) + 2):
                 expected += point_in_triangle(t, a - sx, b + eps)
     assert count_direct(t, n, j, eps) == expected
 
@@ -215,18 +216,76 @@ def route_tuples(draw):
 @example((7, 6, Fraction(41, 6), 6, Fraction(0), 20))  # largest direct scan
 @example((7, 6, Fraction(0), 1, Fraction(0), -50))
 def test_four_routes_agree_far_out(case):
-    """t_exponent, theta's integer kernel, t_exponent_qr and count_brion
-    agree for every slot j out to |k| = 50; count_direct at default_eps
-    joins them for |k| <= 20."""
+    """t_exponent, theta's integer kernel, t_exponent_qr, count_brion and
+    the direct route's integer frame agree for every slot j out to
+    |k| = 50; count_direct at default_eps joins them for |k| <= 20."""
     n, m1, p1, m2, p2, k = case
     t = lift_triangle(n, m1, p1, m2, p2, k) if abs(k) <= 20 else None
+    frame = floer._lifted_counts(n, m1, int(m1 * p1), m2, int(m2 * p2), k)
     for j in range(n):
         te = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
         assert theta._exponent(n, m1, p1, m2, p2, k, j) == te
         assert plgeom.t_exponent_qr(n, m1, p1, m2, p2, k, j) == te
         assert count_brion(n, m1, p1, m2, p2, k, j) == te
+        assert frame[j] == te
         if t is not None:
             assert count_direct(t, n, j, default_eps(n, m1, m2, k)) == te
+
+
+def test_integer_frame_matches_the_fraction_lift():
+    """The direct route's integer frame counts what count_direct counts on
+    the Fraction lift at default_eps, and what count_brion counts, for
+    every slot j and every admissible k at D = 12, over every basis pair
+    with n <= 5, m <= 4."""
+    D = 12
+    for n in range(1, 6):
+        for m1 in range(1, 5):
+            for m2 in range(1, 5):
+                for a in theta.basis_indices(n, m1):
+                    for b in theta.basis_indices(n, m2):
+                        args = (n, m1, a.p, m2, b.p)
+                        a1, a2 = int(m1 * a.p), int(m2 * b.p)
+                        for k in plgeom.admissible_k_range(*args, D):
+                            t = lift_triangle(*args, k)
+                            eps = default_eps(n, m1, m2, k)
+                            want = tuple(count_direct(t, n, j, eps) for j in range(n))
+                            assert floer._lifted_counts(n, m1, a1, m2, a2, k) == want
+                            brion = tuple(count_brion(*args, k, j) for j in range(n))
+                            assert want == brion, (args, k)
+
+
+def test_brion_takes_int_and_fraction_p():
+    for n, m1, p1, m2, p2, k, j in [
+        (3, 1, 2, 2, Fraction(3, 2), 1, 0),
+        (4, 2, 3, 3, 0, -2, 3),
+        (1, 1, 0, 1, 0, 5, 0),
+    ]:
+        want = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
+        for q1 in (p1, Fraction(p1)):
+            for q2 in (p2, Fraction(p2)):
+                assert count_brion(n, m1, q1, m2, q2, k, j) == want
+    with pytest.raises(ValueError):
+        count_brion(3, 2, Fraction(1, 3), 1, 0, 0, 0)
+
+
+def test_counting_routes_are_independent_of_the_theta_route(monkeypatch):
+    """With theta's kernel and every profile-formula route made to raise,
+    both counted tables still equal the theta table."""
+    n, max_m, D = 3, 2, 6
+    want = theta.build_table(n, max_m, D).entries
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("a counting route called the theta route")
+
+    monkeypatch.setattr(theta, "_exponent", forbidden)
+    for name in ("t_exponent", "t_exponent_qr", "phi", "lambda_defect"):
+        monkeypatch.setattr(plgeom, name, forbidden)
+    for mode in ("direct", "brion"):
+
+        def product(a, b, nn, DD, mode=mode):
+            return floer_product(nn, a.m, a.p, b.m, b.p, DD, mode)
+
+        assert theta.build_table(n, max_m, D, product=product).entries == want, mode
 
 
 def test_floer_product_matches_theta_reference():

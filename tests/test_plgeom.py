@@ -1,16 +1,18 @@
 """The convex profile, its supports, and the two exponent routes."""
 
+import math
 import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirror_ring import plgeom
 from mirror_ring.plgeom import (
     admissible_k_range,
     average_E,
-    floor_frac,
     lambda_defect,
     phi,
     psi,
@@ -51,7 +53,7 @@ def test_phi_equals_max_of_supports():
     rng = random.Random(SEED + 1)
     for _ in range(300):
         t = rand_frac(rng)
-        window = range(floor_frac(t) - 3, floor_frac(t) + 4)
+        window = range(math.floor(t) - 3, math.floor(t) + 4)
         assert phi(t) == max(psi(q, t) for q in window)
 
 
@@ -60,12 +62,6 @@ def test_phi_preserves_fractional_lattice():
         for a in range(-3 * m, 3 * m + 1):
             v = phi(Fraction(a, m))
             assert (v * m).denominator == 1
-
-
-def test_floor_frac():
-    assert floor_frac(Fraction(-1, 2)) == -1
-    assert floor_frac(Fraction(7, 3)) == 2
-    assert floor_frac(3) == 3
 
 
 def test_average_between_endpoints():
@@ -136,13 +132,59 @@ def test_admissible_window_is_sufficient():
         p2 = Fraction(rng.randrange(0, m2 * n), m2)
         D = rng.randrange(0, 7)
         window = admissible_k_range(n, m1, p1, m2, p2, D)
-        k0 = floor_frac((p1 - p2) / n + Fraction(1, 2))
+        k0 = math.floor((p1 - p2) / n + Fraction(1, 2))
         lo = min(window, default=k0) - 4
         hi = max(window, default=k0) + 4
         for k in range(lo, hi + 1):
             total = total_t_exponent(n, m1, p1, m2, p2, k)
             if total <= D:
                 assert k in window, (n, m1, p1, m2, p2, D, k)
+
+
+def walk_window(n, m1, p1, m2, p2, D):
+    """The k-window by a walk in Fractions: out from the integer nearest
+    (p1 - p2)/n, in both directions, while the quadratic bound holds."""
+    m3 = m1 + m2
+    gap = Fraction(p1) - Fraction(p2)
+    bound = Fraction(2 * m3 * D, m1 * m2) + Fraction(m3 * m3, 4 * m1 * m2)
+
+    def ok(k):
+        return (gap - k * n) ** 2 <= bound
+
+    k0 = math.floor(gap / n + Fraction(1, 2))
+    ks = []
+    k = k0
+    while ok(k):
+        ks.append(k)
+        k += 1
+    k = k0 - 1
+    while ok(k):
+        ks.append(k)
+        k -= 1
+    return sorted(ks)
+
+
+@st.composite
+def window_args(draw):
+    n = draw(st.integers(1, 6))
+    m1, m2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ps = []
+    for m in (m1, m2):
+        p = Fraction(draw(st.integers(-12 * m * n, 12 * m * n)), m)
+        if p.denominator == 1 and draw(st.booleans()):
+            p = int(p)
+        ps.append(p)
+    return n, m1, ps[0], m2, ps[1], draw(st.integers(-3, 60))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(window_args())
+@example((1, 4, 0, 4, 0, -1))  # bound exactly 0: only k = gap/n
+@example((2, 3, Fraction(1, 3), 5, Fraction(1, 5), -1))  # bound 0, gap off the grid
+@example((3, 1, 0, 1, 0, -1))  # bound negative
+@example((6, 5, Fraction(-59, 5), 5, Fraction(59, 5), 60))
+def test_closed_form_window_matches_fraction_walk(case):
+    assert admissible_k_range(*case) == walk_window(*case)
 
 
 def test_window_total_is_convex_in_k():

@@ -1,6 +1,7 @@
 """The graded product in the canonical basis: closed-form route."""
 
 import json
+import math
 import os
 import pathlib
 import random
@@ -32,6 +33,23 @@ def test_canonical_p():
     assert canonical_p(1, 0, 1) == 0
     with pytest.raises(ValueError):
         canonical_p(2, Fraction(1, 3), 2)
+
+
+def test_canonical_p_takes_int_and_fraction():
+    """Ints and Fractions give the same Fraction, equal to p - n*floor(p/n)."""
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for a in range(-3 * m * n, 3 * m * n + 1):
+                p = Fraction(a, m)
+                want = p - n * math.floor(p / n)
+                got = canonical_p(m, p, n)
+                assert type(got) is Fraction and got == want and 0 <= got < n
+                if p.denominator == 1:
+                    from_int = canonical_p(m, a // m, n)
+                    assert type(from_int) is Fraction and from_int == want
+    for m, p in [(2, Fraction(1, 3)), (3, Fraction(-5, 6)), (1, Fraction(7, 2))]:
+        with pytest.raises(ValueError):
+            canonical_p(m, p, 4)
 
 
 def test_basis_and_hilbert():
