@@ -4,11 +4,11 @@ Every mode writes one deterministic artifact (JSON by default, CSV for
 the product tables) to stdout or to the path given with -o.  The -o file
 is replaced atomically, so a run that fails leaves an earlier report as
 it was.  Exit codes: 0 on success, 1 when a verification report contains
-failures, 2 on bad usage, including an -o path that cannot be written,
-and 3 on an internal fault: a checked invariant of the package failed
-(``InvariantError``), which is reported on one stderr line and leaves
-any -o file as it was.  The invariants are explicit raises, so they hold
-under ``python -O`` too.
+failures, 2 on bad usage, including an -o path that cannot be written
+or a failed write to stdout, and 3 on an internal fault: a checked
+invariant of the package failed (``InvariantError``), which is reported
+on one stderr line and leaves any -o file as it was.  The invariants
+are explicit raises, so they hold under ``python -O`` too.
 An -o path that exists but is not a regular file once links are followed
 (a FIFO, device node or socket) is refused with exit code 2 before
 anything is written.  An -o path through a symbolic link writes the
@@ -26,6 +26,10 @@ from functools import partial
 
 from . import floer, moduli, quiver, theta
 from .plgeom import InvariantError
+
+# the C escaper json.dumps uses for str with ensure_ascii
+_escape = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 # every flag once, by its argparse destination
 FLAGS = {
@@ -49,14 +53,53 @@ def _check_ranges(args: argparse.Namespace):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The text json.dumps gives obj with a two-space indent and sorted
+    keys, plus a newline.
+
+    With an indent, json.dumps runs its pure-Python encoder; this writer
+    joins each container's items once and escapes strings with the same
+    C escaper.  It takes only what the reports hold: dicts with str keys,
+    lists, str, int, bool and None.  Anything else raises TypeError.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_value(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        # the escaper raises TypeError on a key that is not a str
+        items = [_escape(key) + ": " + _json_value(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if obj is None or kind is bool:
+        return _LITERALS[obj]
+    raise TypeError(f"cannot write {kind.__name__} to a report")
 
 
 def _emit(path: str | None, text: str):
     """Write text to stdout, or replace the file at path atomically: the
     text goes to a temporary file beside it, which is then renamed."""
     if not path:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     # a link is written through, so the rename lands on its final target
     real = os.path.realpath(path)

@@ -1,5 +1,6 @@
 """Command line behavior: determinism, exit codes, report shapes."""
 
+import errno
 import json
 import os
 import pathlib
@@ -155,6 +156,16 @@ def test_failed_write_keeps_earlier_report(tmp_path, monkeypatch, capsys):
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
     assert "No space left on device" in capsys.readouterr().err
+
+
+def test_failed_stdout_write_exits_two(monkeypatch, capsys):
+    def full_disk(text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys.stdout, "write", full_disk)
+    assert main(["theta", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "mirror-ring: cannot write stdout: No space left on device\n"
 
 
 # the flags each subcommand reads; every other flag is refused
