@@ -7,7 +7,9 @@ independent counting routes are provided: a direct enumeration of lattice
 points after a small rational perturbation, and Brion's vertex-cone
 evaluation which needs no perturbation at all.  Both must agree with the
 piecewise-linear formula in `plgeom`, and the resulting product must match
-`theta.theta_product` coefficient by coefficient.
+`theta.theta_product` coefficient by coefficient.  The k-window, the
+degree cut and the output class are theta.assemble's, which takes each
+route's kernel; the kernels never call theta's own.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from fractions import Fraction
 
 from . import plgeom, theta
 from .plgeom import InvariantError
-from .series import TruncSeries
 from .theta import RingElement, canonical_p
 
 # the two counting routes, in the order verify checks and reports them
@@ -56,8 +57,9 @@ def lift_triangle(n: int, m1: int, p1, m2: int, p2, k: int) -> Triangle:
     p2 = Fraction(p2)
     if m1 < 1 or m2 < 1:
         raise ValueError("weights must be >= 1")
-    if (m1 * p1).denominator != 1 or (m2 * p2).denominator != 1:
-        raise ValueError("indices must satisfy m*p integral")
+    # refuses an index with m*p not integral
+    plgeom.scaled_index(m1, p1)
+    plgeom.scaled_index(m2, p2)
     gap = p2 + n * k - p1
     a = (Fraction(p1, n), Fraction(0))
     b = (Fraction(p2, n) + k, Fraction(-m1 * gap))
@@ -183,10 +185,7 @@ def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     the count is h''(1)/2.  Both vanishing statements and the r-identity
     are checked on every call.
     """
-    a1, rem1 = divmod(m1 * p1.numerator, p1.denominator)
-    a2, rem2 = divmod(m2 * p2.numerator, p2.denominator)
-    if rem1 or rem2:
-        raise ValueError(f"indices must satisfy m*p integral: got {p1}, {p2}")
+    a1, a2 = plgeom.scaled_index(m1, p1), plgeom.scaled_index(m2, p2)
     m3 = m1 + m2
     q1, r1 = divmod(a1 + m1 * j, m1 * n)
     q2, r2 = divmod(a2 + m2 * (k * n + j), m2 * n)
@@ -228,44 +227,30 @@ def floer_product(n: int, m1: int, p1, m2: int, p2, D: int, mode: str) -> RingEl
 
     mode selects the counting route for the t-exponents: "direct" for the
     enumeration perturbed by default_eps, "brion" for the closed form.
-    Both work on the integers a = m*p: the direct route counts all n slots
-    of each lifted triangle in one integer frame, and the output class is
-    (a1 + a2 + m2*n*k) mod (m3*n) over m3.
+    The direct route counts all n slots of each lifted triangle in one
+    integer frame.
     """
     if mode not in COUNTING_MODES:
         raise ValueError(f"mode must be 'direct' or 'brion', got {mode!r}")
     p1 = canonical_p(m1, p1, n)
     p2 = canonical_p(m2, p2, n)
-    m3 = m1 + m2
-    a1 = m1 * p1.numerator // p1.denominator
-    a2 = m2 * p2.numerator // p2.denominator
-    out = RingElement(m3, n, D)
-    for k in plgeom.admissible_k_range(n, m1, p1, m2, p2, D):
-        if mode == "brion":
-            exps = tuple(count_brion(n, m1, p1, m2, p2, k, j) for j in range(n))
-        else:
-            exps = _lifted_counts(n, m1, a1, m2, a2, k)
-        if sum(exps) > D:
-            continue
-        p3 = Fraction((a1 + a2 + m2 * n * k) % (m3 * n), m3)
-        out.add_term(p3, TruncSeries(n, D, {exps: 1}))
-    return out
+    if mode == "brion":
+        def exponents(k):
+            return tuple(count_brion(n, m1, p1, m2, p2, k, j) for j in range(n))
+    else:
+        a1, a2 = plgeom.scaled_index(m1, p1), plgeom.scaled_index(m2, p2)
+        def exponents(k):
+            return _lifted_counts(n, m1, a1, m2, a2, k)
+    return theta.assemble(n, m1, p1, m2, p2, D, exponents)
 
 
 def _first_difference(lhs: RingElement, rhs: RingElement):
-    """Earliest (p, exponent) where two elements disagree, or None."""
-    keys = sorted(set(lhs.coeffs) | set(rhs.coeffs))
-    for p in keys:
-        ls = lhs.coeffs.get(p)
-        rs = rhs.coeffs.get(p)
-        lterms = dict(ls.iter_terms()) if ls is not None else {}
-        rterms = dict(rs.iter_terms()) if rs is not None else {}
-        for e in sorted(set(lterms) | set(rterms)):
-            lc = lterms.get(e, 0)
-            rc = rterms.get(e, 0)
-            if lc != rc:
-                return p, e, lc, rc
-    return None
+    """Smallest (p, exponent) where two unequal elements disagree, with
+    both coefficients there."""
+    lt = {(p, e): c for p, s in lhs.coeffs.items() for e, c in s.terms.items()}
+    rt = {(p, e): c for p, s in rhs.coeffs.items() for e, c in s.terms.items()}
+    p, e = min(key for key in lt.keys() | rt.keys() if lt.get(key, 0) != rt.get(key, 0))
+    return p, e, lt.get((p, e), 0), rt.get((p, e), 0)
 
 
 def _verify_pair(args):
@@ -275,9 +260,10 @@ def _verify_pair(args):
     rhs = theta.theta_product(a, b, n, D)
     out = []
     for mode in COUNTING_MODES:
-        diff = _first_difference(floer_product(n, a.m, a.p, b.m, b.p, D, mode), rhs)
-        if diff is not None:
-            p, e, lc, rc = diff
+        lhs = floer_product(n, a.m, a.p, b.m, b.p, D, mode)
+        diff = None
+        if lhs != rhs:
+            p, e, lc, rc = _first_difference(lhs, rhs)
             diff = {
                 "mode": mode,
                 "a": a.to_json_obj(),
@@ -300,14 +286,7 @@ def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     The pair list and the merge order are fixed, so the report is
     deterministic for any jobs.
     """
-    weights = range(1, max_m + 1)
-    tasks = [
-        (n, a, b, D)
-        for m1 in weights
-        for m2 in weights
-        for a in theta.basis_indices(n, m1)
-        for b in theta.basis_indices(n, m2)
-    ]
+    tasks = [(n, a, b, D) for a, b in theta.basis_pairs(n, max_m)]
     # a pool starts all its workers at the first submit, so never ask for
     # more than there are pairs
     workers = min(jobs, len(tasks))

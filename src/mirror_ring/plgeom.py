@@ -9,7 +9,8 @@ defect lambda.  The integer exponents of the t-variables produced by
 multiplying ring generators are n*lambda values; ``t_exponent`` computes
 them through phi while ``t_exponent_qr`` recomputes them by pure integer
 division, giving two independent routes to the same number.  The
-k-window of a product, ``admissible_k_range``, is solved in integers.
+k-window of a product, ``admissible_k_range``, is solved in integers, and
+``scaled_index`` is the one check that an index p has m*p integral.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from fractions import Fraction
 class InvariantError(RuntimeError):
     """A proof obligation of the package failed at run time: an internal
     fault, never bad input.  Raised explicitly, so ``python -O`` keeps it."""
+
+
+def scaled_index(m: int, p) -> int:
+    """The integer a = m*p of an index p (an int or a Fraction) at weight
+    m; the one check that m*p is integral, a ValueError otherwise."""
+    a, rem = divmod(m * p.numerator, p.denominator)
+    if rem:
+        raise ValueError(f"index p={p} does not satisfy m*p integral for m={m}")
+    return a
 
 
 def phi(t) -> Fraction:
@@ -76,11 +86,7 @@ def t_exponent_qr(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     k-shifted second point and their weighted average, then combines the
     (q, r) data into a closed form.
     """
-    a1 = Fraction(p1) * m1
-    a2 = Fraction(p2) * m2
-    if a1.denominator != 1 or a2.denominator != 1:
-        raise ValueError(f"p1, p2 must lie in (1/m)Z: got {p1}, {p2}")
-    a1, a2 = a1.numerator, a2.numerator
+    a1, a2 = scaled_index(m1, p1), scaled_index(m2, p2)
     m3 = m1 + m2
     q1, r1 = divmod(a1 + m1 * j, m1 * n)
     q2, r2 = divmod(a2 + m2 * (k * n + j), m2 * n)

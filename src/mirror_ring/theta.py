@@ -5,8 +5,10 @@ Basis elements are indexed by a weight m >= 1 and a class p in (1/m)Z
 taken mod n; the product of two of them is a finite sum of basis elements
 at weight m1+m2 whose coefficients are monomials in t_0..t_{n-1} with
 exponents n*lambda, computed here in scaled integers; ``plgeom.t_exponent``
-is the Fraction reference they are tested against.  Everything is exact
-over Z.
+is the Fraction reference they are tested against.  Every route's product
+is built by ``assemble``, the one place for the k-window, the degree cut
+and the output class; each index enters it through ``plgeom.scaled_index``,
+the one check that m*p is integral.  Everything is exact over Z.
 """
 
 from __future__ import annotations
@@ -28,12 +30,8 @@ def _exponent(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     with kappa = N // (m n).  Module level, so tests can corrupt the theta
     route without touching the counted routes in floer.
     """
-    a1, r1 = divmod(m1 * p1.numerator, p1.denominator)
-    a2, r2 = divmod(m2 * p2.numerator, p2.denominator)
-    if r1 or r2:
-        raise ValueError(f"p1, p2 must lie in (1/m)Z: got {p1}, {p2}")
-    N1 = a1 + m1 * j
-    N2 = a2 + m2 * (j + n * k)
+    N1 = plgeom.scaled_index(m1, p1) + m1 * j
+    N2 = plgeom.scaled_index(m2, p2) + m2 * (j + n * k)
     N3 = N1 + N2
     w1, w2, w3 = m1 * n, m2 * n, (m1 + m2) * n
     k1, k2, k3 = N1 // w1, N2 // w2, N3 // w3
@@ -53,9 +51,7 @@ def canonical_p(m: int, p, n: int) -> Fraction:
     """Reduce p (an int or a Fraction) mod n into [0, n); requires m*p
     integral.  Works on the integer a = m*p, so a class already in range
     comes back as the same object."""
-    a, rem = divmod(m * p.numerator, p.denominator)
-    if rem:
-        raise ValueError(f"index p={p} does not satisfy m*p integral for m={m}")
+    a = plgeom.scaled_index(m, p)
     if 0 <= a < m * n and type(p) is Fraction:
         return p
     return Fraction(a % (m * n), m)
@@ -136,27 +132,39 @@ def hilbert_dimension(n: int, m: int) -> int:
     return 1 if m == 0 else m * n
 
 
-def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
-    """Product of two basis elements as a weight-(m1+m2) RingElement.
+def assemble(n: int, m1: int, p1, m2: int, p2, D: int, exponents) -> RingElement:
+    """Product of x_{m1,p1} and x_{m2,p2}, given the route's exponent kernel.
 
-    For each shift k in the admissible window the term lands on the class
-    E(p1, p2 + k*n) mod n with coefficient prod_j t_j^(exponent); the
-    exponents are computed at the un-reduced representative.  With
-    a = m*p, the class is (a1 + a2 + m2*n*k) mod (m3*n) over m3, in
-    integers.  Terms of total degree > D drop.
+    exponents(k) is the tuple of n t-exponents of the k-th term.  For each
+    k in the admissible window the term lands on the class
+    E(p1, p2 + k*n) mod n, which with a = m*p is (a1 + a2 + m2*n*k) mod
+    (m3*n) over m3; terms of total degree > D drop.  Every term has
+    coefficient +1 and nothing cancels, so each class's series is its kept
+    monomials with repeats counted, built once.
     """
-    m1, p1, m2, p2 = a.m, a.p, b.m, b.p
     m3 = m1 + m2
-    a1 = m1 * p1.numerator // p1.denominator
-    a2 = m2 * p2.numerator // p2.denominator
-    out = RingElement(m3, n, D)
+    a12 = plgeom.scaled_index(m1, p1) + plgeom.scaled_index(m2, p2)
+    classes: dict[int, dict] = {}
     for k in plgeom.admissible_k_range(n, m1, p1, m2, p2, D):
-        exps = tuple(_exponent(n, m1, p1, m2, p2, k, j) for j in range(n))
-        if sum(exps) > D:
-            continue
-        p3 = Fraction((a1 + a2 + m2 * n * k) % (m3 * n), m3)
-        out.add_term(p3, TruncSeries(n, D, {exps: 1}))
+        exps = exponents(k)
+        if sum(exps) <= D:
+            terms = classes.setdefault((a12 + m2 * n * k) % (m3 * n), {})
+            terms[exps] = terms.get(exps, 0) + 1
+    out = RingElement(m3, n, D)
+    out.coeffs = {
+        Fraction(a3, m3): TruncSeries._raw(n, D, terms) for a3, terms in classes.items()
+    }
     return out
+
+
+def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
+    """Product of two basis elements as a weight-(m1+m2) RingElement, with
+    the exponents of theta's own kernel ``_exponent``."""
+    m1, p1, m2, p2 = a.m, a.p, b.m, b.p
+    return assemble(
+        n, m1, p1, m2, p2, D,
+        lambda k: tuple(_exponent(n, m1, p1, m2, p2, k, j) for j in range(n)),
+    )
 
 
 def _mul_with_basis(elem: RingElement, b: ThetaIndex, product) -> RingElement:
@@ -207,6 +215,15 @@ class StructureTable:
         return "\n".join(lines) + "\n"
 
 
+def basis_pairs(n: int, max_m: int) -> list[tuple[ThetaIndex, ThetaIndex]]:
+    """Every ordered pair of basis labels with both weights <= max_m, by
+    weight, then by class."""
+    if max_m < 1:
+        raise ValueError(f"max_m must be >= 1, got {max_m}")
+    by_weight = [basis_indices(n, m) for m in range(1, max_m + 1)]
+    return [(a, b) for xs in by_weight for ys in by_weight for a in xs for b in ys]
+
+
 def build_table(n: int, max_m: int, D: int, product=None) -> StructureTable:
     """Products of all basis pairs with both weights <= max_m.
 
@@ -214,16 +231,9 @@ def build_table(n: int, max_m: int, D: int, product=None) -> StructureTable:
     signature (a, b, n, D) -> RingElement may stand in, which is how the
     independently counted tables are built for comparison.
     """
-    if max_m < 1:
-        raise ValueError(f"max_m must be >= 1, got {max_m}")
     if product is None:
         product = theta_product
-    entries = {}
-    for m1 in range(1, max_m + 1):
-        for m2 in range(1, max_m + 1):
-            for a in basis_indices(n, m1):
-                for b in basis_indices(n, m2):
-                    entries[(a, b)] = product(a, b, n, D)
+    entries = {(a, b): product(a, b, n, D) for a, b in basis_pairs(n, max_m)}
     return StructureTable(n, D, entries)
 
 

@@ -32,8 +32,11 @@ def _canonical_ps(m: int, n: int) -> list[Fraction]:
 
 @functools.lru_cache(maxsize=1)
 def _triple_grid():
-    """Exhaustive four-route evaluation grid shared by criteria 2 and 9.
+    """Exhaustive route evaluation grid shared by criteria 2 and 9.
 
+    At each point the shipped kernels (theta._exponent, count_brion and
+    slot j of floer._lifted_counts) and t_exponent_qr must equal both
+    Fraction references, t_exponent and count_direct on lift_triangle.
     Returns (points, route_mismatches, eps_mismatches).  Any internal
     consistency assertion firing inside the routes aborts the run, which
     fails both criteria; that is intended.
@@ -49,16 +52,21 @@ def _triple_grid():
                         for k in range(-5, 6):
                             tri = floer.lift_triangle(n, m1, p1, m2, p2, k)
                             eps = floer.default_eps(n, m1, m2, k)
+                            frame = floer._lifted_counts(
+                                n, m1, int(m1 * p1), m2, int(m2 * p2), k
+                            )
                             for j in range(n):
                                 te = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
+                                th = theta._exponent(n, m1, p1, m2, p2, k, j)
                                 qr = plgeom.t_exponent_qr(n, m1, p1, m2, p2, k, j)
                                 cb = floer.count_brion(n, m1, p1, m2, p2, k, j)
                                 cd = floer.count_direct(tri, n, j, eps)
                                 cd7 = floer.count_direct(tri, n, j, eps / 7)
                                 points += 1
                                 case = (n, m1, p1, m2, p2, k, j)
-                                if not (te == qr == cb == cd):
-                                    route_bad.append((case, te, qr, cb, cd))
+                                got = (te, th, qr, cb, frame[j], cd)
+                                if len(set(got)) != 1:
+                                    route_bad.append((case, got))
                                 if cd7 != cd:
                                     eps_bad.append((case, cd, cd7))
     return points, route_bad, eps_bad
@@ -93,7 +101,8 @@ def test_criterion_1_mirror_identity():
 
 def test_criterion_2_four_route_agreement():
     points, route_bad, _ = _triple_grid()
-    _verdict(2, f"four-route count agreement on {points} grid points", route_bad)
+    label = f"shipped kernels against both references on {points} grid points"
+    _verdict(2, label, route_bad)
 
 
 def test_criterion_3_root_series_and_residues():

@@ -389,3 +389,70 @@ def test_mirror_verify_pinpoints_corruption(monkeypatch):
     half = len(modes) // 2
     assert modes == ["direct"] * half + ["brion"] * half
     assert [f["a"] for f in rep["failures"][:half]] == [f["a"] for f in rep["failures"][half:]]
+
+
+def _smallest_difference(lhs, rhs):
+    """The smallest (p, e) where two elements differ and both coefficients
+    there, read off items() and iter_terms(); None when they agree."""
+    lterms = {(p, e): c for p, s in lhs.items() for e, c in s.iter_terms()}
+    rterms = {(p, e): c for p, s in rhs.items() for e, c in s.iter_terms()}
+    for p, e in sorted(set(lterms) | set(rterms)):
+        lc, rc = lterms.get((p, e), 0), rterms.get((p, e), 0)
+        if lc != rc:
+            return p, e, lc, rc
+    return None
+
+
+def _shift_one_exponent(good):
+    def crooked(n, m1, p1, m2, p2, k, j):
+        val = good(n, m1, p1, m2, p2, k, j)
+        return val + 1 if val and (k, j) == (1, 0) else val
+
+    return crooked
+
+
+def _merge_two_terms(good):
+    """The k = 2 term takes the exponents of the k = 0 term.  At m1 = m2
+    both land on one class, so that monomial reads 2 in the closed form."""
+
+    def crooked(n, m1, p1, m2, p2, k, j):
+        return good(n, m1, p1, m2, p2, 0 if k == 2 and m1 == m2 else k, j)
+
+    return crooked
+
+
+@pytest.mark.parametrize("corrupt", [_shift_one_exponent, _merge_two_terms])
+def test_mirror_verify_failures_name_the_smallest_difference(monkeypatch, corrupt):
+    """Every failure entry of verify names the smallest monomial where the
+    count and the corrupted closed form differ, with both coefficients, mode
+    by mode in pair order, and no pair that agrees is listed."""
+    n, max_m, D = 2, 2, 6
+    monkeypatch.setattr(theta, "_exponent", corrupt(theta._exponent))
+    pairs = [
+        (a, b)
+        for m1 in range(1, max_m + 1)
+        for m2 in range(1, max_m + 1)
+        for a in theta.basis_indices(n, m1)
+        for b in theta.basis_indices(n, m2)
+    ]
+    want = []
+    for mode in floer.COUNTING_MODES:
+        for a, b in pairs:
+            lhs = floer_product(n, a.m, a.p, b.m, b.p, D, mode)
+            diff = _smallest_difference(lhs, theta_product(a, b, n, D))
+            if diff is not None:
+                p, e, lc, rc = diff
+                want.append(
+                    {
+                        "mode": mode,
+                        "a": a.to_json_obj(),
+                        "b": b.to_json_obj(),
+                        "monomial": {"p": f"{p.numerator}/{p.denominator}", "e": list(e)},
+                        "lhs": str(lc),
+                        "rhs": str(rc),
+                    }
+                )
+    assert want, "the corruption changed no product"
+    assert mirror_verify(n, max_m, D, jobs=1)["failures"] == want
+    if corrupt is _merge_two_terms:
+        assert any((f["lhs"], f["rhs"]) == ("1", "2") for f in want)

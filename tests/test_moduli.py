@@ -132,6 +132,22 @@ def test_root_series_trivial_for_single_component():
     assert solve_s(1, 6).is_zero()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_root_series_vanishes_on_the_diagonal(n):
+    """With every t_j = t the chart-0 section is sum_i (-1)^i u^-i
+    t^(i(i+1)/2), which Jacobi's triple product writes as
+    prod_{m>=1} (1 - t^m)(1 - u t^(m-1))(1 - t^m / u): u = 1 is an exact
+    root, so s restricted to the diagonal is 0.  Setting every t_j = t
+    sums the coefficients of s degree by degree."""
+    D = 9
+    s = solve_s(n, D)
+    assert not s.is_zero()
+    by_degree = [0] * (D + 1)
+    for e, c in s.iter_terms():
+        by_degree[sum(e)] += c
+    assert by_degree == [0] * (D + 1)
+
+
 def test_substitute_back_vanishes():
     for n in (1, 2, 3, 4):
         D = 6

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirror_ring import plgeom
+from mirror_ring import floer, plgeom, theta
 from mirror_ring.plgeom import (
     admissible_k_range,
     average_E,
@@ -203,3 +203,40 @@ def test_exponent_reference_example():
     # one-variable squared generator: the k=2 term carries exponent 1
     assert t_exponent(1, 1, 0, 1, 0, 2, 0) == 1
     assert plgeom.t_exponent_qr(1, 1, 0, 1, 0, 2, 0) == 1
+
+
+THIRD = Fraction(1, 3)  # at weight 2, m*p = 2/3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: theta._exponent(3, 2, THIRD, 1, 0, 0, 0), id="_exponent-p1"),
+        pytest.param(lambda: theta._exponent(3, 1, 0, 2, THIRD, 0, 0), id="_exponent-p2"),
+        pytest.param(lambda: theta.canonical_p(2, THIRD, 3), id="canonical_p"),
+        pytest.param(lambda: theta.ThetaIndex.make(2, THIRD, 3), id="ThetaIndex.make"),
+        pytest.param(lambda: floer.count_brion(3, 2, THIRD, 1, 0, 0, 0), id="count_brion-p1"),
+        pytest.param(lambda: floer.count_brion(3, 1, 0, 2, THIRD, 0, 0), id="count_brion-p2"),
+        pytest.param(lambda: t_exponent_qr(3, 2, THIRD, 1, 0, 0, 0), id="t_exponent_qr-p1"),
+        pytest.param(lambda: t_exponent_qr(3, 1, 0, 2, THIRD, 0, 0), id="t_exponent_qr-p2"),
+        pytest.param(lambda: floer.lift_triangle(3, 2, THIRD, 1, 0, 0), id="lift_triangle-p1"),
+        pytest.param(lambda: floer.lift_triangle(3, 1, 0, 2, THIRD, 0), id="lift_triangle-p2"),
+        pytest.param(
+            lambda: floer.floer_product(3, 2, THIRD, 1, 0, 4, "direct"), id="direct-p1"
+        ),
+        pytest.param(
+            lambda: floer.floer_product(3, 1, 0, 2, THIRD, 4, "direct"), id="direct-p2"
+        ),
+        pytest.param(
+            lambda: floer.floer_product(3, 2, THIRD, 1, 0, 4, "brion"), id="brion-p1"
+        ),
+        pytest.param(
+            lambda: floer.floer_product(3, 1, 0, 2, THIRD, 4, "brion"), id="brion-p2"
+        ),
+    ],
+)
+def test_every_entry_point_rejects_non_integral_m_p(call):
+    """Each entry point that takes an index refuses m*p = 2/3 with
+    ValueError, in either index slot."""
+    with pytest.raises(ValueError):
+        call()
