@@ -163,11 +163,8 @@ class TruncSeries:
         s = shift % self.n
         if s == 0:
             return self
-        n = self.n
-        out = {
-            tuple(e[(j + s) % n] for j in range(n)): c for e, c in self.terms.items()
-        }
-        return TruncSeries._raw(n, self.D, out)
+        out = {e[s:] + e[:s]: c for e, c in self.terms.items()}
+        return TruncSeries._raw(self.n, self.D, out)
 
     # -- operator sugar ---------------------------------------------------
 

@@ -9,6 +9,13 @@ is the Fraction reference they are tested against.  Every route's product
 is built by ``assemble``, the one place for the k-window, the degree cut
 and the output class; each index enters it through ``plgeom.scaled_index``,
 the one check that m*p is integral.  Everything is exact over Z.
+
+``build_table`` relies on two laws of the ring that every route's product
+must meet: it is commutative, and rotating the n marked points is a
+symmetry, so shifting both input classes by 1 shifts every output class
+by 1 and rotates every series by ``rotate(1)``.  It multiplies one pair
+per orbit and derives the rest; ``floer.mirror_verify`` computes every
+pair and relies on neither law.
 """
 
 from __future__ import annotations
@@ -190,18 +197,17 @@ class StructureTable:
         return sorted(self.entries, key=lambda ab: ab[0].sort_key() + ab[1].sort_key())
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "D": self.D,
-            "entries": [
-                {
-                    "a": a.to_json_obj(),
-                    "b": b.to_json_obj(),
-                    "result": self.entries[(a, b)].to_json_obj(),
-                }
-                for a, b in self.sorted_keys()
-            ],
-        }
+        # (a, b) and (b, a) hold one element, so each element is converted
+        # once and its entries share the result list
+        results: dict[int, list] = {}
+        entries = []
+        for a, b in self.sorted_keys():
+            elem = self.entries[(a, b)]
+            result = results.get(id(elem))
+            if result is None:
+                result = results[id(elem)] = elem.to_json_obj()
+            entries.append({"a": a.to_json_obj(), "b": b.to_json_obj(), "result": result})
+        return {"n": self.n, "D": self.D, "entries": entries}
 
     def to_csv(self) -> str:
         """One monomial per row: flat, diff-friendly dump of the table."""
@@ -230,10 +236,48 @@ def build_table(n: int, max_m: int, D: int, product=None) -> StructureTable:
     ``product`` defaults to theta_product; any callable with the same
     signature (a, b, n, D) -> RingElement may stand in, which is how the
     independently counted tables are built for comparison.
+
+    The product must be commutative, b*a = a*b, and rotation-equivariant:
+    the product at classes (p1 + 1, p2 + 1) is the one at (p1, p2) with
+    every output class moved by 1 and every series rotated by
+    ``rotate(1)``.  So ``product`` is called once per orbit of ordered
+    pairs under the swap and the diagonal shift, on the orbit's first pair
+    in ``basis_pairs`` order, and the rest of the orbit is derived from it;
+    (a, b) and (b, a) hold the same element.  Entries come in
+    ``basis_pairs`` order.  ``floer.mirror_verify`` does not rely on either
+    law: it computes every ordered pair.
     """
     if product is None:
         product = theta_product
-    entries = {(a, b): product(a, b, n, D) for a, b in basis_pairs(n, max_m)}
+    labels = {m: basis_indices(n, m) for m in range(1, max_m + 1)}
+    # the output classes of each weight m3, by scaled index a3 = m3*p3
+    classes = {m3: [Fraction(a3, m3) for a3 in range(m3 * n)] for m3 in range(2, 2 * max_m + 1)}
+    # basis_pairs order, with each label as its position i = m*p; entries
+    # keep this order, which sorted_keys sorts far faster than orbit order
+    pairs = [
+        (m1, i1, m2, i2)
+        for m1 in labels
+        for m2 in labels
+        for i1 in range(m1 * n)
+        for i2 in range(m2 * n)
+    ]
+    got: dict[tuple, RingElement] = {}
+    for m1, i1, m2, i2 in pairs:
+        if (m1, i1, m2, i2) in got:
+            continue
+        elem = product(labels[m1][i1], labels[m2][i2], n, D)
+        m3 = m1 + m2
+        terms = [(p.numerator * (m3 // p.denominator), s) for p, s in elem.coeffs.items()]
+        # the shift moves position i to (i + m) mod (m*n); the n-th shift
+        # comes back to the representative
+        for r in range(n):
+            if r:
+                terms = [((a3 + m3) % (m3 * n), s.rotate(1)) for a3, s in terms]
+                elem = RingElement(m3, n, D)
+                elem.coeffs = {classes[m3][a3]: s for a3, s in terms}
+            j1, j2 = (i1 + r * m1) % (m1 * n), (i2 + r * m2) % (m2 * n)
+            got[m1, j1, m2, j2] = got[m2, j2, m1, j1] = elem
+    entries = {(labels[m1][i1], labels[m2][i2]): got[m1, i1, m2, i2] for m1, i1, m2, i2 in pairs}
     return StructureTable(n, D, entries)
 
 

@@ -391,6 +391,36 @@ def test_mirror_verify_pinpoints_corruption(monkeypatch):
     assert [f["a"] for f in rep["failures"][:half]] == [f["a"] for f in rep["failures"][half:]]
 
 
+def test_verify_counts_the_pairs_the_table_derives(monkeypatch):
+    """A direct count corrupted at one pair that is not its orbit's
+    representative leaves the floer-direct table as it was, since that
+    entry is derived, while verify, which counts every ordered pair,
+    reports that pair and no other."""
+    n, max_m, D = 3, 2, 4
+
+    def direct(a, b, nn, DD):
+        return floer_product(nn, a.m, a.p, b.m, b.p, DD, "direct")
+
+    before = theta.build_table(n, max_m, D, product=direct).entries
+    # its swap (x_{1,0}, x_{2,1/2}) comes first in basis_pairs order
+    a, b = ThetaIndex.make(2, Fraction(1, 2), n), ThetaIndex.make(1, 0, n)
+    good = floer._lifted_counts
+
+    def crooked(nn, m1, a1, m2, a2, k):
+        counts = good(nn, m1, a1, m2, a2, k)
+        if (m1, a1, m2, a2) == (2, 1, 1, 0):
+            return (counts[0] + 1,) + counts[1:]
+        return counts
+
+    monkeypatch.setattr(floer, "_lifted_counts", crooked)
+    assert direct(a, b, n, D) != theta_product(a, b, n, D)
+    assert theta.build_table(n, max_m, D, product=direct).entries == before
+    failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
+    assert [(f["mode"], f["a"], f["b"]) for f in failures] == [
+        ("direct", a.to_json_obj(), b.to_json_obj())
+    ]
+
+
 def _smallest_difference(lhs, rhs):
     """The smallest (p, e) where two elements differ and both coefficients
     there, read off items() and iter_terms(); None when they agree."""

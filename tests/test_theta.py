@@ -15,6 +15,7 @@ from mirror_ring.theta import (
     RingElement,
     ThetaIndex,
     basis_indices,
+    basis_pairs,
     build_table,
     canonical_p,
     check_associativity,
@@ -128,31 +129,106 @@ def test_window_doubling_changes_nothing():
         assert theta_product(a, b, n, D) == _product_with_extra_window(a, b, n, D, 6)
 
 
+def every_pair(n, max_m, D, product=theta_product) -> dict:
+    """Every ordered basis pair multiplied by the product itself.  A table
+    from build_table derives most entries by commutativity and rotation,
+    so the laws are read off this dict instead."""
+    return {(a, b): product(a, b, n, D) for a, b in basis_pairs(n, max_m)}
+
+
 def test_table_counts_and_symmetry():
-    table = build_table(2, 1, 2)
-    assert len(table.entries) == 4
-    for (a, b), elem in table.entries.items():
+    assert len(build_table(2, 1, 2).entries) == 4
+    table = every_pair(2, 1, 2)
+    assert len(table) == 4
+    for (a, b), elem in table.items():
         assert elem.m == a.m + b.m
-        assert elem == table.entries[(b, a)]
+        assert elem == table[(b, a)]
 
 
 def test_table_symmetry_wider():
-    table = build_table(3, 2, 3)
-    for (a, b), elem in table.entries.items():
-        assert elem == table.entries[(b, a)]
+    table = every_pair(3, 2, 3)
+    for (a, b), elem in table.items():
+        assert elem == table[(b, a)]
 
 
 def test_rotation_equivariance_of_table():
     for n in (2, 3):
-        table = build_table(n, 2, 4)
-        for (a, b), elem in table.entries.items():
+        table = every_pair(n, 2, 4)
+        for (a, b), elem in table.items():
             a1 = ThetaIndex.make(a.m, a.p + 1, n)
             b1 = ThetaIndex.make(b.m, b.p + 1, n)
-            shifted = table.entries[(a1, b1)]
+            shifted = table[(a1, b1)]
             assert len(shifted.coeffs) == len(elem.coeffs)
             for p3, s in elem.coeffs.items():
                 p3s = canonical_p(elem.m, p3 + 1, n)
                 assert shifted.coeffs[p3s] == s.rotate(1), (n, a, b, p3)
+
+
+def _route(mode):
+    """The product of one route, with the (a, b, n, D) signature of
+    build_table."""
+    if mode == "theta":
+        return theta_product
+
+    def product(a, b, n, D):
+        return floer.floer_product(n, a.m, a.p, b.m, b.p, D, mode)
+
+    return product
+
+
+@pytest.mark.parametrize("mode", ["theta", "direct", "brion"])
+def test_orbit_table_equals_every_pair(mode):
+    """The table derived from orbit representatives equals every ordered
+    pair multiplied directly, entry for entry and in basis_pairs order."""
+    product = _route(mode)
+    for n in range(1, 5):
+        for max_m in range(1, 4):
+            table = build_table(n, max_m, 6, product=product)
+            want = every_pair(n, max_m, 6, product)
+            assert list(table.entries) == list(want), (mode, n, max_m)
+            assert table.entries == want, (mode, n, max_m)
+
+
+def test_build_table_multiplies_once_per_orbit():
+    """product runs once per orbit of ordered pairs under the swap and the
+    diagonal shift, on the orbit's first pair in basis_pairs order, and
+    (a, b) and (b, a) hold one element."""
+    n, max_m = 5, 4
+    calls = []
+
+    def counted(a, b, nn, D):
+        calls.append((a, b))
+        return theta_product(a, b, nn, D)
+
+    table = build_table(n, max_m, 2, product=counted)
+    firsts, seen = [], set()
+    for a, b in basis_pairs(n, max_m):
+        if (a, b) in seen:
+            continue
+        firsts.append((a, b))
+        for r in range(n):
+            ar = ThetaIndex.make(a.m, a.p + r, n)
+            br = ThetaIndex.make(b.m, b.p + r, n)
+            seen |= {(ar, br), (br, ar)}
+    assert len(calls) == 255
+    assert calls == firsts
+    for a, b in basis_pairs(n, max_m):
+        assert table.entries[(a, b)] is table.entries[(b, a)]
+
+
+def test_json_converts_each_element_once():
+    """(a, b) and (b, a) share one result list, equal to the element's own
+    conversion."""
+    table = build_table(3, 2, 3)
+    obj = table.to_json_obj()
+    results = [entry["result"] for entry in obj["entries"]]
+    assert results == [table.entries[key].to_json_obj() for key in table.sorted_keys()]
+    by_pair = {
+        (e["a"]["m"], e["a"]["p"], e["b"]["m"], e["b"]["p"]): e["result"]
+        for e in obj["entries"]
+    }
+    for (m1, p1, m2, p2), result in by_pair.items():
+        assert by_pair[(m2, p2, m1, p1)] is result
 
 
 def test_associativity_reports():
