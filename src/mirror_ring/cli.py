@@ -140,7 +140,9 @@ def _usable_cpus() -> int:
 
 
 def _run_verify(args) -> int:
-    report = floer.mirror_verify(args.n, args.max_m, args.trunc, jobs=args.jobs or _usable_cpus())
+    # a pool starts every worker it is sized for: never more than the CPUs
+    cpus = _usable_cpus()
+    report = floer.mirror_verify(args.n, args.max_m, args.trunc, jobs=min(args.jobs or cpus, cpus))
     _emit(args.output, _json_text(report))
     return 1 if report["failures"] else 0
 

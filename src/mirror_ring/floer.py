@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import plgeom, theta
 from .plgeom import InvariantError
-from .theta import RingElement, canonical_p
+from .theta import RingElement
 
 # the two counting routes, in the order verify checks and reports them
 COUNTING_MODES = ("direct", "brion")
@@ -223,34 +223,34 @@ def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
 
 
 def floer_product(n: int, m1: int, p1, m2: int, p2, D: int, mode: str) -> RingElement:
-    """Product of x_{m2,p2} . x_{m1,p1} as an element of weight m1+m2.
+    """Product of x_{m1,p1} and x_{m2,p2} as an element of weight m1+m2.
 
     mode selects the counting route for the t-exponents: "direct" for the
     enumeration perturbed by default_eps, "brion" for the closed form.
-    The direct route counts all n slots of each lifted triangle in one
-    integer frame.
+    Each index is reduced once to a = m*p mod m*n; the direct route counts
+    all n slots of each lifted triangle in that integer frame.
     """
     if mode not in COUNTING_MODES:
         raise ValueError(f"mode must be 'direct' or 'brion', got {mode!r}")
-    p1 = canonical_p(m1, p1, n)
-    p2 = canonical_p(m2, p2, n)
+    a1 = plgeom.scaled_index(m1, p1) % (m1 * n)
+    a2 = plgeom.scaled_index(m2, p2) % (m2 * n)
+    p1, p2 = Fraction(a1, m1), Fraction(a2, m2)
     if mode == "brion":
         def exponents(k):
             return tuple(count_brion(n, m1, p1, m2, p2, k, j) for j in range(n))
     else:
-        a1, a2 = plgeom.scaled_index(m1, p1), plgeom.scaled_index(m2, p2)
         def exponents(k):
             return _lifted_counts(n, m1, a1, m2, a2, k)
     return theta.assemble(n, m1, p1, m2, p2, D, exponents)
 
 
 def _first_difference(lhs: RingElement, rhs: RingElement):
-    """Smallest (p, exponent) where two unequal elements disagree, with
-    both coefficients there."""
-    lt = {(p, e): c for p, s in lhs.coeffs.items() for e, c in s.terms.items()}
-    rt = {(p, e): c for p, s in rhs.coeffs.items() for e, c in s.terms.items()}
-    p, e = min(key for key in lt.keys() | rt.keys() if lt.get(key, 0) != rt.get(key, 0))
-    return p, e, lt.get((p, e), 0), rt.get((p, e), 0)
+    """Smallest (class a, exponent) where two unequal elements disagree,
+    with both coefficients there."""
+    lt = {(a, e): c for a, s in lhs.coeffs.items() for e, c in s.terms.items()}
+    rt = {(a, e): c for a, s in rhs.coeffs.items() for e, c in s.terms.items()}
+    a, e = min(key for key in lt.keys() | rt.keys() if lt.get(key, 0) != rt.get(key, 0))
+    return a, e, lt.get((a, e), 0), rt.get((a, e), 0)
 
 
 def _verify_pair(args):
@@ -263,12 +263,12 @@ def _verify_pair(args):
         lhs = floer_product(n, a.m, a.p, b.m, b.p, D, mode)
         diff = None
         if lhs != rhs:
-            p, e, lc, rc = _first_difference(lhs, rhs)
+            a3, e, lc, rc = _first_difference(lhs, rhs)
             diff = {
                 "mode": mode,
                 "a": a.to_json_obj(),
                 "b": b.to_json_obj(),
-                "monomial": {"p": f"{p.numerator}/{p.denominator}", "e": list(e)},
+                "monomial": {"p": theta.class_text(a3, lhs.m), "e": list(e)},
                 "lhs": str(lc),
                 "rhs": str(rc),
             }

@@ -2,7 +2,9 @@
 product.
 
 Basis elements are indexed by a weight m >= 1 and a class p in (1/m)Z
-taken mod n; the product of two of them is a finite sum of basis elements
+taken mod n, held as the integer a = m*p in [0, m*n) from the label to
+the report; p = a/m is spelled only in report text and in the kernels'
+arguments.  The product of two of them is a finite sum of basis elements
 at weight m1+m2 whose coefficients are monomials in t_0..t_{n-1} with
 exponents n*lambda, computed here in scaled integers; ``plgeom.t_exponent``
 is the Fraction reference they are tested against.  Every route's product
@@ -20,6 +22,7 @@ pair and relies on neither law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,38 +57,37 @@ def _exponent(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     return val
 
 
-def canonical_p(m: int, p, n: int) -> Fraction:
-    """Reduce p (an int or a Fraction) mod n into [0, n); requires m*p
-    integral.  Works on the integer a = m*p, so a class already in range
-    comes back as the same object."""
-    a = plgeom.scaled_index(m, p)
-    if 0 <= a < m * n and type(p) is Fraction:
-        return p
-    return Fraction(a % (m * n), m)
+def class_text(a: int, m: int) -> str:
+    """The class p = a/m as a report spells it: "num/den" in lowest terms."""
+    g = math.gcd(a, m)
+    return f"{a // g}/{m // g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ThetaIndex:
-    """Weight-m basis label with canonical class 0 <= p < n."""
+    """Weight-m basis label with class p = a/m, held as the integer
+    0 <= a < m*n; labels order by (m, a), which is the order of (m, p)."""
 
     m: int
-    p: Fraction
+    a: int
+
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self.a, self.m)
 
     @classmethod
     def make(cls, m: int, p, n: int) -> "ThetaIndex":
         if m < 1:
             raise ValueError(f"weight must be >= 1, got m={m}")
-        return cls(m, canonical_p(m, p, n))
+        return cls(m, plgeom.scaled_index(m, p) % (m * n))
 
     def to_json_obj(self) -> dict:
-        return {"m": self.m, "p": f"{self.p.numerator}/{self.p.denominator}"}
-
-    def sort_key(self):
-        return (self.m, self.p)
+        return {"m": self.m, "p": class_text(self.a, self.m)}
 
 
 class RingElement:
-    """Finite combination sum_p (series in t) * basis(m, p), fixed weight m."""
+    """Finite combination sum_a (series in t) * basis(m, a/m), fixed weight
+    m, keyed by the integer class 0 <= a < m*n."""
 
     __slots__ = ("m", "n", "D", "coeffs")
 
@@ -93,16 +95,16 @@ class RingElement:
         self.m = m
         self.n = n
         self.D = D
-        self.coeffs: dict[Fraction, TruncSeries] = {}
+        self.coeffs: dict[int, TruncSeries] = {}
 
-    def add_term(self, p, series: TruncSeries):
-        p = canonical_p(self.m, p, self.n)
-        cur = self.coeffs.get(p)
+    def add_term(self, a: int, series: TruncSeries):
+        a %= self.m * self.n
+        cur = self.coeffs.get(a)
         acc = series if cur is None else cur.add(series)
         if acc.is_zero():
-            self.coeffs.pop(p, None)
+            self.coeffs.pop(a, None)
         else:
-            self.coeffs[p] = acc
+            self.coeffs[a] = acc
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -117,19 +119,19 @@ class RingElement:
     __hash__ = None
 
     def __repr__(self) -> str:
-        parts = [f"({s}) * th[{self.m},{p}]" for p, s in self.items()]
+        parts = [f"({s}) * th[{self.m},{Fraction(a, self.m)}]" for a, s in self.items()]
         return " + ".join(parts) if parts else "0"
 
     def to_json_obj(self) -> list:
         return [
-            {"p": f"{p.numerator}/{p.denominator}", "series": s.to_json_obj()}
-            for p, s in self.items()
+            {"p": class_text(a, self.m), "series": s.to_json_obj()}
+            for a, s in self.items()
         ]
 
 
 def basis_indices(n: int, m: int) -> list[ThetaIndex]:
-    """All m*n canonical basis labels of weight m."""
-    return [ThetaIndex(m, Fraction(i, m)) for i in range(m * n)]
+    """All m*n basis labels of weight m; the label of class a is at index a."""
+    return [ThetaIndex(m, a) for a in range(m * n)]
 
 
 def hilbert_dimension(n: int, m: int) -> int:
@@ -144,8 +146,8 @@ def assemble(n: int, m1: int, p1, m2: int, p2, D: int, exponents) -> RingElement
 
     exponents(k) is the tuple of n t-exponents of the k-th term.  For each
     k in the admissible window the term lands on the class
-    E(p1, p2 + k*n) mod n, which with a = m*p is (a1 + a2 + m2*n*k) mod
-    (m3*n) over m3; terms of total degree > D drop.  Every term has
+    E(p1, p2 + k*n) mod n, kept as its integer a3 = (a1 + a2 + m2*n*k) mod
+    (m3*n); terms of total degree > D drop.  Every term has
     coefficient +1 and nothing cancels, so each class's series is its kept
     monomials with repeats counted, built once.
     """
@@ -158,9 +160,7 @@ def assemble(n: int, m1: int, p1, m2: int, p2, D: int, exponents) -> RingElement
             terms = classes.setdefault((a12 + m2 * n * k) % (m3 * n), {})
             terms[exps] = terms.get(exps, 0) + 1
     out = RingElement(m3, n, D)
-    out.coeffs = {
-        Fraction(a3, m3): TruncSeries._raw(n, D, terms) for a3, terms in classes.items()
-    }
+    out.coeffs = {a3: TruncSeries._raw(n, D, terms) for a3, terms in classes.items()}
     return out
 
 
@@ -178,10 +178,10 @@ def _mul_with_basis(elem: RingElement, b: ThetaIndex, product) -> RingElement:
     """elem * b expanded over elem's terms; product(x, y) is the basis
     product x * y, so passing it with swapped arguments gives b * elem."""
     out = RingElement(elem.m + b.m, elem.n, elem.D)
-    for p, s in elem.coeffs.items():
-        prod = product(ThetaIndex(elem.m, p), b)
-        for p3, s3 in prod.coeffs.items():
-            out.add_term(p3, s3.mul(s))
+    for a, s in elem.coeffs.items():
+        prod = product(ThetaIndex(elem.m, a), b)
+        for a3, s3 in prod.coeffs.items():
+            out.add_term(a3, s3.mul(s))
     return out
 
 
@@ -194,7 +194,8 @@ class StructureTable:
         self.entries: dict[tuple[ThetaIndex, ThetaIndex], RingElement] = entries
 
     def sorted_keys(self):
-        return sorted(self.entries, key=lambda ab: ab[0].sort_key() + ab[1].sort_key())
+        # by (m1, a1, m2, a2): a key of ints sorts far faster than labels do
+        return sorted(self.entries, key=lambda ab: (ab[0].m, ab[0].a, ab[1].m, ab[1].a))
 
     def to_json_obj(self) -> dict:
         # (a, b) and (b, a) hold one element, so each element is converted
@@ -213,11 +214,11 @@ class StructureTable:
         """One monomial per row: flat, diff-friendly dump of the table."""
         lines = ["m1,p1,m2,p2,p_out,exponents,coeff"]
         for a, b in self.sorted_keys():
-            for p3, s in self.entries[(a, b)].items():
-                for e, c in s.iter_terms():
-                    lines.append(
-                        f"{a.m},{a.p},{b.m},{b.p},{p3},{' '.join(map(str, e))},{c}"
-                    )
+            elem = self.entries[(a, b)]
+            head = f"{a.m},{a.p},{b.m},{b.p}"
+            for a3, s in elem.items():
+                p3 = Fraction(a3, elem.m)
+                lines += [f"{head},{p3},{' '.join(map(str, e))},{c}" for e, c in s.iter_terms()]
         return "\n".join(lines) + "\n"
 
 
@@ -249,48 +250,41 @@ def build_table(n: int, max_m: int, D: int, product=None) -> StructureTable:
     """
     if product is None:
         product = theta_product
+    # entries keep basis_pairs order, which sorted_keys sorts far faster
+    # than orbit order; shifted labels are looked up, not built anew
+    pairs = basis_pairs(n, max_m)
     labels = {m: basis_indices(n, m) for m in range(1, max_m + 1)}
-    # the output classes of each weight m3, by scaled index a3 = m3*p3
-    classes = {m3: [Fraction(a3, m3) for a3 in range(m3 * n)] for m3 in range(2, 2 * max_m + 1)}
-    # basis_pairs order, with each label as its position i = m*p; entries
-    # keep this order, which sorted_keys sorts far faster than orbit order
-    pairs = [
-        (m1, i1, m2, i2)
-        for m1 in labels
-        for m2 in labels
-        for i1 in range(m1 * n)
-        for i2 in range(m2 * n)
-    ]
-    got: dict[tuple, RingElement] = {}
-    for m1, i1, m2, i2 in pairs:
-        if (m1, i1, m2, i2) in got:
+    got: dict[tuple[ThetaIndex, ThetaIndex], RingElement] = {}
+    for x, y in pairs:
+        if (x, y) in got:
             continue
-        elem = product(labels[m1][i1], labels[m2][i2], n, D)
-        m3 = m1 + m2
-        terms = [(p.numerator * (m3 // p.denominator), s) for p, s in elem.coeffs.items()]
-        # the shift moves position i to (i + m) mod (m*n); the n-th shift
+        elem = product(x, y, n, D)
+        m3 = elem.m
+        # the shift moves class a to (a + m) mod (m*n); the n-th shift
         # comes back to the representative
         for r in range(n):
             if r:
-                terms = [((a3 + m3) % (m3 * n), s.rotate(1)) for a3, s in terms]
-                elem = RingElement(m3, n, D)
-                elem.coeffs = {classes[m3][a3]: s for a3, s in terms}
-            j1, j2 = (i1 + r * m1) % (m1 * n), (i2 + r * m2) % (m2 * n)
-            got[m1, j1, m2, j2] = got[m2, j2, m1, j1] = elem
-    entries = {(labels[m1][i1], labels[m2][i2]): got[m1, i1, m2, i2] for m1, i1, m2, i2 in pairs}
-    return StructureTable(n, D, entries)
+                x = labels[x.m][(x.a + x.m) % (x.m * n)]
+                y = labels[y.m][(y.a + y.m) % (y.m * n)]
+                shifted = RingElement(m3, n, D)
+                shifted.coeffs = {
+                    (a3 + m3) % (m3 * n): s.rotate(1) for a3, s in elem.coeffs.items()
+                }
+                elem = shifted
+            got[x, y] = got[y, x] = elem
+    return StructureTable(n, D, {xy: got[xy] for xy in pairs})
 
 
 def specialize_ngon(table: StructureTable) -> dict:
     """Constant terms of the whole table: the product table of the t=0 fiber.
 
-    Returns {(a, b): {p3: integer coefficient}} with zero entries dropped.
+    Returns {(a, b): {p3: integer coefficient}}, each output class p3 a
+    Fraction, with zero entries dropped.
     """
-    out = {}
-    for key, elem in table.entries.items():
-        consts = {p: s.constant_term() for p, s in elem.items() if s.constant_term()}
-        out[key] = consts
-    return out
+    return {
+        key: {Fraction(a3, elem.m): c for a3, s in elem.items() if (c := s.constant_term())}
+        for key, elem in table.entries.items()
+    }
 
 
 def check_associativity(n: int, D: int, weights) -> dict:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mirror_ring import floer, moduli, plgeom, quiver, theta, toric
 from mirror_ring.series import TruncSeries
-from mirror_ring.theta import ThetaIndex, build_table, canonical_p
+from mirror_ring.theta import ThetaIndex, basis_indices, build_table
 
 SEED = 434019
 
@@ -27,7 +27,7 @@ def _verdict(num: int, label: str, failures: list):
 
 
 def _canonical_ps(m: int, n: int) -> list[Fraction]:
-    return [canonical_p(m, Fraction(i, m), n) for i in range(m * n)]
+    return [idx.p for idx in basis_indices(n, m)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -148,9 +148,10 @@ def test_criterion_4_ring_laws():
             a1 = ThetaIndex.make(a.m, a.p + 1, n)
             b1 = ThetaIndex.make(b.m, b.p + 1, n)
             shifted = table[(a1, b1)]
+            # class p3 + 1 mod n, at a3 = m3*p3
             want = {
-                canonical_p(elem.m, p + 1, n): s.rotate(1)
-                for p, s in elem.coeffs.items()
+                (a3 + elem.m) % (elem.m * n): s.rotate(1)
+                for a3, s in elem.coeffs.items()
             }
             if shifted.coeffs != want:
                 failures.append((n, "rotation equivariance", a, b))

@@ -304,6 +304,34 @@ def test_jobs_zero_falls_back_to_cpu_count(tmp_path, monkeypatch):
     assert seen == [5, 1]
 
 
+def test_verify_caps_workers_at_usable_cpus(tmp_path, monkeypatch):
+    """A pool starts every worker it is sized for, so --jobs beyond the
+    usable CPUs must not reach it; the fake pool maps in-process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    base = ["verify", "--n", "3", "--trunc", "4", "-o", str(tmp_path / "v.json")]
+    for jobs in ("3000", "0", "2", "1"):
+        assert main(base + ["--jobs", jobs]) == 0
+    assert sizes == [3, 3, 2]
+
+
 def test_value_checks_through_main(capsys):
     for argv in (["nope"], ["verify", "--format", "csv"]):
         with pytest.raises(SystemExit) as exc:

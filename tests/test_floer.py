@@ -292,7 +292,7 @@ def test_floer_product_matches_theta_reference():
     for mode in ("direct", "brion"):
         out = floer_product(1, 1, 0, 1, 0, 4, mode)
         assert out == theta_product(ThetaIndex.make(1, 0, 1), ThetaIndex.make(1, 0, 1), 1, 4)
-        assert out.coeffs[Fraction(0)] == TruncSeries(1, 4, {(0,): 1, (1,): 2, (4,): 2})
+        assert out.coeffs[0] == TruncSeries(1, 4, {(0,): 1, (1,): 2, (4,): 2})
 
 
 def test_floer_modes_agree():
@@ -306,6 +306,29 @@ def test_floer_modes_agree():
         b = floer_product(n, m1, p1, m2, p2, 5, "brion")
         assert d == b
         assert d.m == m1 + m2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m1=st.integers(1, 3),
+    m2=st.integers(1, 3),
+    a1=st.integers(-200, 200),
+    a2=st.integers(-200, 200),
+    D=st.integers(0, 6),
+)
+def test_every_route_keys_products_by_the_integer_class(n, m1, m2, a1, a2, D):
+    """Each route's product is keyed by the integer class a3 = m3*p3 in
+    [0, m3*n), from labels or from indices outside [0, n)."""
+    p1, p2 = Fraction(a1, m1), Fraction(a2, m2)
+    x, y = ThetaIndex.make(m1, p1, n), ThetaIndex.make(m2, p2, n)
+    products = [theta_product(x, y, n, D)]
+    products += [floer_product(n, m1, p1, m2, p2, D, mode) for mode in floer.COUNTING_MODES]
+    for elem in products:
+        assert elem.m == m1 + m2
+        for a3 in elem.coeffs:
+            assert type(a3) is int and 0 <= a3 < elem.m * n
+    assert products[1] == products[0] and products[2] == products[0]
 
 
 def test_floer_product_rejects_unknown_mode():
@@ -423,13 +446,14 @@ def test_verify_counts_the_pairs_the_table_derives(monkeypatch):
 
 def _smallest_difference(lhs, rhs):
     """The smallest (p, e) where two elements differ and both coefficients
-    there, read off items() and iter_terms(); None when they agree."""
-    lterms = {(p, e): c for p, s in lhs.items() for e, c in s.iter_terms()}
-    rterms = {(p, e): c for p, s in rhs.items() for e, c in s.iter_terms()}
-    for p, e in sorted(set(lterms) | set(rterms)):
-        lc, rc = lterms.get((p, e), 0), rterms.get((p, e), 0)
+    there, read off items() and iter_terms(); None when they agree.  The
+    class p is spelled from the integer key a = m*p."""
+    lterms = {(a, e): c for a, s in lhs.items() for e, c in s.iter_terms()}
+    rterms = {(a, e): c for a, s in rhs.items() for e, c in s.iter_terms()}
+    for a, e in sorted(set(lterms) | set(rterms)):
+        lc, rc = lterms.get((a, e), 0), rterms.get((a, e), 0)
         if lc != rc:
-            return p, e, lc, rc
+            return Fraction(a, lhs.m), e, lc, rc
     return None
 
 

@@ -213,7 +213,6 @@ THIRD = Fraction(1, 3)  # at weight 2, m*p = 2/3
     [
         pytest.param(lambda: theta._exponent(3, 2, THIRD, 1, 0, 0, 0), id="_exponent-p1"),
         pytest.param(lambda: theta._exponent(3, 1, 0, 2, THIRD, 0, 0), id="_exponent-p2"),
-        pytest.param(lambda: theta.canonical_p(2, THIRD, 3), id="canonical_p"),
         pytest.param(lambda: theta.ThetaIndex.make(2, THIRD, 3), id="ThetaIndex.make"),
         pytest.param(lambda: floer.count_brion(3, 2, THIRD, 1, 0, 0, 0), id="count_brion-p1"),
         pytest.param(lambda: floer.count_brion(3, 1, 0, 2, THIRD, 0, 0), id="count_brion-p2"),

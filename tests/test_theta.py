@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirror_ring import floer, plgeom, theta
 from mirror_ring.series import TruncSeries
@@ -17,8 +19,8 @@ from mirror_ring.theta import (
     basis_indices,
     basis_pairs,
     build_table,
-    canonical_p,
     check_associativity,
+    class_text,
     hilbert_dimension,
     specialize_ngon,
     theta_product,
@@ -28,29 +30,59 @@ SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def test_canonical_p():
-    assert canonical_p(1, 5, 3) == 2
-    assert canonical_p(2, Fraction(-1, 2), 2) == Fraction(3, 2)
-    assert canonical_p(1, 0, 1) == 0
+def test_make_reduces_the_class():
+    assert ThetaIndex.make(1, 5, 3) == ThetaIndex(1, 2)
+    assert ThetaIndex.make(2, Fraction(-1, 2), 2) == ThetaIndex(2, 3)
+    assert ThetaIndex.make(2, Fraction(-1, 2), 2).p == Fraction(3, 2)
+    assert ThetaIndex.make(1, 0, 1) == ThetaIndex(1, 0)
     with pytest.raises(ValueError):
-        canonical_p(2, Fraction(1, 3), 2)
+        ThetaIndex.make(2, Fraction(1, 3), 2)
 
 
-def test_canonical_p_takes_int_and_fraction():
-    """Ints and Fractions give the same Fraction, equal to p - n*floor(p/n)."""
+def test_make_takes_int_and_fraction():
+    """Ints and Fractions give the same label, whose class is
+    p - n*floor(p/n), held as the integer m*p in [0, m*n)."""
     for m in range(1, 5):
         for n in range(1, 5):
             for a in range(-3 * m * n, 3 * m * n + 1):
                 p = Fraction(a, m)
                 want = p - n * math.floor(p / n)
-                got = canonical_p(m, p, n)
-                assert type(got) is Fraction and got == want and 0 <= got < n
+                got = ThetaIndex.make(m, p, n)
+                assert type(got.a) is int and 0 <= got.a < m * n
+                assert type(got.p) is Fraction and got.p == want and got.a == m * want
                 if p.denominator == 1:
-                    from_int = canonical_p(m, a // m, n)
-                    assert type(from_int) is Fraction and from_int == want
+                    assert ThetaIndex.make(m, a // m, n) == got
     for m, p in [(2, Fraction(1, 3)), (3, Fraction(-5, 6)), (1, Fraction(7, 2))]:
         with pytest.raises(ValueError):
-            canonical_p(m, p, 4)
+            ThetaIndex.make(m, p, 4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    a=st.integers(-10**6, 10**6),
+)
+def test_make_reduces_any_class(m, n, a):
+    """Beyond the grid: the integer class lands in [0, m*n), moves p by a
+    multiple of n, and spells p as Fraction does."""
+    p = Fraction(a, m)
+    idx = ThetaIndex.make(m, p, n)
+    assert type(idx.a) is int and 0 <= idx.a < m * n
+    assert ((p - idx.p) / n).denominator == 1
+    assert class_text(idx.a, m) == f"{idx.p.numerator}/{idx.p.denominator}"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(-10**6, 10**6)),
+        max_size=30,
+    )
+)
+def test_labels_sort_as_weight_then_class(triples):
+    labels = [ThetaIndex.make(m, Fraction(a, m), n) for m, n, a in triples]
+    assert sorted(labels) == sorted(labels, key=lambda x: (x.m, x.p))
 
 
 def test_basis_and_hilbert():
@@ -74,9 +106,10 @@ def test_one_variable_square():
     a = ThetaIndex.make(1, 0, 1)
     out = theta_product(a, a, 1, 4)
     assert out.m == 2
-    assert sorted(out.coeffs) == [Fraction(0), Fraction(1, 2)]
-    assert out.coeffs[Fraction(0)] == TruncSeries(1, 4, {(0,): 1, (1,): 2, (4,): 2})
-    assert out.coeffs[Fraction(1, 2)] == TruncSeries(1, 4, {(0,): 2, (2,): 2})
+    # the classes p = 0 and p = 1/2, held as a = m*p = 0 and 1
+    assert sorted(out.coeffs) == [0, 1]
+    assert out.coeffs[0] == TruncSeries(1, 4, {(0,): 1, (1,): 2, (4,): 2})
+    assert out.coeffs[1] == TruncSeries(1, 4, {(0,): 2, (2,): 2})
 
 
 def test_weight_additivity():
@@ -88,8 +121,8 @@ def test_weight_additivity():
         b = ThetaIndex.make(m2, Fraction(rng.randrange(0, m2 * n), m2), n)
         out = theta_product(a, b, n, 3)
         assert out.m == m1 + m2
-        for p in out.coeffs:
-            assert 0 <= p < n
+        for a3 in out.coeffs:
+            assert type(a3) is int and 0 <= a3 < out.m * n
 
 
 def test_truncation_zero_keeps_only_flat_terms():
@@ -114,7 +147,7 @@ def _product_with_extra_window(a, b, n, D, extra):
         if sum(exps) > D:
             continue
         p3 = plgeom.average_E(a.m, a.p, b.m, b.p + k * n)
-        out.add_term(p3, TruncSeries(n, D, {exps: 1}))
+        out.add_term(plgeom.scaled_index(out.m, p3), TruncSeries(n, D, {exps: 1}))
     return out
 
 
@@ -159,9 +192,9 @@ def test_rotation_equivariance_of_table():
             b1 = ThetaIndex.make(b.m, b.p + 1, n)
             shifted = table[(a1, b1)]
             assert len(shifted.coeffs) == len(elem.coeffs)
-            for p3, s in elem.coeffs.items():
-                p3s = canonical_p(elem.m, p3 + 1, n)
-                assert shifted.coeffs[p3s] == s.rotate(1), (n, a, b, p3)
+            for a3, s in elem.coeffs.items():
+                a3s = ThetaIndex.make(elem.m, Fraction(a3, elem.m) + 1, n).a
+                assert shifted.coeffs[a3s] == s.rotate(1), (n, a, b, a3)
 
 
 def _route(mode):
@@ -293,7 +326,7 @@ def test_specialize_rotation_invariance():
         b1 = ThetaIndex.make(b.m, b.p + 1, 3)
         shifted = spec[(a1, b1)]
         assert shifted == {
-            canonical_p(a.m + b.m, p + 1, 3): c for p, c in consts.items()
+            ThetaIndex.make(a.m + b.m, p + 1, 3).p: c for p, c in consts.items()
         }
 
 
