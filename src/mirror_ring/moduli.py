@@ -167,34 +167,46 @@ def d_log_derivative(g: ULaurent) -> ULaurent:
     return ULaurent(g.n, g.D, {e: s.scale(e) for e, s in g.terms.items() if e != 0})
 
 
-def _eval_at(g: ULaurent, s: TruncSeries) -> TruncSeries:
-    """Substitute u = 1 + s into g, exactly, truncating at the shared D."""
-    n, D = g.n, g.D
-    one = TruncSeries.one(n, D)
+def _span(*parts: ULaurent) -> tuple[int, int]:
+    """The u-exponent range lo <= 0 <= hi that covers every part."""
+    exps = [0, *(e for g in parts for e in g.terms)]
+    return min(exps), max(exps)
+
+
+def _cut(g: ULaurent, d: int) -> ULaurent:
+    """g truncated at t-degree d <= g.D."""
+    return ULaurent(g.n, d, {e: TruncSeries(g.n, d, c.terms) for e, c in g.terms.items()})
+
+
+def _powers(s: TruncSeries, lo: int, hi: int) -> dict[int, TruncSeries]:
+    """(1 + s)^e for every lo <= e <= hi, one inversion at most."""
+    one = TruncSeries.one(s.n, s.D)
     base = one.add(s)
     pows = {0: one}
-    out = TruncSeries.zero(n, D)
-    exps = sorted(g.terms)
-    pos = [e for e in exps if e > 0]
-    negs = [-e for e in exps if e < 0]
-    if pos:
-        cur = one
-        for e in range(1, max(pos) + 1):
-            cur = cur.mul(base)
-            pows[e] = cur
-    if negs:
+    cur = one
+    for e in range(1, hi + 1):
+        cur = cur.mul(base)
+        pows[e] = cur
+    if lo < 0:
         inv = base.invert_unit()
         cur = one
-        for e in range(1, max(negs) + 1):
+        for e in range(1, -lo + 1):
             cur = cur.mul(inv)
             pows[-e] = cur
+    return pows
+
+
+def _substitute(g: ULaurent, pows: dict[int, TruncSeries]) -> TruncSeries:
+    """g at u = 1 + s, reading (1 + s)^e from a table _powers built."""
+    out = TruncSeries.zero(g.n, g.D)
     for e, coeff in g.terms.items():
         out = out.add(coeff.mul(pows[e]))
     return out
 
 
-def _hpart(s: TruncSeries, d: int) -> TruncSeries:
-    return TruncSeries(s.n, s.D, {e: c for e, c in s.terms.items() if sum(e) == d})
+def _eval_at(g: ULaurent, s: TruncSeries) -> TruncSeries:
+    """Substitute u = 1 + s into g, exactly, truncating at the shared D."""
+    return _substitute(g, _powers(s, *_span(g)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,15 +216,19 @@ def solve_s(n: int, D: int) -> TruncSeries:
 
     At each degree d the defect of the current partial solution is itself
     the homogeneous correction s_d, because the u-derivative of the
-    section at u=1 has constant term -1.
+    section at u=1 has constant term -1.  Step d needs the defect through
+    degree d only, so it runs at precision d, on the section cut there:
+    s has no terms of degree d or more yet, and the defect at precision d
+    is exactly s_d.  The steps never see degrees above their own, so
+    the vanishing check at full D is what proves the whole chain.
     """
     th = theta_full_chart0(n, D)
     s = TruncSeries.zero(n, D)
     for d in range(1, D + 1):
-        residual = _eval_at(th, s)
+        residual = _eval_at(_cut(th, d), TruncSeries._raw(n, d, s.terms))
         if any(sum(e) < d for e in residual.terms):
             raise InvariantError("lower defect survived")
-        s = s.add(_hpart(residual, d))
+        s = s.add(TruncSeries._raw(n, D, residual.terms))
     if not _eval_at(th, s).is_zero():
         raise InvariantError("root substitution left a nonzero residual")
     return s
@@ -237,12 +253,15 @@ def _point_data(n: int, D: int):
     """Evaluations at the base point of every residue part and its
     logarithmic derivative, the inverse of the full-section derivative,
     and the residue R_0 that every R_i rotates."""
-    th = []
-    dth = []
+    parts = []
     for l in range(n):
         g = theta_chart0(l, n, D)
-        th.append(eval_at_p0(g, n, D))
-        dth.append(eval_at_p0(d_log_derivative(g), n, D))
+        parts += [g, d_log_derivative(g)]
+    # one power table over the span of the parts themselves: a part need
+    # not lie inside the full section's span
+    pows = _powers(solve_s(n, D), *_span(*parts))
+    vals = [_substitute(g, pows) for g in parts]
+    th, dth = vals[0::2], vals[1::2]
     dth_full = TruncSeries.zero(n, D)
     for s in dth:
         dth_full = dth_full.add(s)

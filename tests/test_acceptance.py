@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 
+import diagonal_oracle
 from mirror_ring import floer, moduli, plgeom, quiver, theta, toric
 from mirror_ring.series import TruncSeries
 from mirror_ring.theta import ThetaIndex, basis_indices, build_table
@@ -131,7 +132,23 @@ def test_criterion_3_root_series_and_residues():
         for i in range(n):
             if moduli.residue_R(i, n, D).constant_term() != 1:
                 failures.append((n, i, "residue constant"))
-    _verdict(3, "root series closed forms, vanishing, residue units", failures)
+    # closed forms on the diagonal, at a D where the triple products' x
+    # factor t^(n(n+1)/2) enters the window
+    D = 10
+    for n in (2, 3, 4):
+        r0 = diagonal_oracle.diagonal(moduli.residue_R(0, n, D))
+        if diagonal_oracle.mul(r0, diagonal_oracle.cube(D)) != (
+            diagonal_oracle.residue_times_cube(n, D)
+        ):
+            failures.append((n, "R_0 on the diagonal"))
+        b0 = diagonal_oracle.diagonal(moduli.coords_b(n, D)[1][0])
+        if b0 != diagonal_oracle.diagonal_b0(n, D):
+            failures.append((n, "b_0 on the diagonal"))
+    _verdict(
+        3,
+        "root series closed forms, vanishing, residue units, diagonal R_0 and b_0",
+        failures,
+    )
 
 
 def test_criterion_4_ring_laws():

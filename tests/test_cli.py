@@ -1,6 +1,7 @@
 """Command line behavior: determinism, exit codes, report shapes."""
 
 import errno
+import hashlib
 import json
 import os
 import pathlib
@@ -56,6 +57,22 @@ def test_moduli_report_matches_golden(tmp_path):
     assert text == (GOLDEN / "cli_moduli_n3.json").read_text()
     report = json.loads(text)
     assert {"s", "R_0", "R_1", "R_2", "b_0", "b_0_2", "c_2_3"} <= set(report)
+
+
+# sha256 of the reports at sizes above the goldens' D = 3, where solve_s
+# takes more steps than the goldens exercise
+@pytest.mark.parametrize(
+    "n, D, digest",
+    [
+        (4, 8, "c126f1c92cc31e89d8d91afc389ce8c737b3968ceffff0656fc7d584d8147eb3"),
+        (5, 6, "dab199e57e27f0039e416b941cc6cb1efcb082f9bc4a1868d2104767328f4b7a"),
+    ],
+)
+def test_moduli_report_digest_above_golden_size(tmp_path, n, D, digest):
+    argv = ["moduli", "--n", str(n), "--trunc", str(D)]
+    rc, text = run_to_file(tmp_path, "m.json", argv)
+    assert rc == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_moduli_single_component_has_only_root_series(capsys):

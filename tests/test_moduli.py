@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import diagonal_oracle
 from mirror_ring import moduli
 from mirror_ring.moduli import (
     ULaurent,
@@ -20,6 +21,7 @@ from mirror_ring.moduli import (
     theta_chart0,
     theta_full_chart0,
 )
+from mirror_ring.plgeom import InvariantError
 from mirror_ring.series import TruncSeries
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
@@ -146,6 +148,80 @@ def test_root_series_vanishes_on_the_diagonal(n):
     for e, c in s.iter_terms():
         by_degree[sum(e)] += c
     assert by_degree == [0] * (D + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_residue_on_the_diagonal_is_a_triple_product_quotient(n):
+    """R_0(t,...,t) times prod(1 - t^m)^3 is theta_0's triple product at
+    u = 1.  At D = 10 the x factor t^(n(n+1)/2) enters the window for
+    n <= 4."""
+    D = 10
+    got = diagonal_oracle.diagonal(residue_R(0, n, D))
+    lhs = diagonal_oracle.mul(got, diagonal_oracle.cube(D))
+    assert lhs == diagonal_oracle.residue_times_cube(n, D)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_diagonal_b_on_the_diagonal_is_a_lambert_difference(n):
+    D = 10
+    got = diagonal_oracle.diagonal(coords_b(n, D)[1][0])
+    assert got == diagonal_oracle.diagonal_b0(n, D)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lower_precision_is_a_truncation(n):
+    """Step d of solve_s runs at precision d, so a wrong cut would show as
+    a series at D that disagrees with the one at d below degree d."""
+    top = 8
+
+    def values(D):
+        return [solve_s(n, D), residue_R(0, n, D), coords_b(n, D)[1][0]]
+
+    full = values(top)
+    for d in range(top):
+        cut = [TruncSeries(n, d, f.terms) for f in full]
+        assert values(d) == cut, (n, d)
+
+
+def test_cut_section_is_the_section_at_lower_precision():
+    for n in (1, 2, 4):
+        g = theta_full_chart0(n, 8)
+        for d in range(9):
+            assert moduli._cut(g, d) == theta_full_chart0(n, d)
+
+
+def test_eval_of_zero_is_zero():
+    n, D = 3, 4
+    zero = ULaurent(n, D)
+    assert moduli._eval_at(zero, solve_s(n, D)) == TruncSeries.zero(n, D)
+
+
+def test_final_check_catches_a_corrupt_last_step(monkeypatch):
+    """Each step sees the residual only through its own degree, so a wrong
+    degree-D correction passes every step; the full-D check at the end is
+    what proves the root."""
+    n, D = 2, 4
+    real = moduli._eval_at
+    seen = []
+
+    def drop_one(g, s):
+        out = real(g, s)
+        seen.append(s.D)
+        if len(seen) == D:
+            assert not out.is_zero()
+            first = min(out.terms)
+            out = TruncSeries(n, s.D, {e: c for e, c in out.terms.items() if e != first})
+        return out
+
+    moduli.solve_s.cache_clear()
+    monkeypatch.setattr(moduli, "_eval_at", drop_one)
+    try:
+        with pytest.raises(InvariantError, match="nonzero residual"):
+            solve_s(n, D)
+    finally:
+        moduli.solve_s.cache_clear()
+    # steps 1..D at their own precision, then the check at D
+    assert seen == [1, 2, 3, 4, 4]
 
 
 def test_substitute_back_vanishes():
