@@ -19,6 +19,7 @@ def diagonal(f) -> list[int]:
 
 
 def mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two series cut at the same degree."""
     D = len(a) - 1
     out = [0] * (D + 1)
     for i, x in enumerate(a):
@@ -29,7 +30,7 @@ def mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _one_minus(c: int, k: int, D: int) -> list[int]:
-    """1 - c t^k, with c = +-1 and k >= 0."""
+    """1 - c t^k, with c = +-1 and k >= 1."""
     out = [0] * (D + 1)
     out[0] = 1
     if k <= D:
