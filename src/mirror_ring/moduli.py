@@ -251,7 +251,7 @@ def _ensure_multi(n: int):
 @functools.lru_cache(maxsize=None)
 def _point_data(n: int, D: int):
     """Evaluations at the base point of every residue part and its
-    logarithmic derivative, the inverse of the full-section derivative,
+    logarithmic derivative, the full-section derivative and its inverse,
     and the residue R_0 that every R_i rotates."""
     parts = []
     for l in range(n):
@@ -269,7 +269,7 @@ def _point_data(n: int, D: int):
     r0 = th[0].mul(inv_dth_full).neg()
     if r0.constant_term() != 1:
         raise InvariantError("residue is not 1 at t=0")
-    return th, dth, inv_dth_full, r0
+    return th, dth, dth_full, inv_dth_full, r0
 
 
 def residue_R(i: int, n: int, D: int) -> TruncSeries:
@@ -299,33 +299,32 @@ def coords_b(n: int, D: int):
     b_i is its rotation by i.  Multiplying every residue part by one unit
     e(u) changes the local frame but not the point, and leaves b_i as it
     is: the log-derivative of e cancels in the ratio.
+
+    b_(0,j) is the rotation by -j of theta'_l/Theta' with l = n - j, times
+    the inverse of R_0 = -theta_0/Theta', which is -Theta'/theta_0 and so
+    needs no inversion of its own.  Rotation is a ring automorphism, so
+    b_(i,j) is b_(0,j-i) rotated by -i: only the n - 2 products b_(0,j)
+    are formed.
     """
     _ensure_multi(n)
-    th, dth, inv_dth_full, r0 = _point_data(n, D)
+    th, dth, dth_full, inv_dth_full, _ = _point_data(n, D)
     for l in range(1, n - 1):
         if th[l].constant_term() != 0:
             raise InvariantError(
                 f"residue-{l} part has a nonzero value at t=0 at the base point"
             )
-    core_lh = {
-        l: dth[l].mul(inv_dth_full) for l in range(1, n - 1)
-    }
-    # R_i is R_0 rotated and rotation is a ring automorphism, so the
-    # inverse of R_i is the same rotation of the inverse of R_0
-    r0_inv = r0.invert_unit()
+    th0_inv = th[0].invert_unit()
+    r0_inv = dth_full.mul(th0_inv).neg()
     b_off = {}
-    for i in range(n):
-        r_inv = r0_inv.rotate(-i)
-        for j in range(n):
-            if j == i or j == (i + 1) % n:
-                continue
-            l = (i - j) % n
-            val = core_lh[l].rotate(-j).mul(r_inv)
+    for j in range(2, n):
+        b0j = dth[n - j].mul(inv_dth_full).rotate(-j).mul(r0_inv)
+        for i in range(n):
+            val = b0j.rotate(-i)
             if val.constant_term() != 0:
                 raise InvariantError("off-diagonal value at t=0 is nonzero")
-            b_off[(i, j)] = val
+            b_off[(i, (i + j) % n)] = val
     core_diag = dth[n - 1].mul(th[n - 1].invert_unit()).sub(
-        dth[0].mul(th[0].invert_unit())
+        dth[0].mul(th0_inv)
     )
     if core_diag.constant_term() != 1:
         raise InvariantError("diagonal value at t=0 is not 1")
@@ -346,25 +345,21 @@ def coords_c(n: int, D: int) -> dict:
 
 
 def coords_c_from_b(n: int, D: int, b_off: dict, b_diag: dict) -> dict:
-    """coords_c from the (b_off, b_diag) values coords_b(n, D) returned."""
+    """coords_c from the (b_off, b_diag) values coords_b(n, D) returned.
 
-    def boff(r: int, j: int) -> TruncSeries:
-        return b_off[(r % n, j % n)]
-
+    Each column j is one running sum: c_(i,j) is c_(i-1,j) plus
+    b_(i-1,j), a term that is absent for i - 1 = j - 1 and is the
+    diagonal b_j for i - 1 = j.
+    """
     out = {}
-    for i in range(2, n + 1):
-        for j in range(2, n + 1):
-            if i == j:
-                continue
-            if i < j:
-                acc = TruncSeries.zero(n, D)
-                for r in range(1, i):
-                    acc = acc.add(boff(r, j))
-            else:
-                acc = b_diag[j % n]
-                for r in range(1, i):
-                    if r in (j - 1, j):
-                        continue
-                    acc = acc.add(boff(r, j))
-            out[(i, j)] = acc
+    for j in range(2, n + 1):
+        acc = TruncSeries.zero(n, D)
+        for i in range(2, n + 1):
+            r = i - 1
+            if r == j:
+                acc = acc.add(b_diag[j % n])
+            elif r != j - 1:
+                acc = acc.add(b_off[(r, j % n)])
+            if i != j:
+                out[(i, j)] = acc
     return out

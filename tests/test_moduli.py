@@ -322,7 +322,7 @@ def test_residues_and_diagonal_b_are_frame_independent(monkeypatch):
 
 
 def test_coords_b_shape_and_constants():
-    for n, D in ((2, 4), (3, 3), (4, 2)):
+    for n, D in ((2, 4), (3, 3), (4, 2), (5, 2), (6, 1)):
         b_off, b_diag = coords_b(n, D)
         assert set(b_diag) == set(range(n))
         expected_off = {
@@ -344,6 +344,43 @@ def test_coords_b_rotation_covariance():
             assert v.rotate(-1) == b_diag[(i + 1) % n]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_coords_b_and_c_match_the_per_pair_formulas(n):
+    """coords_b forms one b_(0,j) per rotation orbit and coords_c keeps one
+    running sum per column, so rotation covariance holds by construction.
+    Here every b_(i,j) is multiplied out on its own, as
+    rot(theta'_l/Theta', -j) * rot(R_0^-1, -i) with l = i - j mod n and
+    R_0^-1 inverted directly, and every c_(i,j) is summed from scratch."""
+    D = 4
+    parts = [theta_chart0(l, n, D) for l in range(n)]
+    dth = [eval_at_p0(d_log_derivative(g), n, D) for g in parts]
+    inv_dth_full = eval_at_p0(
+        d_log_derivative(theta_full_chart0(n, D)), n, D
+    ).invert_unit()
+    r0_inv = residue_R(0, n, D).invert_unit()
+    want_b = {}
+    for i in range(n):
+        for j in range(n):
+            if j in (i, (i + 1) % n):
+                continue
+            lh = dth[(i - j) % n].mul(inv_dth_full)
+            want_b[(i, j)] = lh.rotate(-j).mul(r0_inv.rotate(-i))
+    b_off, b_diag = coords_b(n, D)
+    assert b_off == want_b
+
+    want_c = {}
+    for i in range(2, n + 1):
+        for j in range(2, n + 1):
+            if i == j:
+                continue
+            acc = TruncSeries.zero(n, D) if i < j else b_diag[j % n]
+            for r in range(1, i):
+                if r not in (j - 1, j):
+                    acc = acc.add(want_b[(r % n, j % n)])
+            want_c[(i, j)] = acc
+    assert coords_c(n, D) == want_c
+
+
 def test_coords_integer_coefficients():
     for n in (2, 3):
         b_off, b_diag = coords_b(n, 4)
@@ -356,7 +393,7 @@ def test_coords_integer_coefficients():
 
 
 def test_coords_c_case_formula_constants():
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         c = coords_c(n, 3)
         keys = {(i, j) for i in range(2, n + 1) for j in range(2, n + 1) if i != j}
         assert set(c) == keys
