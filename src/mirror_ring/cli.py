@@ -26,6 +26,7 @@ from functools import partial
 
 from . import floer, moduli, quiver, theta
 from .plgeom import InvariantError
+from .series import TruncSeries
 
 # the C escaper json.dumps uses for str with ensure_ascii
 _escape = json.encoder.encode_basestring_ascii
@@ -54,41 +55,70 @@ def _check_ranges(args: argparse.Namespace):
 
 def _json_text(obj) -> str:
     """The text json.dumps gives obj with a two-space indent and sorted
-    keys, plus a newline.
+    keys, plus a newline, where each TruncSeries stands for its
+    ``to_json_obj()``.
 
     With an indent, json.dumps runs its pure-Python encoder; this writer
     joins each container's items once and escapes strings with the same
-    C escaper.  It takes only what the reports hold: dicts with str keys,
-    lists, str, int, bool and None.  Anything else raises TypeError.
+    C escaper.  A series is written straight from its sorted terms, and a
+    list met again at the same depth, as a table's shared result is,
+    reuses the text written the first time.  It takes only what the
+    reports hold: dicts with str keys, lists, TruncSeries, str, int, bool
+    and None.  Anything else raises TypeError.
     """
-    return _json_value(obj, "\n") + "\n"
+    return _json_value(obj, "\n", {}) + "\n"
 
 
-def _json_value(obj, newline: str) -> str:
+def _json_value(obj, newline: str, done: dict) -> str:
+    # done maps (id, indent) of each list written in this call to its
+    # text; the tree holds every list until the call returns, so no id is
+    # reused while done is alive
     kind = type(obj)
     if kind is str:
         return _escape(obj)
     if kind is int:
         return int.__repr__(obj)
+    if kind is TruncSeries:
+        return _series_text(obj, newline)
     if kind is list:
         if not obj:
             return "[]"
         inner = newline + "  "
         if all(type(x) is int for x in obj):
-            items = map(int.__repr__, obj)
-        else:
-            items = [_json_value(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]"
+        key = (id(obj), len(newline))
+        text = done.get(key)
+        if text is None:
+            items = [_json_value(x, inner, done) for x in obj]
+            text = done[key] = "[" + inner + ("," + inner).join(items) + newline + "]"
+        return text
     if kind is dict:
         if not obj:
             return "{}"
         inner = newline + "  "
         # the escaper raises TypeError on a key that is not a str
-        items = [_escape(key) + ": " + _json_value(obj[key], inner) for key in sorted(obj)]
+        items = [_escape(key) + ": " + _json_value(obj[key], inner, done) for key in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if obj is None or kind is bool:
         return _LITERALS[obj]
     raise TypeError(f"cannot write {kind.__name__} to a report")
+
+
+def _series_text(s: TruncSeries, newline: str) -> str:
+    """The text of s.to_json_obj(): keys "D", "n", "terms", each term's
+    keys "c" (its coefficient quoted) and "e" (one exponent a line)."""
+    i2 = newline + "  "
+    i4 = i2 + "  "
+    head = "{" + i2 + f'"D": {s.D},' + i2 + f'"n": {s.n},' + i2 + '"terms": '
+    if not s.terms:
+        return head + "[]" + newline + "}"
+    i6 = i4 + "  "
+    i8 = i6 + "  "
+    # one term's text; str(c) is digits and a sign, which need no escape
+    exps = ("," + i8).join(["%d"] * s.n)
+    term = "{" + i6 + '"c": "%s",' + i6 + '"e": [' + i8 + exps + i6 + "]" + i4 + "}"
+    items = [term % (c, *e) for e, c in sorted(s.terms.items())]
+    return head + "[" + i4 + ("," + i4).join(items) + i2 + "]" + newline + "}"
 
 
 def _emit(path: str | None, text: str):
@@ -149,18 +179,18 @@ def _run_verify(args) -> int:
 
 def _run_moduli(args) -> int:
     n, D = args.n, args.trunc
-    out = {"n": n, "D": D, "s": moduli.solve_s(n, D).to_json_obj()}
+    out = {"n": n, "D": D, "s": moduli.solve_s(n, D)}
     if n >= 2:
         for i in range(n):
-            out[f"R_{i}"] = moduli.residue_R(i, n, D).to_json_obj()
+            out[f"R_{i}"] = moduli.residue_R(i, n, D)
         b_off, b_diag = moduli.coords_b(n, D)
         for (i, j), v in b_off.items():
-            out[f"b_{i}_{j}"] = v.to_json_obj()
+            out[f"b_{i}_{j}"] = v
         for i, v in b_diag.items():
-            out[f"b_{i}"] = v.to_json_obj()
+            out[f"b_{i}"] = v
         if n >= 3:
             for (i, j), v in moduli.coords_c_from_b(n, D, b_off, b_diag).items():
-                out[f"c_{i}_{j}"] = v.to_json_obj()
+                out[f"c_{i}_{j}"] = v
     _emit(args.output, _json_text(out))
     return 0
 

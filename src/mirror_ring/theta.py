@@ -124,7 +124,7 @@ class RingElement:
 
     def to_json_obj(self) -> list:
         return [
-            {"p": class_text(a, self.m), "series": s.to_json_obj()}
+            {"p": class_text(a, self.m), "series": s}
             for a, s in self.items()
         ]
 
@@ -199,26 +199,39 @@ class StructureTable:
 
     def to_json_obj(self) -> dict:
         # (a, b) and (b, a) hold one element, so each element is converted
-        # once and its entries share the result list
+        # once and its entries share the result list; each label's dict is
+        # built once and shared too
         results: dict[int, list] = {}
+        labels: dict[ThetaIndex, dict] = {}
         entries = []
         for a, b in self.sorted_keys():
             elem = self.entries[(a, b)]
             result = results.get(id(elem))
             if result is None:
                 result = results[id(elem)] = elem.to_json_obj()
-            entries.append({"a": a.to_json_obj(), "b": b.to_json_obj(), "result": result})
+            for x in (a, b):
+                if x not in labels:
+                    labels[x] = x.to_json_obj()
+            entries.append({"a": labels[a], "b": labels[b], "result": result})
         return {"n": self.n, "D": self.D, "entries": entries}
 
     def to_csv(self) -> str:
         """One monomial per row: flat, diff-friendly dump of the table."""
         lines = ["m1,p1,m2,p2,p_out,exponents,coeff"]
+        # (a, b) and (b, a) hold one element: its p_out,exponents,coeff
+        # suffixes are built once and each entry prefixes its own head
+        tails: dict[int, list[str]] = {}
         for a, b in self.sorted_keys():
             elem = self.entries[(a, b)]
+            rows = tails.get(id(elem))
+            if rows is None:
+                rows = tails[id(elem)] = [
+                    f",{Fraction(a3, elem.m)},{' '.join(map(str, e))},{c}"
+                    for a3, s in elem.items()
+                    for e, c in s.iter_terms()
+                ]
             head = f"{a.m},{a.p},{b.m},{b.p}"
-            for a3, s in elem.items():
-                p3 = Fraction(a3, elem.m)
-                lines += [f"{head},{p3},{' '.join(map(str, e))},{c}" for e, c in s.iter_terms()]
+            lines += [head + row for row in rows]
         return "\n".join(lines) + "\n"
 
 

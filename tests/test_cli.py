@@ -75,6 +75,33 @@ def test_moduli_report_digest_above_golden_size(tmp_path, n, D, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30"
+
+
+# sha256 of the reports at the benchmark's own sizes
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["theta", "--n", "5", "--max-m", "4", "--trunc", "12"], TABLE_DIGEST),
+        (["floer-direct", "--n", "5", "--max-m", "4", "--trunc", "12"], TABLE_DIGEST),
+        (["floer-brion", "--n", "5", "--max-m", "4", "--trunc", "12"], TABLE_DIGEST),
+        (
+            ["theta", "--n", "5", "--max-m", "4", "--trunc", "12", "--format", "csv"],
+            "f0be530b6320cea17c7e0bd8b0ec54b356b5c364806a687269b23be85704c5c8",
+        ),
+        (
+            ["moduli", "--n", "4", "--trunc", "12"],
+            "a93d79c6777265e5d468ead85082c05d7cb49468c97a9dc7a78def723d852b6b",
+        ),
+    ],
+    ids=["theta", "floer-direct", "floer-brion", "theta-csv", "moduli"],
+)
+def test_report_digest_at_benchmark_size(tmp_path, argv, digest):
+    rc, text = run_to_file(tmp_path, "r.out", argv)
+    assert rc == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_moduli_single_component_has_only_root_series(capsys):
     assert main(["moduli", "--n", "1", "--trunc", "4"]) == 0
     report = json.loads(capsys.readouterr().out)

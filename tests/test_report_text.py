@@ -8,21 +8,41 @@ from hypothesis import strategies as st
 
 from mirror_ring import cli, theta
 from mirror_ring.cli import main
+from mirror_ring.series import TruncSeries
+
+
+def plain(obj):
+    """obj with every TruncSeries replaced by its to_json_obj()."""
+    if isinstance(obj, TruncSeries):
+        return obj.to_json_obj()
+    if isinstance(obj, list):
+        return [plain(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    return obj
 
 
 def reference(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(plain(obj), indent=2, sort_keys=True) + "\n"
 
 
 # quotes, backslashes, control characters, non-ASCII and a lone surrogate
 TRICKY = '"\\/\x00\x07\x1f\x7f\b\f\n\r\t é€ \ud800😀'
 texts = st.text(st.sampled_from(TRICKY) | st.characters(), max_size=8)
-scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(2**80), max_value=2**80)
-    | texts
-)
+big = st.integers(min_value=-(2**80), max_value=2**80)
+
+
+@st.composite
+def series(draw):
+    """A series with n 1..5 and D 0..6; terms above D drop, so some are
+    empty, and coefficients reach past 2**64 on both sides."""
+    n = draw(st.integers(1, 5))
+    D = draw(st.integers(0, 6))
+    exps = st.tuples(*[st.integers(0, D)] * n)
+    return TruncSeries(n, D, draw(st.dictionaries(exps, big, max_size=6)))
+
+
+scalars = st.none() | st.booleans() | big | texts | series()
 trees = st.recursive(
     scalars,
     lambda kids: st.lists(kids, max_size=5)
@@ -32,20 +52,44 @@ trees = st.recursive(
 )
 
 
+@st.composite
+def shared_trees(draw):
+    """A tree holding one list object twice at one depth and once deeper,
+    as a table holds one result list for (a, b) and (b, a)."""
+    shared = draw(st.lists(trees, min_size=1, max_size=3))
+    return [shared, {"deeper": [shared, draw(trees)]}, shared]
+
+
+SERIES = TruncSeries(3, 4, {(0, 1, 2): -(2**70), (0, 0, 0): 1, (4, 0, 0): 2**64 + 1})
+SHARED = [{"p": "1/2", "series": SERIES}, SERIES]
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
-@given(trees)
+@given(trees | shared_trees())
 @example([])
 @example({})
 @example({"": [[], {}, [[]], {"a": {}}]})
 @example([1, True, -2, False, None])
 @example({"k\"\\\n": -(2**70), "é": 2**64, "\x00": [2**64 + 1, -1, 0]})
+@example(TruncSeries(2, 0))
+@example({"s": SERIES, "empty": TruncSeries(1, 3), "t": [TruncSeries(5, 6, {(1,) * 5: -1})]})
+@example({"a": SHARED, "b": SHARED, "c": [SHARED, {"d": SHARED}]})
 def test_json_text_matches_stdlib_encoder(tree):
     assert cli._json_text(tree) == reference(tree)
 
 
 @pytest.mark.parametrize(
     "bad",
-    [1.5, (1, 2), {1: "x"}, {"a": [0, 1.0]}, [{"b": (3,)}], {"c": {2: 0}}],
+    [
+        1.5,
+        (1, 2),
+        {1: "x"},
+        {"a": [0, 1.0]},
+        [{"b": (3,)}],
+        {"c": {2: 0}},
+        theta.RingElement(1, 2, 3),
+        {"r": [theta.RingElement(2, 1, 0)]},
+    ],
 )
 def test_json_text_refuses_other_types(bad):
     with pytest.raises(TypeError):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirror_ring import floer, plgeom, theta
+from mirror_ring import cli, floer, plgeom, theta
 from mirror_ring.series import TruncSeries
 from mirror_ring.theta import (
     RingElement,
@@ -346,6 +346,47 @@ def test_specialize_against_golden():
         assert got == data[str(n)], f"n-gon table drifted at n={n}"
 
 
+def ngon_rule(n: int, a: ThetaIndex, b: ThetaIndex) -> dict:
+    """The product x_a * x_b on the n-gon, read from the supports alone.
+
+    A weight-m class a/m is a tent on the circle R/nZ, cut at the integers
+    into the n components.  Two sections multiply to a nonzero section
+    only where their supports share a component: the term of the lift
+    b2 = a2 + m2*n*k is +1 at class (a1 + b2) mod (m3*n) when a1/m1 and
+    b2/m2 lie in one closed interval [i, i + 1].
+    """
+    m3 = a.m + b.m
+    out: dict[Fraction, int] = {}
+    for k in range(-2, 3):
+        b2 = b.a + b.m * n * k
+        lo, hi = sorted((Fraction(a.a, a.m), Fraction(b2, b.m)))
+        if hi <= math.floor(lo) + 1:
+            p3 = Fraction((a.a + b2) % (m3 * n), m3)
+            out[p3] = out.get(p3, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ngon_fiber_matches_support_rule(n):
+    """The t = 0 fiber against a rule that reads no exponent kernel."""
+    spec = specialize_ngon(build_table(n, 3, 0))
+    assert spec == {(a, b): ngon_rule(n, a, b) for a, b in basis_pairs(n, 3)}
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_ngon_weight_one_products_vanish_on_non_adjacent_pairs(n):
+    """x_i * x_j = 0 at t = 0 exactly when i and j are not neighbours on
+    the n-gon: the n(n-3)/2 quadrics that cut it out of P^(n-1)."""
+    spec = specialize_ngon(build_table(n, 1, 0))
+    vanish = {frozenset((a.a, b.a)) for (a, b), consts in spec.items() if not consts}
+    apart = {
+        frozenset((i, j)) for i in range(n) for j in range(n)
+        if (i - j) % n not in (0, 1, n - 1)
+    }
+    assert vanish == apart
+    assert len(vanish) == n * (n - 3) // 2
+
+
 def test_integer_exponent_matches_fraction_reference():
     """theta._exponent equals plgeom.t_exponent for every slot j and every
     admissible k at D = 12, over every basis pair with n <= 5, m <= 4."""
@@ -395,8 +436,9 @@ def test_theta_route_is_independent_of_the_other_routes(monkeypatch):
 
 
 def test_json_schema_shape():
+    """The keys of the table report, read back from the text it writes."""
     table = build_table(2, 1, 2)
-    obj = table.to_json_obj()
+    obj = json.loads(cli._json_text(table.to_json_obj()))
     assert set(obj) == {"n", "D", "entries"}
     assert obj["n"] == 2 and obj["D"] == 2
     entry = obj["entries"][0]
