@@ -9,7 +9,11 @@ evaluation which needs no perturbation at all.  Both must agree with the
 piecewise-linear formula in `plgeom`, and the resulting product must match
 `theta.theta_product` coefficient by coefficient.  The k-window, the
 degree cut and the output class are theta.assemble's, which takes each
-route's kernel; the kernels never call theta's own.
+route's kernel; the kernels never call theta's own.  Both kernels count
+all n slots of a lifted triangle at once, in the integer frame
+a = m*p.  Since the routes share everything but the kernel,
+`mirror_verify` compares the three kernels' exponent tuples k by k and
+builds the products only for a pair whose tuples disagree.
 """
 
 from __future__ import annotations
@@ -176,50 +180,73 @@ def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     )
 
 
-def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
-    """Vertex-cone count of the same lattice points, no perturbation.
+def _site(n: int, m1: int, a1: int, m2: int, a2: int, k: int, j: int) -> str:
+    """Where a Brion check failed, with each class spelled p = a/m."""
+    p1, p2 = theta.class_text(a1, m1), theta.class_text(a2, m2)
+    return f"n={n} m=({m1},{m2}) p=({p1},{p2}) k={k} j={j}"
+
+
+def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
+    """Vertex-cone counts of the k-th lifted triangle's lattice points, no
+    perturbation, for every slot j; a1 = m1*p1 and a2 = m2*p2 are integers.
 
     Each corner of the triangle contributes a two-term polynomial read off
     from the primitive parallelogram of its cone; the combination
     h(x) = g1(x) + x^2 g2(x) - x g3(x) vanishes to second order at x=1 and
     the count is h''(1)/2.  Both vanishing statements and the r-identity
-    are checked on every call.
+    are checked for every slot.
     """
-    a1, a2 = plgeom.scaled_index(m1, p1), plgeom.scaled_index(m2, p2)
     m3 = m1 + m2
-    q1, r1 = divmod(a1 + m1 * j, m1 * n)
-    q2, r2 = divmod(a2 + m2 * (k * n + j), m2 * n)
-    q3, r3 = divmod(a1 + a2 + m2 * k * n + m3 * j, m3 * n)
-    if r1 + r2 - r3 != n * (m3 * q3 - m2 * q2 - m1 * q1):
-        raise InvariantError(
-            f"remainder identity violated at n={n} m=({m1},{m2}) "
-            f"p=({p1},{p2}) k={k} j={j}"
+    w1, w2, w3 = m1 * n, m2 * n, m3 * n
+    b2 = a2 + m2 * n * k
+    counts = []
+    for j in range(n):
+        q1, r1 = divmod(a1 + m1 * j, w1)
+        q2, r2 = divmod(b2 + m2 * j, w2)
+        q3, r3 = divmod(a1 + b2 + m3 * j, w3)
+        if r1 + r2 - r3 != n * (m3 * q3 - m2 * q2 - m1 * q1):
+            raise InvariantError(
+                f"remainder identity violated at {_site(n, m1, a1, m2, a2, k, j)}"
+            )
+        # the six (exponent, coefficient) terms of h; a repeated exponent
+        # only splits a coefficient, and every check below is linear in
+        # the terms
+        h = (
+            (q1 + 1, w1 - r1),
+            (q1 + 2, r1),
+            (q2 + 1, w2 - r2),  # x^2 * g2
+            (q2 + 2, r2),
+            (q3 + 1, r3 - w3),  # -x * g3
+            (q3 + 2, -r3),
         )
-    # the six (exponent, coefficient) terms of h; a repeated exponent only
-    # splits a coefficient, and every check below is linear in the terms
-    h = (
-        (q1 + 1, n * m1 - r1),
-        (q1 + 2, r1),
-        (q2 + 1, n * m2 - r2),  # x^2 * g2
-        (q2 + 2, r2),
-        (q3 + 1, r3 - n * m3),  # -x * g3
-        (q3 + 2, -r3),
-    )
-    h1 = dh1 = twice = 0  # h(1), h'(1) and h''(1)
-    for e, c in h:
-        h1 += c
-        dh1 += c * e
-        twice += c * e * (e - 1)
-    if h1 != 0:
-        raise InvariantError(f"h(1) != 0 at {(n, m1, p1, m2, p2, k, j)}")
-    if dh1 != 0:
-        raise InvariantError(f"h'(1) != 0 at {(n, m1, p1, m2, p2, k, j)}")
-    if twice % 2 or twice < 0:
-        raise InvariantError(
-            f"h''(1) = {twice} is not a nonnegative even number at "
-            f"{(n, m1, p1, m2, p2, k, j)}"
-        )
-    return twice // 2
+        h1 = dh1 = twice = 0  # h(1), h'(1) and h''(1)
+        for e, c in h:
+            h1 += c
+            dh1 += c * e
+            twice += c * e * (e - 1)
+        if h1 != 0:
+            raise InvariantError(f"h(1) != 0 at {_site(n, m1, a1, m2, a2, k, j)}")
+        if dh1 != 0:
+            raise InvariantError(f"h'(1) != 0 at {_site(n, m1, a1, m2, a2, k, j)}")
+        if twice % 2 or twice < 0:
+            raise InvariantError(
+                f"h''(1) = {twice} is not a nonnegative even number at "
+                f"{_site(n, m1, a1, m2, a2, k, j)}"
+            )
+        counts.append(twice // 2)
+    return tuple(counts)
+
+
+def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
+    """Slot j of _brion_counts, for indices p1, p2 (ints or Fractions)."""
+    return _brion_counts(n, m1, plgeom.scaled_index(m1, p1), m2, plgeom.scaled_index(m2, p2), k)[j]
+
+
+def _kernel(mode: str):
+    """The counting kernel of a mode, (n, m1, a1, m2, a2, k) -> the n slot
+    counts; read from the module at each call, so a patched kernel is the
+    one every caller uses."""
+    return _brion_counts if mode == "brion" else _lifted_counts
 
 
 def floer_product(n: int, m1: int, p1, m2: int, p2, D: int, mode: str) -> RingElement:
@@ -227,21 +254,18 @@ def floer_product(n: int, m1: int, p1, m2: int, p2, D: int, mode: str) -> RingEl
 
     mode selects the counting route for the t-exponents: "direct" for the
     enumeration perturbed by default_eps, "brion" for the closed form.
-    Each index is reduced once to a = m*p mod m*n; the direct route counts
+    Each index is reduced once to a = m*p mod m*n, and both routes count
     all n slots of each lifted triangle in that integer frame.
     """
     if mode not in COUNTING_MODES:
         raise ValueError(f"mode must be 'direct' or 'brion', got {mode!r}")
     a1 = plgeom.scaled_index(m1, p1) % (m1 * n)
     a2 = plgeom.scaled_index(m2, p2) % (m2 * n)
-    p1, p2 = Fraction(a1, m1), Fraction(a2, m2)
-    if mode == "brion":
-        def exponents(k):
-            return tuple(count_brion(n, m1, p1, m2, p2, k, j) for j in range(n))
-    else:
-        def exponents(k):
-            return _lifted_counts(n, m1, a1, m2, a2, k)
-    return theta.assemble(n, m1, p1, m2, p2, D, exponents)
+    count = _kernel(mode)
+    return theta.assemble(
+        n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), D,
+        lambda k: count(n, m1, a1, m2, a2, k),
+    )
 
 
 def _first_difference(lhs: RingElement, rhs: RingElement):
@@ -255,23 +279,44 @@ def _first_difference(lhs: RingElement, rhs: RingElement):
 
 def _verify_pair(args):
     """Per counting mode, the first difference from the closed form as a
-    failure entry, or None; the closed form is computed once for all."""
+    failure entry, or None.
+
+    The routes share assemble's k-window, degree cut and output class, so
+    a count whose exponent tuple equals theta's at every k of the window
+    gives theta's product.  A tuple that differs matters only where either
+    side's total degree is <= D; there the two products are built as a
+    whole and compared, since a term moved to another k may land on the
+    same monomial.  The closed form is built at most once per pair.
+    """
     n, a, b, D = args
-    rhs = theta.theta_product(a, b, n, D)
+    m1, a1, m2, a2 = a.m, a.a, b.m, b.a
+    p1, p2 = a.p, b.p
+    window = plgeom.admissible_k_range(n, m1, p1, m2, p2, D)
+    # each kernel is read from its module, so a patched one is compared
+    reference = [
+        tuple(theta._exponent(n, m1, p1, m2, p2, k, j) for j in range(n)) for k in window
+    ]
+    counted = [
+        [count(n, m1, a1, m2, a2, k) for k in window] for count in map(_kernel, COUNTING_MODES)
+    ]
+    rhs = None
     out = []
-    for mode in COUNTING_MODES:
-        lhs = floer_product(n, a.m, a.p, b.m, b.p, D, mode)
+    for mode, tuples in zip(COUNTING_MODES, counted):
         diff = None
-        if lhs != rhs:
-            a3, e, lc, rc = _first_difference(lhs, rhs)
-            diff = {
-                "mode": mode,
-                "a": a.to_json_obj(),
-                "b": b.to_json_obj(),
-                "monomial": {"p": theta.class_text(a3, lhs.m), "e": list(e)},
-                "lhs": str(lc),
-                "rhs": str(rc),
-            }
+        if any(c != r and (sum(c) <= D or sum(r) <= D) for c, r in zip(tuples, reference)):
+            if rhs is None:
+                rhs = theta.theta_product(a, b, n, D)
+            lhs = floer_product(n, m1, p1, m2, p2, D, mode)
+            if lhs != rhs:
+                a3, e, lc, rc = _first_difference(lhs, rhs)
+                diff = {
+                    "mode": mode,
+                    "a": a.to_json_obj(),
+                    "b": b.to_json_obj(),
+                    "monomial": {"p": theta.class_text(a3, lhs.m), "e": list(e)},
+                    "lhs": str(lc),
+                    "rhs": str(rc),
+                }
         out.append(diff)
     return out
 
@@ -279,8 +324,9 @@ def _verify_pair(args):
 def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     """Compare the triangle-count products against the closed form everywhere.
 
-    Runs over all generator pairs with weights up to max_m, computes the
-    closed form once per pair and checks both counting modes against it.
+    Runs over all generator pairs with weights up to max_m and, per pair,
+    compares both counting kernels' exponent tuples with the closed form's
+    k by k; products are built only for a pair whose tuples disagree.
     ``pairs_checked`` counts (pair, mode) checks, and the first differing
     monomial of every failing check is listed mode by mode, in pair order.
     The pair list and the merge order are fixed, so the report is

@@ -219,8 +219,10 @@ class StructureTable:
         """One monomial per row: flat, diff-friendly dump of the table."""
         lines = ["m1,p1,m2,p2,p_out,exponents,coeff"]
         # (a, b) and (b, a) hold one element: its p_out,exponents,coeff
-        # suffixes are built once and each entry prefixes its own head
+        # suffixes are built once and each entry prefixes its own head,
+        # joined from one m,p text per label
         tails: dict[int, list[str]] = {}
+        heads: dict[ThetaIndex, str] = {}
         for a, b in self.sorted_keys():
             elem = self.entries[(a, b)]
             rows = tails.get(id(elem))
@@ -230,7 +232,10 @@ class StructureTable:
                     for a3, s in elem.items()
                     for e, c in s.iter_terms()
                 ]
-            head = f"{a.m},{a.p},{b.m},{b.p}"
+            for x in (a, b):
+                if x not in heads:
+                    heads[x] = f"{x.m},{x.p}"
+            head = f"{heads[a]},{heads[b]}"
             lines += [head + row for row in rows]
         return "\n".join(lines) + "\n"
 

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from mirror_ring.floer import (
     mirror_verify,
     point_in_triangle,
 )
+from mirror_ring.plgeom import InvariantError
 from mirror_ring.series import TruncSeries
 from mirror_ring.theta import ThetaIndex, theta_product
 
@@ -268,6 +270,56 @@ def test_brion_takes_int_and_fraction_p():
         count_brion(3, 2, Fraction(1, 3), 1, 0, 0, 0)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m1=st.integers(1, 4),
+    m2=st.integers(1, 4),
+    a1=st.integers(-60, 60),
+    a2=st.integers(-60, 60),
+    k=st.integers(-30, 30),
+)
+@example(n=6, m1=4, m2=4, a1=-60, a2=60, k=-30)
+def test_brion_core_counts_every_slot(n, m1, m2, a1, a2, k):
+    """The integer core gives count_brion and the Fraction reference at
+    every slot, for classes outside [0, m*n) and negative k alike."""
+    p1, p2 = Fraction(a1, m1), Fraction(a2, m2)
+    counts = floer._brion_counts(n, m1, a1, m2, a2, k)
+    assert len(counts) == n
+    for j in range(n):
+        want = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
+        assert counts[j] == count_brion(n, m1, p1, m2, p2, k, j) == want
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        # a remainder off by one breaks the r-identity
+        (lambda q, r, w: (q, r + 1), "remainder identity violated at "),
+        # (q - 1, r + w) keeps the identity but lowers the count by r
+        (lambda q, r, w: (q - 1, r + w), "h''(1) = -10 is not a nonnegative even number at "),
+    ],
+    ids=["r-identity", "h''(1)"],
+)
+def test_brion_core_names_the_failing_slot(monkeypatch, shift, message):
+    """A corrupted first quotient of the core at a zero count (the
+    degenerate k = 0 of x_{2,1/2}^2 at n = 3, slot 2, with q1, r1 = 0, 5)
+    raises InvariantError naming n, m, p as the report spells it, k and
+    j."""
+    real = divmod
+    seen = []
+
+    def crooked(x, w):
+        q, r = real(x, w)
+        seen.append(None)
+        return shift(q, r, w) if len(seen) == 7 else (q, r)
+
+    monkeypatch.setattr(floer, "divmod", crooked, raising=False)
+    with pytest.raises(InvariantError) as info:
+        floer._brion_counts(3, 2, 1, 2, 1, 0)
+    assert str(info.value) == message + "n=3 m=(2,2) p=(1/2,1/2) k=0 j=2"
+
+
 def test_counting_routes_are_independent_of_the_theta_route(monkeypatch):
     """With theta's kernel and every profile-formula route made to raise,
     both counted tables still equal the theta table."""
@@ -376,20 +428,122 @@ def test_mirror_verify_caps_workers_at_pairs(monkeypatch):
     assert sizes == [4]
 
 
-def test_mirror_verify_one_reference_per_pair(monkeypatch):
+def _count_calls(monkeypatch, owner, name, record):
+    """Wrap owner.name so each call appends record(*args) to the list
+    returned."""
     calls = []
-    reference = theta.theta_product
+    original = getattr(owner, name)
 
     def counted(*args):
-        calls.append(args)
-        return reference(*args)
+        calls.append(record(*args))
+        return original(*args)
 
-    monkeypatch.setattr(theta, "theta_product", counted)
-    rep = mirror_verify(3, 2, 4, jobs=1)
-    pairs = (1 * 3 + 2 * 3) ** 2
-    assert len(calls) == pairs
-    assert rep["pairs_checked"] == 2 * pairs
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_mirror_verify_reads_theta_once_per_pair(monkeypatch):
+    """On a clean run verify reads theta's kernel at every slot of every k
+    in the window once per pair, not once per mode, and builds no product
+    of its own."""
+    n, max_m, D = 3, 2, 4
+    exponents = _count_calls(
+        monkeypatch, theta, "_exponent", lambda nn, m1, p1, m2, p2, k, j: (m1, p1, m2, p2)
+    )
+    products = _count_calls(monkeypatch, theta, "theta_product", lambda a, b, nn, DD: (a, b))
+    rep = mirror_verify(n, max_m, D, jobs=1)
+    pairs = theta.basis_pairs(n, max_m)
+    assert rep["pairs_checked"] == 2 * len(pairs) == 2 * 81
     assert rep["failures"] == []
+    assert products == []
+    assert Counter(exponents) == {
+        (a.m, a.p, b.m, b.p): n * len(plgeom.admissible_k_range(n, a.m, a.p, b.m, b.p, D))
+        for a, b in pairs
+    }
+
+
+def _theta_tuples(exponent, n, a, b, D):
+    """Theta's exponent tuple at every k of the pair's window."""
+    return [
+        tuple(exponent(n, a.m, a.p, b.m, b.p, k, j) for j in range(n))
+        for k in plgeom.admissible_k_range(n, a.m, a.p, b.m, b.p, D)
+    ]
+
+
+def test_mirror_verify_builds_the_closed_form_once_per_suspect_pair(monkeypatch):
+    """Under a corruption of theta's kernel, verify builds the closed form
+    once for each pair whose tuples differ from the counts at some k with
+    a total degree <= D, and for no other pair, though both modes
+    differ there.  Each suspect pair is then decided by its products."""
+    n, max_m, D = 2, 2, 6
+    good = theta._exponent
+    crooked = _swap_two_terms(good)
+    suspects = [
+        (a, b)
+        for a, b in theta.basis_pairs(n, max_m)
+        if any(
+            bad != clean and (sum(bad) <= D or sum(clean) <= D)
+            for bad, clean in zip(
+                _theta_tuples(crooked, n, a, b, D), _theta_tuples(good, n, a, b, D)
+            )
+        )
+    ]
+    assert 0 < len(suspects) < len(theta.basis_pairs(n, max_m))
+    monkeypatch.setattr(theta, "_exponent", crooked)
+    products = _count_calls(monkeypatch, theta, "theta_product", lambda a, b, nn, DD: (a, b))
+    failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
+    assert products == suspects
+    # a swap inside the window keeps the product: such suspects report nothing
+    failed = {(f["a"]["m"], f["a"]["p"], f["b"]["m"], f["b"]["p"]) for f in failures}
+    assert failed < {
+        (a.m, theta.class_text(a.a, a.m), b.m, theta.class_text(b.a, b.m)) for a, b in suspects
+    }
+
+
+def test_mirror_verify_ignores_differences_above_the_cut(monkeypatch):
+    """A corruption of theta's kernel that only touches tuples of total
+    degree > D, before and after, changes no product: verify reports
+    nothing and builds no product."""
+    n, max_m, D = 3, 2, 4
+    good = theta._exponent
+    touched = []
+
+    def crooked(nn, m1, p1, m2, p2, k, j):
+        val = good(nn, m1, p1, m2, p2, k, j)
+        if j == 0 and sum(good(nn, m1, p1, m2, p2, k, i) for i in range(nn)) > D:
+            touched.append((m1, p1, m2, p2, k))
+            return val + 1
+        return val
+
+    monkeypatch.setattr(theta, "_exponent", crooked)
+    products = _count_calls(monkeypatch, theta, "theta_product", lambda a, b, nn, DD: (a, b))
+    assert mirror_verify(n, max_m, D, jobs=1)["failures"] == []
+    assert touched
+    assert products == []
+
+
+def test_mirror_verify_reports_a_term_pulled_under_the_cut(monkeypatch):
+    """Theta's tuple zeroed wherever the true total degree is > D keeps a
+    term that the counts drop: only theta's side is under the cut, and
+    verify reports exactly the pairs whose products differ."""
+    n, max_m, D = 3, 2, 4
+    good = theta._exponent
+
+    def crooked(nn, m1, p1, m2, p2, k, j):
+        if sum(good(nn, m1, p1, m2, p2, k, i) for i in range(nn)) > D:
+            return 0
+        return good(nn, m1, p1, m2, p2, k, j)
+
+    monkeypatch.setattr(theta, "_exponent", crooked)
+    want = [
+        (mode, a.to_json_obj(), b.to_json_obj())
+        for mode in floer.COUNTING_MODES
+        for a, b in theta.basis_pairs(n, max_m)
+        if floer_product(n, a.m, a.p, b.m, b.p, D, mode) != theta_product(a, b, n, D)
+    ]
+    assert want, "the corruption changed no product"
+    failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
+    assert [(f["mode"], f["a"], f["b"]) for f in failures] == want
 
 
 def test_mirror_verify_pinpoints_corruption(monkeypatch):
@@ -475,7 +629,18 @@ def _merge_two_terms(good):
     return crooked
 
 
-@pytest.mark.parametrize("corrupt", [_shift_one_exponent, _merge_two_terms])
+def _swap_two_terms(good):
+    """At m1 = m2 the k = 0 and k = 2 terms swap exponents.  Both land on
+    one class, so the product keeps its terms wherever the window holds
+    both k, though the tuples differ."""
+
+    def crooked(n, m1, p1, m2, p2, k, j):
+        return good(n, m1, p1, m2, p2, 2 - k if m1 == m2 and k in (0, 2) else k, j)
+
+    return crooked
+
+
+@pytest.mark.parametrize("corrupt", [_shift_one_exponent, _merge_two_terms, _swap_two_terms])
 def test_mirror_verify_failures_name_the_smallest_difference(monkeypatch, corrupt):
     """Every failure entry of verify names the smallest monomial where the
     count and the corrupted closed form differ, with both coefficients, mode

@@ -387,6 +387,23 @@ def test_ngon_weight_one_products_vanish_on_non_adjacent_pairs(n):
     assert len(vanish) == n * (n - 3) // 2
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_ngon_weight_one_products_reach_every_weight_two_class(n):
+    """At t = 0 the weight-1 products follow the support rule and reach
+    all 2n weight-2 classes: x_i^2 lands on class i, and x_i * x_(i+1) on
+    class i + 1/2, each with coefficient 1."""
+    spec = specialize_ngon(build_table(n, 1, 0))
+    assert spec == {(a, b): ngon_rule(n, a, b) for a, b in basis_pairs(n, 1)}
+    reached = {}
+    for (a, b), consts in spec.items():
+        for p3, c in consts.items():
+            reached.setdefault(p3, set()).add(frozenset((a.a, b.a)))
+            assert c == 1
+    assert reached == {
+        Fraction(a3, 2): {frozenset((a3 // 2, (a3 + 1) // 2 % n))} for a3 in range(2 * n)
+    }
+
+
 def test_integer_exponent_matches_fraction_reference():
     """theta._exponent equals plgeom.t_exponent for every slot j and every
     admissible k at D = 12, over every basis pair with n <= 5, m <= 4."""
