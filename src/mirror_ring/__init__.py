@@ -8,7 +8,7 @@ marked-point moduli coordinates, and the finite quiver algebra that both
 sides share.
 """
 
-from .plgeom import InvariantError, lambda_defect, phi, psi, t_exponent, t_exponent_qr
+from .plgeom import InvariantError, lambda_defect, phi, psi, t_exponent
 from .series import SeriesError, TruncSeries
 from .theta import (
     RingElement,
@@ -71,6 +71,5 @@ __all__ = [
     "solve_s",
     "specialize_ngon",
     "t_exponent",
-    "t_exponent_qr",
     "theta_product",
 ]

@@ -9,11 +9,14 @@ evaluation which needs no perturbation at all.  Both must agree with the
 piecewise-linear formula in `plgeom`, and the resulting product must match
 `theta.theta_product` coefficient by coefficient.  The k-window, the
 degree cut and the output class are theta.assemble's, which takes each
-route's kernel; the kernels never call theta's own.  Both kernels count
-all n slots of a lifted triangle at once, in the integer frame
-a = m*p.  Since the routes share everything but the kernel,
-`mirror_verify` compares the three kernels' exponent tuples k by k and
-builds the products only for a pair whose tuples disagree.
+route's kernel; the counting kernels never call the theta route's,
+the integer n*lambda kernel ``plgeom.lambda_exponents`` (whose one-slot
+p-signature names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).
+All three kernels take (n, m1, a1, m2, a2, k) in the integer frame
+a = m*p and return all n slots of one lifted triangle.  Since the routes
+share everything but the kernel, `mirror_verify` compares the three
+kernels' exponent tuples k by k and builds the products only for a pair
+whose tuples disagree.
 """
 
 from __future__ import annotations
@@ -193,8 +196,10 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     Each corner of the triangle contributes a two-term polynomial read off
     from the primitive parallelogram of its cone; the combination
     h(x) = g1(x) + x^2 g2(x) - x g3(x) vanishes to second order at x=1 and
-    the count is h''(1)/2.  Both vanishing statements and the r-identity
-    are checked for every slot.
+    the count is h''(1)/2.  That it vanishes needs no check: h(1) =
+    w1 + w2 - w3 = 0 for any (q, r), and h'(1) = r1 + r2 - r3 -
+    n*(m3 q3 - m2 q2 - m1 q1), so h'(1) = 0 is the remainder identity,
+    which is checked for every slot, as is the sign and parity of h''(1).
     """
     m3 = m1 + m2
     w1, w2, w3 = m1 * n, m2 * n, m3 * n
@@ -209,8 +214,7 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
                 f"remainder identity violated at {_site(n, m1, a1, m2, a2, k, j)}"
             )
         # the six (exponent, coefficient) terms of h; a repeated exponent
-        # only splits a coefficient, and every check below is linear in
-        # the terms
+        # only splits a coefficient, and h''(1) is linear in the terms
         h = (
             (q1 + 1, w1 - r1),
             (q1 + 2, r1),
@@ -219,15 +223,7 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
             (q3 + 1, r3 - w3),  # -x * g3
             (q3 + 2, -r3),
         )
-        h1 = dh1 = twice = 0  # h(1), h'(1) and h''(1)
-        for e, c in h:
-            h1 += c
-            dh1 += c * e
-            twice += c * e * (e - 1)
-        if h1 != 0:
-            raise InvariantError(f"h(1) != 0 at {_site(n, m1, a1, m2, a2, k, j)}")
-        if dh1 != 0:
-            raise InvariantError(f"h'(1) != 0 at {_site(n, m1, a1, m2, a2, k, j)}")
+        twice = sum(c * e * (e - 1) for e, c in h)  # h''(1)
         if twice % 2 or twice < 0:
             raise InvariantError(
                 f"h''(1) = {twice} is not a nonnegative even number at "
@@ -261,11 +257,7 @@ def floer_product(n: int, m1: int, p1, m2: int, p2, D: int, mode: str) -> RingEl
         raise ValueError(f"mode must be 'direct' or 'brion', got {mode!r}")
     a1 = plgeom.scaled_index(m1, p1) % (m1 * n)
     a2 = plgeom.scaled_index(m2, p2) % (m2 * n)
-    count = _kernel(mode)
-    return theta.assemble(
-        n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), D,
-        lambda k: count(n, m1, a1, m2, a2, k),
-    )
+    return theta.assemble(n, m1, a1, m2, a2, D, _kernel(mode))
 
 
 def _first_difference(lhs: RingElement, rhs: RingElement):
@@ -281,7 +273,10 @@ def _verify_pair(args):
     """Per counting mode, the first difference from the closed form as a
     failure entry, or None.
 
-    The routes share assemble's k-window, degree cut and output class, so
+    The three kernels, theta's ``plgeom.lambda_exponents`` and the two
+    counts, take the same integer arguments and return all n slots of
+    one k, so they are read side by side over the pair's window.  The
+    routes share assemble's k-window, degree cut and output class, so
     a count whose exponent tuple equals theta's at every k of the window
     gives theta's product.  A tuple that differs matters only where either
     side's total degree is <= D; there the two products are built as a
@@ -293,11 +288,9 @@ def _verify_pair(args):
     p1, p2 = a.p, b.p
     window = plgeom.admissible_k_range(n, m1, p1, m2, p2, D)
     # each kernel is read from its module, so a patched one is compared
-    reference = [
-        tuple(theta._exponent(n, m1, p1, m2, p2, k, j) for j in range(n)) for k in window
-    ]
-    counted = [
-        [count(n, m1, a1, m2, a2, k) for k in window] for count in map(_kernel, COUNTING_MODES)
+    reference, *counted = [
+        [kernel(n, m1, a1, m2, a2, k) for k in window]
+        for kernel in (plgeom.lambda_exponents, *map(_kernel, COUNTING_MODES))
     ]
     rhs = None
     out = []

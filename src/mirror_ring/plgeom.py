@@ -6,11 +6,14 @@ Everything here is exact rational arithmetic on the convex profile
 
 its supporting lines psi(q, .), weighted averages, and the convexity
 defect lambda.  The integer exponents of the t-variables produced by
-multiplying ring generators are n*lambda values; ``t_exponent`` computes
-them through phi while ``t_exponent_qr`` recomputes them by pure integer
-division, giving two independent routes to the same number.  The
-k-window of a product, ``admissible_k_range``, is solved in integers, and
-``scaled_index`` is the one check that an index p has m*p integral.
+multiplying ring generators are n*lambda values.  ``lambda_exponents``
+is the one integer implementation of them, the theta route's kernel: all
+n slots of one product term from the integer classes a = m*p.
+``t_exponent`` computes them through phi, the Fraction reference, and
+``t_exponent_qr`` reads one slot of the integer kernel with a p
+signature.  The k-window of a product, ``admissible_k_range``, is solved
+in integers, and ``scaled_index`` is the one check that an index p has
+m*p integral.
 """
 
 from __future__ import annotations
@@ -79,27 +82,39 @@ def t_exponent(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     return int(val)
 
 
-def t_exponent_qr(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
-    """Same exponent by integer quotients/remainders, never touching phi.
+def lambda_exponents(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
+    """Exponents of t_0..t_{n-1} in the k-th product term, n*lambda in
+    integers; a1 = m1*p1 and a2 = m2*p2 are any integers.
 
-    Writes (p1+j)/n = q1 + r1/(m1*n) with 0 <= r1 < m1*n, similarly for the
-    k-shifted second point and their weighted average, then combines the
-    (q, r) data into a closed form.
+    At slot j, with N1 = a1 + m1*j and N2 = a2 + m2*(j + n*k), the three
+    points of lambda are N1/(m1 n), N2/(m2 n) and their average N3/(m3 n),
+    where N3 = N1 + N2, and n*m*phi(N/(m n)) = kappa*N - n*m*kappa*(kappa+1)/2
+    with kappa = N // (m n).
     """
-    a1, a2 = scaled_index(m1, p1), scaled_index(m2, p2)
-    m3 = m1 + m2
-    q1, r1 = divmod(a1 + m1 * j, m1 * n)
-    q2, r2 = divmod(a2 + m2 * (k * n + j), m2 * n)
-    q3, r3 = divmod(a1 + a2 + m2 * k * n + m3 * j, m3 * n)
-    val = (
-        n * (m1 * q1 * (q1 - 1) // 2 + m2 * q2 * (q2 - 1) // 2 - m3 * q3 * (q3 - 1) // 2)
-        + r1 * q1
-        + r2 * q2
-        - r3 * q3
-    )
-    if val < 0:
-        raise InvariantError(f"integer-route exponent came out negative: {val}")
-    return val
+    w1, w2, w3 = m1 * n, m2 * n, (m1 + m2) * n
+    b2 = a2 + w2 * k
+    out = []
+    for j in range(n):
+        N1 = a1 + m1 * j
+        N2 = b2 + m2 * j
+        N3 = N1 + N2
+        k1, k2, k3 = N1 // w1, N2 // w2, N3 // w3
+        # each w*kappa*(kappa+1) is even, so the halving is exact
+        val = k1 * N1 + k2 * N2 - k3 * N3 - (
+            w1 * k1 * (k1 + 1) + w2 * k2 * (k2 + 1) - w3 * k3 * (k3 + 1)
+        ) // 2
+        if val < 0:
+            raise InvariantError(
+                f"t-exponent came out negative: {val} for n={n} m=({m1},{m2}) "
+                f"p=({Fraction(a1, m1)},{Fraction(a2, m2)}) k={k} j={j}"
+            )
+        out.append(val)
+    return tuple(out)
+
+
+def t_exponent_qr(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
+    """Slot j of lambda_exponents, for indices p1, p2 (ints or Fractions)."""
+    return lambda_exponents(n, m1, scaled_index(m1, p1), m2, scaled_index(m2, p2), k)[j]
 
 
 def total_t_exponent(n: int, m1: int, p1, m2: int, p2, k: int) -> int:

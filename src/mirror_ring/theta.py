@@ -3,14 +3,17 @@ product.
 
 Basis elements are indexed by a weight m >= 1 and a class p in (1/m)Z
 taken mod n, held as the integer a = m*p in [0, m*n) from the label to
-the report; p = a/m is spelled only in report text and in the kernels'
-arguments.  The product of two of them is a finite sum of basis elements
-at weight m1+m2 whose coefficients are monomials in t_0..t_{n-1} with
-exponents n*lambda, computed here in scaled integers; ``plgeom.t_exponent``
-is the Fraction reference they are tested against.  Every route's product
+the report; p = a/m is spelled only in report text and for the k-window
+``plgeom.admissible_k_range``.  The product of two of them is a finite
+sum of basis elements at weight m1+m2 whose coefficients are monomials
+in t_0..t_{n-1} with exponents n*lambda.  This route takes them from the
+one integer kernel ``plgeom.lambda_exponents``, all n slots of a term
+from the integer classes; ``plgeom.t_exponent_qr`` (alias ``_exponent``
+here) reads one slot of it with a p signature, and ``plgeom.t_exponent``
+is the Fraction reference it is tested against.  Every route's product
 is built by ``assemble``, the one place for the k-window, the degree cut
-and the output class; each index enters it through ``plgeom.scaled_index``,
-the one check that m*p is integral.  Everything is exact over Z.
+and the output class, from integer classes and the route's kernel.
+Everything is exact over Z.
 
 ``build_table`` relies on two laws of the ring that every route's product
 must meet: it is commutative, and rotating the n marked points is a
@@ -27,34 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import plgeom
-from .plgeom import InvariantError
 from .series import TruncSeries
 
 
-def _exponent(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
-    """Exponent of t_j in the k-th product term, n*lambda in integers.
-
-    With N1 = m1*p1 + m1*j and N2 = m2*p2 + m2*(j + n*k) the three points
-    of lambda are N1/(m1 n), N2/(m2 n) and their average N3/(m3 n), where
-    N3 = N1 + N2, and n*m*phi(N/(m n)) = kappa*N - n*m*kappa*(kappa+1)/2
-    with kappa = N // (m n).  Module level, so tests can corrupt the theta
-    route without touching the counted routes in floer.
-    """
-    N1 = plgeom.scaled_index(m1, p1) + m1 * j
-    N2 = plgeom.scaled_index(m2, p2) + m2 * (j + n * k)
-    N3 = N1 + N2
-    w1, w2, w3 = m1 * n, m2 * n, (m1 + m2) * n
-    k1, k2, k3 = N1 // w1, N2 // w2, N3 // w3
-    # each w*kappa*(kappa+1) is even, so the halving is exact
-    val = k1 * N1 + k2 * N2 - k3 * N3 - (
-        w1 * k1 * (k1 + 1) + w2 * k2 * (k2 + 1) - w3 * k3 * (k3 + 1)
-    ) // 2
-    if val < 0:
-        raise InvariantError(
-            f"t-exponent came out negative: {val} "
-            f"for n={n} m=({m1},{m2}) p=({p1},{p2}) k={k} j={j}"
-        )
-    return val
+# slot j of the kernel with a p signature; the benchmark under bench/ wraps
+# this name, and nothing in the package calls it
+_exponent = plgeom.t_exponent_qr
 
 
 def class_text(a: int, m: int) -> str:
@@ -141,10 +122,11 @@ def hilbert_dimension(n: int, m: int) -> int:
     return 1 if m == 0 else m * n
 
 
-def assemble(n: int, m1: int, p1, m2: int, p2, D: int, exponents) -> RingElement:
-    """Product of x_{m1,p1} and x_{m2,p2}, given the route's exponent kernel.
+def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> RingElement:
+    """Product of x_{m1,a1/m1} and x_{m2,a2/m2}, given the route's kernel.
 
-    exponents(k) is the tuple of n t-exponents of the k-th term.  For each
+    kernel(n, m1, a1, m2, a2, k) is the tuple of n t-exponents of the k-th
+    term, from the integer classes a1 = m1*p1 and a2 = m2*p2.  For each
     k in the admissible window the term lands on the class
     E(p1, p2 + k*n) mod n, kept as its integer a3 = (a1 + a2 + m2*n*k) mod
     (m3*n); terms of total degree > D drop.  Every term has
@@ -152,12 +134,11 @@ def assemble(n: int, m1: int, p1, m2: int, p2, D: int, exponents) -> RingElement
     monomials with repeats counted, built once.
     """
     m3 = m1 + m2
-    a12 = plgeom.scaled_index(m1, p1) + plgeom.scaled_index(m2, p2)
     classes: dict[int, dict] = {}
-    for k in plgeom.admissible_k_range(n, m1, p1, m2, p2, D):
-        exps = exponents(k)
+    for k in plgeom.admissible_k_range(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), D):
+        exps = kernel(n, m1, a1, m2, a2, k)
         if sum(exps) <= D:
-            terms = classes.setdefault((a12 + m2 * n * k) % (m3 * n), {})
+            terms = classes.setdefault((a1 + a2 + m2 * n * k) % (m3 * n), {})
             terms[exps] = terms.get(exps, 0) + 1
     out = RingElement(m3, n, D)
     out.coeffs = {a3: TruncSeries._raw(n, D, terms) for a3, terms in classes.items()}
@@ -166,12 +147,9 @@ def assemble(n: int, m1: int, p1, m2: int, p2, D: int, exponents) -> RingElement
 
 def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
     """Product of two basis elements as a weight-(m1+m2) RingElement, with
-    the exponents of theta's own kernel ``_exponent``."""
-    m1, p1, m2, p2 = a.m, a.p, b.m, b.p
-    return assemble(
-        n, m1, p1, m2, p2, D,
-        lambda k: tuple(_exponent(n, m1, p1, m2, p2, k, j) for j in range(n)),
-    )
+    the exponents of the integer kernel ``plgeom.lambda_exponents``, read
+    from its module at each call."""
+    return assemble(n, a.m, a.a, b.m, b.a, D, plgeom.lambda_exponents)
 
 
 def _mul_with_basis(elem: RingElement, b: ThetaIndex, product) -> RingElement:

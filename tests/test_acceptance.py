@@ -35,9 +35,10 @@ def _canonical_ps(m: int, n: int) -> list[Fraction]:
 def _triple_grid():
     """Exhaustive route evaluation grid shared by criteria 2 and 9.
 
-    At each point the shipped kernels (theta._exponent, count_brion and
-    slot j of floer._lifted_counts) and t_exponent_qr must equal both
-    Fraction references, t_exponent and count_direct on lift_triangle.
+    At each point the shipped kernels (slot j of plgeom.lambda_exponents,
+    read through theta._exponent and t_exponent_qr, count_brion and slot
+    j of floer._lifted_counts) must equal both Fraction references,
+    t_exponent and count_direct on lift_triangle.
     Returns (points, route_mismatches, eps_mismatches).  Any internal
     consistency assertion firing inside the routes aborts the run, which
     fails both criteria; that is intended.

@@ -281,14 +281,17 @@ def test_brion_takes_int_and_fraction_p():
 )
 @example(n=6, m1=4, m2=4, a1=-60, a2=60, k=-30)
 def test_brion_core_counts_every_slot(n, m1, m2, a1, a2, k):
-    """The integer core gives count_brion and the Fraction reference at
-    every slot, for classes outside [0, m*n) and negative k alike."""
+    """The Brion core gives count_brion, and theta's n*lambda core gives
+    t_exponent_qr, at every slot, both equal to the Fraction reference, for
+    classes outside [0, m*n) and negative k alike."""
     p1, p2 = Fraction(a1, m1), Fraction(a2, m2)
     counts = floer._brion_counts(n, m1, a1, m2, a2, k)
-    assert len(counts) == n
+    exps = plgeom.lambda_exponents(n, m1, a1, m2, a2, k)
+    assert len(counts) == len(exps) == n
     for j in range(n):
         want = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
         assert counts[j] == count_brion(n, m1, p1, m2, p2, k, j) == want
+        assert exps[j] == plgeom.t_exponent_qr(n, m1, p1, m2, p2, k, j) == want
 
 
 @pytest.mark.parametrize(
@@ -321,8 +324,8 @@ def test_brion_core_names_the_failing_slot(monkeypatch, shift, message):
 
 
 def test_counting_routes_are_independent_of_the_theta_route(monkeypatch):
-    """With theta's kernel and every profile-formula route made to raise,
-    both counted tables still equal the theta table."""
+    """With theta's kernel, its one-slot names and every profile-formula
+    route made to raise, both counted tables still equal the theta table."""
     n, max_m, D = 3, 2, 6
     want = theta.build_table(n, max_m, D).entries
 
@@ -330,7 +333,7 @@ def test_counting_routes_are_independent_of_the_theta_route(monkeypatch):
         raise RuntimeError("a counting route called the theta route")
 
     monkeypatch.setattr(theta, "_exponent", forbidden)
-    for name in ("t_exponent", "t_exponent_qr", "phi", "lambda_defect"):
+    for name in ("lambda_exponents", "t_exponent", "t_exponent_qr", "phi", "lambda_defect"):
         monkeypatch.setattr(plgeom, name, forbidden)
     for mode in ("direct", "brion"):
 
@@ -443,12 +446,12 @@ def _count_calls(monkeypatch, owner, name, record):
 
 
 def test_mirror_verify_reads_theta_once_per_pair(monkeypatch):
-    """On a clean run verify reads theta's kernel at every slot of every k
-    in the window once per pair, not once per mode, and builds no product
-    of its own."""
+    """On a clean run verify reads theta's kernel, all n slots at a time,
+    at every k in the window once per pair, not once per mode, and builds
+    no product of its own."""
     n, max_m, D = 3, 2, 4
     exponents = _count_calls(
-        monkeypatch, theta, "_exponent", lambda nn, m1, p1, m2, p2, k, j: (m1, p1, m2, p2)
+        monkeypatch, plgeom, "lambda_exponents", lambda nn, m1, a1, m2, a2, k: (m1, a1, m2, a2)
     )
     products = _count_calls(monkeypatch, theta, "theta_product", lambda a, b, nn, DD: (a, b))
     rep = mirror_verify(n, max_m, D, jobs=1)
@@ -457,15 +460,15 @@ def test_mirror_verify_reads_theta_once_per_pair(monkeypatch):
     assert rep["failures"] == []
     assert products == []
     assert Counter(exponents) == {
-        (a.m, a.p, b.m, b.p): n * len(plgeom.admissible_k_range(n, a.m, a.p, b.m, b.p, D))
+        (a.m, a.a, b.m, b.a): len(plgeom.admissible_k_range(n, a.m, a.p, b.m, b.p, D))
         for a, b in pairs
     }
 
 
-def _theta_tuples(exponent, n, a, b, D):
+def _theta_tuples(kernel, n, a, b, D):
     """Theta's exponent tuple at every k of the pair's window."""
     return [
-        tuple(exponent(n, a.m, a.p, b.m, b.p, k, j) for j in range(n))
+        kernel(n, a.m, a.a, b.m, b.a, k)
         for k in plgeom.admissible_k_range(n, a.m, a.p, b.m, b.p, D)
     ]
 
@@ -476,7 +479,7 @@ def test_mirror_verify_builds_the_closed_form_once_per_suspect_pair(monkeypatch)
     a total degree <= D, and for no other pair, though both modes
     differ there.  Each suspect pair is then decided by its products."""
     n, max_m, D = 2, 2, 6
-    good = theta._exponent
+    good = plgeom.lambda_exponents
     crooked = _swap_two_terms(good)
     suspects = [
         (a, b)
@@ -489,7 +492,7 @@ def test_mirror_verify_builds_the_closed_form_once_per_suspect_pair(monkeypatch)
         )
     ]
     assert 0 < len(suspects) < len(theta.basis_pairs(n, max_m))
-    monkeypatch.setattr(theta, "_exponent", crooked)
+    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
     products = _count_calls(monkeypatch, theta, "theta_product", lambda a, b, nn, DD: (a, b))
     failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
     assert products == suspects
@@ -505,17 +508,17 @@ def test_mirror_verify_ignores_differences_above_the_cut(monkeypatch):
     degree > D, before and after, changes no product: verify reports
     nothing and builds no product."""
     n, max_m, D = 3, 2, 4
-    good = theta._exponent
+    good = plgeom.lambda_exponents
     touched = []
 
-    def crooked(nn, m1, p1, m2, p2, k, j):
-        val = good(nn, m1, p1, m2, p2, k, j)
-        if j == 0 and sum(good(nn, m1, p1, m2, p2, k, i) for i in range(nn)) > D:
-            touched.append((m1, p1, m2, p2, k))
-            return val + 1
-        return val
+    def crooked(nn, m1, a1, m2, a2, k):
+        exps = good(nn, m1, a1, m2, a2, k)
+        if sum(exps) > D:
+            touched.append((m1, a1, m2, a2, k))
+            return (exps[0] + 1,) + exps[1:]
+        return exps
 
-    monkeypatch.setattr(theta, "_exponent", crooked)
+    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
     products = _count_calls(monkeypatch, theta, "theta_product", lambda a, b, nn, DD: (a, b))
     assert mirror_verify(n, max_m, D, jobs=1)["failures"] == []
     assert touched
@@ -527,14 +530,13 @@ def test_mirror_verify_reports_a_term_pulled_under_the_cut(monkeypatch):
     term that the counts drop: only theta's side is under the cut, and
     verify reports exactly the pairs whose products differ."""
     n, max_m, D = 3, 2, 4
-    good = theta._exponent
+    good = plgeom.lambda_exponents
 
-    def crooked(nn, m1, p1, m2, p2, k, j):
-        if sum(good(nn, m1, p1, m2, p2, k, i) for i in range(nn)) > D:
-            return 0
-        return good(nn, m1, p1, m2, p2, k, j)
+    def crooked(nn, m1, a1, m2, a2, k):
+        exps = good(nn, m1, a1, m2, a2, k)
+        return (0,) * nn if sum(exps) > D else exps
 
-    monkeypatch.setattr(theta, "_exponent", crooked)
+    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
     want = [
         (mode, a.to_json_obj(), b.to_json_obj())
         for mode in floer.COUNTING_MODES
@@ -547,15 +549,7 @@ def test_mirror_verify_reports_a_term_pulled_under_the_cut(monkeypatch):
 
 
 def test_mirror_verify_pinpoints_corruption(monkeypatch):
-    good = theta._exponent
-
-    def crooked(n, m1, p1, m2, p2, k, j):
-        val = good(n, m1, p1, m2, p2, k, j)
-        if val and (k, j) == (1, 0):
-            return val + 1
-        return val
-
-    monkeypatch.setattr(theta, "_exponent", crooked)
+    monkeypatch.setattr(plgeom, "lambda_exponents", _shift_one_exponent(plgeom.lambda_exponents))
     rep = mirror_verify(2, 1, 4, jobs=1)
     assert rep["failures"], "corrupted closed form went unnoticed"
     first = rep["failures"][0]
@@ -612,9 +606,11 @@ def _smallest_difference(lhs, rhs):
 
 
 def _shift_one_exponent(good):
-    def crooked(n, m1, p1, m2, p2, k, j):
-        val = good(n, m1, p1, m2, p2, k, j)
-        return val + 1 if val and (k, j) == (1, 0) else val
+    """Slot 0 of the k = 1 term, where it is not 0, goes up by 1."""
+
+    def crooked(n, m1, a1, m2, a2, k):
+        exps = good(n, m1, a1, m2, a2, k)
+        return (exps[0] + 1,) + exps[1:] if k == 1 and exps[0] else exps
 
     return crooked
 
@@ -623,8 +619,8 @@ def _merge_two_terms(good):
     """The k = 2 term takes the exponents of the k = 0 term.  At m1 = m2
     both land on one class, so that monomial reads 2 in the closed form."""
 
-    def crooked(n, m1, p1, m2, p2, k, j):
-        return good(n, m1, p1, m2, p2, 0 if k == 2 and m1 == m2 else k, j)
+    def crooked(n, m1, a1, m2, a2, k):
+        return good(n, m1, a1, m2, a2, 0 if k == 2 and m1 == m2 else k)
 
     return crooked
 
@@ -634,8 +630,8 @@ def _swap_two_terms(good):
     one class, so the product keeps its terms wherever the window holds
     both k, though the tuples differ."""
 
-    def crooked(n, m1, p1, m2, p2, k, j):
-        return good(n, m1, p1, m2, p2, 2 - k if m1 == m2 and k in (0, 2) else k, j)
+    def crooked(n, m1, a1, m2, a2, k):
+        return good(n, m1, a1, m2, a2, 2 - k if m1 == m2 and k in (0, 2) else k)
 
     return crooked
 
@@ -646,7 +642,7 @@ def test_mirror_verify_failures_name_the_smallest_difference(monkeypatch, corrup
     count and the corrupted closed form differ, with both coefficients, mode
     by mode in pair order, and no pair that agrees is listed."""
     n, max_m, D = 2, 2, 6
-    monkeypatch.setattr(theta, "_exponent", corrupt(theta._exponent))
+    monkeypatch.setattr(plgeom, "lambda_exponents", corrupt(plgeom.lambda_exponents))
     pairs = [
         (a, b)
         for m1 in range(1, max_m + 1)

@@ -21,8 +21,9 @@ from mirror_ring.moduli import (
     theta_chart0,
     theta_full_chart0,
 )
-from mirror_ring.plgeom import InvariantError
+from mirror_ring.plgeom import InvariantError, phi
 from mirror_ring.series import TruncSeries
+from mirror_ring.theta import basis_pairs, theta_product
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -432,3 +433,84 @@ def test_moduli_against_golden():
             for key, obj in block["c"].items():
                 i, j = map(int, key.split(","))
                 assert TruncSeries.from_json_obj(obj) == c[(i, j)]
+
+
+def _theta_expansion(n, m, a, D):
+    """theta[m, a](u) in chart 0, cut at t-degree D, as
+    {(u-exponent, t-exponents): coefficient}: the sum over iota = a mod m*n
+    of (-1)^iota u^(-iota) t^e(iota), e_j(iota) = m*n*(phi((j - iota/m)/n)
+    - phi(j/n)), built from plgeom.phi alone.  The total degree is convex
+    in iota, so once both ends of the scan lie above D nothing beyond does."""
+    out = {}
+    reach = m * n * (D + 2)
+    for iota in range(a - reach, a + reach + 1, m * n):
+        e = [m * n * (phi(Fraction(m * j - iota, m * n)) - phi(Fraction(j, n))) for j in range(n)]
+        assert all(x.denominator == 1 and x >= 0 for x in e), (n, m, iota)
+        if sum(e) <= D:
+            assert abs(iota - a) < reach, "the scan is too short"
+            out[(-iota, tuple(map(int, e)))] = -1 if iota % 2 else 1
+    return out
+
+
+def _expansion_mul(f, g, D):
+    out = {}
+    for (u1, e1), c1 in f.items():
+        for (u2, e2), c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= D:
+                out[(u1 + u2, e)] = out.get((u1 + u2, e), 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _identity_failures(n, max_m, D, reflect):
+    """The basis pairs where theta[m1, a1]*theta[m2, a2] differs from the
+    sum over a3 of rho(C_a3)*theta[m3, a3], C_a3 the product table's
+    series at class a3; rho sends t_j to t_(-j mod n), or is the identity
+    when reflect is False."""
+    expansions = {}
+
+    def expansion(m, a):
+        if (m, a) not in expansions:
+            expansions[m, a] = _theta_expansion(n, m, a, D)
+        return expansions[m, a]
+
+    failed = []
+    for x, y in basis_pairs(n, max_m):
+        lhs = _expansion_mul(expansion(x.m, x.a), expansion(y.m, y.a), D)
+        rhs = {}
+        for a3, series in theta_product(x, y, n, D).coeffs.items():
+            coeff = {
+                (0, tuple(e[-i % n] for i in range(n)) if reflect else e): c
+                for e, c in series.iter_terms()
+            }
+            for key, c in _expansion_mul(coeff, expansion(x.m + y.m, a3), D).items():
+                rhs[key] = rhs.get(key, 0) + c
+        if lhs != {key: c for key, c in rhs.items() if c}:
+            failed.append((x, y))
+    return failed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weight_one_expansion_is_the_chart_section(n):
+    """At m = 1 the expansion built from phi is theta_chart0, term for term."""
+    D = 6
+    for l in range(n):
+        chart = {
+            (e, exps): c
+            for e, s in theta_chart0(l, n, D).iter_terms()
+            for exps, c in s.iter_terms()
+        }
+        assert _theta_expansion(n, 1, l, D) == chart
+
+
+@pytest.mark.parametrize(
+    "n, max_m, D", [(1, 2, 6), (2, 2, 6), (3, 2, 6), (4, 2, 5), (5, 1, 5)]
+)
+def test_product_table_multiplies_the_chart_expansions(n, max_m, D):
+    """theta[m1, a1]*theta[m2, a2] = sum over a3 of rho(C_a3)*theta[m3, a3]
+    for every basis pair: the moduli chart and the product table agree on
+    every variable's exponent once the table's t_j is read as the chart's
+    t_(-j mod n).  At n >= 3 the identity fails without that reflection."""
+    assert _identity_failures(n, max_m, D, reflect=True) == []
+    if n >= 3:
+        assert _identity_failures(n, max_m, D, reflect=False)

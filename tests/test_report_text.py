@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirror_ring import cli, theta
+from mirror_ring import cli, plgeom, theta
 from mirror_ring.cli import main
 from mirror_ring.series import TruncSeries
 
@@ -120,13 +120,13 @@ def test_every_report_is_stdlib_text(tmp_path, argv):
 
 
 def test_failing_verify_report_is_stdlib_text(tmp_path, monkeypatch):
-    good = theta._exponent
+    good = plgeom.lambda_exponents
 
-    def crooked(n, m1, p1, m2, p2, k, j):
-        val = good(n, m1, p1, m2, p2, k, j)
-        return val + 1 if val and (k, j) == (1, 0) else val
+    def crooked(n, m1, a1, m2, a2, k):
+        exps = good(n, m1, a1, m2, a2, k)
+        return (exps[0] + 1,) + exps[1:] if k == 1 and exps[0] else exps
 
-    monkeypatch.setattr(theta, "_exponent", crooked)
+    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
     out = tmp_path / "verify.json"
     assert_stdlib_text(out, main(SMALL[3] + ["-o", str(out)]), want_rc=1)
     assert json.loads(out.read_text())["failures"]

@@ -272,15 +272,15 @@ def test_associativity_reports():
 
 
 def test_associativity_detects_corruption(monkeypatch):
-    good = theta._exponent
+    good = plgeom.lambda_exponents
 
-    def crooked(n, m1, p1, m2, p2, k, j):
-        val = good(n, m1, p1, m2, p2, k, j)
-        if (m1, m2, k, j) == (2, 1, 1, 0):
-            return val + 1
-        return val
+    def crooked(n, m1, a1, m2, a2, k):
+        exps = good(n, m1, a1, m2, a2, k)
+        if (m1, m2, k) == (2, 1, 1):
+            return (exps[0] + 1,) + exps[1:]
+        return exps
 
-    monkeypatch.setattr(theta, "_exponent", crooked)
+    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
     rep = check_associativity(1, 5, (1, 1, 1))
     assert rep["failures"], "corrupted exponent slipped through"
 
@@ -436,8 +436,9 @@ def test_integer_exponent_takes_int_and_fraction_p():
 
 
 def test_theta_route_is_independent_of_the_other_routes(monkeypatch):
-    """With every other exponent route made to raise, the theta tables
-    come out as before."""
+    """With every other exponent route made to raise, the counting kernels
+    that the counted routes ship among them, the theta tables come out as
+    before."""
     before = build_table(3, 2, 6).entries
     golden = json.loads((GOLDEN / "ngon_tables.json").read_text())["3"]
 
@@ -446,7 +447,7 @@ def test_theta_route_is_independent_of_the_other_routes(monkeypatch):
 
     for name in ("t_exponent", "t_exponent_qr", "phi", "lambda_defect"):
         monkeypatch.setattr(plgeom, name, forbidden)
-    for name in ("count_brion", "count_direct"):
+    for name in ("count_brion", "count_direct", "_brion_counts", "_lifted_counts"):
         monkeypatch.setattr(floer, name, forbidden)
     assert build_table(3, 2, 6).entries == before
     assert ngon_block(build_table(3, 2, 2)) == golden
