@@ -84,8 +84,6 @@ def _json_value(obj, newline: str, done: dict) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        if all(type(x) is int for x in obj):
-            return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]"
         key = (id(obj), len(newline))
         text = done.get(key)
         if text is None:

@@ -7,16 +7,15 @@ independent counting routes are provided: a direct enumeration of lattice
 points after a small rational perturbation, and Brion's vertex-cone
 evaluation which needs no perturbation at all.  Both must agree with the
 piecewise-linear formula in `plgeom`, and the resulting product must match
-`theta.theta_product` coefficient by coefficient.  The k-window, the
-degree cut and the output class are theta.assemble's, which takes each
-route's kernel; the counting kernels never call the theta route's,
-the integer n*lambda kernel ``plgeom.lambda_exponents`` (whose one-slot
-p-signature names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).
-All three kernels take (n, m1, a1, m2, a2, k) in the integer frame
-a = m*p and return all n slots of one lifted triangle.  Since the routes
-share everything but the kernel, `mirror_verify` compares the three
-kernels' exponent tuples k by k and builds the products only for a pair
-whose tuples disagree.
+`theta.theta_product` coefficient by coefficient.  ``theta.product_terms``
+holds the degree cut and the output class and takes each route's
+kernel; the counting kernels never call the theta route's, the integer
+n*lambda kernel ``plgeom.lambda_exponents`` (whose one-slot p-signature
+names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).  All three
+kernels take (n, m1, a1, m2, a2, k) in the integer frame a = m*p and
+return all n slots of one lifted triangle.  Every term has coefficient
++1 and nothing cancels, so `mirror_verify` compares what each product
+is made of, its ``product_terms`` map, and builds no product.
 """
 
 from __future__ import annotations
@@ -250,66 +249,57 @@ def floer_product(n: int, m1: int, p1, m2: int, p2, D: int, mode: str) -> RingEl
 
     mode selects the counting route for the t-exponents: "direct" for the
     enumeration perturbed by default_eps, "brion" for the closed form.
-    Each index is reduced once to a = m*p mod m*n, and both routes count
-    all n slots of each lifted triangle in that integer frame.
+    Each index is reduced once to its label's a = m*p mod m*n, and both
+    routes count all n slots of each lifted triangle in that integer frame.
     """
     if mode not in COUNTING_MODES:
         raise ValueError(f"mode must be 'direct' or 'brion', got {mode!r}")
-    a1 = plgeom.scaled_index(m1, p1) % (m1 * n)
-    a2 = plgeom.scaled_index(m2, p2) % (m2 * n)
+    a1 = theta.ThetaIndex.make(m1, p1, n).a
+    a2 = theta.ThetaIndex.make(m2, p2, n).a
     return theta.assemble(n, m1, a1, m2, a2, D, _kernel(mode))
 
 
-def _first_difference(lhs: RingElement, rhs: RingElement):
-    """Smallest (class a, exponent) where two unequal elements disagree,
-    with both coefficients there."""
-    lt = {(a, e): c for a, s in lhs.coeffs.items() for e, c in s.terms.items()}
-    rt = {(a, e): c for a, s in rhs.coeffs.items() for e, c in s.terms.items()}
-    a, e = min(key for key in lt.keys() | rt.keys() if lt.get(key, 0) != rt.get(key, 0))
-    return a, e, lt.get((a, e), 0), rt.get((a, e), 0)
+def _first_difference(lhs: dict, rhs: dict):
+    """Smallest (class a3, exponent) where two unequal term maps disagree,
+    with both counts there."""
+    a3 = min(a for a in lhs.keys() | rhs.keys() if lhs.get(a) != rhs.get(a))
+    lt, rt = lhs.get(a3, {}), rhs.get(a3, {})
+    e = min(e for e in lt.keys() | rt.keys() if lt.get(e, 0) != rt.get(e, 0))
+    return a3, e, lt.get(e, 0), rt.get(e, 0)
 
 
 def _verify_pair(args):
     """Per counting mode, the first difference from the closed form as a
     failure entry, or None.
 
-    The three kernels, theta's ``plgeom.lambda_exponents`` and the two
-    counts, take the same integer arguments and return all n slots of
-    one k, so they are read side by side over the pair's window.  The
-    routes share assemble's k-window, degree cut and output class, so
-    a count whose exponent tuple equals theta's at every k of the window
-    gives theta's product.  A tuple that differs matters only where either
-    side's total degree is <= D; there the two products are built as a
-    whole and compared, since a term moved to another k may land on the
-    same monomial.  The closed form is built at most once per pair.
+    The pair's k-window is solved once, and ``theta.product_terms`` reads
+    over it the term map {a3: {exponents: count}} of each route: theta's
+    kernel ``plgeom.lambda_exponents`` and the two counts.  Every term has
+    coefficient +1 and nothing cancels, so a count's product equals the
+    closed form exactly when their term maps are equal.  That is the one
+    comparison, and no product is built.
     """
     n, a, b, D = args
     m1, a1, m2, a2 = a.m, a.a, b.m, b.a
-    p1, p2 = a.p, b.p
-    window = plgeom.admissible_k_range(n, m1, p1, m2, p2, D)
+    window = plgeom.admissible_k_range(n, m1, a.p, m2, b.p, D)
     # each kernel is read from its module, so a patched one is compared
     reference, *counted = [
-        [kernel(n, m1, a1, m2, a2, k) for k in window]
+        theta.product_terms(n, m1, a1, m2, a2, D, kernel, window)
         for kernel in (plgeom.lambda_exponents, *map(_kernel, COUNTING_MODES))
     ]
-    rhs = None
     out = []
-    for mode, tuples in zip(COUNTING_MODES, counted):
+    for mode, terms in zip(COUNTING_MODES, counted):
         diff = None
-        if any(c != r and (sum(c) <= D or sum(r) <= D) for c, r in zip(tuples, reference)):
-            if rhs is None:
-                rhs = theta.theta_product(a, b, n, D)
-            lhs = floer_product(n, m1, p1, m2, p2, D, mode)
-            if lhs != rhs:
-                a3, e, lc, rc = _first_difference(lhs, rhs)
-                diff = {
-                    "mode": mode,
-                    "a": a.to_json_obj(),
-                    "b": b.to_json_obj(),
-                    "monomial": {"p": theta.class_text(a3, lhs.m), "e": list(e)},
-                    "lhs": str(lc),
-                    "rhs": str(rc),
-                }
+        if terms != reference:
+            a3, e, lc, rc = _first_difference(terms, reference)
+            diff = {
+                "mode": mode,
+                "a": a.to_json_obj(),
+                "b": b.to_json_obj(),
+                "monomial": {"p": theta.class_text(a3, m1 + m2), "e": list(e)},
+                "lhs": str(lc),
+                "rhs": str(rc),
+            }
         out.append(diff)
     return out
 
@@ -318,8 +308,8 @@ def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     """Compare the triangle-count products against the closed form everywhere.
 
     Runs over all generator pairs with weights up to max_m and, per pair,
-    compares both counting kernels' exponent tuples with the closed form's
-    k by k; products are built only for a pair whose tuples disagree.
+    compares each counting route's term map with the closed form's; no
+    product is built, even for a pair that fails.
     ``pairs_checked`` counts (pair, mode) checks, and the first differing
     monomial of every failing check is listed mode by mode, in pair order.
     The pair list and the merge order are fixed, so the report is

@@ -22,7 +22,7 @@ def _check_expvec(e, n):
     if len(e) != n:
         raise SeriesError(f"exponent vector {e!r} has length {len(e)}, expected {n}")
     for x in e:
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:
             raise SeriesError(f"exponent vector {e!r} must hold nonnegative ints")
 
 
@@ -30,10 +30,10 @@ class TruncSeries:
     __slots__ = ("n", "D", "terms")
 
     def __init__(self, n: int, D: int, terms: dict | None = None):
-        if n < 1:
-            raise SeriesError(f"need at least one variable, got n={n}")
-        if D < 0:
-            raise SeriesError(f"truncation order must be >= 0, got D={D}")
+        if type(n) is not int or n < 1:
+            raise SeriesError(f"need an int number of variables >= 1, got n={n!r}")
+        if type(D) is not int or D < 0:
+            raise SeriesError(f"truncation order must be an int >= 0, got D={D!r}")
         self.n = n
         self.D = D
         clean: dict[tuple, int] = {}
@@ -220,7 +220,7 @@ class TruncSeries:
         try:
             n, D = obj["n"], obj["D"]
             terms = {tuple(t["e"]): int(t["c"]) for t in obj["terms"]}
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SeriesError(f"malformed series object: {exc}") from exc
         return cls(n, D, terms)
 

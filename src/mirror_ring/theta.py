@@ -11,9 +11,10 @@ one integer kernel ``plgeom.lambda_exponents``, all n slots of a term
 from the integer classes; ``plgeom.t_exponent_qr`` (alias ``_exponent``
 here) reads one slot of it with a p signature, and ``plgeom.t_exponent``
 is the Fraction reference it is tested against.  Every route's product
-is built by ``assemble``, the one place for the k-window, the degree cut
-and the output class, from integer classes and the route's kernel.
-Everything is exact over Z.
+is made by ``product_terms``, the one place for the degree cut and the
+output class, from integer classes, the k-window and the route's
+kernel; ``assemble`` solves the window and wraps each class's terms as a
+series.  Everything is exact over Z.
 
 ``build_table`` relies on two laws of the ring that every route's product
 must meet: it is commutative, and rotating the n marked points is a
@@ -122,25 +123,34 @@ def hilbert_dimension(n: int, m: int) -> int:
     return 1 if m == 0 else m * n
 
 
-def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> RingElement:
-    """Product of x_{m1,a1/m1} and x_{m2,a2/m2}, given the route's kernel.
+def product_terms(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel, window) -> dict:
+    """What the product of x_{m1,a1/m1} and x_{m2,a2/m2} is made of, given
+    the route's kernel and the pair's k-window: {a3: {exponents: count}}.
 
     kernel(n, m1, a1, m2, a2, k) is the tuple of n t-exponents of the k-th
     term, from the integer classes a1 = m1*p1 and a2 = m2*p2.  For each
-    k in the admissible window the term lands on the class
-    E(p1, p2 + k*n) mod n, kept as its integer a3 = (a1 + a2 + m2*n*k) mod
-    (m3*n); terms of total degree > D drop.  Every term has
-    coefficient +1 and nothing cancels, so each class's series is its kept
-    monomials with repeats counted, built once.
+    k in window the term lands on the class E(p1, p2 + k*n) mod n, kept as
+    its integer a3 = (a1 + a2 + m2*n*k) mod (m3*n); terms of total degree
+    > D drop.  Every term has coefficient +1 and nothing cancels, so two
+    products are equal exactly when their term maps are.
     """
     m3 = m1 + m2
     classes: dict[int, dict] = {}
-    for k in plgeom.admissible_k_range(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), D):
+    for k in window:
         exps = kernel(n, m1, a1, m2, a2, k)
         if sum(exps) <= D:
             terms = classes.setdefault((a1 + a2 + m2 * n * k) % (m3 * n), {})
             terms[exps] = terms.get(exps, 0) + 1
-    out = RingElement(m3, n, D)
+    return classes
+
+
+def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> RingElement:
+    """Product of x_{m1,a1/m1} and x_{m2,a2/m2}, given the route's kernel:
+    ``product_terms`` over the admissible k-window, each class's term map
+    wrapped once as its series."""
+    window = plgeom.admissible_k_range(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), D)
+    classes = product_terms(n, m1, a1, m2, a2, D, kernel, window)
+    out = RingElement(m1 + m2, n, D)
     out.coeffs = {a3: TruncSeries._raw(n, D, terms) for a3, terms in classes.items()}
     return out
 

@@ -391,6 +391,15 @@ def test_floer_product_rejects_unknown_mode():
         floer_product(1, 1, 0, 1, 0, 2, "guess")
 
 
+@pytest.mark.parametrize("mode", floer.COUNTING_MODES)
+@pytest.mark.parametrize("m1, m2", [(0, 1), (1, 0), (1, -1)])
+def test_floer_product_rejects_a_weight_below_one(m1, m2, mode):
+    """As ThetaIndex.make and lift_triangle do: a ValueError, not the
+    ZeroDivisionError of reducing a class mod m*n = 0."""
+    with pytest.raises(ValueError, match="weight must be >= 1"):
+        floer_product(2, m1, 0, m2, 0, 4, mode)
+
+
 def test_mirror_verify_passes():
     rep = mirror_verify(4, 1, 4)
     assert rep["failures"] == []
@@ -473,34 +482,35 @@ def _theta_tuples(kernel, n, a, b, D):
     ]
 
 
-def test_mirror_verify_builds_the_closed_form_once_per_suspect_pair(monkeypatch):
-    """Under a corruption of theta's kernel, verify builds the closed form
-    once for each pair whose tuples differ from the counts at some k with
-    a total degree <= D, and for no other pair, though both modes
-    differ there.  Each suspect pair is then decided by its products."""
+def test_mirror_verify_builds_no_product_where_tuples_differ(monkeypatch):
+    """Under a swap of two of theta's terms verify still builds no product,
+    here made to raise, and lists exactly the pairs whose products differ:
+    a pair whose tuples differ but whose products agree is not listed."""
     n, max_m, D = 2, 2, 6
     good = plgeom.lambda_exponents
     crooked = _swap_two_terms(good)
-    suspects = [
+    pairs = theta.basis_pairs(n, max_m)
+    before = {(a, b): theta_product(a, b, n, D) for a, b in pairs}
+    differ = [
         (a, b)
-        for a, b in theta.basis_pairs(n, max_m)
-        if any(
-            bad != clean and (sum(bad) <= D or sum(clean) <= D)
-            for bad, clean in zip(
-                _theta_tuples(crooked, n, a, b, D), _theta_tuples(good, n, a, b, D)
-            )
-        )
+        for a, b in pairs
+        if _theta_tuples(crooked, n, a, b, D) != _theta_tuples(good, n, a, b, D)
     ]
-    assert 0 < len(suspects) < len(theta.basis_pairs(n, max_m))
     monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
-    products = _count_calls(monkeypatch, theta, "theta_product", lambda a, b, nn, DD: (a, b))
+    changed = [(a, b) for a, b in differ if theta_product(a, b, n, D) != before[(a, b)]]
+    assert 0 < len(changed) < len(differ) < len(pairs)
+
+    def refuse(*args):
+        raise AssertionError("verify built a product")
+
+    monkeypatch.setattr(theta, "theta_product", refuse)
+    monkeypatch.setattr(floer, "floer_product", refuse)
     failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
-    assert products == suspects
-    # a swap inside the window keeps the product: such suspects report nothing
-    failed = {(f["a"]["m"], f["a"]["p"], f["b"]["m"], f["b"]["p"]) for f in failures}
-    assert failed < {
-        (a.m, theta.class_text(a.a, a.m), b.m, theta.class_text(b.a, b.m)) for a, b in suspects
-    }
+    assert [(f["mode"], f["a"], f["b"]) for f in failures] == [
+        (mode, a.to_json_obj(), b.to_json_obj())
+        for mode in floer.COUNTING_MODES
+        for a, b in changed
+    ]
 
 
 def test_mirror_verify_ignores_differences_above_the_cut(monkeypatch):
@@ -636,13 +646,31 @@ def _swap_two_terms(good):
     return crooked
 
 
-@pytest.mark.parametrize("corrupt", [_shift_one_exponent, _merge_two_terms, _swap_two_terms])
-def test_mirror_verify_failures_name_the_smallest_difference(monkeypatch, corrupt):
-    """Every failure entry of verify names the smallest monomial where the
-    count and the corrupted closed form differ, with both coefficients, mode
-    by mode in pair order, and no pair that agrees is listed."""
+@pytest.mark.parametrize(
+    "owner, kernel, corrupt",
+    [
+        # a corrupted theta kernel is the unmarked case
+        pytest.param(
+            owner,
+            kernel,
+            corrupt,
+            id=corrupt.__name__ if owner is plgeom else f"{corrupt.__name__}-{kernel}",
+        )
+        for owner, kernel in [
+            (plgeom, "lambda_exponents"),
+            (floer, "_lifted_counts"),
+            (floer, "_brion_counts"),
+        ]
+        for corrupt in [_shift_one_exponent, _merge_two_terms, _swap_two_terms]
+    ],
+)
+def test_mirror_verify_failures_name_the_smallest_difference(monkeypatch, owner, kernel, corrupt):
+    """Every failure entry of verify names the smallest monomial where a
+    count and the closed form differ, one of the three kernels corrupted,
+    with both coefficients, mode by mode in pair order, and no pair that
+    agrees is listed."""
     n, max_m, D = 2, 2, 6
-    monkeypatch.setattr(plgeom, "lambda_exponents", corrupt(plgeom.lambda_exponents))
+    monkeypatch.setattr(owner, kernel, corrupt(getattr(owner, kernel)))
     pairs = [
         (a, b)
         for m1 in range(1, max_m + 1)
@@ -670,4 +698,6 @@ def test_mirror_verify_failures_name_the_smallest_difference(monkeypatch, corrup
     assert want, "the corruption changed no product"
     assert mirror_verify(n, max_m, D, jobs=1)["failures"] == want
     if corrupt is _merge_two_terms:
-        assert any((f["lhs"], f["rhs"]) == ("1", "2") for f in want)
+        # the merged monomial reads 2 on the corrupted side
+        merged = ("1", "2") if owner is plgeom else ("2", "1")
+        assert any((f["lhs"], f["rhs"]) == merged for f in want)

@@ -120,6 +120,45 @@ def test_json_round_trip():
     assert obj["terms"] == [{"e": [1, 0, 2], "c": "-3"}]
 
 
+@pytest.mark.parametrize(
+    "n, D, terms",
+    [
+        (1, 2, {(True,): 1}),
+        (2, 2, {(0, False): 1}),
+        (1, 2, {(1.0,): 1}),
+        (True, 2, None),
+        ("1", 2, None),
+        (1, 2.0, None),
+        (1, "2", None),
+        (0, 2, None),
+        (1, -1, None),
+    ],
+)
+def test_constructor_rejects_what_is_not_an_int(n, D, terms):
+    """A bool exponent would be written 1 by the report writer and true by
+    json.dumps; n and D must be ints too, not merely compare like them."""
+    with pytest.raises(SeriesError):
+        TruncSeries(n, D, terms)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 1, "D": 2, "terms": [{"e": [True], "c": "1"}]},
+        {"n": "1", "D": 2, "terms": []},
+        {"n": 1, "D": "2", "terms": []},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": "one"}]},
+        {"n": 1, "D": 2, "terms": [{"e": 1, "c": "1"}]},
+        {"n": 1, "D": 2, "terms": [{"c": "1"}]},
+        {"n": 1, "terms": []},
+        {"n": 1, "D": 2, "terms": None},
+    ],
+)
+def test_from_json_obj_rejects_malformed_objects(obj):
+    with pytest.raises(SeriesError):
+        TruncSeries.from_json_obj(obj)
+
+
 def test_iter_terms_sorted_deterministically():
     s = TruncSeries(2, 4, {(0, 2): 1, (1, 0): 2, (0, 1): 3})
     assert [e for e, _ in s.iter_terms()] == sorted(s.terms)
