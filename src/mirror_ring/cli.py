@@ -194,14 +194,12 @@ def _run_moduli(args) -> int:
 
 
 def _run_quiver(args) -> int:
-    d0, d1, total = quiver.graded_dims(args.n)
+    hom = quiver.hom_table(args.n)
+    d0, d1, total = quiver.graded_dims(hom)
     out = {
         "n": args.n,
         "dims": {"deg0": d0, "deg1": d1, "total": total},
-        "hom": {
-            f"{u},{v}": list(c)
-            for (u, v), c in sorted(quiver.hom_table(args.n).items())
-        },
+        "hom": {f"{u},{v}": list(c) for (u, v), c in sorted(hom.items())},
         "node_dual_hilbert": [quiver.node_dual_hilbert(d) for d in range(8)],
         "table": quiver.multiplication_table(args.n),
     }

@@ -21,8 +21,8 @@ is made of, its ``product_terms`` map, and builds no product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import plgeom, theta
 from .plgeom import InvariantError
@@ -32,8 +32,7 @@ from .theta import RingElement
 COUNTING_MODES = ("direct", "brion")
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Three vertices in the plane, exact rational coordinates."""
 
     A: tuple[Fraction, Fraction]
@@ -41,7 +40,7 @@ class Triangle:
     C: tuple[Fraction, Fraction]
 
     def vertices(self):
-        return (self.A, self.B, self.C)
+        return self
 
     def doubled_area(self) -> Fraction:
         (ax, ay), (bx, by), (cx, cy) = self.A, self.B, self.C

@@ -18,9 +18,9 @@ different means.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
+from collections import namedtuple
 from types import MappingProxyType
 
 from .plgeom import InvariantError
@@ -41,25 +41,21 @@ def _arrow_ends(arrow) -> tuple[int, int]:
     raise ValueError(f"unknown arrow label {label!r}")
 
 
-@dataclasses.dataclass(frozen=True)
-class PathWord:
+class PathWord(namedtuple("PathWord", "arrows vertex")):
     """A composable chain of arrows, or a lone idempotent.
 
     ``arrows`` is stored in display order, leftmost factor applied last.
     An empty chain must name its vertex; a nonempty one must not.
     """
 
-    arrows: tuple = ()
-    vertex: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        arrows = tuple(tuple(a) for a in self.arrows)
-        object.__setattr__(self, "arrows", arrows)
+    def __new__(cls, arrows=(), vertex=None):
+        arrows = tuple(tuple(a) for a in arrows)
         if not arrows:
-            if self.vertex is None or self.vertex < 0:
+            if vertex is None or vertex < 0:
                 raise ValueError("an empty word needs a vertex label >= 0")
-            return
-        if self.vertex is not None:
+        elif vertex is not None:
             raise ValueError("a nonempty word must not carry a vertex label")
         for a in arrows:
             label, i = a
@@ -70,6 +66,7 @@ class PathWord:
                 raise ValueError(
                     f"arrows {right!r} then {left!r} do not compose"
                 )
+        return super().__new__(cls, arrows, vertex)
 
     @property
     def source(self) -> int:
@@ -186,15 +183,14 @@ def basis_registry(n: int) -> MappingProxyType:
     return MappingProxyType(reg)
 
 
-@dataclasses.dataclass
 class AlgebraElement:
     """Integer combination of canonical basis symbols."""
 
-    n: int
-    terms: dict
+    __slots__ = ("n", "terms")
 
-    def __post_init__(self):
-        self.terms = {s: c for s, c in self.terms.items() if c != 0}
+    def __init__(self, n: int, terms: dict):
+        self.n = n
+        self.terms = {s: c for s, c in terms.items() if c != 0}
 
     @classmethod
     def zero(cls, n: int) -> "AlgebraElement":
@@ -296,9 +292,10 @@ def hom_table(n: int) -> dict:
     return table
 
 
-def graded_dims(n: int) -> tuple[int, int, int]:
-    """(dimension in degree 0, in degree 1, total), summed over hom_table."""
-    slots = hom_table(n).values()
+def graded_dims(table: dict) -> tuple[int, int, int]:
+    """(dimension in degree 0, in degree 1, total), summed over a
+    ``hom_table``."""
+    slots = table.values()
     d0 = sum(s[0] for s in slots)
     d1 = sum(s[1] for s in slots)
     return d0, d1, d0 + d1

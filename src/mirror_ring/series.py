@@ -219,10 +219,18 @@ class TruncSeries:
     def from_json_obj(cls, obj: dict) -> "TruncSeries":
         try:
             n, D = obj["n"], obj["D"]
-            terms = {tuple(t["e"]): int(t["c"]) for t in obj["terms"]}
+            terms = {tuple(t["e"]): _int_from_json(t["c"]) for t in obj["terms"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise SeriesError(f"malformed series object: {exc}") from exc
         return cls(n, D, terms)
+
+
+def _int_from_json(c) -> int:
+    """A coefficient as the writers spell it, an int's decimal text, or an
+    int; a float, a bool or None is refused, not truncated."""
+    if isinstance(c, str) or type(c) is int:
+        return int(c)
+    raise TypeError(f"coefficient {c!r} is not an int")
 
 
 # -- the product kernel ------------------------------------------------------

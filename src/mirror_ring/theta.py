@@ -27,8 +27,8 @@ pair and relies on neither law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import plgeom
 from .series import TruncSeries
@@ -45,10 +45,10 @@ def class_text(a: int, m: int) -> str:
     return f"{a // g}/{m // g}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ThetaIndex:
+class ThetaIndex(NamedTuple):
     """Weight-m basis label with class p = a/m, held as the integer
-    0 <= a < m*n; labels order by (m, a), which is the order of (m, p)."""
+    0 <= a < m*n; labels are (m, a) tuples and order by (m, a), which is
+    the order of (m, p)."""
 
     m: int
     a: int
@@ -182,8 +182,7 @@ class StructureTable:
         self.entries: dict[tuple[ThetaIndex, ThetaIndex], RingElement] = entries
 
     def sorted_keys(self):
-        # by (m1, a1, m2, a2): a key of ints sorts far faster than labels do
-        return sorted(self.entries, key=lambda ab: (ab[0].m, ab[0].a, ab[1].m, ab[1].a))
+        return sorted(self.entries)
 
     def to_json_obj(self) -> dict:
         # (a, b) and (b, a) hold one element, so each element is converted
@@ -257,9 +256,8 @@ def build_table(n: int, max_m: int, D: int, product=None) -> StructureTable:
     if product is None:
         product = theta_product
     # entries keep basis_pairs order, which sorted_keys sorts far faster
-    # than orbit order; shifted labels are looked up, not built anew
+    # than orbit order
     pairs = basis_pairs(n, max_m)
-    labels = {m: basis_indices(n, m) for m in range(1, max_m + 1)}
     got: dict[tuple[ThetaIndex, ThetaIndex], RingElement] = {}
     for x, y in pairs:
         if (x, y) in got:
@@ -270,8 +268,8 @@ def build_table(n: int, max_m: int, D: int, product=None) -> StructureTable:
         # comes back to the representative
         for r in range(n):
             if r:
-                x = labels[x.m][(x.a + x.m) % (x.m * n)]
-                y = labels[y.m][(y.a + y.m) % (y.m * n)]
+                x = ThetaIndex(x.m, (x.a + x.m) % (x.m * n))
+                y = ThetaIndex(y.m, (y.a + y.m) % (y.m * n))
                 shifted = RingElement(m3, n, D)
                 shifted.coeffs = {
                     (a3 + m3) % (m3 * n): s.rotate(1) for a3, s in elem.coeffs.items()

@@ -11,22 +11,20 @@ against each other by the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .plgeom import phi
 
 
-@dataclass(frozen=True)
-class MPoint:
-    """Lattice (or rational) point x*f + sum_j y[j]*e_j."""
+class MPoint(namedtuple("MPoint", "x y")):
+    """Lattice (or rational) point x*f + sum_j y[j]*e_j: x a Fraction, y a
+    tuple of Fractions."""
 
-    x: Fraction
-    y: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", tuple(Fraction(v) for v in self.y))
+    def __new__(cls, x, y):
+        return super().__new__(cls, Fraction(x), tuple(Fraction(v) for v in y))
 
     @property
     def n(self) -> int:

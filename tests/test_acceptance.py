@@ -246,14 +246,15 @@ def test_criterion_6_profile_identities():
 def test_criterion_7_quiver():
     failures = []
     for n in range(2, 7):
-        if quiver.graded_dims(n) != (2 * n + 1, 2 * n + 1, 4 * n + 2):
+        table = quiver.hom_table(n)
+        if quiver.graded_dims(table) != (2 * n + 1, 2 * n + 1, 4 * n + 2):
             failures.append((n, "dims"))
         expected = {(0, 0): [1, 1]}
         for i in range(1, n + 1):
             expected[(0, i)] = [1, 0]
             expected[(i, 0)] = [0, 1]
             expected[(i, i)] = [1, 1]
-        if quiver.hom_table(n) != expected:
+        if table != expected:
             failures.append((n, "hom table"))
     if [quiver.node_dual_hilbert(d) for d in range(10)] != [1] + [2] * 9:
         failures.append(("node dual hilbert",))

@@ -93,8 +93,23 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
             ["moduli", "--n", "4", "--trunc", "12"],
             "a93d79c6777265e5d468ead85082c05d7cb49468c97a9dc7a78def723d852b6b",
         ),
+        (
+            ["assoc", "--n", "3", "--max-m", "2", "--trunc", "6"],
+            "842800deda101497f9d2c97325969cef30cce745b8f955f0a24fb7f712db519e",
+        ),
+        (
+            ["quiver", "--n", "12"],
+            "389650de49988822ce9c308be8f92e5925735a3a4ad4f0862368fd3794b96d0f",
+        ),
+        (
+            ["verify", "--n", "5", "--max-m", "4", "--trunc", "12", "--jobs", "1"],
+            "6b0ab9293e9a5862a9beb03721add4c41f395ed829d5b7c4d1f7a7ff501cb5b2",
+        ),
     ],
-    ids=["theta", "floer-direct", "floer-brion", "theta-csv", "moduli"],
+    ids=[
+        "theta", "floer-direct", "floer-brion", "theta-csv", "moduli",
+        "assoc", "quiver", "verify",
+    ],
 )
 def test_report_digest_at_benchmark_size(tmp_path, argv, digest):
     rc, text = run_to_file(tmp_path, "r.out", argv)

@@ -95,7 +95,7 @@ def test_product_reference_values():
 
 def test_graded_dims_by_enumeration():
     for n in range(2, 7):
-        assert graded_dims(n) == (2 * n + 1, 2 * n + 1, 4 * n + 2)
+        assert graded_dims(hom_table(n)) == (2 * n + 1, 2 * n + 1, 4 * n + 2)
 
 
 def test_hom_table():
@@ -117,7 +117,7 @@ def test_node_dual_hilbert_sequence():
 
 def test_single_spoke_refused():
     with pytest.raises(ValueError):
-        graded_dims(1)
+        hom_table(1)
     with pytest.raises(ValueError):
         normal_form(word(("A", 1)), 1)
 

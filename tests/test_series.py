@@ -152,6 +152,10 @@ def test_constructor_rejects_what_is_not_an_int(n, D, terms):
         {"n": 1, "D": 2, "terms": [{"c": "1"}]},
         {"n": 1, "terms": []},
         {"n": 1, "D": 2, "terms": None},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": 1.5}]},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": True}]},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": "1.5"}]},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": None}]},
     ],
 )
 def test_from_json_obj_rejects_malformed_objects(obj):
