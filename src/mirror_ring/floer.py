@@ -13,9 +13,11 @@ kernel; the counting kernels never call the theta route's, the integer
 n*lambda kernel ``plgeom.lambda_exponents`` (whose one-slot p-signature
 names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).  All three
 kernels take (n, m1, a1, m2, a2, k) in the integer frame a = m*p and
-return all n slots of one lifted triangle.  Every term has coefficient
-+1 and nothing cancels, so `mirror_verify` compares what each product
-is made of, its ``product_terms`` map, and builds no product.
+return all n slots of one lifted triangle; the direct one counts them in
+one pass over one grid, and ``count_direct`` is slot j of that count.
+Every term has coefficient +1 and nothing cancels, so `mirror_verify`
+compares what each product is made of, its ``product_terms`` map, and
+builds no product.
 """
 
 from __future__ import annotations
@@ -39,15 +41,9 @@ class Triangle(NamedTuple):
     B: tuple[Fraction, Fraction]
     C: tuple[Fraction, Fraction]
 
-    def vertices(self):
-        return self
-
-    def doubled_area(self) -> Fraction:
-        (ax, ay), (bx, by), (cx, cy) = self.A, self.B, self.C
-        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
     def is_degenerate(self) -> bool:
-        return self.doubled_area() == 0
+        (ax, ay), (bx, by), (cx, cy) = self
+        return (bx - ax) * (cy - ay) == (by - ay) * (cx - ax)
 
 
 def lift_triangle(n: int, m1: int, p1, m2: int, p2, k: int) -> Triangle:
@@ -86,11 +82,7 @@ def point_in_triangle(t: Triangle, x, y) -> bool:
     """
     x = Fraction(x)
     y = Fraction(y)
-    verts = t.vertices()
-    for idx in range(3):
-        (px, py) = verts[idx]
-        (qx, qy) = verts[(idx + 1) % 3]
-        (rx, ry) = verts[(idx + 2) % 3]
+    for (px, py), (qx, qy), (rx, ry) in zip(t, t[1:] + t[:1], t[2:] + t[:2]):
         side = (qx - px) * (ry - py) - (qy - py) * (rx - px)
         here = (qx - px) * (y - py) - (qy - py) * (x - px)
         if (here if side > 0 else -here) < 0:
@@ -98,45 +90,48 @@ def point_in_triangle(t: Triangle, x, y) -> bool:
     return True
 
 
-def _count_scaled(verts, L: int) -> int:
-    """Number of integer pairs (a, b) with (L a, L b) in the closed
-    triangle on the integer vertices verts; 0 when they are collinear.
+def _count_scaled(verts, L: int, n: int) -> list:
+    """Slot j counts the integer pairs (c, b), c = -j mod n, with
+    (c L/n, L b) in the closed triangle on the integer vertices verts;
+    n | L, and all n slots are 0 when the vertices are collinear.
 
     Each edge PQ keeps the side of the third vertex: s * cross(Q - P, X - P)
-    >= 0, with s the orientation.  At X = (L a, L b) that reads
-    fa * a + fb * b + fc >= 0, so in each column a of the bounding box an
+    >= 0, with s the orientation.  At X = (c L/n, L b) that reads
+    fa * c + fb * b + fc >= 0, so in each column c of the bounding box an
     edge with fb > 0 bounds b from below and one with fb < 0 from above.
     A vertical edge (fb = 0) sits at one end of the column range and keeps
     every column in it.
     """
+    counts = [0] * n
     (ax, ay), (bx, by), (cx, cy) = verts
     area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if area == 0:
-        return 0
+        return counts
     s = 1 if area > 0 else -1
+    w = L // n
     edges = [
-        (-s * (qy - py) * L, s * (qx - px) * L, s * ((qy - py) * px - (qx - px) * py))
+        (-s * (qy - py) * w, s * (qx - px) * L, s * ((qy - py) * px - (qx - px) * py))
         for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1])
     ]
     b_lo, b_hi = -(-min(ay, by, cy) // L), max(ay, by, cy) // L
-    count = 0
-    for a in range(-(-min(ax, bx, cx) // L), max(ax, bx, cx) // L + 1):
+    for c in range(-(-min(ax, bx, cx) // w), max(ax, bx, cx) // w + 1):
         lo, hi = b_lo, b_hi
         for fa, fb, fc in edges:
             if fb > 0:
-                lo = max(lo, -((fa * a + fc) // fb))
+                lo = max(lo, -((fa * c + fc) // fb))
             elif fb < 0:
-                hi = min(hi, (fa * a + fc) // -fb)
+                hi = min(hi, (fa * c + fc) // -fb)
         if hi >= lo:
-            count += hi - lo + 1
-    return count
+            counts[-c % n] += hi - lo + 1
+    return counts
 
 
 def count_direct(t: Triangle, n: int, j: int, eps) -> int:
     """Number of integer pairs (a,b) with (a - j/n + eps, b + eps) in t.
 
-    These are the lattice points of t shifted by (j/n - eps, -eps).  The
-    shifted vertices are scaled by L = lcm(n, den(eps), the six vertex
+    With c = n a - j these are the points (c/n, b) of t - (eps, eps): slot
+    j mod n of one count over the columns spaced 1/n.  The shifted
+    vertices are scaled by L = lcm(n, den(eps), the six vertex
     denominators), read straight off numerators and denominators, and
     counted in that integer frame by _count_scaled.  Any common multiple
     would do: each edge test is homogeneous in the scale.  The triangle is
@@ -146,14 +141,13 @@ def count_direct(t: Triangle, n: int, j: int, eps) -> int:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    L = math.lcm(n, eps.denominator, *(c.denominator for v in t.vertices() for c in v))
+    L = math.lcm(n, eps.denominator, *(c.denominator for v in t for c in v))
     sy = eps.numerator * (L // eps.denominator)
-    sx = j * (L // n) - sy
     verts = [
-        (x.numerator * (L // x.denominator) + sx, y.numerator * (L // y.denominator) - sy)
-        for x, y in t.vertices()
+        (x.numerator * (L // x.denominator) - sy, y.numerator * (L // y.denominator) - sy)
+        for x, y in t
     ]
-    return _count_scaled(verts, L)
+    return _count_scaled(verts, L, n)[j % n]
 
 
 def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
@@ -163,7 +157,8 @@ def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     With b2 = a2 + m2*n*k the lifted vertices are A = (a1/(m1 n), 0),
     B = (b2/(m2 n), -(m1 b2 - m2 a1)/m2) and C = ((a1 + b2)/(m3 n), 0).
     They are scaled by L, a common multiple of every denominator, and
-    shifted by (-eps, -eps) once; slot j then adds j*L/n to each x.
+    shifted by (-eps, -eps) once; one pass of _count_scaled over the
+    columns spaced L/n counts every slot.
     """
     m3 = m1 + m2
     eps = default_eps(n, m1, m2, k)
@@ -174,11 +169,7 @@ def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     bx = b2 * (L // (m2 * n)) - sy
     cx = (a1 + b2) * (L // (m3 * n)) - sy
     by = -(m1 * b2 - m2 * a1) * (L // m2) - sy
-    step = L // n
-    return tuple(
-        _count_scaled(((ax + d, -sy), (bx + d, by), (cx + d, -sy)), L)
-        for d in range(0, L, step)
-    )
+    return tuple(_count_scaled(((ax, -sy), (bx, by), (cx, -sy)), L, n))
 
 
 def _site(n: int, m1: int, a1: int, m2: int, a2: int, k: int, j: int) -> str:

@@ -68,6 +68,10 @@ class PathWord(namedtuple("PathWord", "arrows vertex")):
                 )
         return super().__new__(cls, arrows, vertex)
 
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's skips __new__; _replace calls it
+        return cls(*iterable)
+
     @property
     def source(self) -> int:
         if not self.arrows:

@@ -26,6 +26,10 @@ class MPoint(namedtuple("MPoint", "x y")):
     def __new__(cls, x, y):
         return super().__new__(cls, Fraction(x), tuple(Fraction(v) for v in y))
 
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's skips __new__; _replace calls it
+        return cls(*iterable)
+
     @property
     def n(self) -> int:
         return len(self.y)

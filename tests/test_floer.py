@@ -155,7 +155,7 @@ def rational_triangles(draw):
         c = (a[0] + r * (b[0] - a[0]), a[1] + r * (b[1] - a[1]))
     else:
         c = draw(POINTS)
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 7))
     eps = Fraction(draw(st.integers(1, 12)), draw(st.sampled_from((1, 2, 3, 4, 6, 12))))
     return Triangle(a, b, c), n, draw(st.integers(0, n - 1)), eps
 
@@ -166,12 +166,13 @@ def rational_triangles(draw):
 @example((Triangle((0, 0), (0, 2), (2, 0)), 1, 0, Fraction(1)))  # the same, clockwise
 @example((Triangle((0, 0), (1, 1), (3, 3)), 2, 1, Fraction(1, 2)))  # degenerate
 @example((Triangle((0, 0), (Fraction(1, 3), 0), (0, Fraction(1, 2))), 3, 2, Fraction(1, 6)))
+@example((Triangle((0, 0), (0, 2), (2, 0)), 7, 3, Fraction(1, 3)))  # vertical edge, n = 7
 def test_direct_count_matches_fraction_scan(case):
     """count_direct against point_in_triangle over a box one cell wider."""
     t, n, j, eps = case
     sx = Fraction(j, n) - eps
-    xs = [v[0] + sx for v in t.vertices()]
-    ys = [v[1] - eps for v in t.vertices()]
+    xs = [v[0] + sx for v in t]
+    ys = [v[1] - eps for v in t]
     expected = 0
     if not t.is_degenerate():
         for a in range(math.floor(min(xs)) - 1, math.floor(max(xs)) + 2):
@@ -201,6 +202,21 @@ def test_direct_count_eps_robust_on_lifted_triangles(case):
         for j in range(n):
             brion = count_brion(n, m1, p1, m2, p2, k, j)
             assert count_direct(t, n, j, eps) == count_direct(t, n, j, eps / 7) == brion
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(lifted_products())
+def test_direct_count_is_periodic_in_the_slot(case):
+    """count_direct reads slot j mod n: j + n and j - n give slot j, and
+    j = -1 gives slot n - 1."""
+    n, m1, p1, m2, p2, D = case
+    for k in plgeom.admissible_k_range(n, m1, p1, m2, p2, D):
+        t = lift_triangle(n, m1, p1, m2, p2, k)
+        eps = default_eps(n, m1, m2, k)
+        slots = [count_direct(t, n, j, eps) for j in range(n)]
+        for j in range(n):
+            assert count_direct(t, n, j + n, eps) == count_direct(t, n, j - n, eps) == slots[j]
+        assert count_direct(t, n, -1, eps) == slots[n - 1]
 
 
 @st.composite

@@ -68,6 +68,16 @@ def test_unpickling_a_word_validates_it_again():
         pickle.loads(pickle.dumps(bad))
 
 
+def test_make_and_replace_validate_and_convert():
+    """namedtuple's own _make, which _replace calls, would skip __new__."""
+    with pytest.raises(ValueError):
+        PathWord._make([(("A", 1),), 0])
+    for point in (MPoint(1, (2,))._replace(x=0.5), MPoint._make([1, [2, 3]])):
+        assert type(point.x) is Fraction and type(point.y) is tuple
+        assert all(type(v) is Fraction for v in point.y)
+    assert MPoint(1, (2,))._replace(x=0.5).x == Fraction(1, 2)
+
+
 def test_algebra_element_drops_zero_terms_and_is_unhashable():
     x = AlgebraElement(2, {"c": 0, "e_0": 1, "A_1": 0})
     assert x.terms == {"e_0": 1}
