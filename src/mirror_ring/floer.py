@@ -185,10 +185,14 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     Each corner of the triangle contributes a two-term polynomial read off
     from the primitive parallelogram of its cone; the combination
     h(x) = g1(x) + x^2 g2(x) - x g3(x) vanishes to second order at x=1 and
-    the count is h''(1)/2.  That it vanishes needs no check: h(1) =
+    the count is h''(1)/2.  With (q, r) = divmod of a corner's class by its
+    width w, each of g1, x^2 g2 and x g3 is (w - r) x^(q+1) + r x^(q+2), so
+    a corner adds (w - r)(q + 1)q + r(q + 2)(q + 1) to h''(1), the third
+    with a minus sign.  That h vanishes needs no check: h(1) =
     w1 + w2 - w3 = 0 for any (q, r), and h'(1) = r1 + r2 - r3 -
     n*(m3 q3 - m2 q2 - m1 q1), so h'(1) = 0 is the remainder identity,
-    which is checked for every slot, as is the sign and parity of h''(1).
+    checked for every slot with the sign of h''(1).  Nor does its parity:
+    (q + 1)q and (q + 2)(q + 1) are products of two consecutive integers.
     """
     m3 = m1 + m2
     w1, w2, w3 = m1 * n, m2 * n, m3 * n
@@ -202,18 +206,12 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
             raise InvariantError(
                 f"remainder identity violated at {_site(n, m1, a1, m2, a2, k, j)}"
             )
-        # the six (exponent, coefficient) terms of h; a repeated exponent
-        # only splits a coefficient, and h''(1) is linear in the terms
-        h = (
-            (q1 + 1, w1 - r1),
-            (q1 + 2, r1),
-            (q2 + 1, w2 - r2),  # x^2 * g2
-            (q2 + 2, r2),
-            (q3 + 1, r3 - w3),  # -x * g3
-            (q3 + 2, -r3),
+        twice = (  # h''(1), one line per corner
+            (w1 - r1) * (q1 + 1) * q1 + r1 * (q1 + 2) * (q1 + 1)
+            + (w2 - r2) * (q2 + 1) * q2 + r2 * (q2 + 2) * (q2 + 1)
+            - (w3 - r3) * (q3 + 1) * q3 - r3 * (q3 + 2) * (q3 + 1)
         )
-        twice = sum(c * e * (e - 1) for e, c in h)  # h''(1)
-        if twice % 2 or twice < 0:
+        if twice < 0:
             raise InvariantError(
                 f"h''(1) = {twice} is not a nonnegative even number at "
                 f"{_site(n, m1, a1, m2, a2, k, j)}"

@@ -52,10 +52,7 @@ class ULaurent:
                     raise InvariantError(
                         f"u-exponent {e} outside window +-{_window(n, D)}"
                     )
-                self.terms[e] = self.terms[e].add(s) if e in self.terms else s
-
-    def is_zero(self) -> bool:
-        return not self.terms
+                self.terms[e] = s
 
     def add(self, other: "ULaurent") -> "ULaurent":
         if (self.n, self.D) != (other.n, other.D):
@@ -133,9 +130,7 @@ def _theta_chart(l: int | None, c: int, n: int, D: int) -> ULaurent:
         if sum(exps) > D:
             continue
         sign = -1 if (iota - c) % 2 else 1
-        mono = TruncSeries(n, D, {exps: sign})
-        e = c - iota
-        terms[e] = terms[e].add(mono) if e in terms else mono
+        terms[c - iota] = TruncSeries(n, D, {exps: sign})
     return ULaurent(n, D, terms)
 
 

@@ -288,7 +288,7 @@ def test_brion_takes_int_and_fraction_p():
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
-    n=st.integers(1, 6),
+    n=st.integers(1, 7),
     m1=st.integers(1, 4),
     m2=st.integers(1, 4),
     a1=st.integers(-60, 60),
@@ -296,6 +296,8 @@ def test_brion_takes_int_and_fraction_p():
     k=st.integers(-30, 30),
 )
 @example(n=6, m1=4, m2=4, a1=-60, a2=60, k=-30)
+@example(n=7, m1=4, m2=3, a1=-60, a2=59, k=-30)
+@example(n=7, m1=1, m2=1, a1=0, a2=0, k=0)
 def test_brion_core_counts_every_slot(n, m1, m2, a1, a2, k):
     """The Brion core gives count_brion, and theta's n*lambda core gives
     t_exponent_qr, at every slot, both equal to the Fraction reference, for

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -239,3 +240,29 @@ def test_every_entry_point_rejects_non_integral_m_p(call):
     ValueError, in either index slot."""
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, True, "1/2"], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda p: theta.ThetaIndex.make(2, p, 3), id="ThetaIndex.make"),
+        pytest.param(lambda p: floer.count_brion(3, 2, p, 1, 0, 0, 0), id="count_brion-p1"),
+        pytest.param(lambda p: floer.count_brion(3, 1, 0, 2, p, 0, 0), id="count_brion-p2"),
+        pytest.param(lambda p: floer.floer_product(3, 2, p, 1, 0, 4, "direct"), id="direct-p1"),
+        pytest.param(lambda p: floer.floer_product(3, 1, 0, 2, p, 4, "brion"), id="brion-p2"),
+    ],
+)
+def test_every_entry_point_rejects_an_index_of_another_type(call, p):
+    """An index that is neither an int nor a Fraction is refused with a
+    ValueError naming it, even where m*p would be integral; bool is not
+    taken for an int."""
+    with pytest.raises(ValueError, match=re.escape(f"index p={p!r} is not an int or a Fraction")):
+        call(p)
+
+
+def test_lift_triangle_converts_an_index_first():
+    """The Fraction reference reads its indices through Fraction(p)."""
+    want = floer.lift_triangle(3, 2, Fraction(1, 2), 1, 1, 0)
+    for p in (0.5, "1/2"):
+        assert floer.lift_triangle(3, 2, p, 1, True, 0) == want
