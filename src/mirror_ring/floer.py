@@ -213,7 +213,7 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
         )
         if twice < 0:
             raise InvariantError(
-                f"h''(1) = {twice} is not a nonnegative even number at "
+                f"h''(1) = {twice} is negative at "
                 f"{_site(n, m1, a1, m2, a2, k, j)}"
             )
         counts.append(twice // 2)

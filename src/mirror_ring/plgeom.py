@@ -28,8 +28,10 @@ class InvariantError(RuntimeError):
 
 
 def scaled_index(m: int, p) -> int:
-    """The integer a = m*p of an int or Fraction index p at weight m; the
-    one check that p is one and m*p is integral, a ValueError otherwise."""
+    """The integer a = m*p of an int or Fraction index p at a weight m >= 1;
+    the one check of m, of p and that m*p is integral, a ValueError otherwise."""
+    if m < 1:
+        raise ValueError(f"weight must be >= 1, got m={m}")
     if type(p) is not int and type(p) is not Fraction:
         raise ValueError(f"index p={p!r} is not an int or a Fraction")
     a, rem = divmod(m * p.numerator, p.denominator)

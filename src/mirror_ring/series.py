@@ -131,7 +131,8 @@ class TruncSeries:
                 if sum(eb) <= room
             }
             return TruncSeries._raw(self.n, D, out)
-        prod = _graded_mul(_pack(a, D), _pack(b, D), D)
+        a, b = _pack(a, D), _pack(b, D)
+        prod = [_degree(a, b, d) for d in range(D + 1)]
         return TruncSeries._raw(self.n, D, _unpack(prod, self.n, D))
 
     def invert_unit(self) -> "TruncSeries":
@@ -139,22 +140,12 @@ class TruncSeries:
         c0 = self.constant_term()
         if c0 not in (1, -1):
             raise SeriesError(f"series with constant term {c0} is not invertible over Z")
-        # Newton doubling y <- y + y*(1 - a*y): when a*y = 1 through degree
-        # prec, 1 - a*y starts at degree prec+1, so the new y is the old one
-        # through prec and -(y * (a*y restricted above prec)) above it, and
-        # a*y_new = 1 - (1 - a*y)^2 holds through degree 2*prec+1.
+        # a*y = 1 degree by degree: y_0 = c0, y_d = -c0 * sum_{k>=1} a_k y_(d-k)
         D = self.D
         a = _pack(self.terms, D)
-        y = _pack({(0,) * self.n: c0}, D)
-        prec = 0
-        while prec < D:
-            new = min(2 * prec + 1, D)
-            ay = _graded_mul(a, y, new)
-            err = [{}] * (prec + 1) + [
-                {k: -c for k, c in ay[d].items() if c} for d in range(prec + 1, new + 1)
-            ]
-            y = y[: prec + 1] + _graded_mul(y, err, new)[prec + 1 :]
-            prec = new
+        y = [{0: c0}]
+        for d in range(1, D + 1):
+            y.append({k: -c0 * c for k, c in _degree(a, y, d, 1).items() if c})
         return TruncSeries._raw(self.n, D, _unpack(y, self.n, D))
 
     def rotate(self, shift: int) -> "TruncSeries":
@@ -271,26 +262,22 @@ def _unpack(graded: list[dict], n: int, D: int) -> dict:
     return out
 
 
-def _graded_mul(a: list[dict], b: list[dict], cap: int) -> list[dict]:
-    """Product of two graded operands, keeping total degrees <= cap.
+def _degree(a: list[dict], b: list[dict], d: int, lo: int = 0) -> dict:
+    """The degree-d bucket of the product of two graded operands: the sum
+    of a[da] * b[d - da] over da = lo..d, skipping empty buckets.  It reads
+    a[lo..d] and b[0..d - lo] only.
 
     Coefficients that cancel stay in the result as zeros; _unpack drops
     them.
     """
-    out: list[dict] = [{} for _ in range(cap + 1)]
-    for da in range(min(len(a) - 1, cap) + 1):
-        ta = a[da]
-        if not ta:
+    acc: dict = {}
+    get = acc.get
+    for da in range(lo, d + 1):
+        ta, tb = a[da], b[d - da]
+        if not ta or not tb:
             continue
-        for db in range(min(len(b) - 1, cap - da) + 1):
-            tb = b[db]
-            if not tb:
-                continue
-            acc = out[da + db]
-            get = acc.get
-            for ka, ca in ta.items():
-                for kb, cb in tb.items():
-                    k = ka + kb
-                    acc[k] = get(k, 0) + ca * cb
-    return out
-
+        for ka, ca in ta.items():
+            for kb, cb in tb.items():
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    return acc

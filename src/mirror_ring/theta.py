@@ -59,8 +59,6 @@ class ThetaIndex(NamedTuple):
 
     @classmethod
     def make(cls, m: int, p, n: int) -> "ThetaIndex":
-        if m < 1:
-            raise ValueError(f"weight must be >= 1, got m={m}")
         return cls(m, plgeom.scaled_index(m, p) % (m * n))
 
     def to_json_obj(self) -> dict:

@@ -318,7 +318,7 @@ def test_brion_core_counts_every_slot(n, m1, m2, a1, a2, k):
         # a remainder off by one breaks the r-identity
         (lambda q, r, w: (q, r + 1), "remainder identity violated at "),
         # (q - 1, r + w) keeps the identity but lowers the count by r
-        (lambda q, r, w: (q - 1, r + w), "h''(1) = -10 is not a nonnegative even number at "),
+        (lambda q, r, w: (q - 1, r + w), "h''(1) = -10 is negative at "),
     ],
     ids=["r-identity", "h''(1)"],
 )

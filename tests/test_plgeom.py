@@ -261,6 +261,15 @@ def test_every_entry_point_rejects_an_index_of_another_type(call, p):
         call(p)
 
 
+@pytest.mark.parametrize("m1, m2", [(0, 1), (1, 0), (1, -1)])
+@pytest.mark.parametrize("call", [floer.count_brion, t_exponent_qr], ids=lambda f: f.__name__)
+def test_one_slot_entry_points_reject_a_weight_below_one(call, m1, m2):
+    """As floer_product does: a ValueError, not the ZeroDivisionError of
+    dividing by a class width m*n = 0."""
+    with pytest.raises(ValueError, match="weight must be >= 1"):
+        call(3, m1, 0, m2, 0, 0, 0)
+
+
 def test_lift_triangle_converts_an_index_first():
     """The Fraction reference reads its indices through Fraction(p)."""
     want = floer.lift_triangle(3, 2, Fraction(1, 2), 1, 1, 0)

@@ -1,5 +1,6 @@
 """Arithmetic of the truncated series ring."""
 
+import itertools
 import os
 import random
 
@@ -195,6 +196,12 @@ def geometric_inverse(a):
     return acc.scale(c0)
 
 
+def dense(n, D, top, coeff):
+    """Every monomial of total degree <= top, with coefficient coeff(e)."""
+    grid = itertools.product(range(top + 1), repeat=n)
+    return TruncSeries(n, D, {e: coeff(e) for e in grid if sum(e) <= top})
+
+
 COEFFS = st.one_of(
     st.integers(-3, 3), st.integers(-(2**80), 2**80), st.sampled_from((2**64, -(2**64) - 1))
 )
@@ -233,6 +240,12 @@ def series_pairs(draw):
         TruncSeries(3, 4, {(0, 1, 1): 2**66 + 1, (2, 0, 0): -(2**64), (4, 0, 0): 1}),
     )
 )
+@example(  # dense x dense at the moduli size, 330 terms each, products past D
+    (
+        dense(4, 12, 7, lambda e: 2 * (e[0] - 2 * e[1] + 3 * e[2] - e[3]) + 1),
+        dense(4, 12, 7, lambda e: (-1) ** sum(e) * 2 ** (9 * e[3] + e[0])),
+    )
+)
 def test_mul_matches_naive_reference(pair):
     a, b = pair
     got = a.mul(b)
@@ -269,6 +282,8 @@ def units(draw):
 @example(TruncSeries(1, 1, {(0,): -1, (1,): 3}))
 @example(TruncSeries(3, 1, {(0, 0, 0): -1, (0, 1, 0): 1, (1, 0, 0): -(2**65)}))
 @example(TruncSeries(1, 12, {(0,): 1, (1,): -1}))
+@example(TruncSeries(1, 7, {(0,): 1, (2,): 1}))  # every odd degree of the inverse is empty
+@example(dense(4, 12, 2, lambda e: 1 if any(e) else -1))  # dense, at the moduli size
 def test_invert_unit_matches_geometric_series(a):
     inv = a.invert_unit()
     assert a.mul(inv) == TruncSeries.one(a.n, a.D)
