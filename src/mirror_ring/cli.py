@@ -55,24 +55,21 @@ def _check_ranges(args: argparse.Namespace):
 
 def _json_text(obj) -> str:
     """The text json.dumps gives obj with a two-space indent and sorted
-    keys, plus a newline, where each TruncSeries stands for its
-    ``to_json_obj()``.
+    keys, plus a newline, where each TruncSeries and each StructureTable
+    stands for its ``to_json_obj()``.
 
     With an indent, json.dumps runs its pure-Python encoder; this writer
     joins each container's items once and escapes strings with the same
     C escaper.  A series is written straight from its sorted terms, and a
-    list met again at the same depth, as a table's shared result is,
-    reuses the text written the first time.  It takes only what the
-    reports hold: dicts with str keys, lists, TruncSeries, str, int, bool
-    and None.  Anything else raises TypeError.
+    table entry by entry through one template, with no dict tree.  It
+    takes only what the reports hold: dicts with str keys, lists,
+    StructureTable, TruncSeries, str, int, bool and None.  Anything else
+    raises TypeError.
     """
-    return _json_value(obj, "\n", {}) + "\n"
+    return _json_value(obj, "\n") + "\n"
 
 
-def _json_value(obj, newline: str, done: dict) -> str:
-    # done maps (id, indent) of each list written in this call to its
-    # text; the tree holds every list until the call returns, so no id is
-    # reused while done is alive
+def _json_value(obj, newline: str) -> str:
     kind = type(obj)
     if kind is str:
         return _escape(obj)
@@ -84,19 +81,17 @@ def _json_value(obj, newline: str, done: dict) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        key = (id(obj), len(newline))
-        text = done.get(key)
-        if text is None:
-            items = [_json_value(x, inner, done) for x in obj]
-            text = done[key] = "[" + inner + ("," + inner).join(items) + newline + "]"
-        return text
+        items = [_json_value(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not obj:
             return "{}"
         inner = newline + "  "
         # the escaper raises TypeError on a key that is not a str
-        items = [_escape(key) + ": " + _json_value(obj[key], inner, done) for key in sorted(obj)]
+        items = [_escape(key) + ": " + _json_value(obj[key], inner) for key in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is theta.StructureTable:
+        return _table_text(obj, newline)
     if obj is None or kind is bool:
         return _LITERALS[obj]
     raise TypeError(f"cannot write {kind.__name__} to a report")
@@ -117,6 +112,35 @@ def _series_text(s: TruncSeries, newline: str) -> str:
     term = "{" + i6 + '"c": "%s",' + i6 + '"e": [' + i8 + exps + i6 + "]" + i4 + "}"
     items = [term % (c, *e) for e, c in sorted(s.terms.items())]
     return head + "[" + i4 + ("," + i4).join(items) + i2 + "]" + newline + "}"
+
+
+def _table_text(table: theta.StructureTable, newline: str) -> str:
+    """The text of table.to_json_obj(), with each label's text built once
+    and each element's result list once, since (a, b) and (b, a) share one
+    element; a class text is digits and "/", which need no escape."""
+    i2 = newline + "  "
+    i4, i6, i8, i10 = (i2 + "  " * k for k in range(1, 5))
+    label = "{" + i8 + '"m": %d,' + i8 + '"p": "%s"' + i6 + "}"
+    part = "{" + i10 + '"p": "%s",' + i10 + '"series": %s' + i8 + "}"
+    entry = "{" + i6 + '"a": %s,' + i6 + '"b": %s,' + i6 + '"result": %s' + i4 + "}"
+    spell = theta.class_text
+    labels: dict[theta.ThetaIndex, str] = {}
+    results: dict[int, str] = {}
+    items = []
+    for a, b in table.sorted_keys():
+        elem = table.entries[a, b]
+        result = results.get(id(elem))
+        if result is None:
+            parts = [part % (spell(a3, elem.m), _series_text(s, i10)) for a3, s in elem.items()]
+            result = "[" + i8 + ("," + i8).join(parts) + i6 + "]" if parts else "[]"
+            results[id(elem)] = result
+        for x in (a, b):
+            if x not in labels:
+                labels[x] = label % (x.m, spell(x.a, x.m))
+        items.append(entry % (labels[a], labels[b], result))
+    entries = "[" + i4 + ("," + i4).join(items) + i2 + "]" if items else "[]"
+    head = "{" + i2 + '"D": %d,' % table.D + i2 + '"entries": '
+    return head + entries + "," + i2 + '"n": %d' % table.n + newline + "}"
 
 
 def _emit(path: str | None, text: str):
@@ -156,7 +180,7 @@ def _run_table(mode: str | None, args) -> int:
             return floer.floer_product(n, a.m, a.p, b.m, b.p, D, mode)
 
     table = theta.build_table(args.n, args.max_m, args.trunc, product=product)
-    text = table.to_csv() if args.fmt == "csv" else _json_text(table.to_json_obj())
+    text = table.to_csv() if args.fmt == "csv" else _json_text(table)
     _emit(args.output, text)
     return 0
 

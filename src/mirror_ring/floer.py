@@ -56,9 +56,7 @@ def lift_triangle(n: int, m1: int, p1, m2: int, p2, k: int) -> Triangle:
     """
     p1 = Fraction(p1)
     p2 = Fraction(p2)
-    if m1 < 1 or m2 < 1:
-        raise ValueError("weights must be >= 1")
-    # refuses an index with m*p not integral
+    # refuses a weight below 1 and an index with m*p not integral
     plgeom.scaled_index(m1, p1)
     plgeom.scaled_index(m2, p2)
     gap = p2 + n * k - p1

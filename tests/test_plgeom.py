@@ -270,6 +270,18 @@ def test_one_slot_entry_points_reject_a_weight_below_one(call, m1, m2):
         call(3, m1, 0, m2, 0, 0, 0)
 
 
+@pytest.mark.parametrize("m1, m2", [(0, 1), (1, 0), (1, -1), (-1, 1)])
+@pytest.mark.parametrize(
+    "call", [admissible_k_range, floer.lift_triangle], ids=lambda f: f.__name__
+)
+def test_window_and_lifted_triangle_reject_a_weight_below_one(call, m1, m2):
+    """The k-window and the Fraction triangle refuse a weight below 1 as
+    scaled_index does: not with a ZeroDivisionError, nor a window for a
+    negative weight."""
+    with pytest.raises(ValueError, match=f"weight must be >= 1, got m={min(m1, m2)}"):
+        call(3, m1, 0, m2, 0, 6)
+
+
 def test_lift_triangle_converts_an_index_first():
     """The Fraction reference reads its indices through Fraction(p)."""
     want = floer.lift_triangle(3, 2, Fraction(1, 2), 1, 1, 0)

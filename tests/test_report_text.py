@@ -12,9 +12,12 @@ from mirror_ring.series import TruncSeries
 
 
 def plain(obj):
-    """obj with every TruncSeries replaced by its to_json_obj()."""
+    """obj with every TruncSeries and StructureTable replaced by its
+    to_json_obj(), all the way down."""
     if isinstance(obj, TruncSeries):
         return obj.to_json_obj()
+    if isinstance(obj, theta.StructureTable):
+        return plain(obj.to_json_obj())
     if isinstance(obj, list):
         return [plain(x) for x in obj]
     if isinstance(obj, dict):
@@ -62,6 +65,8 @@ def shared_trees(draw):
 
 SERIES = TruncSeries(3, 4, {(0, 1, 2): -(2**70), (0, 0, 0): 1, (4, 0, 0): 2**64 + 1})
 SHARED = [{"p": "1/2", "series": SERIES}, SERIES]
+# at D = 0 two of its entries have no terms, so their result is []
+TABLE = theta.build_table(2, 2, 0)
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -74,8 +79,22 @@ SHARED = [{"p": "1/2", "series": SERIES}, SERIES]
 @example(TruncSeries(2, 0))
 @example({"s": SERIES, "empty": TruncSeries(1, 3), "t": [TruncSeries(5, 6, {(1,) * 5: -1})]})
 @example({"a": SHARED, "b": SHARED, "c": [SHARED, {"d": SHARED}]})
+@example({"t": [TABLE, {"u": TABLE}], "v": TABLE})
 def test_json_text_matches_stdlib_encoder(tree):
     assert cli._json_text(tree) == reference(tree)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 6))
+@example(1, 1, 0)
+@example(2, 2, 0)
+@example(4, 3, 0)
+def test_table_text_matches_its_json_obj(n, max_m, D):
+    """A table is written straight from its entries, in the text of its
+    to_json_obj(); at D = 0 some results are empty and written []."""
+    table = theta.build_table(n, max_m, D)
+    obj = table.to_json_obj()
+    assert cli._json_text(table) == cli._json_text(obj) == reference(obj)
 
 
 @pytest.mark.parametrize(
@@ -89,6 +108,7 @@ def test_json_text_matches_stdlib_encoder(tree):
         {"c": {2: 0}},
         theta.RingElement(1, 2, 3),
         {"r": [theta.RingElement(2, 1, 0)]},
+        {"a": theta.build_table(1, 1, 2), "b": theta.RingElement(2, 1, 2)},
     ],
 )
 def test_json_text_refuses_other_types(bad):
