@@ -3,11 +3,12 @@ family, computed as exact power series in the gluing parameters.
 
 Everything happens in a single affine chart.  The canonical section is
 expanded there as a Laurent series in the chart coordinate u with
-t-series coefficients, its distinguished root u = 1 + s(t) is found
-degree by degree, and all point evaluations reduce to substituting that
-root and cyclically rotating variable indices.  The b and c coordinate
-functions come out of unit-denominator expressions only; no 0/0 ratio is
-ever formed.
+t-series coefficients, its distinguished root u = 1 + s(t) is solved
+online, one degree at a time on the graded powers of 1 + s, and then
+substituted back at full precision as the proof.  All point evaluations
+reduce to substituting that root and cyclically rotating variable
+indices.  The b and c coordinate functions come out of unit-denominator
+expressions only; no 0/0 ratio is ever formed.
 
 Sign convention: the logarithmic vector field is oriented as -u d/du in
 the residue and coordinate computations, which makes every residue a
@@ -21,7 +22,7 @@ import functools
 
 from . import toric
 from .plgeom import InvariantError
-from .series import TruncSeries
+from .series import TruncSeries, _degree, _pack, _unpack
 
 
 def _window(n: int, D: int) -> int:
@@ -168,11 +169,6 @@ def _span(*parts: ULaurent) -> tuple[int, int]:
     return min(exps), max(exps)
 
 
-def _cut(g: ULaurent, d: int) -> ULaurent:
-    """g truncated at t-degree d <= g.D."""
-    return ULaurent(g.n, d, {e: TruncSeries(g.n, d, c.terms) for e, c in g.terms.items()})
-
-
 def _powers(s: TruncSeries, lo: int, hi: int) -> dict[int, TruncSeries]:
     """(1 + s)^e for every lo <= e <= hi, one inversion at most."""
     one = TruncSeries.one(s.n, s.D)
@@ -204,26 +200,68 @@ def _eval_at(g: ULaurent, s: TruncSeries) -> TruncSeries:
     return _substitute(g, _powers(s, *_span(g)))
 
 
+def _defect(coeffs: dict, pows: dict, d: int) -> dict:
+    """Bucket d of sum_e c_e (1 + s)^e, from the graded c_e and the graded
+    powers, cancelled keys dropped."""
+    acc: dict = {}
+    for e, c in coeffs.items():
+        for k, v in _degree(c, pows[e], d).items():
+            acc[k] = acc.get(k, 0) + v
+    return {k: v for k, v in acc.items() if v}
+
+
+def _online_root(th: ULaurent) -> TruncSeries:
+    """The no-constant-term root s of th, one degree at a time, on the
+    graded buckets of (1 + s)^e for every e in th's u-span.
+
+    At degree d, bucket d of each power is first formed with s_d still 0:
+    upward from (1 + s)^(e-1) (1 + s), and downward by solving
+    (1 + s)^e (1 + s) = (1 + s)^(e+1) for (1 + s)^e.  Each is one
+    _degree call, which reads s only through degree d and the power only
+    below d.  The defect at degree d is then s_d itself, because the
+    u-derivative of th at u = 1 has constant term -1, and s_d enters
+    bucket d of (1 + s)^e as e s_d.  Only s is returned, so the buckets
+    are gone before anyone checks it.
+    """
+    n, D = th.n, th.D
+    lo, hi = _span(th)
+    coeffs = {e: _pack(c.terms, D) for e, c in th.terms.items()}
+    s: list[dict] = [{} for _ in range(D + 1)]
+    pows = {e: [{0: 1}] for e in range(lo, hi + 1)}
+    for d in range(1, D + 1):
+        pows[0].append({})
+        for e in range(1, hi + 1):
+            below = pows[e - 1]
+            acc = _degree(s, below, d, 1)
+            for k, c in below[d].items():
+                acc[k] = acc.get(k, 0) + c
+            pows[e].append(acc)
+        for e in range(-1, lo - 1, -1):
+            acc = dict(pows[e + 1][d])
+            for k, c in _degree(s, pows[e], d, 1).items():
+                acc[k] = acc.get(k, 0) - c
+            pows[e].append(acc)
+        s[d] = _defect(coeffs, pows, d)
+        for e, p in pows.items():
+            bucket = p[d]
+            for k, c in s[d].items():
+                bucket[k] = bucket.get(k, 0) + e * c
+            p[d] = {k: c for k, c in bucket.items() if c}
+    return TruncSeries._raw(n, D, _unpack(s, n, D))
+
+
 @functools.lru_cache(maxsize=None)
 def solve_s(n: int, D: int) -> TruncSeries:
     """The unique no-constant-term series s with the section vanishing at
-    u = 1 + s, found degree by degree.
+    u = 1 + s.
 
-    At each degree d the defect of the current partial solution is itself
-    the homogeneous correction s_d, because the u-derivative of the
-    section at u=1 has constant term -1.  Step d needs the defect through
-    degree d only, so it runs at precision d, on the section cut there:
-    s has no terms of degree d or more yet, and the defect at precision d
-    is exactly s_d.  The steps never see degrees above their own, so
-    the vanishing check at full D is what proves the whole chain.
+    _online_root finds s in one pass over the degrees and never
+    substitutes it back.  The vanishing check at full D does, through
+    _eval_at on a power table built from s alone, so it is what proves
+    the root.  At n = 1 the root is u = 1 and s is zero.
     """
     th = theta_full_chart0(n, D)
-    s = TruncSeries.zero(n, D)
-    for d in range(1, D + 1):
-        residual = _eval_at(_cut(th, d), TruncSeries._raw(n, d, s.terms))
-        if any(sum(e) < d for e in residual.terms):
-            raise InvariantError("lower defect survived")
-        s = s.add(TruncSeries._raw(n, D, residual.terms))
+    s = _online_root(th)
     if not _eval_at(th, s).is_zero():
         raise InvariantError("root substitution left a nonzero residual")
     return s
@@ -252,8 +290,9 @@ def _point_data(n: int, D: int):
     for l in range(n):
         g = theta_chart0(l, n, D)
         parts += [g, d_log_derivative(g)]
-    # one power table over the span of the parts themselves: a part need
-    # not lie inside the full section's span
+    # one power table for all 2n values; each summand of the section lies
+    # in one residue part and u d/du drops only u^0, so the parts span
+    # exactly the full section's u-exponents
     pows = _powers(solve_s(n, D), *_span(*parts))
     vals = [_substitute(g, pows) for g in parts]
     th, dth = vals[0::2], vals[1::2]

@@ -5,10 +5,12 @@ import os
 import pathlib
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import diagonal_oracle
+import slice_oracle
 from mirror_ring import moduli
 from mirror_ring.moduli import (
     ULaurent,
@@ -169,10 +171,60 @@ def test_diagonal_b_on_the_diagonal_is_a_lambert_difference(n):
     assert got == diagonal_oracle.diagonal_b0(n, D)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_section_on_the_slice_is_the_oracle_polynomial(n):
+    """On t_0 = 0 the section keeps 1 - u and the n - 1 summands c_K u^K,
+    K = 2..n; D reaches the last one's degree n(n-1)/2."""
+    D = n * (n - 1) // 2
+    got = {}
+    for e, s in theta_full_chart0(n, D).iter_terms():
+        kept = {exps: c for exps, c in s.iter_terms() if exps[0] == 0}
+        if kept:
+            got[e] = kept
+    assert got == slice_oracle.section(n)
+
+
+@pytest.mark.parametrize("n, D", [(1, 10), (2, 10), (3, 10), (4, 10), (5, 10), (6, 8)])
+def test_root_series_on_the_slice_is_the_oracle_fixed_point(n, D):
+    got = {e: c for e, c in solve_s(n, D).iter_terms() if e[0] == 0}
+    assert got == slice_oracle.root(n, D)
+
+
+def _catalan(k):
+    return comb(2 * k, k) // (k + 1)
+
+
+def test_root_series_for_two_components_in_closed_form():
+    """At n = 2 the slice t_0 = 0 gives s = t_1 (1 + s)^2, the Catalan
+    series; on t_1 = 0 the section is 1 - u - t_0/u, so s = -t_0/(1 + s)
+    and s is minus t_0 times the Catalan series in t_0."""
+    D = 10
+    s = dict(solve_s(2, D).iter_terms())
+    assert {e: c for e, c in s.items() if e[0] == 0} == {
+        (0, k): _catalan(k) for k in range(1, D + 1)
+    }
+    assert {e: c for e, c in s.items() if e[1] == 0} == {
+        (k, 0): -_catalan(k - 1) for k in range(1, D + 1)
+    }
+
+
+def test_residue_parts_span_the_full_section():
+    """Each summand of the section lies in exactly one residue part, and
+    u d/du drops only u^0, so the parts and their derivatives cover the
+    full section's u-span and no more: _point_data's table and the
+    final check of solve_s span the same exponents."""
+    for n in range(1, 8):
+        for D in range(16):
+            parts = [theta_chart0(l, n, D) for l in range(n)]
+            parts += [d_log_derivative(g) for g in parts]
+            want = moduli._span(theta_full_chart0(n, D))
+            assert moduli._span(*parts) == want, (n, D)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lower_precision_is_a_truncation(n):
-    """Step d of solve_s runs at precision d, so a wrong cut would show as
-    a series at D that disagrees with the one at d below degree d."""
+    """solve_s builds degree d from the degrees below it alone, so a
+    series at D must agree with the one at d below degree d."""
     top = 8
 
     def values(D):
@@ -184,13 +236,6 @@ def test_lower_precision_is_a_truncation(n):
         assert values(d) == cut, (n, d)
 
 
-def test_cut_section_is_the_section_at_lower_precision():
-    for n in (1, 2, 4):
-        g = theta_full_chart0(n, 8)
-        for d in range(9):
-            assert moduli._cut(g, d) == theta_full_chart0(n, d)
-
-
 def test_eval_of_zero_is_zero():
     n, D = 3, 4
     zero = ULaurent(n, D)
@@ -198,31 +243,37 @@ def test_eval_of_zero_is_zero():
 
 
 def test_final_check_catches_a_corrupt_last_step(monkeypatch):
-    """Each step sees the residual only through its own degree, so a wrong
-    degree-D correction passes every step; the full-D check at the end is
-    what proves the root."""
+    """The online solve never substitutes its answer back, so a wrong
+    degree-D correction passes every step; the one check at full D, on
+    a power table of its own, is what proves the root."""
     n, D = 2, 4
-    real = moduli._eval_at
-    seen = []
+    real_defect, real_eval = moduli._defect, moduli._eval_at
+    steps, checks = [], []
 
-    def drop_one(g, s):
-        out = real(g, s)
-        seen.append(s.D)
-        if len(seen) == D:
-            assert not out.is_zero()
-            first = min(out.terms)
-            out = TruncSeries(n, s.D, {e: c for e, c in out.terms.items() if e != first})
+    def drop_one(coeffs, pows, d):
+        out = real_defect(coeffs, pows, d)
+        steps.append(d)
+        if d == D:
+            assert out
+            first = min(out)
+            out = {k: c for k, c in out.items() if k != first}
         return out
 
+    def spy(g, s):
+        checks.append(s.D)
+        return real_eval(g, s)
+
     moduli.solve_s.cache_clear()
-    monkeypatch.setattr(moduli, "_eval_at", drop_one)
+    monkeypatch.setattr(moduli, "_defect", drop_one)
+    monkeypatch.setattr(moduli, "_eval_at", spy)
     try:
         with pytest.raises(InvariantError, match="nonzero residual"):
             solve_s(n, D)
     finally:
         moduli.solve_s.cache_clear()
-    # steps 1..D at their own precision, then the check at D
-    assert seen == [1, 2, 3, 4, 4]
+    # every degree stepped once, then the check ran once, at D
+    assert steps == list(range(1, D + 1))
+    assert checks == [D]
 
 
 def test_substitute_back_vanishes():
