@@ -308,8 +308,11 @@ def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # about four chunks per worker: few enough that shipping them is
+        # cheap, enough that a slow chunk does not leave a worker idle
+        chunksize = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_pair, tasks, chunksize=8))
+            results = list(pool.map(_verify_pair, tasks, chunksize=chunksize))
     else:
         results = [_verify_pair(t) for t in tasks]
     failures = [f for per_mode in zip(*results) for f in per_mode if f is not None]

@@ -4,11 +4,13 @@ family, computed as exact power series in the gluing parameters.
 Everything happens in a single affine chart.  The canonical section is
 expanded there as a Laurent series in the chart coordinate u with
 t-series coefficients, its distinguished root u = 1 + s(t) is solved
-online, one degree at a time on the graded powers of 1 + s, and then
-substituted back at full precision as the proof.  All point evaluations
-reduce to substituting that root and cyclically rotating variable
-indices.  The b and c coordinate functions come out of unit-denominator
-expressions only; no 0/0 ratio is ever formed.
+online, one degree at a time on the graded powers of 1 + s.  One power
+table of 1 + s then evaluates every residue part at full precision, and
+the parts' sum, the section's value, must vanish: that is the proof of
+the root.  All point evaluations reduce to substituting that root and
+cyclically rotating variable indices.  The b and c coordinate functions
+come out of unit-denominator expressions only; no 0/0 ratio is ever
+formed.
 
 Sign convention: the logarithmic vector field is oriented as -u d/du in
 the residue and coordinate computations, which makes every residue a
@@ -253,18 +255,9 @@ def _online_root(th: ULaurent) -> TruncSeries:
 @functools.lru_cache(maxsize=None)
 def solve_s(n: int, D: int) -> TruncSeries:
     """The unique no-constant-term series s with the section vanishing at
-    u = 1 + s.
-
-    _online_root finds s in one pass over the degrees and never
-    substitutes it back.  The vanishing check at full D does, through
-    _eval_at on a power table built from s alone, so it is what proves
-    the root.  At n = 1 the root is u = 1 and s is zero.
-    """
-    th = theta_full_chart0(n, D)
-    s = _online_root(th)
-    if not _eval_at(th, s).is_zero():
-        raise InvariantError("root substitution left a nonzero residual")
-    return s
+    u = 1 + s, read from _point_data, which finds it and proves it.  At
+    n = 1 the root is u = 1 and s is zero."""
+    return _point_data(n, D)[-1]
 
 
 def eval_at_p0(g: ULaurent, n: int, D: int) -> TruncSeries:
@@ -283,27 +276,33 @@ def _ensure_multi(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _point_data(n: int, D: int):
-    """Evaluations at the base point of every residue part and its
+    """The root s and, at u = 1 + s, every residue part and its
     logarithmic derivative, the full-section derivative and its inverse,
-    and the residue R_0 that every R_i rotates."""
+    and the residue R_0 that every R_i rotates.
+
+    _online_root finds s and never substitutes it back.  Here one power
+    table built from s alone takes all 2n values, and the residue parts'
+    sum is the full section's value, so its vanishing proves the root.
+    """
+    s = _online_root(theta_full_chart0(n, D))
     parts = []
     for l in range(n):
         g = theta_chart0(l, n, D)
         parts += [g, d_log_derivative(g)]
-    # one power table for all 2n values; each summand of the section lies
-    # in one residue part and u d/du drops only u^0, so the parts span
-    # exactly the full section's u-exponents
-    pows = _powers(solve_s(n, D), *_span(*parts))
+    # each summand of the section lies in one residue part and u d/du
+    # drops only u^0, so the parts span exactly the section's u-exponents
+    pows = _powers(s, *_span(*parts))
     vals = [_substitute(g, pows) for g in parts]
     th, dth = vals[0::2], vals[1::2]
-    dth_full = TruncSeries.zero(n, D)
-    for s in dth:
-        dth_full = dth_full.add(s)
+    if not functools.reduce(TruncSeries.add, th).is_zero():
+        raise InvariantError("root substitution left a nonzero residual")
+    dth_full = functools.reduce(TruncSeries.add, dth)
     inv_dth_full = dth_full.invert_unit()
     r0 = th[0].mul(inv_dth_full).neg()
-    if r0.constant_term() != 1:
+    # at n = 1 the one part is the whole section, so R is undefined
+    if n > 1 and r0.constant_term() != 1:
         raise InvariantError("residue is not 1 at t=0")
-    return th, dth, dth_full, inv_dth_full, r0
+    return th, dth, dth_full, inv_dth_full, r0, s
 
 
 def residue_R(i: int, n: int, D: int) -> TruncSeries:
@@ -315,7 +314,7 @@ def residue_R(i: int, n: int, D: int) -> TruncSeries:
     _ensure_multi(n)
     if not 0 <= i < n:
         raise ValueError(f"index i must be in [0, {n}), got {i}")
-    *_, r0 = _point_data(n, D)
+    r0 = _point_data(n, D)[4]
     return r0.rotate(-i) if i else r0
 
 
@@ -341,7 +340,7 @@ def coords_b(n: int, D: int):
     are formed.
     """
     _ensure_multi(n)
-    th, dth, dth_full, inv_dth_full, _ = _point_data(n, D)
+    th, dth, dth_full, inv_dth_full, *_ = _point_data(n, D)
     for l in range(1, n - 1):
         if th[l].constant_term() != 0:
             raise InvariantError(

@@ -138,14 +138,13 @@ def admissible_k_range(n: int, m1: int, p1, m2: int, p2, D: int) -> list[int]:
     With p1 - p2 = P/Q, the bound reads 4*m1*m2*u^2 <= (8*m3*D + m3^2)*Q^2
     for u = P - k*n*Q, so |u| <= s with s solved in integers by isqrt,
     and the window is the k between the two roots.  A negative right side
-    (D < 0) admits no k.  p1 and p2 are ints or Fractions; a weight below
-    1 raises ValueError.
+    (D < 0) admits no k.  p1 and p2 are read through scaled_index, so
+    p1 - p2 = (a1*m2 - a2*m1)/(m1*m2) gives P and Q.
     """
-    if m1 < 1 or m2 < 1:
-        raise ValueError(f"weight must be >= 1, got m={min(m1, m2)}")
+    a1, a2 = scaled_index(m1, p1), scaled_index(m2, p2)
     m3 = m1 + m2
-    Q = p1.denominator * p2.denominator
-    P = p1.numerator * p2.denominator - p2.numerator * p1.denominator
+    Q = m1 * m2
+    P = a1 * m2 - a2 * m1
     rhs = (8 * m3 * D + m3 * m3) * Q * Q
     if rhs < 0:
         return []

@@ -286,20 +286,49 @@ def test_verification_failure_exits_one(tmp_path, monkeypatch):
 
 
 def test_invariant_failure_exits_three(tmp_path, monkeypatch, capsys):
-    """A root substitution that leaves a residual breaks solve_s's check:
-    exit 3, one stderr line, no report."""
-    real = moduli._eval_at
+    """A root substitution that leaves a residual breaks _point_data's
+    check: exit 3, one stderr line, no report."""
+    real = moduli._substitute
 
-    def leaky(g, s):
-        return real(g, s).add(TruncSeries(s.n, s.D, {(0,) * s.n: 1}))
+    def leaky(g, pows):
+        return real(g, pows).add(TruncSeries.one(g.n, g.D))
 
     moduli.solve_s.cache_clear()
-    monkeypatch.setattr(moduli, "_eval_at", leaky)
+    moduli._point_data.cache_clear()
+    monkeypatch.setattr(moduli, "_substitute", leaky)
     out = tmp_path / "moduli.json"
-    assert main(["moduli", "--n", "2", "--trunc", "3", "-o", str(out)]) == 3
+    try:
+        assert main(["moduli", "--n", "2", "--trunc", "3", "-o", str(out)]) == 3
+    finally:
+        moduli.solve_s.cache_clear()
+        moduli._point_data.cache_clear()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("mirror-ring: internal fault: ")
+    assert "nonzero residual" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_moduli_report_finds_and_proves_the_root_once(tmp_path, monkeypatch):
+    """One moduli report runs the online solve once and builds one power
+    table, which both proves the root and evaluates the residue parts."""
+    calls = {"_online_root": 0, "_powers": 0}
+    for name in calls:
+        real = getattr(moduli, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(moduli, name, counted)
+    moduli.solve_s.cache_clear()
+    moduli._point_data.cache_clear()
+    try:
+        argv = ["moduli", "--n", "4", "--trunc", "12", "-o", str(tmp_path / "m.json")]
+        assert main(argv) == 0
+    finally:
+        moduli.solve_s.cache_clear()
+        moduli._point_data.cache_clear()
+    assert calls == {"_online_root": 1, "_powers": 1}
 
 
 # the same break in a python -O interpreter, where a bare assert is gone
@@ -310,12 +339,12 @@ from mirror_ring.plgeom import InvariantError
 from mirror_ring.series import TruncSeries
 if __debug__:
     sys.exit("not running under -O")
-real = moduli._eval_at
-moduli._eval_at = lambda g, s: real(g, s).add(TruncSeries(s.n, s.D, {(0,) * s.n: 1}))
+real = moduli._substitute
+moduli._substitute = lambda g, pows: real(g, pows).add(TruncSeries.one(g.n, g.D))
 try:
     moduli.solve_s(2, 3)
-except InvariantError:
-    print("InvariantError")
+except InvariantError as exc:
+    print(exc)
 sys.exit(cli.main(["moduli", "--n", "2", "--trunc", "3"]))
 """
 
@@ -328,7 +357,7 @@ def test_invariant_failure_survives_python_O():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == "InvariantError\n"
+    assert proc.stdout == "root substitution left a nonzero residual\n"
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("mirror-ring: internal fault: ")
 

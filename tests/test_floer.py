@@ -433,10 +433,11 @@ def test_mirror_verify_jobs_deterministic():
 
 def test_mirror_verify_caps_workers_at_pairs(monkeypatch):
     """A pool starts every worker it is sized for, so --jobs beyond the
-    pair count must not reach it; the fake pool maps in-process."""
+    pair count must not reach it, and each worker gets about four chunks
+    of pairs; the fake pool maps in-process."""
     import concurrent.futures
 
-    sizes = []
+    sizes, chunks = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -449,13 +450,17 @@ def test_mirror_verify_caps_workers_at_pairs(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert mirror_verify(2, 1, 4, jobs=64) == mirror_verify(2, 1, 4, jobs=1)
-    assert sizes == [4]
+    assert sizes == [4] and chunks == [1]
     mirror_verify(1, 1, 4, jobs=64)
-    assert sizes == [4]
+    assert sizes == [4] and chunks == [1]
+    # 81 pairs on 2 workers: chunks of ceil(81 / 8) = 11
+    assert mirror_verify(3, 2, 4, jobs=2) == mirror_verify(3, 2, 4, jobs=1)
+    assert sizes == [4, 2] and chunks == [1, 11]
 
 
 def _count_calls(monkeypatch, owner, name, record):

@@ -1,5 +1,6 @@
 """Root series, marked-point residues, and the b/c coordinate series."""
 
+import functools
 import json
 import os
 import pathlib
@@ -210,15 +211,17 @@ def test_root_series_for_two_components_in_closed_form():
 
 def test_residue_parts_span_the_full_section():
     """Each summand of the section lies in exactly one residue part, and
-    u d/du drops only u^0, so the parts and their derivatives cover the
-    full section's u-span and no more: _point_data's table and the
-    final check of solve_s span the same exponents."""
+    u d/du drops only u^0, so the parts sum to the full section, and
+    they and their derivatives cover its u-span and no more: the sum of
+    the parts' values on _point_data's one table is the section's value
+    at the root."""
     for n in range(1, 8):
         for D in range(16):
             parts = [theta_chart0(l, n, D) for l in range(n)]
             parts += [d_log_derivative(g) for g in parts]
-            want = moduli._span(theta_full_chart0(n, D))
-            assert moduli._span(*parts) == want, (n, D)
+            full = theta_full_chart0(n, D)
+            assert moduli._span(*parts) == moduli._span(full), (n, D)
+            assert functools.reduce(ULaurent.add, parts[:n]) == full, (n, D)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -244,11 +247,12 @@ def test_eval_of_zero_is_zero():
 
 def test_final_check_catches_a_corrupt_last_step(monkeypatch):
     """The online solve never substitutes its answer back, so a wrong
-    degree-D correction passes every step; the one check at full D, on
-    a power table of its own, is what proves the root."""
+    degree-D correction passes every step; the residue parts, evaluated
+    on one power table built from s alone, must sum to zero, and that
+    check is what proves the root."""
     n, D = 2, 4
-    real_defect, real_eval = moduli._defect, moduli._eval_at
-    steps, checks = [], []
+    real_defect, real_powers = moduli._defect, moduli._powers
+    steps, tables = [], []
 
     def drop_one(coeffs, pows, d):
         out = real_defect(coeffs, pows, d)
@@ -259,21 +263,23 @@ def test_final_check_catches_a_corrupt_last_step(monkeypatch):
             out = {k: c for k, c in out.items() if k != first}
         return out
 
-    def spy(g, s):
-        checks.append(s.D)
-        return real_eval(g, s)
+    def spy(s, lo, hi):
+        tables.append(s.D)
+        return real_powers(s, lo, hi)
 
     moduli.solve_s.cache_clear()
+    moduli._point_data.cache_clear()
     monkeypatch.setattr(moduli, "_defect", drop_one)
-    monkeypatch.setattr(moduli, "_eval_at", spy)
+    monkeypatch.setattr(moduli, "_powers", spy)
     try:
         with pytest.raises(InvariantError, match="nonzero residual"):
             solve_s(n, D)
     finally:
         moduli.solve_s.cache_clear()
-    # every degree stepped once, then the check ran once, at D
+        moduli._point_data.cache_clear()
+    # every degree stepped once, then one table was built, at D
     assert steps == list(range(1, D + 1))
-    assert checks == [D]
+    assert tables == [D]
 
 
 def test_substitute_back_vanishes():

@@ -221,6 +221,8 @@ THIRD = Fraction(1, 3)  # at weight 2, m*p = 2/3
         pytest.param(lambda: t_exponent_qr(3, 1, 0, 2, THIRD, 0, 0), id="t_exponent_qr-p2"),
         pytest.param(lambda: floer.lift_triangle(3, 2, THIRD, 1, 0, 0), id="lift_triangle-p1"),
         pytest.param(lambda: floer.lift_triangle(3, 1, 0, 2, THIRD, 0), id="lift_triangle-p2"),
+        pytest.param(lambda: admissible_k_range(3, 2, THIRD, 1, 0, 4), id="window-p1"),
+        pytest.param(lambda: admissible_k_range(3, 1, 0, 2, THIRD, 4), id="window-p2"),
         pytest.param(
             lambda: floer.floer_product(3, 2, THIRD, 1, 0, 4, "direct"), id="direct-p1"
         ),
@@ -251,6 +253,8 @@ def test_every_entry_point_rejects_non_integral_m_p(call):
         pytest.param(lambda p: floer.count_brion(3, 1, 0, 2, p, 0, 0), id="count_brion-p2"),
         pytest.param(lambda p: floer.floer_product(3, 2, p, 1, 0, 4, "direct"), id="direct-p1"),
         pytest.param(lambda p: floer.floer_product(3, 1, 0, 2, p, 4, "brion"), id="brion-p2"),
+        pytest.param(lambda p: admissible_k_range(3, 2, p, 1, 0, 4), id="window-p1"),
+        pytest.param(lambda p: admissible_k_range(3, 1, 0, 2, p, 4), id="window-p2"),
     ],
 )
 def test_every_entry_point_rejects_an_index_of_another_type(call, p):
