@@ -76,7 +76,7 @@ def _json_value(obj, newline: str) -> str:
     if kind is int:
         return int.__repr__(obj)
     if kind is TruncSeries:
-        return _series_text(obj, newline)
+        return _series_writer(obj.n, obj.D, newline)(obj)
     if kind is list:
         if not obj:
             return "[]"
@@ -97,33 +97,47 @@ def _json_value(obj, newline: str) -> str:
     raise TypeError(f"cannot write {kind.__name__} to a report")
 
 
-def _series_text(s: TruncSeries, newline: str) -> str:
-    """The text of s.to_json_obj(): keys "D", "n", "terms", each term's
-    keys "c" (its coefficient quoted) and "e" (one exponent a line)."""
+def _series_writer(n: int, D: int, newline: str):
+    """The writer of a series' text at this indent, s -> the text of
+    s.to_json_obj(): keys "D", "n", "terms", each term's keys "c" (its
+    coefficient quoted) and "e" (one exponent a line).
+
+    Its templates are built for (n, D) once, so the series of a table
+    share them; a series at another (n, D) is written by a writer of its
+    own."""
     i2 = newline + "  "
-    i4 = i2 + "  "
-    head = "{" + i2 + f'"D": {s.D},' + i2 + f'"n": {s.n},' + i2 + '"terms": '
-    if not s.terms:
-        return head + "[]" + newline + "}"
-    i6 = i4 + "  "
-    i8 = i6 + "  "
+    i4, i6, i8 = (i2 + "  " * k for k in range(1, 4))
+    head = "{" + i2 + f'"D": {D},' + i2 + f'"n": {n},' + i2 + '"terms": '
+    empty = head + "[]" + newline + "}"
+    opening = head + "[" + i4
+    closing = i2 + "]" + newline + "}"
+    sep = "," + i4
     # one term's text; str(c) is digits and a sign, which need no escape
-    exps = ("," + i8).join(["%d"] * s.n)
+    exps = ("," + i8).join(["%d"] * n)
     term = "{" + i6 + '"c": "%s",' + i6 + '"e": [' + i8 + exps + i6 + "]" + i4 + "}"
-    items = [term % (c, *e) for e, c in sorted(s.terms.items())]
-    return head + "[" + i4 + ("," + i4).join(items) + i2 + "]" + newline + "}"
+
+    def write(s: TruncSeries) -> str:
+        if s.n != n or s.D != D:
+            return _series_writer(s.n, s.D, newline)(s)
+        if not s.terms:
+            return empty
+        return opening + sep.join([term % (c, *e) for e, c in sorted(s.terms.items())]) + closing
+
+    return write
 
 
 def _table_text(table: theta.StructureTable, newline: str) -> str:
     """The text of table.to_json_obj(), with each label's text built once
     and each element's result list once, since (a, b) and (b, a) share one
-    element; a class text is digits and "/", which need no escape."""
+    element, and one series writer for the table's (n, D); a class text is
+    digits and "/", which need no escape."""
     i2 = newline + "  "
     i4, i6, i8, i10 = (i2 + "  " * k for k in range(1, 5))
     label = "{" + i8 + '"m": %d,' + i8 + '"p": "%s"' + i6 + "}"
     part = "{" + i10 + '"p": "%s",' + i10 + '"series": %s' + i8 + "}"
     entry = "{" + i6 + '"a": %s,' + i6 + '"b": %s,' + i6 + '"result": %s' + i4 + "}"
     spell = theta.class_text
+    series = _series_writer(table.n, table.D, i10)
     labels: dict[theta.ThetaIndex, str] = {}
     results: dict[int, str] = {}
     items = []
@@ -131,7 +145,7 @@ def _table_text(table: theta.StructureTable, newline: str) -> str:
         elem = table.entries[a, b]
         result = results.get(id(elem))
         if result is None:
-            parts = [part % (spell(a3, elem.m), _series_text(s, i10)) for a3, s in elem.items()]
+            parts = [part % (spell(a3, elem.m), series(s)) for a3, s in elem.items()]
             result = "[" + i8 + ("," + i8).join(parts) + i6 + "]" if parts else "[]"
             results[id(elem)] = result
         for x in (a, b):
@@ -173,12 +187,7 @@ def _emit(path: str | None, text: str):
 
 def _run_table(mode: str | None, args) -> int:
     """Product table by the series route (mode None) or a counting route."""
-    if mode is None:
-        product = theta.theta_product
-    else:
-        def product(a, b, n, D):
-            return floer.floer_product(n, a.m, a.p, b.m, b.p, D, mode)
-
+    product = theta.theta_product if mode is None else partial(floer.counted_product, mode=mode)
     table = theta.build_table(args.n, args.max_m, args.trunc, product=product)
     text = table.to_csv() if args.fmt == "csv" else _json_text(table)
     _emit(args.output, text)

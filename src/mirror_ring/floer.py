@@ -14,10 +14,14 @@ n*lambda kernel ``plgeom.lambda_exponents`` (whose one-slot p-signature
 names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).  All three
 kernels take (n, m1, a1, m2, a2, k) in the integer frame a = m*p and
 return all n slots of one lifted triangle; the direct one counts them in
-one pass over one grid, and ``count_direct`` is slot j of that count.
-Every term has coefficient +1 and nothing cancels, so `mirror_verify`
-compares what each product is made of, its ``product_terms`` map, and
-builds no product.
+one pass over one grid, perturbed by eps = 1/E with E an integer
+(``default_eps`` is that eps as a Fraction), and ``count_direct`` is slot j
+of that count.  ``counted_product`` takes two basis labels and
+``floer_product`` is its wrapper with a p signature; like
+``mirror_verify``, it solves each pair's k-window from the integer
+classes through ``plgeom.k_window``.  Every term has coefficient +1 and
+nothing cancels, so `mirror_verify` compares what each product is made
+of, its ``product_terms`` map, and builds no product.
 """
 
 from __future__ import annotations
@@ -66,9 +70,15 @@ def lift_triangle(n: int, m1: int, p1, m2: int, p2, k: int) -> Triangle:
     return Triangle(a, b, c)
 
 
+def _eps_den(n: int, m1: int, m2: int, k: int) -> int:
+    """E of the perturbation eps = 1/E of the k-th lifted triangle; m3*n
+    divides it."""
+    return 4 * n * (m1 + m2) * (abs(k) + 2)
+
+
 def default_eps(n: int, m1: int, m2: int, k: int) -> Fraction:
     """A perturbation small enough that no shifted point meets an edge."""
-    return Fraction(1, 4 * n * (m1 + m2) * (abs(k) + 2))
+    return Fraction(1, _eps_den(n, m1, m2, k))
 
 
 def point_in_triangle(t: Triangle, x, y) -> bool:
@@ -155,13 +165,16 @@ def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     With b2 = a2 + m2*n*k the lifted vertices are A = (a1/(m1 n), 0),
     B = (b2/(m2 n), -(m1 b2 - m2 a1)/m2) and C = ((a1 + b2)/(m3 n), 0).
     They are scaled by L, a common multiple of every denominator, and
-    shifted by (-eps, -eps) once; one pass of _count_scaled over the
-    columns spaced L/n counts every slot.
+    shifted by (-eps, -eps) once, eps = 1/E with E from _eps_den, in
+    integers: L = lcm(m1 n, m2 n, E), since m3 n divides E, and the shift
+    is L // E.  count_direct scales the same triangle at default_eps by a
+    divisor of this L.  One pass of _count_scaled over the columns spaced
+    L/n counts every slot.
     """
     m3 = m1 + m2
-    eps = default_eps(n, m1, m2, k)
-    L = math.lcm(m1 * n, m2 * n, m3 * n, eps.denominator)
-    sy = eps.numerator * (L // eps.denominator)
+    E = _eps_den(n, m1, m2, k)
+    L = math.lcm(m1 * n, m2 * n, E)
+    sy = L // E
     b2 = a2 + m2 * n * k
     ax = a1 * (L // (m1 * n)) - sy
     bx = b2 * (L // (m2 * n)) - sy
@@ -235,14 +248,21 @@ def floer_product(n: int, m1: int, p1, m2: int, p2, D: int, mode: str) -> RingEl
 
     mode selects the counting route for the t-exponents: "direct" for the
     enumeration perturbed by default_eps, "brion" for the closed form.
-    Each index is reduced once to its label's a = m*p mod m*n, and both
-    routes count all n slots of each lifted triangle in that integer frame.
+    Each index is reduced once to its label's a = m*p mod m*n, and
+    counted_product counts all n slots of each lifted triangle in that
+    integer frame.
     """
+    a = theta.ThetaIndex.make(m1, p1, n)
+    b = theta.ThetaIndex.make(m2, p2, n)
+    return counted_product(a, b, n, D, mode)
+
+
+def counted_product(a: theta.ThetaIndex, b: theta.ThetaIndex, n: int, D: int, mode: str) -> RingElement:
+    """floer_product of two basis labels, read from their integer classes:
+    the signature of theta.theta_product, plus the counting mode."""
     if mode not in COUNTING_MODES:
         raise ValueError(f"mode must be 'direct' or 'brion', got {mode!r}")
-    a1 = theta.ThetaIndex.make(m1, p1, n).a
-    a2 = theta.ThetaIndex.make(m2, p2, n).a
-    return theta.assemble(n, m1, a1, m2, a2, D, _kernel(mode))
+    return theta.assemble(n, a.m, a.a, b.m, b.a, D, _kernel(mode))
 
 
 def _first_difference(lhs: dict, rhs: dict):
@@ -258,7 +278,8 @@ def _verify_pair(args):
     """Per counting mode, the first difference from the closed form as a
     failure entry, or None.
 
-    The pair's k-window is solved once, and ``theta.product_terms`` reads
+    The pair's k-window is solved once from the labels' integer classes
+    by ``plgeom.k_window``, and ``theta.product_terms`` reads
     over it the term map {a3: {exponents: count}} of each route: theta's
     kernel ``plgeom.lambda_exponents`` and the two counts.  Every term has
     coefficient +1 and nothing cancels, so a count's product equals the
@@ -267,7 +288,7 @@ def _verify_pair(args):
     """
     n, a, b, D = args
     m1, a1, m2, a2 = a.m, a.a, b.m, b.a
-    window = plgeom.admissible_k_range(n, m1, a.p, m2, b.p, D)
+    window = plgeom.k_window(n, m1, a1, m2, a2, D)
     # each kernel is read from its module, so a patched one is compared
     reference, *counted = [
         theta.product_terms(n, m1, a1, m2, a2, D, kernel, window)

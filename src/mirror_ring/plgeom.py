@@ -11,9 +11,10 @@ is the one integer implementation of them, the theta route's kernel: all
 n slots of one product term from the integer classes a = m*p.
 ``t_exponent`` computes them through phi, the Fraction reference, and
 ``t_exponent_qr`` reads one slot of the integer kernel with a p
-signature.  The k-window of a product, ``admissible_k_range``, is solved
-in integers, and ``scaled_index`` is the one check that an index p has
-m*p integral.
+signature.  The k-window of a product, ``k_window``, is solved in
+integers from the integer classes, and ``admissible_k_range`` is its
+wrapper with a p signature; ``scaled_index`` is the one check that an
+index p has m*p integral.
 """
 
 from __future__ import annotations
@@ -126,8 +127,10 @@ def total_t_exponent(n: int, m1: int, p1, m2: int, p2, k: int) -> int:
     return sum(t_exponent(n, m1, p1, m2, p2, k, j) for j in range(n))
 
 
-def admissible_k_range(n: int, m1: int, p1, m2: int, p2, D: int) -> list[int]:
-    """All integers k that can contribute a term of total degree <= D.
+def k_window(n: int, m1: int, a1: int, m2: int, a2: int, D: int) -> range:
+    """All integers k that can contribute a term of total degree <= D to
+    the product of the integer classes a1 = m1*p1 and a2 = m2*p2; the
+    weights are >= 1, as every label's are.
 
     The total exponent at shift k equals the unscaled defect
     lambda(p1, p2 + k*n), and phi is squeezed between (t-1/2)^2/2 - 1/8
@@ -135,19 +138,24 @@ def admissible_k_range(n: int, m1: int, p1, m2: int, p2, D: int) -> list[int]:
     m1*m2/(2*(m1+m2)) * (p1 - p2 - k*n)^2 - (m1+m2)/8.  Any k violating
     the resulting quadratic bound is provably degree > D and is skipped.
 
-    With p1 - p2 = P/Q, the bound reads 4*m1*m2*u^2 <= (8*m3*D + m3^2)*Q^2
-    for u = P - k*n*Q, so |u| <= s with s solved in integers by isqrt,
-    and the window is the k between the two roots.  A negative right side
-    (D < 0) admits no k.  p1 and p2 are read through scaled_index, so
-    p1 - p2 = (a1*m2 - a2*m1)/(m1*m2) gives P and Q.
+    With Q = m1*m2 and P = a1*m2 - a2*m1, so that p1 - p2 = P/Q, the bound
+    reads 4*Q*u^2 <= (8*m3*D + m3^2)*Q^2 for u = P - k*n*Q, that is
+    u^2 <= (8*m3*D + m3^2)*Q/4; so |u| <= s with s solved in integers by
+    isqrt, and the window is the k between the two roots.  A negative
+    right side (D < 0) admits no k.
     """
-    a1, a2 = scaled_index(m1, p1), scaled_index(m2, p2)
     m3 = m1 + m2
     Q = m1 * m2
     P = a1 * m2 - a2 * m1
-    rhs = (8 * m3 * D + m3 * m3) * Q * Q
+    rhs = (8 * m3 * D + m3 * m3) * Q
     if rhs < 0:
-        return []
-    s = math.isqrt(rhs // (4 * m1 * m2))
+        return range(0)
+    s = math.isqrt(rhs // 4)
     step = n * Q
-    return list(range(-((s - P) // step), (P + s) // step + 1))
+    return range(-((s - P) // step), (P + s) // step + 1)
+
+
+def admissible_k_range(n: int, m1: int, p1, m2: int, p2, D: int) -> list[int]:
+    """k_window for indices p1, p2 (ints or Fractions), read through
+    scaled_index, as a list."""
+    return list(k_window(n, m1, scaled_index(m1, p1), m2, scaled_index(m2, p2), D))

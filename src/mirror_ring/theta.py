@@ -3,8 +3,8 @@ product.
 
 Basis elements are indexed by a weight m >= 1 and a class p in (1/m)Z
 taken mod n, held as the integer a = m*p in [0, m*n) from the label to
-the report; p = a/m is spelled only in report text and for the k-window
-``plgeom.admissible_k_range``.  The product of two of them is a finite
+the report; p = a/m is spelled only in report text and in the
+p-signature wrappers.  The product of two of them is a finite
 sum of basis elements at weight m1+m2 whose coefficients are monomials
 in t_0..t_{n-1} with exponents n*lambda.  This route takes them from the
 one integer kernel ``plgeom.lambda_exponents``, all n slots of a term
@@ -13,8 +13,9 @@ here) reads one slot of it with a p signature, and ``plgeom.t_exponent``
 is the Fraction reference it is tested against.  Every route's product
 is made by ``product_terms``, the one place for the degree cut and the
 output class, from integer classes, the k-window and the route's
-kernel; ``assemble`` solves the window and wraps each class's terms as a
-series.  Everything is exact over Z.
+kernel; ``assemble`` solves the window from the integer classes with
+``plgeom.k_window`` and wraps each class's terms as a series.
+Everything is exact over Z.
 
 ``build_table`` relies on two laws of the ring that every route's product
 must meet: it is commutative, and rotating the n marked points is a
@@ -144,9 +145,9 @@ def product_terms(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel, wi
 
 def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> RingElement:
     """Product of x_{m1,a1/m1} and x_{m2,a2/m2}, given the route's kernel:
-    ``product_terms`` over the admissible k-window, each class's term map
-    wrapped once as its series."""
-    window = plgeom.admissible_k_range(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), D)
+    ``product_terms`` over the pair's ``plgeom.k_window``, each class's
+    term map wrapped once as its series."""
+    window = plgeom.k_window(n, m1, a1, m2, a2, D)
     classes = product_terms(n, m1, a1, m2, a2, D, kernel, window)
     out = RingElement(m1 + m2, n, D)
     out.coeffs = {a3: TruncSeries._raw(n, D, terms) for a3, terms in classes.items()}

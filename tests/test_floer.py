@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirror_ring import floer, plgeom, theta
+from mirror_ring import cli, floer, plgeom, theta
 from mirror_ring.floer import (
     Triangle,
     count_brion,
@@ -270,6 +270,67 @@ def test_integer_frame_matches_the_fraction_lift():
                             assert floer._lifted_counts(n, m1, a1, m2, a2, k) == want
                             brion = tuple(count_brion(*args, k, j) for j in range(n))
                             assert want == brion, (args, k)
+
+
+def test_integer_frame_is_the_frame_default_eps_gives(monkeypatch):
+    """_lifted_counts scales by L = lcm(m1 n, m2 n, m3 n, den(eps)) and
+    shifts by num(eps) * L // den(eps) for eps = default_eps, all in
+    integers; and its scaled vertices are the ones count_direct scales from
+    the Fraction lift at that eps, whose L divides this one."""
+    frames = []
+    real = floer._count_scaled
+
+    def record(verts, L, n):
+        frames.append((verts, L))
+        return real(verts, L, n)
+
+    monkeypatch.setattr(floer, "_count_scaled", record)
+    rng = random.Random(SEED + 31)
+    for _ in range(200):
+        n, m1, m2 = rng.randrange(1, 7), rng.randrange(1, 5), rng.randrange(1, 5)
+        a1, a2 = rng.randrange(-2 * m1 * n, 2 * m1 * n), rng.randrange(-2 * m2 * n, 2 * m2 * n)
+        k = rng.randrange(-4, 5)
+        eps = default_eps(n, m1, m2, k)
+        want_L = math.lcm(m1 * n, m2 * n, (m1 + m2) * n, eps.denominator)
+        want_shift = eps.numerator * (want_L // eps.denominator)
+        frames.clear()
+        floer._lifted_counts(n, m1, a1, m2, a2, k)
+        t = lift_triangle(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), k)
+        count_direct(t, n, 0, eps)
+        (verts, L), (direct_verts, direct_L) = frames
+        assert (L, -verts[0][1]) == (want_L, want_shift)
+        assert L % direct_L == 0
+        for (x, y), (dx, dy) in zip(verts, direct_verts):
+            assert (x * direct_L, y * direct_L) == (dx * L, dy * L)
+
+
+def test_the_routes_build_no_fraction(monkeypatch, tmp_path):
+    """The routes solve their k-windows from integer classes, the direct
+    kernel takes its perturbation as an integer and the counted tables
+    read the labels' classes: with the p-signature window, default_eps and
+    ThetaIndex.p made to raise, verify and the theta, floer-direct and
+    floer-brion tables at (3, 2, 6) come out as before."""
+    size = ["--n", "3", "--max-m", "2", "--trunc", "6"]
+
+    def tables():
+        out = {}
+        for cmd in ("theta", "floer-direct", "floer-brion"):
+            path = tmp_path / f"{cmd}.json"
+            assert cli.main([cmd, *size, "-o", str(path)]) == 0
+            out[cmd] = path.read_bytes()
+        return out
+
+    want_tables, want_verify = tables(), mirror_verify(3, 2, 6)
+    assert want_verify["failures"] == [] and want_verify["pairs_checked"] == 2 * 81
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("a route built a Fraction")
+
+    monkeypatch.setattr(plgeom, "admissible_k_range", forbidden)
+    monkeypatch.setattr(floer, "default_eps", forbidden)
+    monkeypatch.setattr(ThetaIndex, "p", property(forbidden))
+    assert tables() == want_tables
+    assert mirror_verify(3, 2, 6) == want_verify
 
 
 def test_brion_takes_int_and_fraction_p():

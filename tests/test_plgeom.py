@@ -14,6 +14,7 @@ from mirror_ring import floer, plgeom, theta
 from mirror_ring.plgeom import (
     admissible_k_range,
     average_E,
+    k_window,
     lambda_defect,
     phi,
     psi,
@@ -167,7 +168,7 @@ def walk_window(n, m1, p1, m2, p2, D):
 
 @st.composite
 def window_args(draw):
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
     m1, m2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     ps = []
     for m in (m1, m2):
@@ -184,8 +185,15 @@ def window_args(draw):
 @example((2, 3, Fraction(1, 3), 5, Fraction(1, 5), -1))  # bound 0, gap off the grid
 @example((3, 1, 0, 1, 0, -1))  # bound negative
 @example((6, 5, Fraction(-59, 5), 5, Fraction(59, 5), 60))
+@example((8, 3, Fraction(-95, 3), 4, Fraction(-1, 4), -2))  # n = 8, both a < 0, D < 0
+@example((8, 1, -7, 2, Fraction(-5, 2), 0))
 def test_closed_form_window_matches_fraction_walk(case):
-    assert admissible_k_range(*case) == walk_window(*case)
+    """k_window from the integer classes a = m*p, and its p-signature
+    wrapper admissible_k_range, against the walk in Fractions."""
+    n, m1, p1, m2, p2, D = case
+    want = walk_window(*case)
+    assert list(k_window(n, m1, int(m1 * p1), m2, int(m2 * p2), D)) == want
+    assert admissible_k_range(*case) == want
 
 
 def test_window_total_is_convex_in_k():

@@ -97,6 +97,17 @@ def test_table_text_matches_its_json_obj(n, max_m, D):
     assert cli._json_text(table) == cli._json_text(obj) == reference(obj)
 
 
+def test_table_text_writes_a_series_at_its_own_size():
+    """A table's series share one writer for the table's (n, D); a series
+    held at another (n, D) is still written with its own."""
+    table = theta.build_table(2, 1, 3)
+    odd = theta.RingElement(2, 2, 3)
+    odd.coeffs = {1: SERIES, 3: TruncSeries(2, 3, {(1, 0): 5}), 0: TruncSeries(1, 0)}
+    key = table.sorted_keys()[1]
+    table.entries[key] = odd
+    assert cli._json_text(table) == reference(table)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
