@@ -13,10 +13,12 @@ kernel; the counting kernels never call the theta route's, the integer
 n*lambda kernel ``plgeom.lambda_exponents`` (whose one-slot p-signature
 names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).  All three
 kernels take (n, m1, a1, m2, a2, k) in the integer frame a = m*p and
-return all n slots of one lifted triangle; the direct one counts them in
-one pass over one grid, perturbed by eps = 1/E with E an integer
-(``default_eps`` is that eps as a Fraction), and ``count_direct`` is slot j
-of that count.  ``counted_product`` takes two basis labels and
+return all n slots of one lifted triangle.  The direct one counts them
+column by column from the triangle's known shape, perturbed by eps = 1/E
+with E an integer (``default_eps`` is that eps as a Fraction).
+``count_direct`` is its reference: slot j of a generic three-edge scan of
+any Fraction triangle, which the direct kernel never calls.
+``counted_product`` takes two basis labels and
 ``floer_product`` is its wrapper with a p signature; like
 ``mirror_verify``, it solves each pair's k-window from the integer
 classes through ``plgeom.k_window``.  Every term has coefficient +1 and
@@ -141,10 +143,12 @@ def count_direct(t: Triangle, n: int, j: int, eps) -> int:
     j mod n of one count over the columns spaced 1/n.  The shifted
     vertices are scaled by L = lcm(n, den(eps), the six vertex
     denominators), read straight off numerators and denominators, and
-    counted in that integer frame by _count_scaled.  Any common multiple
-    would do: each edge test is homogeneous in the scale.  The triangle is
-    taken closed; the perturbation moves every candidate off the edges, so
-    open versus closed never matters.  Degenerate triangles count 0.
+    counted in that integer frame by _count_scaled, which knows nothing of
+    the lifted triangle's shape: the reference _lifted_counts is tested
+    against.  Any common multiple would do: each edge test is homogeneous
+    in the scale.  The triangle is taken closed; the perturbation moves
+    every candidate off the edges, so open versus closed never matters.
+    Degenerate triangles count 0.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -158,18 +162,16 @@ def count_direct(t: Triangle, n: int, j: int, eps) -> int:
     return _count_scaled(verts, L, n)[j % n]
 
 
-def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
-    """count_direct of lift_triangle(n, m1, p1, m2, p2, k) at default_eps,
-    for every slot j, from one integer frame; a1 = m1*p1, a2 = m2*p2.
+def _lifted_frame(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
+    """(L, (A, B, C)): lift_triangle(n, m1, p1, m2, p2, k) shifted by
+    (-eps, -eps) at default_eps and scaled by L, in integers; a1 = m1*p1,
+    a2 = m2*p2.
 
     With b2 = a2 + m2*n*k the lifted vertices are A = (a1/(m1 n), 0),
     B = (b2/(m2 n), -(m1 b2 - m2 a1)/m2) and C = ((a1 + b2)/(m3 n), 0).
-    They are scaled by L, a common multiple of every denominator, and
-    shifted by (-eps, -eps) once, eps = 1/E with E from _eps_den, in
-    integers: L = lcm(m1 n, m2 n, E), since m3 n divides E, and the shift
-    is L // E.  count_direct scales the same triangle at default_eps by a
-    divisor of this L.  One pass of _count_scaled over the columns spaced
-    L/n counts every slot.
+    L = lcm(m1 n, m2 n, E) is a common multiple of every denominator,
+    since m3 n divides E, and the shift is L // E.  count_direct scales the
+    same triangle at default_eps by a divisor of this L.
     """
     m3 = m1 + m2
     E = _eps_den(n, m1, m2, k)
@@ -180,7 +182,42 @@ def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     bx = b2 * (L // (m2 * n)) - sy
     cx = (a1 + b2) * (L // (m3 * n)) - sy
     by = -(m1 * b2 - m2 * a1) * (L // m2) - sy
-    return tuple(_count_scaled(((ax, -sy), (bx, by), (cx, -sy)), L, n))
+    return L, ((ax, -sy), (bx, by), (cx, -sy))
+
+
+def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
+    """count_direct of lift_triangle(n, m1, p1, m2, p2, k) at default_eps,
+    for every slot j, counted by the triangle's own shape in the integer
+    frame of _lifted_frame; a1 = m1*p1, a2 = m2*p2.
+
+    A and C sit on the line y0, and with gap g = m1 b2 - m2 a1 the frame
+    has bx - ax = g L/(m1 m2 n), cx - ax = g L/(m1 m3 n) and
+    by - y0 = -g L/m2.  So g = 0 is the degenerate triangle, C lies
+    strictly between A and B, and B lies below y0 (right of C) when g > 0
+    and above it (left of C) when g < 0.  Line AB has slope -n m1 and line
+    CB slope -n m3: in the column x = c L/n they sit at heights
+    y0 + n m1 ax - m1 L c and y0 + n m3 cx - m3 L c.  In every column
+    between A and B one bound on b is line AB and the other the tighter of
+    y0 and line CB, each one floor division by L taken once per triangle;
+    column c goes to slot (-c) mod n.
+    """
+    L, ((ax, y0), (bx, by), (cx, _)) = _lifted_frame(n, m1, a1, m2, a2, k)
+    counts = [0] * n
+    if by == y0:
+        return tuple(counts)
+    w = L // n
+    m3 = m1 + m2
+    ab = y0 + n * m1 * ax
+    cb = y0 + n * m3 * cx
+    if by < y0:  # b from line AB up to the lower of y0 and line CB
+        lo, top, cb = -(-ab // L), y0 // L, cb // L
+        for c in range(-(-ax // w), bx // w + 1):
+            counts[-c % n] += min(top, cb - m3 * c) - lo + m1 * c + 1
+    else:  # b from the higher of y0 and line CB up to line AB
+        hi, bottom, cb = ab // L, -(-y0 // L), -(-cb // L)
+        for c in range(-(-bx // w), ax // w + 1):
+            counts[-c % n] += hi - m1 * c - max(bottom, cb - m3 * c) + 1
+    return tuple(counts)
 
 
 def _site(n: int, m1: int, a1: int, m2: int, a2: int, k: int, j: int) -> str:

@@ -273,18 +273,24 @@ def test_integer_frame_matches_the_fraction_lift():
 
 
 def test_integer_frame_is_the_frame_default_eps_gives(monkeypatch):
-    """_lifted_counts scales by L = lcm(m1 n, m2 n, m3 n, den(eps)) and
-    shifts by num(eps) * L // den(eps) for eps = default_eps, all in
-    integers; and its scaled vertices are the ones count_direct scales from
-    the Fraction lift at that eps, whose L divides this one."""
+    """_lifted_counts counts in the frame of _lifted_frame, which scales by
+    L = lcm(m1 n, m2 n, m3 n, den(eps)) and shifts by
+    num(eps) * L // den(eps) for eps = default_eps, all in integers; and
+    its scaled vertices are the ones count_direct scales from the Fraction
+    lift at that eps, whose L divides this one."""
     frames = []
-    real = floer._count_scaled
+    real_frame, real_scaled = floer._lifted_frame, floer._count_scaled
 
-    def record(verts, L, n):
-        frames.append((verts, L))
-        return real(verts, L, n)
+    def record_frame(*args):
+        frames.append(real_frame(*args))
+        return frames[-1]
 
-    monkeypatch.setattr(floer, "_count_scaled", record)
+    def record_scaled(verts, L, n):
+        frames.append((L, verts))
+        return real_scaled(verts, L, n)
+
+    monkeypatch.setattr(floer, "_lifted_frame", record_frame)
+    monkeypatch.setattr(floer, "_count_scaled", record_scaled)
     rng = random.Random(SEED + 31)
     for _ in range(200):
         n, m1, m2 = rng.randrange(1, 7), rng.randrange(1, 5), rng.randrange(1, 5)
@@ -297,11 +303,66 @@ def test_integer_frame_is_the_frame_default_eps_gives(monkeypatch):
         floer._lifted_counts(n, m1, a1, m2, a2, k)
         t = lift_triangle(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), k)
         count_direct(t, n, 0, eps)
-        (verts, L), (direct_verts, direct_L) = frames
-        assert (L, -verts[0][1]) == (want_L, want_shift)
+        (L, verts), (direct_L, direct_verts) = frames
+        assert (L, -verts[0][1], -verts[2][1]) == (want_L, want_shift, want_shift)
         assert L % direct_L == 0
         for (x, y), (dx, dy) in zip(verts, direct_verts):
             assert (x * direct_L, y * direct_L) == (dx * L, dy * L)
+
+
+@st.composite
+def wide_lifted_tuples(draw):
+    """Classes three periods either side of the fixed grid's [0, m n)."""
+    n = draw(st.integers(1, 8))
+    m1, m2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a1 = draw(st.integers(-3 * m1 * n, 3 * m1 * n - 1))
+    a2 = draw(st.integers(-3 * m2 * n, 3 * m2 * n - 1))
+    return n, m1, a1, m2, a2, draw(st.integers(-40, 40))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(wide_lifted_tuples())
+@example((3, 2, 1, 2, 1, 0))  # degenerate gap: every slot 0
+@example((8, 6, -144, 6, 143, 40))  # B below y0, columns -25..343
+@example((8, 6, 143, 5, -120, -40))  # B above y0, so left of C and A
+@example((3, 1, 2, 2, -5, 0))  # B left of A, columns on both sides of 0
+@example((4, 1, -5, 3, 2, -1))  # B below y0, every column left of 0
+def test_shape_kernel_matches_count_direct_far_out(case):
+    """_lifted_counts equals count_direct on the Fraction lift at
+    default_eps, slot by slot, for classes well outside [0, m n) and
+    |k| <= 40."""
+    n, m1, a1, m2, a2, k = case
+    t = lift_triangle(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), k)
+    eps = default_eps(n, m1, m2, k)
+    want = tuple(count_direct(t, n, j, eps) for j in range(n))
+    assert floer._lifted_counts(n, m1, a1, m2, a2, k) == want
+
+
+def test_shape_kernel_shares_no_code_with_the_reference(monkeypatch, tmp_path):
+    """With count_direct's scan and the floer module's Fraction made to
+    raise, the verify report and the floer-direct table at (3, 2, 6) come
+    out byte-identical, and count_direct still reaches the scan."""
+    size = ["--n", "3", "--max-m", "2", "--trunc", "6"]
+
+    def reports():
+        out = []
+        for cmd in (["verify", *size, "--jobs", "1"], ["floer-direct", *size]):
+            path = tmp_path / f"{cmd[0]}.json"
+            assert cli.main([*cmd, "-o", str(path)]) == 0
+            out.append(path.read_bytes())
+        return out
+
+    want = reports()
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the shape kernel reached the reference scan or a Fraction")
+
+    monkeypatch.setattr(floer, "_count_scaled", forbidden)
+    monkeypatch.setattr(floer, "Fraction", forbidden)
+    assert reports() == want
+    monkeypatch.setattr(floer, "Fraction", Fraction)
+    with pytest.raises(RuntimeError, match="reference scan"):
+        count_direct(lift_triangle(3, 1, 0, 1, 1, 1), 3, 0, default_eps(3, 1, 1, 1))
 
 
 def test_the_routes_build_no_fraction(monkeypatch, tmp_path):
