@@ -76,7 +76,9 @@ def _json_value(obj, newline: str) -> str:
     if kind is int:
         return int.__repr__(obj)
     if kind is TruncSeries:
-        return _series_writer(obj.n, obj.D, newline)(obj)
+        empty, opening, term, sep, closing = _series_templates(obj.n, obj.D, newline)
+        terms = [term % (c, *e) for e, c in sorted(obj.terms.items())]
+        return opening + sep.join(terms) + closing if terms else empty
     if kind is list:
         if not obj:
             return "[]"
@@ -97,64 +99,76 @@ def _json_value(obj, newline: str) -> str:
     raise TypeError(f"cannot write {kind.__name__} to a report")
 
 
-def _series_writer(n: int, D: int, newline: str):
-    """The writer of a series' text at this indent, s -> the text of
-    s.to_json_obj(): keys "D", "n", "terms", each term's keys "c" (its
-    coefficient quoted) and "e" (one exponent a line).
-
-    Its templates are built for (n, D) once, so the series of a table
-    share them; a series at another (n, D) is written by a writer of its
-    own."""
+def _series_templates(n: int, D: int, newline: str) -> tuple:
+    """(empty, opening, term, sep, closing): the text of a series'
+    to_json_obj() at (n, D) and this indent, keys "D", "n", "terms", each
+    term's keys "c" (its coefficient quoted) and "e" (one exponent a
+    line), is opening, its sorted terms filled into term % (c, *e) and
+    joined by sep, and closing; or empty, when it has no terms."""
     i2 = newline + "  "
     i4, i6, i8 = (i2 + "  " * k for k in range(1, 4))
     head = "{" + i2 + f'"D": {D},' + i2 + f'"n": {n},' + i2 + '"terms": '
-    empty = head + "[]" + newline + "}"
-    opening = head + "[" + i4
-    closing = i2 + "]" + newline + "}"
-    sep = "," + i4
-    # one term's text; str(c) is digits and a sign, which need no escape
+    # str(c) is digits and a sign, which need no escape
     exps = ("," + i8).join(["%d"] * n)
     term = "{" + i6 + '"c": "%s",' + i6 + '"e": [' + i8 + exps + i6 + "]" + i4 + "}"
-
-    def write(s: TruncSeries) -> str:
-        if s.n != n or s.D != D:
-            return _series_writer(s.n, s.D, newline)(s)
-        if not s.terms:
-            return empty
-        return opening + sep.join([term % (c, *e) for e, c in sorted(s.terms.items())]) + closing
-
-    return write
+    return head + "[]" + newline + "}", head + "[" + i4, term, "," + i4, i2 + "]" + newline + "}"
 
 
 def _table_text(table: theta.StructureTable, newline: str) -> str:
-    """The text of table.to_json_obj(), with each label's text built once
-    and each element's result list once, since (a, b) and (b, a) share one
-    element, and one series writer for the table's (n, D); a class text is
-    digits and "/", which need no escape."""
+    """The text of table.to_json_obj(), with each label's text built once,
+    each output class spelled once per weight and each element's result
+    list written once, since (a, b) and (b, a) share one element; a class
+    text is digits and "/", which need no escape.
+
+    The templates are built once for the table's (n, D).  A part whose
+    series has terms at that (n, D) is one fill of the part's head, the
+    series' head and the first term (and the tail, for one term), plus
+    one term fill per further term; any other series is written by
+    _json_value.  The entries' pieces are joined once, with no string per
+    entry."""
+    n, D = table.n, table.D
     i2 = newline + "  "
     i4, i6, i8, i10 = (i2 + "  " * k for k in range(1, 5))
     label = "{" + i8 + '"m": %d,' + i8 + '"p": "%s"' + i6 + "}"
-    part = "{" + i10 + '"p": "%s",' + i10 + '"series": %s' + i8 + "}"
-    entry = "{" + i6 + '"a": %s,' + i6 + '"b": %s,' + i6 + '"result": %s' + i4 + "}"
+    head = "{" + i10 + '"p": "%s",' + i10 + '"series": '
+    part = head + "%s" + i8 + "}"
+    _, opening, term, sep, closing = _series_templates(n, D, i10)
+    first, more, last = head + opening + term, sep + term, closing + i8 + "}"
+    single = first + last
+    a_key, b_key, r_key = "{" + i6 + '"a": ', "," + i6 + '"b": ', "," + i6 + '"result": '
     spell = theta.class_text
-    series = _series_writer(table.n, table.D, i10)
+    spelled: dict[tuple[int, int], str] = {}
     labels: dict[theta.ThetaIndex, str] = {}
     results: dict[int, str] = {}
-    items = []
+    out = ["{" + i2 + '"D": %d,' % D + i2 + '"entries": ']
+    opener = "[" + i4 + a_key
     for a, b in table.sorted_keys():
         elem = table.entries[a, b]
         result = results.get(id(elem))
         if result is None:
-            parts = [part % (spell(a3, elem.m), series(s)) for a3, s in elem.items()]
+            parts = []
+            for a3, s in elem.items():
+                p = spelled.get((a3, elem.m))
+                if p is None:
+                    p = spelled[a3, elem.m] = spell(a3, elem.m)
+                if s.n != n or s.D != D or not s.terms:
+                    parts.append(part % (p, _json_value(s, i10)))
+                elif len(s.terms) == 1:
+                    [(e, c)] = s.terms.items()
+                    parts.append(single % (p, c, *e))
+                else:
+                    (e, c), *rest = sorted(s.terms.items())
+                    further = "".join([more % (c, *e) for e, c in rest])
+                    parts.append(first % (p, c, *e) + further + last)
             result = "[" + i8 + ("," + i8).join(parts) + i6 + "]" if parts else "[]"
             results[id(elem)] = result
         for x in (a, b):
             if x not in labels:
                 labels[x] = label % (x.m, spell(x.a, x.m))
-        items.append(entry % (labels[a], labels[b], result))
-    entries = "[" + i4 + ("," + i4).join(items) + i2 + "]" if items else "[]"
-    head = "{" + i2 + '"D": %d,' % table.D + i2 + '"entries": '
-    return head + entries + "," + i2 + '"n": %d' % table.n + newline + "}"
+        out += (opener, labels[a], b_key, labels[b], r_key, result, i4 + "}")
+        opener = "," + i4 + a_key
+    out.append((i2 + "]" if results else "[]") + "," + i2 + '"n": %d' % n + newline + "}")
+    return "".join(out)
 
 
 def _emit(path: str | None, text: str):

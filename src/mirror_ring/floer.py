@@ -8,22 +8,24 @@ points after a small rational perturbation, and Brion's vertex-cone
 evaluation which needs no perturbation at all.  Both must agree with the
 piecewise-linear formula in `plgeom`, and the resulting product must match
 `theta.theta_product` coefficient by coefficient.  ``theta.product_terms``
-holds the degree cut and the output class and takes each route's
-kernel; the counting kernels never call the theta route's, the integer
+holds the degree cut and the output class and takes each route's row of
+exponents; the counting kernels never call the theta route's, the integer
 n*lambda kernel ``plgeom.lambda_exponents`` (whose one-slot p-signature
 names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).  All three
 kernels take (n, m1, a1, m2, a2, k) in the integer frame a = m*p and
 return all n slots of one lifted triangle.  The direct one counts them
-column by column from the triangle's known shape, perturbed by eps = 1/E
-with E an integer (``default_eps`` is that eps as a Fraction).
-``count_direct`` is its reference: slot j of a generic three-edge scan of
-any Fraction triangle, which the direct kernel never calls.
-``counted_product`` takes two basis labels and
+column by column on the lattice, from the triangle's known shape: the
+perturbation eps = 1/E, E an integer, is small enough that it only
+settles which boundary points count (``default_eps`` is that eps as a
+Fraction).  ``count_direct`` is its reference: slot j of a generic
+three-edge scan of any Fraction triangle, which the direct kernel never
+calls.  ``counted_product`` takes two basis labels and
 ``floer_product`` is its wrapper with a p signature; like
 ``mirror_verify``, it solves each pair's k-window from the integer
 classes through ``plgeom.k_window``.  Every term has coefficient +1 and
 nothing cancels, so `mirror_verify` compares what each product is made
-of, its ``product_terms`` map, and builds no product.
+of: each count's row of exponent tuples against theta's, and only where
+the rows differ their ``product_terms`` maps.  It builds no product.
 """
 
 from __future__ import annotations
@@ -162,61 +164,38 @@ def count_direct(t: Triangle, n: int, j: int, eps) -> int:
     return _count_scaled(verts, L, n)[j % n]
 
 
-def _lifted_frame(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
-    """(L, (A, B, C)): lift_triangle(n, m1, p1, m2, p2, k) shifted by
-    (-eps, -eps) at default_eps and scaled by L, in integers; a1 = m1*p1,
-    a2 = m2*p2.
-
-    With b2 = a2 + m2*n*k the lifted vertices are A = (a1/(m1 n), 0),
-    B = (b2/(m2 n), -(m1 b2 - m2 a1)/m2) and C = ((a1 + b2)/(m3 n), 0).
-    L = lcm(m1 n, m2 n, E) is a common multiple of every denominator,
-    since m3 n divides E, and the shift is L // E.  count_direct scales the
-    same triangle at default_eps by a divisor of this L.
-    """
-    m3 = m1 + m2
-    E = _eps_den(n, m1, m2, k)
-    L = math.lcm(m1 * n, m2 * n, E)
-    sy = L // E
-    b2 = a2 + m2 * n * k
-    ax = a1 * (L // (m1 * n)) - sy
-    bx = b2 * (L // (m2 * n)) - sy
-    cx = (a1 + b2) * (L // (m3 * n)) - sy
-    by = -(m1 * b2 - m2 * a1) * (L // m2) - sy
-    return L, ((ax, -sy), (bx, by), (cx, -sy))
-
-
 def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     """count_direct of lift_triangle(n, m1, p1, m2, p2, k) at default_eps,
-    for every slot j, counted by the triangle's own shape in the integer
-    frame of _lifted_frame; a1 = m1*p1, a2 = m2*p2.
+    for every slot j, counted by the triangle's own shape on the lattice
+    itself; a1 = m1*p1, a2 = m2*p2.
 
-    A and C sit on the line y0, and with gap g = m1 b2 - m2 a1 the frame
-    has bx - ax = g L/(m1 m2 n), cx - ax = g L/(m1 m3 n) and
-    by - y0 = -g L/m2.  So g = 0 is the degenerate triangle, C lies
-    strictly between A and B, and B lies below y0 (right of C) when g > 0
-    and above it (left of C) when g < 0.  Line AB has slope -n m1 and line
-    CB slope -n m3: in the column x = c L/n they sit at heights
-    y0 + n m1 ax - m1 L c and y0 + n m3 cx - m3 L c.  In every column
-    between A and B one bound on b is line AB and the other the tighter of
-    y0 and line CB, each one floor division by L taken once per triangle;
-    column c goes to slot (-c) mod n.
+    With b2 = a2 + m2*n*k and gap g = m1 b2 - m2 a1 the corners are
+    A = (a1/(m1 n), 0), C = ((a1 + b2)/(m3 n), 0) and B = (b2/(m2 n), -g/m2):
+    g = 0 is the degenerate triangle, and C lies strictly between A and B.
+    The points counted are (c/n, b) with (c/n + eps, b + eps) in the
+    triangle, and column c goes to slot (-c) mod n.  Line AB is
+    y = a1 - m1 n x and line CB is y = a1 + b2 - m3 n x, so at such a point
+    each edge test compares the integers b and a1 - m1 c, a1 + b2 - m3 c or
+    0 up to eps (1 + m1 n), eps (1 + m3 n) or eps, and the column tests
+    compare m1 c with a1 and m2 c with b2 up to m n eps; eps = 1/E is below
+    1/(n m3 + 1), so every such shift is below 1 and settles a point on an
+    edge or a corner column to one side.  For g > 0, B lies below y0 and
+    right of C: columns c run from ceil(a1/m1) to floor((b2 - 1)/m2) and b
+    from a1 - m1 c to min(-1, a1 + b2 - 1 - m3 c), that is
+    min(m1 c - a1, b2 - m2 c) points.  For g < 0, B lies above y0 and left
+    of C: columns run from ceil(b2/m2) to floor((a1 - 1)/m1) and b from
+    max(0, a1 + b2 - m3 c) to a1 - 1 - m1 c, min(a1 - m1 c, m2 c - b2)
+    points.
     """
-    L, ((ax, y0), (bx, by), (cx, _)) = _lifted_frame(n, m1, a1, m2, a2, k)
+    b2 = a2 + m2 * n * k
+    g = m1 * b2 - m2 * a1
     counts = [0] * n
-    if by == y0:
-        return tuple(counts)
-    w = L // n
-    m3 = m1 + m2
-    ab = y0 + n * m1 * ax
-    cb = y0 + n * m3 * cx
-    if by < y0:  # b from line AB up to the lower of y0 and line CB
-        lo, top, cb = -(-ab // L), y0 // L, cb // L
-        for c in range(-(-ax // w), bx // w + 1):
-            counts[-c % n] += min(top, cb - m3 * c) - lo + m1 * c + 1
-    else:  # b from the higher of y0 and line CB up to line AB
-        hi, bottom, cb = ab // L, -(-y0 // L), -(-cb // L)
-        for c in range(-(-bx // w), ax // w + 1):
-            counts[-c % n] += hi - m1 * c - max(bottom, cb - m3 * c) + 1
+    if g > 0:
+        for c in range(-(-a1 // m1), (b2 - 1) // m2 + 1):
+            counts[-c % n] += min(m1 * c - a1, b2 - m2 * c)
+    elif g < 0:
+        for c in range(-(-b2 // m2), (a1 - 1) // m1 + 1):
+            counts[-c % n] += min(a1 - m1 * c, m2 * c - b2)
     return tuple(counts)
 
 
@@ -315,35 +294,41 @@ def _verify_pair(args):
     """Per counting mode, the first difference from the closed form as a
     failure entry, or None.
 
-    The pair's k-window is solved once from the labels' integer classes
-    by ``plgeom.k_window``, and ``theta.product_terms`` reads
-    over it the term map {a3: {exponents: count}} of each route: theta's
-    kernel ``plgeom.lambda_exponents`` and the two counts.  Every term has
-    coefficient +1 and nothing cancels, so a count's product equals the
-    closed form exactly when their term maps are equal.  That is the one
-    comparison, and no product is built.
+    The pair's k-window is solved once by ``plgeom.k_window``, and each
+    kernel gives its row of exponent tuples over it, theta's
+    ``plgeom.lambda_exponents`` first.  A count whose row is theta's
+    passes with no term map built.  Where the rows differ, the term maps
+    {a3: {exponents: count}} of ``theta.product_terms`` are compared:
+    every term has coefficient +1 and nothing cancels, so a count's
+    product equals the closed form exactly when they are equal.  That is
+    the one comparison of products, and no product is built.
     """
     n, a, b, D = args
     m1, a1, m2, a2 = a.m, a.a, b.m, b.a
     window = plgeom.k_window(n, m1, a1, m2, a2, D)
     # each kernel is read from its module, so a patched one is compared
     reference, *counted = [
-        theta.product_terms(n, m1, a1, m2, a2, D, kernel, window)
+        [kernel(n, m1, a1, m2, a2, k) for k in window]
         for kernel in (plgeom.lambda_exponents, *map(_kernel, COUNTING_MODES))
     ]
+    closed = None
     out = []
-    for mode, terms in zip(COUNTING_MODES, counted):
+    for mode, row in zip(COUNTING_MODES, counted):
         diff = None
-        if terms != reference:
-            a3, e, lc, rc = _first_difference(terms, reference)
-            diff = {
-                "mode": mode,
-                "a": a.to_json_obj(),
-                "b": b.to_json_obj(),
-                "monomial": {"p": theta.class_text(a3, m1 + m2), "e": list(e)},
-                "lhs": str(lc),
-                "rhs": str(rc),
-            }
+        if row != reference:
+            if closed is None:
+                closed = theta.product_terms(n, m1, a1, m2, a2, D, window, reference)
+            terms = theta.product_terms(n, m1, a1, m2, a2, D, window, row)
+            if terms != closed:
+                a3, e, lc, rc = _first_difference(terms, closed)
+                diff = {
+                    "mode": mode,
+                    "a": a.to_json_obj(),
+                    "b": b.to_json_obj(),
+                    "monomial": {"p": theta.class_text(a3, m1 + m2), "e": list(e)},
+                    "lhs": str(lc),
+                    "rhs": str(rc),
+                }
         out.append(diff)
     return out
 
@@ -352,8 +337,9 @@ def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     """Compare the triangle-count products against the closed form everywhere.
 
     Runs over all generator pairs with weights up to max_m and, per pair,
-    compares each counting route's term map with the closed form's; no
-    product is built, even for a pair that fails.
+    compares each counting route's row of exponent tuples with the closed
+    form's, and only where the rows differ their term maps; no product is
+    built, even for a pair that fails.
     ``pairs_checked`` counts (pair, mode) checks, and the first differing
     monomial of every failing check is listed mode by mode, in pair order.
     The pair list and the merge order are fixed, so the report is

@@ -12,10 +12,10 @@ from the integer classes; ``plgeom.t_exponent_qr`` (alias ``_exponent``
 here) reads one slot of it with a p signature, and ``plgeom.t_exponent``
 is the Fraction reference it is tested against.  Every route's product
 is made by ``product_terms``, the one place for the degree cut and the
-output class, from integer classes, the k-window and the route's
-kernel; ``assemble`` solves the window from the integer classes with
-``plgeom.k_window`` and wraps each class's terms as a series.
-Everything is exact over Z.
+output class, from integer classes, the k-window and the route's row of
+exponents over it; ``assemble`` solves the window with ``plgeom.k_window``,
+reads the row from the route's kernel and wraps each class's terms as a
+series.  Everything is exact over Z.
 
 ``build_table`` relies on two laws of the ring that every route's product
 must meet: it is commutative, and rotating the n marked points is a
@@ -122,21 +122,20 @@ def hilbert_dimension(n: int, m: int) -> int:
     return 1 if m == 0 else m * n
 
 
-def product_terms(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel, window) -> dict:
+def product_terms(n: int, m1: int, a1: int, m2: int, a2: int, D: int, window, row) -> dict:
     """What the product of x_{m1,a1/m1} and x_{m2,a2/m2} is made of, given
-    the route's kernel and the pair's k-window: {a3: {exponents: count}}.
+    the pair's k-window and a route's row over it: {a3: {exponents: count}}.
 
-    kernel(n, m1, a1, m2, a2, k) is the tuple of n t-exponents of the k-th
-    term, from the integer classes a1 = m1*p1 and a2 = m2*p2.  For each
-    k in window the term lands on the class E(p1, p2 + k*n) mod n, kept as
-    its integer a3 = (a1 + a2 + m2*n*k) mod (m3*n); terms of total degree
-    > D drop.  Every term has coefficient +1 and nothing cancels, so two
-    products are equal exactly when their term maps are.
+    row holds the n t-exponents of the k-th term for each k in window, as
+    the route's kernel gives them from a1 = m1*p1 and a2 = m2*p2.  The k-th
+    term lands on the class E(p1, p2 + k*n) mod n, kept as its integer
+    a3 = (a1 + a2 + m2*n*k) mod (m3*n); terms of total degree > D drop.
+    Every term has coefficient +1 and nothing cancels, so two products are
+    equal exactly when their term maps are.
     """
     m3 = m1 + m2
     classes: dict[int, dict] = {}
-    for k in window:
-        exps = kernel(n, m1, a1, m2, a2, k)
+    for k, exps in zip(window, row):
         if sum(exps) <= D:
             terms = classes.setdefault((a1 + a2 + m2 * n * k) % (m3 * n), {})
             terms[exps] = terms.get(exps, 0) + 1
@@ -145,10 +144,11 @@ def product_terms(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel, wi
 
 def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> RingElement:
     """Product of x_{m1,a1/m1} and x_{m2,a2/m2}, given the route's kernel:
-    ``product_terms`` over the pair's ``plgeom.k_window``, each class's
-    term map wrapped once as its series."""
+    ``product_terms`` of its row over the pair's ``plgeom.k_window``, each
+    class's term map wrapped once as its series."""
     window = plgeom.k_window(n, m1, a1, m2, a2, D)
-    classes = product_terms(n, m1, a1, m2, a2, D, kernel, window)
+    row = [kernel(n, m1, a1, m2, a2, k) for k in window]
+    classes = product_terms(n, m1, a1, m2, a2, D, window, row)
     out = RingElement(m1 + m2, n, D)
     out.coeffs = {a3: TruncSeries._raw(n, D, terms) for a3, terms in classes.items()}
     return out

@@ -272,42 +272,54 @@ def test_integer_frame_matches_the_fraction_lift():
                             assert want == brion, (args, k)
 
 
-def test_integer_frame_is_the_frame_default_eps_gives(monkeypatch):
-    """_lifted_counts counts in the frame of _lifted_frame, which scales by
-    L = lcm(m1 n, m2 n, m3 n, den(eps)) and shifts by
-    num(eps) * L // den(eps) for eps = default_eps, all in integers; and
-    its scaled vertices are the ones count_direct scales from the Fraction
-    lift at that eps, whose L divides this one."""
-    frames = []
-    real_frame, real_scaled = floer._lifted_frame, floer._count_scaled
+def _edges_with_lattice_points(n, m1, a1, m2, a2, k):
+    """The edges of the lifted triangle, "AB", "CB" and "y0" (the edge AC),
+    that hold a point (c/n, b), c and b integers, other than a corner: in
+    Fractions, from lift_triangle, with no perturbation."""
+    t = lift_triangle(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), k)
+    A, B, C = t
+    xs, ys = [x for x, _ in t], [y for _, y in t]
+    edges = set()
+    for c in range(math.floor(min(xs) * n), math.ceil(max(xs) * n) + 1):
+        for b in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
+            x, y = Fraction(c, n), Fraction(b)
+            if (x, y) in t:
+                continue
+            for name, (px, py), (qx, qy) in (("AB", A, B), ("CB", C, B), ("y0", A, C)):
+                on_line = (qx - px) * (y - py) == (qy - py) * (x - px)
+                if on_line and min(px, qx) <= x <= max(px, qx) and min(py, qy) <= y <= max(py, qy):
+                    edges.add(name)
+    return edges
 
-    def record_frame(*args):
-        frames.append(real_frame(*args))
-        return frames[-1]
 
-    def record_scaled(verts, L, n):
-        frames.append((L, verts))
-        return real_scaled(verts, L, n)
-
-    monkeypatch.setattr(floer, "_lifted_frame", record_frame)
-    monkeypatch.setattr(floer, "_count_scaled", record_scaled)
-    rng = random.Random(SEED + 31)
-    for _ in range(200):
-        n, m1, m2 = rng.randrange(1, 7), rng.randrange(1, 5), rng.randrange(1, 5)
-        a1, a2 = rng.randrange(-2 * m1 * n, 2 * m1 * n), rng.randrange(-2 * m2 * n, 2 * m2 * n)
-        k = rng.randrange(-4, 5)
-        eps = default_eps(n, m1, m2, k)
-        want_L = math.lcm(m1 * n, m2 * n, (m1 + m2) * n, eps.denominator)
-        want_shift = eps.numerator * (want_L // eps.denominator)
-        frames.clear()
-        floer._lifted_counts(n, m1, a1, m2, a2, k)
-        t = lift_triangle(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), k)
-        count_direct(t, n, 0, eps)
-        (L, verts), (direct_L, direct_verts) = frames
-        assert (L, -verts[0][1], -verts[2][1]) == (want_L, want_shift, want_shift)
-        assert L % direct_L == 0
-        for (x, y), (dx, dy) in zip(verts, direct_verts):
-            assert (x * direct_L, y * direct_L) == (dx * L, dy * L)
+@pytest.mark.parametrize(
+    "sign, case",
+    [
+        # g > 0: B below y0; equal weights, negative classes, unequal weights
+        pytest.param(1, (3, 1, 0, 1, 0, 1), id="below-equal"),
+        pytest.param(1, (2, 1, -2, 2, -3, 1), id="below-negative"),
+        pytest.param(1, (2, 1, 0, 2, -3, 2), id="below-unequal"),
+        # g < 0: B above y0
+        pytest.param(-1, (3, 1, 0, 1, 0, -1), id="above-equal"),
+        pytest.param(-1, (2, 1, -2, 2, -1, -2), id="above-negative"),
+        pytest.param(-1, (2, 1, 0, 2, 3, -2), id="above-unequal"),
+    ],
+)
+def test_shape_kernel_settles_lattice_points_on_the_edges(sign, case):
+    """Lattice points exactly on line AB, on line CB and on y0 are the ones
+    the perturbation decides; on triangles with such points on all three
+    edges, with gap g = m1 b2 - m2 a1 of either sign, the shape kernel
+    counts what count_direct counts at default_eps, slot by slot."""
+    n, m1, a1, m2, a2, k = case
+    g = m1 * (a2 + m2 * n * k) - m2 * a1
+    assert g * sign > 0
+    assert _edges_with_lattice_points(*case) == {"AB", "CB", "y0"}
+    t = lift_triangle(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), k)
+    eps = default_eps(n, m1, m2, k)
+    counts = floer._lifted_counts(*case)
+    assert len(counts) == n
+    for j in range(n):
+        assert counts[j] == count_direct(t, n, j, eps), j
 
 
 @st.composite
@@ -617,6 +629,44 @@ def test_mirror_verify_reads_theta_once_per_pair(monkeypatch):
         (a.m, a.a, b.m, b.a): len(plgeom.admissible_k_range(n, a.m, a.p, b.m, b.p, D))
         for a, b in pairs
     }
+
+
+def test_mirror_verify_builds_term_maps_only_where_rows_differ(monkeypatch):
+    """Verify at (3, 2, 6) calls each kernel once per k of every pair's
+    window and, on a passing run, builds no term map at all.  With one
+    Brion exponent shifted it builds term maps for the Brion checks of the
+    failing pairs only, theta's row and then Brion's, never for direct."""
+    n, max_m, D = 3, 2, 6
+    pairs = theta.basis_pairs(n, max_m)
+    windows = sum(len(plgeom.k_window(n, a.m, a.a, b.m, b.a, D)) for a, b in pairs)
+
+    def record(nn, m1, a1, m2, a2, k):
+        return m1, a1, m2, a2, k
+
+    kernels = [(plgeom, "lambda_exponents"), (floer, "_lifted_counts"), (floer, "_brion_counts")]
+    calls = [_count_calls(monkeypatch, owner, name, record) for owner, name in kernels]
+    maps = _count_calls(
+        monkeypatch,
+        theta,
+        "product_terms",
+        lambda nn, m1, a1, m2, a2, DD, window, row: ((m1, a1, m2, a2), row),
+    )
+    rep = mirror_verify(n, max_m, D, jobs=1)
+    assert rep["failures"] == [] and rep["pairs_checked"] == 2 * len(pairs)
+    assert [len(c) for c in calls] == [windows] * 3
+    assert maps == []
+
+    crooked = _shift_one_exponent(floer._brion_counts)
+    monkeypatch.setattr(floer, "_brion_counts", crooked)
+    failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
+    assert failures and {f["mode"] for f in failures} == {"brion"}
+    want = []
+    for f in failures:
+        a, b = (ThetaIndex.make(f[x]["m"], Fraction(f[x]["p"]), n) for x in "ab")
+        window = plgeom.k_window(n, a.m, a.a, b.m, b.a, D)
+        for kernel in (plgeom.lambda_exponents, crooked):
+            want.append(((a.m, a.a, b.m, b.a), [kernel(n, a.m, a.a, b.m, b.a, k) for k in window]))
+    assert maps == want
 
 
 def _theta_tuples(kernel, n, a, b, D):

@@ -89,6 +89,8 @@ def test_json_text_matches_stdlib_encoder(tree):
 @example(1, 1, 0)
 @example(2, 2, 0)
 @example(4, 3, 0)
+@example(1, 3, 6)
+@example(2, 3, 8)
 def test_table_text_matches_its_json_obj(n, max_m, D):
     """A table is written straight from its entries, in the text of its
     to_json_obj(); at D = 0 some results are empty and written []."""
@@ -97,9 +99,21 @@ def test_table_text_matches_its_json_obj(n, max_m, D):
     assert cli._json_text(table) == cli._json_text(obj) == reference(obj)
 
 
+def test_table_text_writes_series_of_several_terms():
+    """At n = 1, max-m = 4, D = 12 many series have several terms and some
+    coefficients exceed 1, so the text pins the part template with its
+    first term and the term template of the terms after it."""
+    table = theta.build_table(1, 4, 12)
+    obj = plain(table.to_json_obj())
+    assert cli._json_text(table) == reference(obj)
+    series = [part["series"] for entry in obj["entries"] for part in entry["result"]]
+    assert any(len(s["terms"]) >= 2 for s in series)
+    assert any(int(term["c"]) >= 2 for s in series for term in s["terms"])
+
+
 def test_table_text_writes_a_series_at_its_own_size():
-    """A table's series share one writer for the table's (n, D); a series
-    held at another (n, D) is still written with its own."""
+    """A table's series share one set of templates for the table's (n, D);
+    a series held at another (n, D) is still written at its own."""
     table = theta.build_table(2, 1, 3)
     odd = theta.RingElement(2, 2, 3)
     odd.coeffs = {1: SERIES, 3: TruncSeries(2, 3, {(1, 0): 5}), 0: TruncSeries(1, 0)}
