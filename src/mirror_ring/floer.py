@@ -26,6 +26,8 @@ classes through ``plgeom.k_window``.  Every term has coefficient +1 and
 nothing cancels, so `mirror_verify` compares what each product is made
 of: each count's row of exponent tuples against theta's, and only where
 the rows differ their ``product_terms`` maps.  It builds no product.
+Theta against Brion compares two codings of one formula (see
+``_brion_counts``); the direct count is the independent arithmetic.
 """
 
 from __future__ import annotations
@@ -220,6 +222,10 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     n*(m3 q3 - m2 q2 - m1 q1), so h'(1) = 0 is the remainder identity,
     checked for every slot with the sign of h''(1).  Nor does its parity:
     (q + 1)q and (q + 2)(q + 1) are products of two consecutive integers.
+    A corner's share of h''(1) is (q + 1)(wq + 2r), and half of it is
+    (q + 1)N - w q(q + 1)/2 with N = wq + r: lambda's term for that point
+    plus N.  The N's cancel (N3 = N1 + N2), so this is the formula of
+    plgeom.lambda_exponents, not an independent count of it.
     """
     m3 = m1 + m2
     w1, w2, w3 = m1 * n, m2 * n, m3 * n

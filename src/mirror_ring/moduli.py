@@ -3,14 +3,14 @@ family, computed as exact power series in the gluing parameters.
 
 Everything happens in a single affine chart.  The canonical section is
 expanded there as a Laurent series in the chart coordinate u with
-t-series coefficients, its distinguished root u = 1 + s(t) is solved
-online, one degree at a time on the graded powers of 1 + s.  One power
-table of 1 + s then evaluates every residue part at full precision, and
-the parts' sum, the section's value, must vanish: that is the proof of
-the root.  All point evaluations reduce to substituting that root and
-cyclically rotating variable indices.  The b and c coordinate functions
-come out of unit-denominator expressions only; no 0/0 ratio is ever
-formed.
+t-series coefficients of integer exponents; its distinguished root
+u = 1 + s(t) is solved online, one degree at a time on the graded powers
+of 1 + s.  One power table of 1 + s then evaluates every residue part at
+full precision, and the parts' sum, the section's value, must vanish:
+that is the proof of the root.  All point evaluations reduce to
+substituting that root and cyclically rotating variable indices.  The b
+and c coordinate functions come out of unit-denominator expressions
+only; no 0/0 ratio is ever formed.
 
 Sign convention: the logarithmic vector field is oriented as -u d/du in
 the residue and coordinate computations, which makes every residue a
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 
-from . import toric
 from .plgeom import InvariantError
 from .series import TruncSeries, _degree, _pack, _unpack
 
@@ -99,65 +98,58 @@ class ULaurent:
         return " + ".join(parts) if parts else "0"
 
 
-def _chart_term_exponents(iota: int, c: int, w_c: tuple) -> tuple[int, ...]:
-    """t-exponents of the iota-th summand expanded in chart c.
-
-    They are the y-coordinates of w_iota - w_c (toric.w_point), less the
-    shear iota - c on the slots j < c; w_c is the y-part of w_point(c, n).
-    """
-    w_iota = toric.w_point(iota, len(w_c)).y
+def _chart_term_exponents(iota: int, n: int) -> tuple[int, ...]:
+    """t-exponents of the iota-th summand in the base chart: slot j is
+    n*phi((j - iota)/n) = kappa*N - n*kappa*(kappa+1)/2, N = j - iota and
+    kappa = N // n, as the theta route's kernel writes it but never calls
+    it.  toric.w_point(iota, n).y is its Fraction reference in the tests."""
     exps = []
-    for j, (a, b) in enumerate(zip(w_iota, w_c)):
-        g = a - b - (iota - c if j < c else 0)
-        if g.denominator != 1 or g < 0:
-            raise InvariantError(f"bad chart exponent at {iota}, {c}, {j}")
-        exps.append(int(g))
+    for j in range(n):
+        N = j - iota
+        kappa = N // n
+        exps.append(kappa * N - n * kappa * (kappa + 1) // 2)
     return tuple(exps)
 
 
-def _theta_chart(l: int | None, c: int, n: int, D: int) -> ULaurent:
-    """Chart-c expansion of the residue-l part of the canonical section.
+def _theta_chart(l: int | None, n: int, D: int) -> ULaurent:
+    """Base-chart expansion of the residue-l part of the canonical section;
+    l=None gives the full section.
 
-    l=None gives the full section.  Each retained summand is the monomial
-    (-1)^(iota-c) u^(c-iota) times a t-monomial of nonnegative exponents;
-    summands of t-degree > D are dropped (their u-powers stay inside the
-    window for exactly that reason).
+    Each retained summand is (-1)^iota u^(-iota) times a t-monomial whose
+    exponents are checked nonnegative and of degree exactly iota(iota+1)/2;
+    that quadratic growth keeps the Laurent window finite, and summands of
+    t-degree > D are dropped (their u-powers stay inside the window for
+    exactly that reason).  Chart c's residue-l part is the residue-(l - c)
+    part here with every coefficient rotated by -c.
     """
     terms: dict[int, TruncSeries] = {}
     reach = D + n + 2
-    w_c = toric.w_point(c, n).y
-    for iota in range(c - reach, c + reach + 1):
+    for iota in range(-reach, reach + 1):
         if l is not None and (iota - l) % n != 0:
             continue
-        exps = _chart_term_exponents(iota, c, w_c)
-        if sum(exps) > D:
+        exps = _chart_term_exponents(iota, n)
+        if min(exps) < 0:
+            raise InvariantError(f"bad chart exponent at {iota}: {exps}")
+        deg = sum(exps)
+        if deg != iota * (iota + 1) // 2:
+            raise InvariantError(f"t-degree of summand {iota} is not triangular")
+        if deg > D:
             continue
-        sign = -1 if (iota - c) % 2 else 1
-        terms[c - iota] = TruncSeries(n, D, {exps: sign})
+        terms[-iota] = TruncSeries._raw(n, D, {exps: -1 if iota % 2 else 1})
     return ULaurent(n, D, terms)
 
 
 def theta_chart0(i: int, n: int, D: int) -> ULaurent:
-    """Residue-i part of the section in the base chart.
-
-    The summand at index iota carries t-degree exactly iota(iota+1)/2,
-    which is checked; that quadratic growth is what keeps the Laurent
-    window finite.
-    """
+    """Residue-i part of the section in the base chart, from the integer
+    exponents of _chart_term_exponents, every summand checked."""
     if not 0 <= i < n:
         raise ValueError(f"index i must be in [0, {n}), got {i}")
-    g = _theta_chart(i, 0, n, D)
-    for e, s in g.terms.items():
-        iota = -e
-        for exps, _ in s.iter_terms():
-            if sum(exps) != iota * (iota + 1) // 2:
-                raise InvariantError(f"t-degree of summand {iota} is not triangular")
-    return g
+    return _theta_chart(i, n, D)
 
 
 def theta_full_chart0(n: int, D: int) -> ULaurent:
     """The full section in the base chart: all residues summed."""
-    return _theta_chart(None, 0, n, D)
+    return _theta_chart(None, n, D)
 
 
 def d_log_derivative(g: ULaurent) -> ULaurent:

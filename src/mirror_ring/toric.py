@@ -5,8 +5,9 @@ Points live in coordinates (x; y_0..y_{n-1}) for the basis (f, e_0..e_{n-1}).
 The basis of e's is indexed 0..n-1 throughout this package.  The fan itself
 is infinite and never materialized; this module holds the point type, the
 two structure maps (w_point, tau_apply) and the membership test for Delta.
-The moduli charts read w_point; the shift and the region are checked
-against each other by the acceptance tests.
+No module of the package reads them: w_point is the Fraction reference
+for the moduli chart's integer exponents in the tests, and the shift and
+the region are checked against each other by the acceptance tests.
 """
 
 from __future__ import annotations

@@ -767,6 +767,27 @@ def test_mirror_verify_pinpoints_corruption(monkeypatch):
     assert [f["a"] for f in rep["failures"][:half]] == [f["a"] for f in rep["failures"][half:]]
 
 
+def test_only_the_direct_count_catches_a_wrong_lambda_formula(monkeypatch):
+    """Brion's h''(1)/2 is lambda's formula in another coding, so the same
+    wrong formula patched into both passes theta against Brion: every
+    failure verify reports comes from the direct count, one per pair."""
+    n, max_m, D = 3, 2, 6
+
+    def wrong(good):
+        def crooked(nn, m1, a1, m2, a2, k):
+            exps = good(nn, m1, a1, m2, a2, k)
+            return (exps[0] + 1,) + exps[1:] if k == 0 else exps
+
+        return crooked
+
+    monkeypatch.setattr(plgeom, "lambda_exponents", wrong(plgeom.lambda_exponents))
+    monkeypatch.setattr(floer, "_brion_counts", wrong(floer._brion_counts))
+    failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
+    assert [(f["mode"], f["a"], f["b"]) for f in failures] == [
+        ("direct", a.to_json_obj(), b.to_json_obj()) for a, b in theta.basis_pairs(n, max_m)
+    ]
+
+
 def test_verify_counts_the_pairs_the_table_derives(monkeypatch):
     """A direct count corrupted at one pair that is not its orbit's
     representative leaves the floer-direct table as it was, since that

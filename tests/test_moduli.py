@@ -9,6 +9,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diagonal_oracle
 import slice_oracle
@@ -27,6 +29,7 @@ from mirror_ring.moduli import (
 from mirror_ring.plgeom import InvariantError, phi
 from mirror_ring.series import TruncSeries
 from mirror_ring.theta import basis_pairs, theta_product
+from mirror_ring.toric import w_point
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -308,6 +311,89 @@ def test_residue_rejects_bad_input():
         residue_R(2, 2, 3)
 
 
+@functools.lru_cache(maxsize=None)
+def _sheared_exponents(iota, c, n):
+    """t-exponents of the iota-th summand in chart c, in Fractions: the
+    y-part of w_iota - w_c (toric.w_point), less the shear iota - c on the
+    slots j < c."""
+    w_iota, w_c = w_point(iota, n).y, w_point(c, n).y
+    exps = [
+        a - b - (iota - c if j < c else 0)
+        for j, (a, b) in enumerate(zip(w_iota, w_c))
+    ]
+    assert all(g.denominator == 1 and g >= 0 for g in exps), (iota, c, n)
+    return tuple(int(g) for g in exps)
+
+
+def _sheared_chart(l, c, n, D):
+    """Chart-c expansion of the residue-l part of the section (l=None: the
+    full section), read from the sheared w-points, not from the package."""
+    terms = {}
+    reach = D + n + 2
+    for iota in range(c - reach, c + reach + 1):
+        if l is not None and (iota - l) % n:
+            continue
+        exps = _sheared_exponents(iota, c, n)
+        if sum(exps) <= D:
+            sign = -1 if (iota - c) % 2 else 1
+            terms[c - iota] = TruncSeries(n, D, {exps: sign})
+    return ULaurent(n, D, terms)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sheared_charts_are_the_rotated_base_chart(n):
+    """Chart c of the sheared w-points is the package's base chart of
+    residue (l - c) mod n with every coefficient rotated by -c, for every
+    chart c < n, every residue l and the full section, and D <= 12."""
+    for D in range(13):
+        for c in range(n):
+            for l in [*range(n), None]:
+                base = theta_full_chart0(n, D) if l is None else theta_chart0((l - c) % n, n, D)
+                want = ULaurent(n, D, {e: s.rotate(-c) for e, s in base.terms.items()})
+                assert _sheared_chart(l, c, n, D) == want, (n, D, c, l)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(-(10 * n + 60), 10 * n + 60))
+    )
+)
+@example((1, -70))
+@example((12, 180))
+@example((12, -180))
+def test_chart_exponents_are_the_w_points_far_beyond_the_grid(case):
+    """The integer exponents are w_iota - w_0 of toric.w_point, nonnegative,
+    and of total degree iota(iota+1)/2, far beyond any chart's window."""
+    n, iota = case
+    exps = moduli._chart_term_exponents(iota, n)
+    w, w0 = w_point(iota, n).y, w_point(0, n).y
+    assert exps == tuple(a - b for a, b in zip(w, w0))
+    assert all(type(g) is int and g >= 0 for g in exps)
+    assert sum(exps) == iota * (iota + 1) // 2
+
+
+@pytest.mark.parametrize(
+    "shift, message", [(1, "not triangular"), (-1, "bad chart exponent")]
+)
+def test_chart_builder_checks_every_summand(monkeypatch, shift, message):
+    """One slot of one summand's exponents off by one: the residue part and
+    the full section both refuse it, by degree or by sign."""
+    n, D, iota = 3, 6, 1
+    good = moduli._chart_term_exponents
+    assert good(iota, n) == (1, 0, 0)
+
+    def crooked(i, nn):
+        exps = good(i, nn)
+        return exps[:-1] + (exps[-1] + shift,) if i == iota else exps
+
+    monkeypatch.setattr(moduli, "_chart_term_exponents", crooked)
+    with pytest.raises(InvariantError, match=message):
+        theta_chart0(iota % n, n, D)
+    with pytest.raises(InvariantError, match=message):
+        theta_full_chart0(n, D)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_residue_cross_check_neighbor_chart(n):
     """Recompute R_1 and the diagonal b_1 inside the next chart and compare
@@ -316,7 +402,7 @@ def test_residue_cross_check_neighbor_chart(n):
     residue parts 0 and 1 play the roles of n-1 and 0."""
     D = 3
     s1 = solve_s(n, D).rotate(-1)
-    th1 = [moduli._theta_chart(l, 1, n, D) for l in range(n)]
+    th1 = [_sheared_chart(l, 1, n, D) for l in range(n)]
 
     def ev(g):
         return moduli._eval_at(g, s1)
