@@ -171,12 +171,18 @@ def _table_text(table: theta.StructureTable, newline: str) -> str:
     return "".join(out)
 
 
-def _emit(path: str | None, text: str):
-    """Write text to stdout, or replace the file at path atomically: the
-    text goes to a temporary file beside it, which is then renamed."""
+def _emit(path: str | None, report):
+    """Write a report to stdout, or replace the file at path atomically:
+    the text goes to a temporary file beside it, which is then renamed.
+
+    A str report is written as it is.  Any other report is written as
+    _json_text(report), in two pieces, its value and the closing newline,
+    so the whole text is never copied once more to end it."""
+    pieces = (report,) if type(report) is str else (_json_value(report, "\n"), "\n")
     if not path:
         try:
-            sys.stdout.write(text)
+            for piece in pieces:
+                sys.stdout.write(piece)
             sys.stdout.flush()
         except OSError as exc:
             raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
@@ -191,7 +197,8 @@ def _emit(path: str | None, text: str):
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, real)
     except OSError as exc:
         if os.path.isfile(tmp):
@@ -203,8 +210,7 @@ def _run_table(mode: str | None, args) -> int:
     """Product table by the series route (mode None) or a counting route."""
     product = theta.theta_product if mode is None else partial(floer.counted_product, mode=mode)
     table = theta.build_table(args.n, args.max_m, args.trunc, product=product)
-    text = table.to_csv() if args.fmt == "csv" else _json_text(table)
-    _emit(args.output, text)
+    _emit(args.output, table.to_csv() if args.fmt == "csv" else table)
     return 0
 
 
@@ -218,7 +224,7 @@ def _run_verify(args) -> int:
     # a pool starts every worker it is sized for: never more than the CPUs
     cpus = _usable_cpus()
     report = floer.mirror_verify(args.n, args.max_m, args.trunc, jobs=min(args.jobs or cpus, cpus))
-    _emit(args.output, _json_text(report))
+    _emit(args.output, report)
     return 1 if report["failures"] else 0
 
 
@@ -236,7 +242,7 @@ def _run_moduli(args) -> int:
         if n >= 3:
             for (i, j), v in moduli.coords_c_from_b(n, D, b_off, b_diag).items():
                 out[f"c_{i}_{j}"] = v
-    _emit(args.output, _json_text(out))
+    _emit(args.output, out)
     return 0
 
 
@@ -250,7 +256,7 @@ def _run_quiver(args) -> int:
         "node_dual_hilbert": [quiver.node_dual_hilbert(d) for d in range(8)],
         "table": quiver.multiplication_table(args.n),
     }
-    _emit(args.output, _json_text(out))
+    _emit(args.output, out)
     return 0
 
 
@@ -262,7 +268,7 @@ def _run_assoc(args) -> int:
         for m2 in weights
         for m3 in weights
     ]
-    _emit(args.output, _json_text({"n": args.n, "D": args.trunc, "reports": reports}))
+    _emit(args.output, {"n": args.n, "D": args.trunc, "reports": reports})
     return 1 if any(rep["failures"] for rep in reports) else 0
 
 

@@ -12,6 +12,15 @@ substituting that root and cyclically rotating variable indices.  The b
 and c coordinate functions come out of unit-denominator expressions
 only; no 0/0 ratio is ever formed.
 
+From the root to the report, series stay graded: a list of D + 1
+buckets of packed exponent keys, as series.py's kernels _gmul and _ginv
+take them.  The root, the power table, every substituted residue part,
+the residual check, the full-section derivative and its inverse, and the
+products of R_0 and coords_b are all formed that way.  A TruncSeries is
+made once per report series, for s, R_0, each b_(0,j) and the diagonal
+b_0; every other report series is one of them rotated, on exponent
+tuples, or a sum of them.
+
 Sign convention: the logarithmic vector field is oriented as -u d/du in
 the residue and coordinate computations, which makes every residue a
 series with constant term +1.  The raw derivative helper keeps the bare
@@ -23,7 +32,7 @@ from __future__ import annotations
 import functools
 
 from .plgeom import InvariantError
-from .series import TruncSeries, _degree, _pack, _unpack
+from .series import TruncSeries, _degree, _ginv, _gmul, _nonzero, _pack, _unpack
 
 
 def _window(n: int, D: int) -> int:
@@ -163,35 +172,61 @@ def _span(*parts: ULaurent) -> tuple[int, int]:
     return min(exps), max(exps)
 
 
-def _powers(s: TruncSeries, lo: int, hi: int) -> dict[int, TruncSeries]:
-    """(1 + s)^e for every lo <= e <= hi, one inversion at most."""
-    one = TruncSeries.one(s.n, s.D)
-    base = one.add(s)
-    pows = {0: one}
-    cur = one
+def _gsum(*parts: list[dict]) -> list[dict]:
+    """The bucket-wise sum of graded series, cancelled keys dropped."""
+    out = []
+    for buckets in zip(*parts):
+        acc = dict(buckets[0])
+        for bucket in buckets[1:]:
+            for k, c in bucket.items():
+                acc[k] = acc.get(k, 0) + c
+        out.append(_nonzero(acc))
+    return out
+
+
+def _gneg(g: list[dict]) -> list[dict]:
+    return [{k: -c for k, c in bucket.items()} for bucket in g]
+
+
+def _series(g: list[dict], n: int, D: int) -> TruncSeries:
+    return TruncSeries._raw(n, D, _unpack(g, n, D))
+
+
+def _powers(s: list[dict], lo: int, hi: int) -> dict[int, list[dict]]:
+    """The graded (1 + s)^e for every lo <= e <= hi, from the graded s,
+    one inversion at most."""
+    D = len(s) - 1
+    base = [{0: 1}, *s[1:]]
+    pows = {0: [{0: 1}] + [{} for _ in range(D)]}
+    cur = pows[0]
     for e in range(1, hi + 1):
-        cur = cur.mul(base)
-        pows[e] = cur
+        cur = pows[e] = _gmul(cur, base, D)
     if lo < 0:
-        inv = base.invert_unit()
-        cur = one
+        inv = _ginv(base, D)
+        cur = pows[0]
         for e in range(1, -lo + 1):
-            cur = cur.mul(inv)
-            pows[-e] = cur
+            cur = pows[-e] = _gmul(cur, inv, D)
     return pows
 
 
-def _substitute(g: ULaurent, pows: dict[int, TruncSeries]) -> TruncSeries:
-    """g at u = 1 + s, reading (1 + s)^e from a table _powers built."""
-    out = TruncSeries.zero(g.n, g.D)
-    for e, coeff in g.terms.items():
-        out = out.add(coeff.mul(pows[e]))
+def _substitute(g: ULaurent, pows: dict[int, list[dict]]) -> list[dict]:
+    """g at u = 1 + s, graded: each u-coefficient of g, of any number of
+    terms, times its graded power from a table _powers built."""
+    D = g.D
+    coeffs = [(_pack(c.terms, D), pows[e]) for e, c in g.terms.items()]
+    out = []
+    for d in range(D + 1):
+        acc: dict = {}
+        for c, p in coeffs:
+            _degree(c, p, d, 0, acc)
+        out.append(_nonzero(acc))
     return out
 
 
 def _eval_at(g: ULaurent, s: TruncSeries) -> TruncSeries:
     """Substitute u = 1 + s into g, exactly, truncating at the shared D."""
-    return _substitute(g, _powers(s, *_span(g)))
+    pows = _powers(_pack(s.terms, s.D), *_span(g))
+    return _series(_substitute(g, pows), g.n, g.D)
 
 
 def _defect(coeffs: dict, pows: dict, d: int) -> dict:
@@ -199,14 +234,13 @@ def _defect(coeffs: dict, pows: dict, d: int) -> dict:
     powers, cancelled keys dropped."""
     acc: dict = {}
     for e, c in coeffs.items():
-        for k, v in _degree(c, pows[e], d).items():
-            acc[k] = acc.get(k, 0) + v
-    return {k: v for k, v in acc.items() if v}
+        _degree(c, pows[e], d, 0, acc)
+    return _nonzero(acc)
 
 
-def _online_root(th: ULaurent) -> TruncSeries:
-    """The no-constant-term root s of th, one degree at a time, on the
-    graded buckets of (1 + s)^e for every e in th's u-span.
+def _online_root(th: ULaurent) -> list[dict]:
+    """The graded no-constant-term root s of th, one degree at a time, on
+    the graded buckets of (1 + s)^e for every e in th's u-span.
 
     At degree d, bucket d of each power is first formed with s_d still 0:
     upward from (1 + s)^(e-1) (1 + s), and downward by solving
@@ -217,7 +251,7 @@ def _online_root(th: ULaurent) -> TruncSeries:
     bucket d of (1 + s)^e as e s_d.  Only s is returned, so the buckets
     are gone before anyone checks it.
     """
-    n, D = th.n, th.D
+    D = th.D
     lo, hi = _span(th)
     coeffs = {e: _pack(c.terms, D) for e, c in th.terms.items()}
     s: list[dict] = [{} for _ in range(D + 1)]
@@ -226,10 +260,7 @@ def _online_root(th: ULaurent) -> TruncSeries:
         pows[0].append({})
         for e in range(1, hi + 1):
             below = pows[e - 1]
-            acc = _degree(s, below, d, 1)
-            for k, c in below[d].items():
-                acc[k] = acc.get(k, 0) + c
-            pows[e].append(acc)
+            pows[e].append(_degree(s, below, d, 1, dict(below[d])))
         for e in range(-1, lo - 1, -1):
             acc = dict(pows[e + 1][d])
             for k, c in _degree(s, pows[e], d, 1).items():
@@ -240,8 +271,8 @@ def _online_root(th: ULaurent) -> TruncSeries:
             bucket = p[d]
             for k, c in s[d].items():
                 bucket[k] = bucket.get(k, 0) + e * c
-            p[d] = {k: c for k, c in bucket.items() if c}
-    return TruncSeries._raw(n, D, _unpack(s, n, D))
+            p[d] = _nonzero(bucket)
+    return s
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,9 +299,9 @@ def _ensure_multi(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _point_data(n: int, D: int):
-    """The root s and, at u = 1 + s, every residue part and its
-    logarithmic derivative, the full-section derivative and its inverse,
-    and the residue R_0 that every R_i rotates.
+    """At u = 1 + s, every residue part and its logarithmic derivative,
+    the full-section derivative and its inverse, all graded; then the
+    residue R_0 that every R_i rotates and the root s, as series.
 
     _online_root finds s and never substitutes it back.  Here one power
     table built from s alone takes all 2n values, and the residue parts'
@@ -286,15 +317,15 @@ def _point_data(n: int, D: int):
     pows = _powers(s, *_span(*parts))
     vals = [_substitute(g, pows) for g in parts]
     th, dth = vals[0::2], vals[1::2]
-    if not functools.reduce(TruncSeries.add, th).is_zero():
+    if any(_gsum(*th)):
         raise InvariantError("root substitution left a nonzero residual")
-    dth_full = functools.reduce(TruncSeries.add, dth)
-    inv_dth_full = dth_full.invert_unit()
-    r0 = th[0].mul(inv_dth_full).neg()
+    dth_full = _gsum(*dth)
+    inv_dth_full = _ginv(dth_full, D)
+    r0 = _series(_gneg(_gmul(th[0], inv_dth_full, D)), n, D)
     # at n = 1 the one part is the whole section, so R is undefined
     if n > 1 and r0.constant_term() != 1:
         raise InvariantError("residue is not 1 at t=0")
-    return th, dth, dth_full, inv_dth_full, r0, s
+    return th, dth, dth_full, inv_dth_full, r0, _series(s, n, D)
 
 
 def residue_R(i: int, n: int, D: int) -> TruncSeries:
@@ -334,23 +365,26 @@ def coords_b(n: int, D: int):
     _ensure_multi(n)
     th, dth, dth_full, inv_dth_full, *_ = _point_data(n, D)
     for l in range(1, n - 1):
-        if th[l].constant_term() != 0:
+        if th[l][0]:
             raise InvariantError(
                 f"residue-{l} part has a nonzero value at t=0 at the base point"
             )
-    th0_inv = th[0].invert_unit()
-    r0_inv = dth_full.mul(th0_inv).neg()
+    th0_inv = _ginv(th[0], D)
+    r0_inv = _gneg(_gmul(dth_full, th0_inv, D))
     b_off = {}
     for j in range(2, n):
-        b0j = dth[n - j].mul(inv_dth_full).rotate(-j).mul(r0_inv)
+        # the rotation acts on exponent tuples, between two graded products
+        rotated = _series(_gmul(dth[n - j], inv_dth_full, D), n, D).rotate(-j)
+        b0j = _series(_gmul(_pack(rotated.terms, D), r0_inv, D), n, D)
         for i in range(n):
             val = b0j.rotate(-i)
             if val.constant_term() != 0:
                 raise InvariantError("off-diagonal value at t=0 is nonzero")
             b_off[(i, (i + j) % n)] = val
-    core_diag = dth[n - 1].mul(th[n - 1].invert_unit()).sub(
-        dth[0].mul(th0_inv)
+    core = _gsum(
+        _gmul(dth[n - 1], _ginv(th[n - 1], D), D), _gneg(_gmul(dth[0], th0_inv, D))
     )
+    core_diag = _series(core, n, D)
     if core_diag.constant_term() != 1:
         raise InvariantError("diagonal value at t=0 is not 1")
     b_diag = {i: core_diag.rotate(-i) for i in range(n)}

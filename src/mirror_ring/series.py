@@ -131,22 +131,13 @@ class TruncSeries:
                 if sum(eb) <= room
             }
             return TruncSeries._raw(self.n, D, out)
-        a, b = _pack(a, D), _pack(b, D)
-        prod = [_degree(a, b, d) for d in range(D + 1)]
+        prod = _gmul(_pack(a, D), _pack(b, D), D)
         return TruncSeries._raw(self.n, D, _unpack(prod, self.n, D))
 
     def invert_unit(self) -> "TruncSeries":
         """Multiplicative inverse; requires constant term +1 or -1."""
-        c0 = self.constant_term()
-        if c0 not in (1, -1):
-            raise SeriesError(f"series with constant term {c0} is not invertible over Z")
-        # a*y = 1 degree by degree: y_0 = c0, y_d = -c0 * sum_{k>=1} a_k y_(d-k)
-        D = self.D
-        a = _pack(self.terms, D)
-        y = [{0: c0}]
-        for d in range(1, D + 1):
-            y.append({k: -c0 * c for k, c in _degree(a, y, d, 1).items() if c})
-        return TruncSeries._raw(self.n, D, _unpack(y, self.n, D))
+        y = _ginv(_pack(self.terms, self.D), self.D)
+        return TruncSeries._raw(self.n, self.D, _unpack(y, self.n, self.D))
 
     def rotate(self, shift: int) -> "TruncSeries":
         """Cyclic substitution of variables: new exponent of t_j is the old
@@ -232,7 +223,14 @@ def _int_from_json(c) -> int:
 # Adding packed keys multiplies monomials.  No digit can carry, because
 # a kept product has total degree <= D, so each of its exponents is < D+1;
 # the degree of a product is the sum of the bucket indices, so it is never
-# recomputed from the exponents.
+# recomputed from the exponents.  Packed keys order like the exponent
+# tuples, so _unpack sorts ints and emits the terms in ascending exponent
+# order, and a writer's sort then walks a list already in order.
+#
+# _gmul and _ginv are the one product and inverse kernel: mul and
+# invert_unit wrap them in _pack and _unpack, and the moduli layer keeps
+# its series graded between them from the root to the report.  Their
+# buckets never hold a zero coefficient.
 
 
 def _pack(terms: dict, D: int) -> list[dict]:
@@ -247,37 +245,66 @@ def _pack(terms: dict, D: int) -> list[dict]:
 
 
 def _unpack(graded: list[dict], n: int, D: int) -> dict:
+    """The terms of a graded series, as a dict in ascending exponent order."""
     base = D + 1
     digits = range(n - 1, 0, -1)
-    out = {}
+    flat: dict = {}
     for bucket in graded:
-        for k, c in bucket.items():
-            if not c:
-                continue
-            e = [0] * n
-            for j in digits:
-                k, e[j] = divmod(k, base)
-            e[0] = k
-            out[tuple(e)] = c
+        flat.update(bucket)
+    out = {}
+    for k in sorted(flat):
+        c = flat[k]
+        e = [0] * n
+        for j in digits:
+            k, e[j] = divmod(k, base)
+        e[0] = k
+        out[tuple(e)] = c
     return out
 
 
-def _degree(a: list[dict], b: list[dict], d: int, lo: int = 0) -> dict:
+def _degree(a: list[dict], b: list[dict], d: int, lo: int = 0, acc: dict | None = None) -> dict:
     """The degree-d bucket of the product of two graded operands: the sum
-    of a[da] * b[d - da] over da = lo..d, skipping empty buckets.  It reads
-    a[lo..d] and b[0..d - lo] only.
+    of a[da] * b[d - da] over da = lo..d, skipping empty buckets, added
+    into acc when one is given.  It reads a[lo..d] and b[0..d - lo] only.
 
-    Coefficients that cancel stay in the result as zeros; _unpack drops
-    them.
+    Coefficients that cancel stay in the result as zeros.
     """
-    acc: dict = {}
+    if acc is None:
+        acc = {}
     get = acc.get
     for da in range(lo, d + 1):
         ta, tb = a[da], b[d - da]
         if not ta or not tb:
             continue
+        if len(ta) > len(tb):
+            # the longer bucket in the inner loop
+            ta, tb = tb, ta
         for ka, ca in ta.items():
             for kb, cb in tb.items():
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
     return acc
+
+
+def _nonzero(bucket: dict) -> dict:
+    """bucket without its zero coefficients."""
+    return {k: c for k, c in bucket.items() if c} if 0 in bucket.values() else bucket
+
+
+def _gmul(a: list[dict], b: list[dict], D: int) -> list[dict]:
+    """The graded product of two graded series, truncated at D."""
+    return [_nonzero(_degree(a, b, d)) for d in range(D + 1)]
+
+
+def _ginv(a: list[dict], D: int) -> list[dict]:
+    """The graded inverse of a graded series with constant term +1 or -1.
+
+    a * y = 1 degree by degree: y_0 = c0, y_d = -c0 * sum_{k>=1} a_k y_(d-k).
+    """
+    c0 = a[0].get(0, 0)
+    if c0 not in (1, -1):
+        raise SeriesError(f"series with constant term {c0} is not invertible over Z")
+    y = [{0: c0}]
+    for d in range(1, D + 1):
+        y.append({k: -c0 * c for k, c in _degree(a, y, d, 1).items() if c})
+    return y

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirror_ring.series import SeriesError, TruncSeries
+from mirror_ring.series import SeriesError, TruncSeries, _ginv, _gmul, _pack, _unpack
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 
@@ -289,3 +289,105 @@ def test_invert_unit_matches_geometric_series(a):
     assert a.mul(inv) == TruncSeries.one(a.n, a.D)
     assert inv == geometric_inverse(a)
     assert all(inv.terms.values()), "a zero coefficient was kept"
+
+
+# -- the graded kernels far beyond the grid ----------------------------------
+
+
+def plain_product(a: dict, b: dict, D: int) -> dict:
+    """Every pair of terms of two exponent-tuple dicts, kept to degree D and
+    summed, zeros dropped: the reference for the graded kernels."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= D:
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def graded_cases(draw):
+    """(a, b, u): three series at one (n, D), n in 1..8 and D in 0..14, with
+    their terms in ascending order; u is a unit, constant term +1 or -1,
+    with at most four further terms so that its inverse stays small."""
+    n = draw(st.integers(1, 8))
+    D = draw(st.integers(0, 14))
+
+    def terms(count, lowest):
+        out = {}
+        for _ in range(count):
+            e = [0] * n
+            for _ in range(draw(st.integers(lowest, max(D, lowest)))):
+                e[draw(st.integers(0, n - 1))] += 1
+            out[tuple(e)] = draw(COEFFS)
+        return out
+
+    def series(t):
+        return TruncSeries(n, D, dict(sorted(t.items())))
+
+    a = series(terms(draw(st.integers(0, 8)), 0))
+    b = series(terms(draw(st.integers(0, 8)), 0))
+    u = terms(draw(st.integers(0, 4)), 1)
+    u[(0,) * n] = draw(st.sampled_from((1, -1)))
+    return a, b, series(u)
+
+
+def _flat(graded):
+    return [(k, c) for bucket in graded for k, c in bucket.items()]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graded_cases())
+@example((TruncSeries(1, 0, {(0,): 3}), TruncSeries(1, 0, {(0,): -2}), TruncSeries(1, 0, {(0,): -1})))
+@example(  # n = 1, D = 0 with nothing to multiply
+    (TruncSeries(1, 0), TruncSeries(1, 0, {(0,): 5}), TruncSeries(1, 0, {(0,): 1}))
+)
+@example(  # (1 + t0 t1)(1 - t0 t1): bucket 2 cancels to nothing, bucket 4 is cut at D = 3
+    (
+        TruncSeries(2, 3, {(0, 0): 1, (1, 1): 1}),
+        TruncSeries(2, 3, {(0, 0): 1, (1, 1): -1}),
+        TruncSeries(2, 3, {(0, 0): -1, (1, 1): 1}),
+    )
+)
+@example(  # (t0 - t1)(t0 + t1) at D = 1: every product lies past D
+    (
+        TruncSeries(2, 1, {(0, 1): -1, (1, 0): 1}),
+        TruncSeries(2, 1, {(0, 1): 1, (1, 0): 1}),
+        TruncSeries(2, 1, {(0, 0): 1, (0, 1): 2**70}),
+    )
+)
+@example(  # n = 8, D = 14: keys reach 14 * 15**7, many-digit ints
+    (
+        TruncSeries(8, 14, {(0,) * 7 + (1,): 2, (14,) + (0,) * 7: -1, (1,) * 8: 3}),
+        TruncSeries(8, 14, {(0,) * 8: 1, (0, 0, 0, 6, 0, 0, 0, 0): 1, (2,) * 3 + (0,) * 5: 5}),
+        TruncSeries(8, 14, {(0,) * 8: -1, (1,) + (0,) * 7: 1, (0,) * 7 + (1,): -1}),
+    )
+)
+def test_graded_kernels_match_a_plain_convolution(case):
+    a, b, u = case
+    n, D = a.n, a.D
+    for x in (a, b, u):
+        graded = _pack(x.terms, D)
+        assert len(graded) == D + 1
+        assert _unpack(graded, n, D) == x.terms
+        assert list(_unpack(graded, n, D)) == sorted(x.terms)
+
+    want = plain_product(a.terms, b.terms, D)
+    prod = _gmul(_pack(a.terms, D), _pack(b.terms, D), D)
+    assert all(c for _, c in _flat(prod)), "a zero coefficient was kept"
+    assert _unpack(prod, n, D) == want
+    for got in (a.mul(b), b.mul(a)):
+        assert got.terms == want
+        # the dense path unpacks in order; the monomial path keeps the
+        # order of its sorted operand
+        assert list(got.terms) == sorted(got.terms)
+
+    inv = _ginv(_pack(u.terms, D), D)
+    assert all(c for _, c in _flat(inv)), "a zero coefficient was kept"
+    one = {(0,) * n: 1}
+    assert plain_product(u.terms, _unpack(inv, n, D), D) == one
+    got = u.invert_unit()
+    assert got.terms == _unpack(inv, n, D)
+    assert list(got.terms) == sorted(got.terms)
+    assert plain_product(got.terms, u.terms, D) == one
