@@ -172,14 +172,14 @@ def _table_text(table: theta.StructureTable, newline: str) -> str:
 
 
 def _emit(path: str | None, report):
-    """Write a report to stdout, or replace the file at path atomically:
-    the text goes to a temporary file beside it, which is then renamed.
+    """Write a report to stdout when path is None, else replace the file at
+    path atomically: the text goes to a temporary file beside it, then renamed.
 
     A str report is written as it is.  Any other report is written as
     _json_text(report), in two pieces, its value and the closing newline,
     so the whole text is never copied once more to end it."""
     pieces = (report,) if type(report) is str else (_json_value(report, "\n"), "\n")
-    if not path:
+    if path is None:
         try:
             for piece in pieces:
                 sys.stdout.write(piece)

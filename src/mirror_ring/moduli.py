@@ -12,14 +12,14 @@ substituting that root and cyclically rotating variable indices.  The b
 and c coordinate functions come out of unit-denominator expressions
 only; no 0/0 ratio is ever formed.
 
-From the root to the report, series stay graded: a list of D + 1
-buckets of packed exponent keys, as series.py's kernels _gmul and _ginv
-take them.  The root, the power table, every substituted residue part,
-the residual check, the full-section derivative and its inverse, and the
-products of R_0 and coords_b are all formed that way.  A TruncSeries is
-made once per report series, for s, R_0, each b_(0,j) and the diagonal
-b_0; every other report series is one of them rotated, on exponent
-tuples, or a sum of them.
+From the root to the report, series stay graded, as lists of D + 1
+buckets of packed exponent keys, handled by series.py's graded helpers.
+The root, the power table, every substituted residue part, the residual
+check, the full-section derivative and its inverse, and the products of
+R_0 and coords_b are all formed that way.  series._series makes a
+TruncSeries once per report series, for s, R_0, each b_(0,j) and the
+diagonal b_0; every other report series is one of them rotated, on
+exponent tuples, or a sum of them.
 
 Sign convention: the logarithmic vector field is oriented as -u d/du in
 the residue and coordinate computations, which makes every residue a
@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 
 from .plgeom import InvariantError
-from .series import TruncSeries, _degree, _ginv, _gmul, _nonzero, _pack, _unpack
+from .series import TruncSeries, _degree, _ginv, _gmul, _gneg, _gsum, _nonzero, _pack, _series
 
 
 def _window(n: int, D: int) -> int:
@@ -172,26 +172,6 @@ def _span(*parts: ULaurent) -> tuple[int, int]:
     return min(exps), max(exps)
 
 
-def _gsum(*parts: list[dict]) -> list[dict]:
-    """The bucket-wise sum of graded series, cancelled keys dropped."""
-    out = []
-    for buckets in zip(*parts):
-        acc = dict(buckets[0])
-        for bucket in buckets[1:]:
-            for k, c in bucket.items():
-                acc[k] = acc.get(k, 0) + c
-        out.append(_nonzero(acc))
-    return out
-
-
-def _gneg(g: list[dict]) -> list[dict]:
-    return [{k: -c for k, c in bucket.items()} for bucket in g]
-
-
-def _series(g: list[dict], n: int, D: int) -> TruncSeries:
-    return TruncSeries._raw(n, D, _unpack(g, n, D))
-
-
 def _powers(s: list[dict], lo: int, hi: int) -> dict[int, list[dict]]:
     """The graded (1 + s)^e for every lo <= e <= hi, from the graded s,
     one inversion at most."""
@@ -211,7 +191,9 @@ def _powers(s: list[dict], lo: int, hi: int) -> dict[int, list[dict]]:
 
 def _substitute(g: ULaurent, pows: dict[int, list[dict]]) -> list[dict]:
     """g at u = 1 + s, graded: each u-coefficient of g, of any number of
-    terms, times its graded power from a table _powers built."""
+    terms, times its graded power from a table _powers built.  It does not
+    reuse _defect, which solves the root, so that a fault there cannot
+    reach both the root and the substitution that proves it."""
     D = g.D
     coeffs = [(_pack(c.terms, D), pows[e]) for e, c in g.terms.items()]
     out = []

@@ -241,7 +241,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         raise ValueError("mixed spoke counts")
     n = a.n
     reg = basis_registry(n)
-    out = AlgebraElement.zero(n)
+    out: dict[str, int] = {}
     for s1, c1 in a.terms.items():
         w1 = reg[s1]
         for s2, c2 in b.terms.items():
@@ -249,12 +249,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             if w1.source != w2.target:
                 continue
             arrows = w1.arrows + w2.arrows
-            if not arrows:
-                word = PathWord((), w1.vertex)
-            else:
-                word = PathWord(arrows)
-            out = out.add(normal_form(word, n).scale(c1 * c2))
-    return out
+            # two idempotents meet only at one vertex, where e_v e_v = e_v
+            word = PathWord(arrows) if arrows else w1
+            for sym, c in normal_form(word, n).terms.items():
+                out[sym] = out.get(sym, 0) + c1 * c2 * c
+    return AlgebraElement(n, out)
 
 
 def _composable_words(n: int, max_len: int):

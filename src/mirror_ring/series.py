@@ -131,13 +131,11 @@ class TruncSeries:
                 if sum(eb) <= room
             }
             return TruncSeries._raw(self.n, D, out)
-        prod = _gmul(_pack(a, D), _pack(b, D), D)
-        return TruncSeries._raw(self.n, D, _unpack(prod, self.n, D))
+        return _series(_gmul(_pack(a, D), _pack(b, D), D), self.n, D)
 
     def invert_unit(self) -> "TruncSeries":
         """Multiplicative inverse; requires constant term +1 or -1."""
-        y = _ginv(_pack(self.terms, self.D), self.D)
-        return TruncSeries._raw(self.n, self.D, _unpack(y, self.n, self.D))
+        return _series(_ginv(_pack(self.terms, self.D), self.D), self.n, self.D)
 
     def rotate(self, shift: int) -> "TruncSeries":
         """Cyclic substitution of variables: new exponent of t_j is the old
@@ -227,10 +225,11 @@ def _int_from_json(c) -> int:
 # tuples, so _unpack sorts ints and emits the terms in ascending exponent
 # order, and a writer's sort then walks a list already in order.
 #
-# _gmul and _ginv are the one product and inverse kernel: mul and
-# invert_unit wrap them in _pack and _unpack, and the moduli layer keeps
-# its series graded between them from the root to the report.  Their
-# buckets never hold a zero coefficient.
+# _gmul and _ginv are the one product and inverse kernel, _gsum and _gneg
+# add and negate, and _series makes a TruncSeries: mul and invert_unit are
+# _pack, a kernel and _series, and the moduli layer keeps its series
+# graded with these helpers from the root to the report.  No bucket they
+# return holds a zero coefficient.
 
 
 def _pack(terms: dict, D: int) -> list[dict]:
@@ -308,3 +307,24 @@ def _ginv(a: list[dict], D: int) -> list[dict]:
     for d in range(1, D + 1):
         y.append({k: -c0 * c for k, c in _degree(a, y, d, 1).items() if c})
     return y
+
+
+def _gsum(*parts: list[dict]) -> list[dict]:
+    """The bucket-wise sum of graded series, cancelled keys dropped."""
+    out = []
+    for buckets in zip(*parts):
+        acc = dict(buckets[0])
+        for bucket in buckets[1:]:
+            for k, c in bucket.items():
+                acc[k] = acc.get(k, 0) + c
+        out.append(_nonzero(acc))
+    return out
+
+
+def _gneg(g: list[dict]) -> list[dict]:
+    return [{k: -c for k, c in bucket.items()} for bucket in g]
+
+
+def _series(g: list[dict], n: int, D: int) -> TruncSeries:
+    """The TruncSeries of a graded series, its terms in exponent order."""
+    return TruncSeries._raw(n, D, _unpack(g, n, D))

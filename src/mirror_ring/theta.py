@@ -184,45 +184,22 @@ class StructureTable:
         return sorted(self.entries)
 
     def to_json_obj(self) -> dict:
-        # (a, b) and (b, a) hold one element, so each element is converted
-        # once and its entries share the result list; each label's dict is
-        # built once and shared too
-        results: dict[int, list] = {}
-        labels: dict[ThetaIndex, dict] = {}
+        """The table's report data, each sorted entry converted on its own:
+        the plain reference that cli's table writer is tested against."""
         entries = []
         for a, b in self.sorted_keys():
-            elem = self.entries[(a, b)]
-            result = results.get(id(elem))
-            if result is None:
-                result = results[id(elem)] = elem.to_json_obj()
-            for x in (a, b):
-                if x not in labels:
-                    labels[x] = x.to_json_obj()
-            entries.append({"a": labels[a], "b": labels[b], "result": result})
+            result = self.entries[a, b].to_json_obj()
+            entries.append({"a": a.to_json_obj(), "b": b.to_json_obj(), "result": result})
         return {"n": self.n, "D": self.D, "entries": entries}
 
     def to_csv(self) -> str:
         """One monomial per row: flat, diff-friendly dump of the table."""
         lines = ["m1,p1,m2,p2,p_out,exponents,coeff"]
-        # (a, b) and (b, a) hold one element: its p_out,exponents,coeff
-        # suffixes are built once and each entry prefixes its own head,
-        # joined from one m,p text per label
-        tails: dict[int, list[str]] = {}
-        heads: dict[ThetaIndex, str] = {}
         for a, b in self.sorted_keys():
-            elem = self.entries[(a, b)]
-            rows = tails.get(id(elem))
-            if rows is None:
-                rows = tails[id(elem)] = [
-                    f",{Fraction(a3, elem.m)},{' '.join(map(str, e))},{c}"
-                    for a3, s in elem.items()
-                    for e, c in s.iter_terms()
-                ]
-            for x in (a, b):
-                if x not in heads:
-                    heads[x] = f"{x.m},{x.p}"
-            head = f"{heads[a]},{heads[b]}"
-            lines += [head + row for row in rows]
+            elem = self.entries[a, b]
+            for a3, s in elem.items():
+                head = f"{a.m},{a.p},{b.m},{b.p},{Fraction(a3, elem.m)},"
+                lines += [f"{head}{' '.join(map(str, e))},{c}" for e, c in s.iter_terms()]
         return "\n".join(lines) + "\n"
 
 

@@ -93,6 +93,10 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
             "f0be530b6320cea17c7e0bd8b0ec54b356b5c364806a687269b23be85704c5c8",
         ),
         (
+            ["theta", "--n", "1", "--max-m", "4", "--trunc", "12", "--format", "csv"],
+            "86a4f581eda8867e364599ee8770af7217c6da1f44b586fd8d4d29d3ae33b244",
+        ),
+        (
             ["moduli", "--n", "4", "--trunc", "12"],
             "a93d79c6777265e5d468ead85082c05d7cb49468c97a9dc7a78def723d852b6b",
         ),
@@ -110,8 +114,8 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
         ),
     ],
     ids=[
-        "theta", "floer-direct", "floer-brion", "theta-csv", "moduli",
-        "assoc", "quiver", "verify",
+        "theta", "floer-direct", "floer-brion", "theta-csv", "theta-n1-csv",
+        "moduli", "assoc", "quiver", "verify",
     ],
 )
 def test_report_digest_at_benchmark_size(tmp_path, argv, digest):
@@ -171,6 +175,16 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     assert len(err) == 3
     assert all(line.startswith("mirror-ring: cannot write ") for line in err)
     assert all(line.endswith(": Is a directory") for line in err[:2])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_output_path_exits_two(tmp_path, monkeypatch, capsys):
+    # an empty path names no file: it is refused, not taken for stdout
+    monkeypatch.chdir(tmp_path)
+    assert main(["theta", "--n", "1", "-o", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mirror-ring: cannot write : Is a directory\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -249,19 +249,23 @@ def test_build_table_multiplies_once_per_orbit():
         assert table.entries[(a, b)] is table.entries[(b, a)]
 
 
-def test_json_converts_each_element_once():
-    """(a, b) and (b, a) share one result list, equal to the element's own
-    conversion."""
+def test_json_converts_each_entry_in_key_order():
+    """Each entry is its labels' and its element's own conversion, in
+    sorted key order, and (a, b) and (b, a) read equal results."""
     table = build_table(3, 2, 3)
     obj = table.to_json_obj()
+    keys = table.sorted_keys()
+    assert [(e["a"], e["b"]) for e in obj["entries"]] == [
+        (a.to_json_obj(), b.to_json_obj()) for a, b in keys
+    ]
     results = [entry["result"] for entry in obj["entries"]]
-    assert results == [table.entries[key].to_json_obj() for key in table.sorted_keys()]
+    assert results == [table.entries[key].to_json_obj() for key in keys]
     by_pair = {
         (e["a"]["m"], e["a"]["p"], e["b"]["m"], e["b"]["p"]): e["result"]
         for e in obj["entries"]
     }
     for (m1, p1, m2, p2), result in by_pair.items():
-        assert by_pair[(m2, p2, m1, p1)] is result
+        assert by_pair[(m2, p2, m1, p1)] == result
 
 
 def test_associativity_reports():
