@@ -60,61 +60,80 @@ def _json_text(obj) -> str:
 
     With an indent, json.dumps runs its pure-Python encoder; this writer
     joins each container's items once and escapes strings with the same
-    C escaper.  A series is written straight from its sorted terms, and a
-    table entry by entry through one template, with no dict tree.  It
-    takes only what the reports hold: dicts with str keys, lists,
-    StructureTable, TruncSeries, str, int, bool and None.  Anything else
-    raises TypeError.
+    C escaper.  A series is written straight from its sorted exponent
+    keys, a term as the head of the term template, the coefficient and a
+    tail that holds the exponent block.  A report's series share few
+    exponent vectors, as most are rotations or sums of a few, so each
+    tail is built once per exponent vector and indent and kept in a dict
+    that lives for this call only.  A table is written entry by entry
+    through one template, with no dict tree.  It takes only what the
+    reports hold: dicts with str keys, lists, StructureTable,
+    TruncSeries, str, int, bool and None.  Anything else raises
+    TypeError.
     """
-    return _json_value(obj, "\n") + "\n"
+    return _json_value(obj, "\n", {}) + "\n"
 
 
-def _json_value(obj, newline: str) -> str:
+def _json_value(obj, newline: str, tails: dict) -> str:
+    """The text of obj at this indent; tails maps an indent to the
+    {exponent vector: tail} of the series written at it so far."""
     kind = type(obj)
     if kind is str:
         return _escape(obj)
     if kind is int:
         return int.__repr__(obj)
     if kind is TruncSeries:
-        empty, opening, term, sep, closing = _series_templates(obj.n, obj.D, newline)
-        terms = [term % (c, *e) for e, c in sorted(obj.terms.items())]
-        return opening + sep.join(terms) + closing if terms else empty
+        empty, opening, head, tail, sep, closing = _series_templates(obj.n, obj.D, newline)
+        terms = obj.terms
+        if not terms:
+            return empty
+        known = tails.get(newline)
+        if known is None:
+            known = tails[newline] = {}
+        parts = []
+        for e in sorted(terms):
+            text = known.get(e)
+            if text is None:
+                text = known[e] = tail % e
+            parts.append(head + str(terms[e]) + text)
+        return opening + sep.join(parts) + closing
     if kind is list:
         if not obj:
             return "[]"
         inner = newline + "  "
-        items = [_json_value(x, inner) for x in obj]
+        items = [_json_value(x, inner, tails) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not obj:
             return "{}"
         inner = newline + "  "
         # the escaper raises TypeError on a key that is not a str
-        items = [_escape(key) + ": " + _json_value(obj[key], inner) for key in sorted(obj)]
+        items = [_escape(key) + ": " + _json_value(obj[key], inner, tails) for key in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is theta.StructureTable:
-        return _table_text(obj, newline)
+        return _table_text(obj, newline, tails)
     if obj is None or kind is bool:
         return _LITERALS[obj]
     raise TypeError(f"cannot write {kind.__name__} to a report")
 
 
 def _series_templates(n: int, D: int, newline: str) -> tuple:
-    """(empty, opening, term, sep, closing): the text of a series'
+    """(empty, opening, head, tail, sep, closing): the text of a series'
     to_json_obj() at (n, D) and this indent, keys "D", "n", "terms", each
     term's keys "c" (its coefficient quoted) and "e" (one exponent a
-    line), is opening, its sorted terms filled into term % (c, *e) and
+    line), is opening, its sorted terms, each head + str(c) + tail % e,
     joined by sep, and closing; or empty, when it has no terms."""
     i2 = newline + "  "
     i4, i6, i8 = (i2 + "  " * k for k in range(1, 4))
-    head = "{" + i2 + f'"D": {D},' + i2 + f'"n": {n},' + i2 + '"terms": '
+    top = "{" + i2 + f'"D": {D},' + i2 + f'"n": {n},' + i2 + '"terms": '
     # str(c) is digits and a sign, which need no escape
     exps = ("," + i8).join(["%d"] * n)
-    term = "{" + i6 + '"c": "%s",' + i6 + '"e": [' + i8 + exps + i6 + "]" + i4 + "}"
-    return head + "[]" + newline + "}", head + "[" + i4, term, "," + i4, i2 + "]" + newline + "}"
+    head = "{" + i6 + '"c": "'
+    tail = '",' + i6 + '"e": [' + i8 + exps + i6 + "]" + i4 + "}"
+    return top + "[]" + newline + "}", top + "[" + i4, head, tail, "," + i4, i2 + "]" + newline + "}"
 
 
-def _table_text(table: theta.StructureTable, newline: str) -> str:
+def _table_text(table: theta.StructureTable, newline: str, tails: dict) -> str:
     """The text of table.to_json_obj(), with each label's text built once,
     each output class spelled once per weight and each element's result
     list written once, since (a, b) and (b, a) share one element; a class
@@ -132,7 +151,8 @@ def _table_text(table: theta.StructureTable, newline: str) -> str:
     label = "{" + i8 + '"m": %d,' + i8 + '"p": "%s"' + i6 + "}"
     head = "{" + i10 + '"p": "%s",' + i10 + '"series": '
     part = head + "%s" + i8 + "}"
-    _, opening, term, sep, closing = _series_templates(n, D, i10)
+    _, opening, term_head, term_tail, sep, closing = _series_templates(n, D, i10)
+    term = term_head + "%s" + term_tail
     first, more, last = head + opening + term, sep + term, closing + i8 + "}"
     single = first + last
     a_key, b_key, r_key = "{" + i6 + '"a": ', "," + i6 + '"b": ', "," + i6 + '"result": '
@@ -152,14 +172,15 @@ def _table_text(table: theta.StructureTable, newline: str) -> str:
                 if p is None:
                     p = spelled[a3, elem.m] = spell(a3, elem.m)
                 if s.n != n or s.D != D or not s.terms:
-                    parts.append(part % (p, _json_value(s, i10)))
+                    parts.append(part % (p, _json_value(s, i10, tails)))
                 elif len(s.terms) == 1:
                     [(e, c)] = s.terms.items()
                     parts.append(single % (p, c, *e))
                 else:
-                    (e, c), *rest = sorted(s.terms.items())
-                    further = "".join([more % (c, *e) for e, c in rest])
-                    parts.append(first % (p, c, *e) + further + last)
+                    terms = s.terms
+                    e, *rest = sorted(terms)
+                    further = "".join([more % (terms[f], *f) for f in rest])
+                    parts.append(first % (p, terms[e], *e) + further + last)
             result = "[" + i8 + ("," + i8).join(parts) + i6 + "]" if parts else "[]"
             results[id(elem)] = result
         for x in (a, b):
@@ -178,7 +199,7 @@ def _emit(path: str | None, report):
     A str report is written as it is.  Any other report is written as
     _json_text(report), in two pieces, its value and the closing newline,
     so the whole text is never copied once more to end it."""
-    pieces = (report,) if type(report) is str else (_json_value(report, "\n"), "\n")
+    pieces = (report,) if type(report) is str else (_json_value(report, "\n", {}), "\n")
     if path is None:
         try:
             for piece in pieces:

@@ -197,10 +197,6 @@ class AlgebraElement:
         self.terms = {s: c for s, c in terms.items() if c != 0}
 
     @classmethod
-    def zero(cls, n: int) -> "AlgebraElement":
-        return cls(n, {})
-
-    @classmethod
     def basis(cls, n: int, sym: str) -> "AlgebraElement":
         if sym not in basis_registry(n):
             raise ValueError(f"unknown basis symbol {sym!r} for n={n}")
@@ -208,17 +204,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def add(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.n != other.n:
-            raise ValueError("mixed spoke counts")
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0) + c
-        return AlgebraElement(self.n, out)
-
-    def scale(self, c: int) -> "AlgebraElement":
-        return AlgebraElement(self.n, {s: c * v for s, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (

@@ -61,7 +61,8 @@ def test_moduli_report_matches_golden(tmp_path):
 # sha256 of the reports at sizes above the goldens' D = 3, where solve_s
 # takes more steps than the goldens exercise; at (3, 20) the power table
 # is most of the round, and at (10, 8) a packed exponent key reaches
-# 8 * 9**9 > 2**30, so it takes a many-digit int
+# 8 * 9**9 > 2**30, so it takes a many-digit int; at (6, 12) the 57
+# series hold about nine terms per distinct exponent vector
 @pytest.mark.parametrize(
     "n, D, digest",
     [
@@ -69,6 +70,7 @@ def test_moduli_report_matches_golden(tmp_path):
         (5, 6, "dab199e57e27f0039e416b941cc6cb1efcb082f9bc4a1868d2104767328f4b7a"),
         (3, 20, "605a43b6e6546e5cc03813b4981f555bed4532c7157e6ea94fa69bbec668b651"),
         (10, 8, "79c15f3a36e2aac027ac3f7ae1ab40e64e36c4b35b720af2a8ca27063483f28c"),
+        (6, 12, "43b001cbd39810340332653a80f61fd1c8b68a87fa039b9e13c34b9754000ba0"),
     ],
 )
 def test_moduli_report_digest_above_golden_size(tmp_path, n, D, digest):

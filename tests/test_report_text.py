@@ -80,6 +80,10 @@ TABLE = theta.build_table(2, 2, 0)
 @example({"s": SERIES, "empty": TruncSeries(1, 3), "t": [TruncSeries(5, 6, {(1,) * 5: -1})]})
 @example({"a": SHARED, "b": SHARED, "c": [SHARED, {"d": SHARED}]})
 @example({"t": [TABLE, {"u": TABLE}], "v": TABLE})
+# one exponent vector at two indents and at two D, then at one indent in
+# series of two n
+@example({"a": TruncSeries(2, 3, {(1, 2): 5}), "b": [TruncSeries(2, 4, {(1, 2): -7, (0, 0): 1})]})
+@example([TruncSeries(1, 4, {(2,): 3}), TruncSeries(3, 4, {(2, 0, 0): 1, (0, 0, 2): -2})])
 def test_json_text_matches_stdlib_encoder(tree):
     assert cli._json_text(tree) == reference(tree)
 
@@ -164,7 +168,9 @@ def test_every_report_is_stdlib_text(tmp_path, argv):
     assert_stdlib_text(out, main(argv + ["-o", str(out)]))
 
 
-def test_failing_verify_report_is_stdlib_text(tmp_path, monkeypatch):
+@pytest.fixture
+def crooked_lambda(monkeypatch):
+    """lambda_exponents with 1 added to slot 0 at k = 1, so the routes disagree."""
     good = plgeom.lambda_exponents
 
     def crooked(n, m1, a1, m2, a2, k):
@@ -172,6 +178,30 @@ def test_failing_verify_report_is_stdlib_text(tmp_path, monkeypatch):
         return (exps[0] + 1,) + exps[1:] if k == 1 and exps[0] else exps
 
     monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
+
+
+def test_failing_verify_report_is_stdlib_text(tmp_path, crooked_lambda):
     out = tmp_path / "verify.json"
     assert_stdlib_text(out, main(SMALL[3] + ["-o", str(out)]), want_rc=1)
     assert json.loads(out.read_text())["failures"]
+
+
+def test_failing_assoc_report_is_stdlib_text(tmp_path, crooked_lambda):
+    """Its failures hold series deeper than a moduli report's, and each
+    failure's left and right sides share exponent vectors."""
+    out = tmp_path / "assoc.json"
+    assert_stdlib_text(out, main(SMALL[6] + ["-o", str(out)]), want_rc=1)
+    reports = json.loads(out.read_text())["reports"]
+    assert sum(len(rep["failures"]) for rep in reports) == 135
+
+
+def test_reports_in_sequence_share_no_exponent_text(tmp_path):
+    """Two reports hold the same exponent vectors at different indents;
+    each is written at its own."""
+    first = {"s": SERIES, "t": [TruncSeries(2, 5, {(1, 0): 3, (0, 2): -1})]}
+    second = [{"u": [SERIES]}, {"v": TruncSeries(2, 5, {(0, 2): 4, (1, 0): 1})}]
+    for report in (first, second, first):
+        assert cli._json_text(report) == reference(report)
+    for name, report in (("a.json", first), ("b.json", second)):
+        cli._emit(str(tmp_path / name), report)
+        assert (tmp_path / name).read_text() == reference(report)
