@@ -139,22 +139,20 @@ def _table_text(table: theta.StructureTable, newline: str, tails: dict) -> str:
     list written once, since (a, b) and (b, a) share one element; a class
     text is digits and "/", which need no escape.
 
-    The templates are built once for the table's (n, D).  A part whose
-    series has terms at that (n, D) is one fill of the part's head, the
-    series' head and the first term (and the tail, for one term), plus
-    one term fill per further term; any other series is written by
-    _json_value.  The entries' pieces are joined once, with no string per
-    entry."""
+    A part whose series has one term at the table's (n, D), the shape of
+    nearly every part, is one fill of a template built once per table:
+    the part's head, the series' head, the term and the closings.  Any
+    other part holds its series' text from _json_value, the one writer of
+    the series layout.  The entries' pieces are joined once, with no
+    string per entry."""
     n, D = table.n, table.D
     i2 = newline + "  "
     i4, i6, i8, i10 = (i2 + "  " * k for k in range(1, 5))
     label = "{" + i8 + '"m": %d,' + i8 + '"p": "%s"' + i6 + "}"
     head = "{" + i10 + '"p": "%s",' + i10 + '"series": '
     part = head + "%s" + i8 + "}"
-    _, opening, term_head, term_tail, sep, closing = _series_templates(n, D, i10)
-    term = term_head + "%s" + term_tail
-    first, more, last = head + opening + term, sep + term, closing + i8 + "}"
-    single = first + last
+    _, opening, term_head, term_tail, _, closing = _series_templates(n, D, i10)
+    single = head + opening + term_head + "%s" + term_tail + closing + i8 + "}"
     a_key, b_key, r_key = "{" + i6 + '"a": ', "," + i6 + '"b": ', "," + i6 + '"result": '
     spell = theta.class_text
     spelled: dict[tuple[int, int], str] = {}
@@ -171,16 +169,11 @@ def _table_text(table: theta.StructureTable, newline: str, tails: dict) -> str:
                 p = spelled.get((a3, elem.m))
                 if p is None:
                     p = spelled[a3, elem.m] = spell(a3, elem.m)
-                if s.n != n or s.D != D or not s.terms:
-                    parts.append(part % (p, _json_value(s, i10, tails)))
-                elif len(s.terms) == 1:
+                if len(s.terms) == 1 and s.n == n and s.D == D:
                     [(e, c)] = s.terms.items()
                     parts.append(single % (p, c, *e))
                 else:
-                    terms = s.terms
-                    e, *rest = sorted(terms)
-                    further = "".join([more % (terms[f], *f) for f in rest])
-                    parts.append(first % (p, terms[e], *e) + further + last)
+                    parts.append(part % (p, _json_value(s, i10, tails)))
             result = "[" + i8 + ("," + i8).join(parts) + i6 + "]" if parts else "[]"
             results[id(elem)] = result
         for x in (a, b):

@@ -76,15 +76,10 @@ def lift_triangle(n: int, m1: int, p1, m2: int, p2, k: int) -> Triangle:
     return Triangle(a, b, c)
 
 
-def _eps_den(n: int, m1: int, m2: int, k: int) -> int:
-    """E of the perturbation eps = 1/E of the k-th lifted triangle; m3*n
-    divides it."""
-    return 4 * n * (m1 + m2) * (abs(k) + 2)
-
-
 def default_eps(n: int, m1: int, m2: int, k: int) -> Fraction:
-    """A perturbation small enough that no shifted point meets an edge."""
-    return Fraction(1, _eps_den(n, m1, m2, k))
+    """A perturbation eps = 1/E of the k-th lifted triangle, small enough
+    that no shifted point meets an edge; m3*n divides E."""
+    return Fraction(1, 4 * n * (m1 + m2) * (abs(k) + 2))
 
 
 def point_in_triangle(t: Triangle, x, y) -> bool:

@@ -198,8 +198,10 @@ class TruncSeries:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TruncSeries":
         try:
-            n, D = obj["n"], obj["D"]
-            terms = {tuple(t["e"]): _int_from_json(t["c"]) for t in obj["terms"]}
+            n, D, rows = obj["n"], obj["D"], obj["terms"]
+            terms = {tuple(t["e"]): _int_from_json(t["c"]) for t in rows}
+            if len(terms) != len(rows):
+                raise ValueError("an exponent vector is repeated")
         except (KeyError, TypeError, ValueError) as exc:
             raise SeriesError(f"malformed series object: {exc}") from exc
         return cls(n, D, terms)

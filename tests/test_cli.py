@@ -95,6 +95,10 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
             "f0be530b6320cea17c7e0bd8b0ec54b356b5c364806a687269b23be85704c5c8",
         ),
         (
+            ["theta", "--n", "1", "--max-m", "4", "--trunc", "12"],
+            "af723612e6a554d7d4f1ab409ab08fa1161b02b88ccf00c6e63ce571ea02b0c0",
+        ),
+        (
             ["theta", "--n", "1", "--max-m", "4", "--trunc", "12", "--format", "csv"],
             "86a4f581eda8867e364599ee8770af7217c6da1f44b586fd8d4d29d3ae33b244",
         ),
@@ -116,7 +120,7 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
         ),
     ],
     ids=[
-        "theta", "floer-direct", "floer-brion", "theta-csv", "theta-n1-csv",
+        "theta", "floer-direct", "floer-brion", "theta-csv", "theta-n1", "theta-n1-csv",
         "moduli", "assoc", "quiver", "verify",
     ],
 )

@@ -105,8 +105,8 @@ def test_table_text_matches_its_json_obj(n, max_m, D):
 
 def test_table_text_writes_series_of_several_terms():
     """At n = 1, max-m = 4, D = 12 many series have several terms and some
-    coefficients exceed 1, so the text pins the part template with its
-    first term and the term template of the terms after it."""
+    coefficients exceed 1, so the text pins the parts that hold a series
+    written by the series writer, beside the one-term parts."""
     table = theta.build_table(1, 4, 12)
     obj = plain(table.to_json_obj())
     assert cli._json_text(table) == reference(obj)

@@ -157,6 +157,8 @@ def test_constructor_rejects_what_is_not_an_int(n, D, terms):
         {"n": 1, "D": 2, "terms": [{"e": [1], "c": True}]},
         {"n": 1, "D": 2, "terms": [{"e": [1], "c": "1.5"}]},
         {"n": 1, "D": 2, "terms": [{"e": [1], "c": None}]},
+        # a repeated exponent vector is neither summed nor left to the last
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": "2"}, {"e": [1], "c": "3"}]},
     ],
 )
 def test_from_json_obj_rejects_malformed_objects(obj):

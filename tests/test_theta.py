@@ -101,6 +101,17 @@ def test_basis_and_hilbert():
                 assert 0 <= lab.p < n and (lab.m * lab.p).denominator == 1
 
 
+def test_basis_needs_a_positive_weight():
+    """A weight below 1 has no basis labels to give: it is refused, not
+    read as an empty basis, so an associativity report at such a weight
+    does not pass having checked no triple."""
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            basis_indices(2, m)
+    with pytest.raises(ValueError):
+        check_associativity(2, 3, (0, 1, 1))
+
+
 def test_one_variable_square():
     """Weight-1 generator squared at n=1, low truncation."""
     a = ThetaIndex.make(1, 0, 1)
