@@ -9,7 +9,10 @@ so B_i A_i means "apply A_i, then B_i" and is a loop at the central
 vertex.  Normal forms are found by exploring the rewrite graph (swap one
 B_i A_i pair for another, kill mixed pairs), never by consulting a
 precomputed table, and the dimension counts come from enumerating all
-composable words up to length four and reducing each one.
+composable words up to length four and reducing each one.  Words are
+validated at the public edge (``PathWord``, ``normal_form``); ``hom_table``
+and ``multiply`` pass chains composable by construction to the one
+reduction core, ``_reduce``.
 
 The n = 1 algebra is refused: with a single spoke the displayed
 relations say nothing and the structure is pinned down elsewhere by
@@ -53,13 +56,13 @@ class PathWord(namedtuple("PathWord", "arrows vertex")):
     def __new__(cls, arrows=(), vertex=None):
         arrows = tuple(tuple(a) for a in arrows)
         if not arrows:
-            if vertex is None or vertex < 0:
-                raise ValueError("an empty word needs a vertex label >= 0")
+            if type(vertex) is not int or vertex < 0:
+                raise ValueError(f"an empty word needs an int vertex >= 0: {vertex!r}")
         elif vertex is not None:
             raise ValueError("a nonempty word must not carry a vertex label")
         for a in arrows:
             label, i = a
-            if label not in ("A", "B") or i < 1:
+            if label not in ("A", "B") or type(i) is not int or i < 1:
                 raise ValueError(f"bad arrow {a!r}")
         for left, right in zip(arrows, arrows[1:]):
             if _arrow_ends(right)[1] != _arrow_ends(left)[0]:
@@ -133,29 +136,22 @@ def _word_symbol(arrows: tuple) -> str:
     raise InvariantError(f"irreducible word of length {len(arrows)}: {arrows}")
 
 
-def normal_form(w: PathWord, n: int) -> "AlgebraElement":
-    """Image of a path word in the canonical basis.
+def _reduce(arrows: tuple, n: int):
+    """Basis symbol of a nonempty composable chain with indices in 1..n
+    (unchecked), or None when it lies in the ideal.
 
     Explores every rewrite of the word (replacing one central loop
     representative by another); if any rewrite exposes a mixed pair the
-    word lies in the ideal and maps to zero.  Otherwise the surviving
-    word is one of the finitely many basis shapes.
+    word maps to zero.  Otherwise the surviving word is one of the
+    finitely many basis shapes.
     """
-    _ensure_spokes(n)
-    for _, i in w.arrows:
-        if i > n:
-            raise ValueError(f"arrow index {i} exceeds the spoke count {n}")
-    if not w.arrows:
-        if w.vertex > n:
-            raise ValueError(f"vertex {w.vertex} exceeds the spoke count {n}")
-        return AlgebraElement(n, {f"e_{w.vertex}": 1})
-    seen = {w.arrows}
-    frontier = [w.arrows]
+    seen = {arrows}
+    frontier = [arrows]
     while frontier:
         nxt = []
         for word in frontier:
             if _mixed_pair(word):
-                return AlgebraElement(n, {})
+                return None
             for t in _swap_sites(word):
                 for j in range(1, n + 1):
                     cand = _swapped(word, t, j)
@@ -164,7 +160,22 @@ def normal_form(w: PathWord, n: int) -> "AlgebraElement":
                         nxt.append(cand)
         frontier = nxt
     # no representative hits the ideal: the word itself is already basic
-    return AlgebraElement(n, {_word_symbol(w.arrows): 1})
+    return _word_symbol(arrows)
+
+
+def normal_form(w: PathWord, n: int) -> "AlgebraElement":
+    """Image of a path word in the canonical basis, after checking its
+    indices against the spoke count."""
+    _ensure_spokes(n)
+    for _, i in w.arrows:
+        if i > n:
+            raise ValueError(f"arrow index {i} exceeds the spoke count {n}")
+    if not w.arrows:
+        if w.vertex > n:
+            raise ValueError(f"vertex {w.vertex} exceeds the spoke count {n}")
+        return AlgebraElement(n, {f"e_{w.vertex}": 1})
+    sym = _reduce(w.arrows, n)
+    return AlgebraElement(n, {} if sym is None else {sym: 1})
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,17 +238,21 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     n = a.n
     reg = basis_registry(n)
     out: dict[str, int] = {}
-    for s1, c1 in a.terms.items():
-        w1 = reg[s1]
-        for s2, c2 in b.terms.items():
-            w2 = reg[s2]
-            if w1.source != w2.target:
-                continue
-            arrows = w1.arrows + w2.arrows
-            # two idempotents meet only at one vertex, where e_v e_v = e_v
-            word = PathWord(arrows) if arrows else w1
-            for sym, c in normal_form(word, n).terms.items():
-                out[sym] = out.get(sym, 0) + c1 * c2 * c
+    try:  # only the registry lookups raise KeyError; no cost per pair
+        for s1, c1 in a.terms.items():
+            w1 = reg[s1]
+            source = w1.source
+            for s2, c2 in b.terms.items():
+                w2 = reg[s2]
+                if source != w2.target:
+                    continue
+                arrows = w1.arrows + w2.arrows
+                # two idempotents meet only at one vertex, where e_v e_v = e_v
+                sym = _reduce(arrows, n) if arrows else s1
+                if sym is not None:
+                    out[sym] = out.get(sym, 0) + c1 * c2
+    except KeyError as exc:
+        raise ValueError(f"unknown basis symbol {exc.args[0]!r} for n={n}") from None
     return AlgebraElement(n, out)
 
 
@@ -246,19 +261,14 @@ def _composable_words(n: int, max_len: int):
     alphabet = [("A", i) for i in range(1, n + 1)] + [
         ("B", i) for i in range(1, n + 1)
     ]
-    chains = [[a] for a in alphabet]
-    for chain in chains:
-        yield tuple(chain)
+    by_source = {v: [] for v in range(n + 1)}
+    for a in alphabet:
+        by_source[_arrow_ends(a)[0]].append(a)
+    chains = [(a,) for a in alphabet]
+    yield from chains
     for _ in range(max_len - 1):
-        nxt = []
-        for chain in chains:
-            tgt = _arrow_ends(chain[0])[1]
-            for a in alphabet:
-                if _arrow_ends(a)[0] == tgt:
-                    nxt.append([a] + chain)
-        for chain in nxt:
-            yield tuple(chain)
-        chains = nxt
+        chains = [(a,) + c for c in chains for a in by_source[_arrow_ends(c[0])[1]]]
+        yield from chains
 
 
 def hom_table(n: int) -> dict:
@@ -271,8 +281,8 @@ def hom_table(n: int) -> dict:
     """
     reg = basis_registry(n)
     found = {f"e_{v}" for v in range(n + 1)}
-    for arrows in _composable_words(n, 4):
-        found.update(normal_form(PathWord(arrows), n).terms)
+    found.update(_reduce(arrows, n) for arrows in _composable_words(n, 4))
+    found.discard(None)
     table = {}
     for sym in found:
         w = reg[sym]
@@ -307,10 +317,10 @@ def node_dual_hilbert(d: int) -> int:
 
 def multiplication_table(n: int) -> dict:
     """Full basis-by-basis product table, keyed "x*y" in registry order."""
+    basis = [(s, AlgebraElement(n, {s: 1})) for s in basis_registry(n)]
     out = {}
-    for s1, s2 in itertools.product(basis_registry(n), repeat=2):
-        prod = multiply(AlgebraElement(n, {s1: 1}), AlgebraElement(n, {s2: 1}))
-        out[f"{s1}*{s2}"] = dict(sorted(prod.terms.items()))
+    for (s1, x), (s2, y) in itertools.product(basis, repeat=2):
+        out[f"{s1}*{s2}"] = dict(sorted(multiply(x, y).terms.items()))
     return out
 
 

@@ -115,13 +115,25 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
             "389650de49988822ce9c308be8f92e5925735a3a4ad4f0862368fd3794b96d0f",
         ),
         (
+            ["quiver", "--n", "2"],
+            "c7e81cf0ee74ea2d30c517ec48022748222d2349e41b53ffab1cba156294dcde",
+        ),
+        (
+            ["quiver", "--n", "3"],
+            "6ff4c519434ee359d1abf84b68f466a930803b1ca7eb479bed224673d1434e4b",
+        ),
+        (
+            ["quiver", "--n", "7"],
+            "0b498bf5b39666507bcf5c871b958e93838a32f5259da9a4a29104b53b110e9d",
+        ),
+        (
             ["verify", "--n", "5", "--max-m", "4", "--trunc", "12", "--jobs", "1"],
             "6b0ab9293e9a5862a9beb03721add4c41f395ed829d5b7c4d1f7a7ff501cb5b2",
         ),
     ],
     ids=[
         "theta", "floer-direct", "floer-brion", "theta-csv", "theta-n1", "theta-n1-csv",
-        "moduli", "assoc", "quiver", "verify",
+        "moduli", "assoc", "quiver", "quiver-n2", "quiver-n3", "quiver-n7", "verify",
     ],
 )
 def test_report_digest_at_benchmark_size(tmp_path, argv, digest):

@@ -219,3 +219,71 @@ def test_element_arithmetic():
     assert AlgebraElement(n, {s: c - c for s, c in x.terms.items()}).is_zero()
     with pytest.raises(ValueError):
         multiply(x, AlgebraElement.basis(3, "A_1"))
+
+
+@pytest.mark.parametrize(
+    "arrows, vertex",
+    [
+        ((("A", 1.5),), None),
+        ((("A", True),), None),
+        ((("B", False),), None),
+        ((("A", "2"),), None),
+        ((), 1.0),
+        ((), True),
+        ((), "0"),
+    ],
+    ids=["float-index", "bool-index", "bool-index-zero", "str-index",
+         "float-vertex", "bool-vertex", "str-vertex"],
+)
+def test_word_refuses_non_int_indices(arrows, vertex):
+    with pytest.raises(ValueError):
+        PathWord(arrows, vertex)
+
+
+def test_multiply_refuses_unknown_symbols():
+    n = 3
+    with pytest.raises(ValueError, match="'zz'"):
+        multiply(AlgebraElement(n, {"zz": 1}), bas(n, "A_1"))
+    with pytest.raises(ValueError, match="'A_4'"):
+        multiply(bas(n, "B_1"), AlgebraElement(n, {"A_4": 2}))
+
+
+def _validated_product(w1, w2, n):
+    """A basis-word product through the public, validating path."""
+    if w1.source != w2.target:
+        return AlgebraElement(n, {})
+    if not (w1.arrows or w2.arrows):
+        return normal_form(w1, n)
+    return normal_form(PathWord(w1.arrows + w2.arrows), n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_unvalidated_core_matches_normal_form(n):
+    # hom_table reduces the raw chains of _composable_words; redo it with
+    # a checked PathWord and normal_form per word
+    reg = basis_registry(n)
+    found = {f"e_{v}" for v in range(n + 1)}
+    for arrows in quiver._composable_words(n, 4):
+        found.update(normal_form(PathWord(arrows), n).terms)
+    expect = {}
+    for sym in found:
+        w = reg[sym]
+        expect.setdefault((w.source, w.target), [0, 0])[w.degree] += 1
+    assert hom_table(n) == expect
+
+    table = multiplication_table(n)
+    for s1, w1 in reg.items():
+        for s2, w2 in reg.items():
+            assert table[f"{s1}*{s2}"] == _validated_product(w1, w2, n).terms
+
+    rng = random.Random(SEED + n)
+    syms = list(reg)
+    for _ in range(40):
+        x = AlgebraElement(n, {s: rng.randint(-3, 3) for s in rng.sample(syms, 4)})
+        y = AlgebraElement(n, {s: rng.randint(-3, 3) for s in rng.sample(syms, 4)})
+        expect = {}
+        for s1, c1 in x.terms.items():
+            for s2, c2 in y.terms.items():
+                for sym, c in _validated_product(reg[s1], reg[s2], n).terms.items():
+                    expect[sym] = expect.get(sym, 0) + c1 * c2 * c
+        assert multiply(x, y) == AlgebraElement(n, expect)
