@@ -14,7 +14,7 @@ n*lambda kernel ``plgeom.lambda_exponents`` (whose one-slot p-signature
 names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).  All three
 kernels take (n, m1, a1, m2, a2, k) in the integer frame a = m*p and
 return all n slots of one lifted triangle.  The direct one counts them
-column by column on the lattice, from the triangle's known shape: the
+column by column on the lattice, from its shape in one orientation: the
 perturbation eps = 1/E, E an integer, is small enough that it only
 settles which boundary points count (``default_eps`` is that eps as a
 Fraction).  ``count_direct`` is its reference: slot j of a generic
@@ -179,20 +179,18 @@ def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     edge or a corner column to one side.  For g > 0, B lies below y0 and
     right of C: columns c run from ceil(a1/m1) to floor((b2 - 1)/m2) and b
     from a1 - m1 c to min(-1, a1 + b2 - 1 - m3 c), that is
-    min(m1 c - a1, b2 - m2 c) points.  For g < 0, B lies above y0 and left
-    of C: columns run from ceil(b2/m2) to floor((a1 - 1)/m1) and b from
-    max(0, a1 + b2 - m3 c) to a1 - 1 - m1 c, min(a1 - m1 c, m2 c - b2)
-    points.
+    min(m1 c - a1, b2 - m2 c) points.  The case g < 0 is its mirror image,
+    B above y0 and left of C: the same count with (a1, m1) and (b2, m2)
+    exchanged.
     """
     b2 = a2 + m2 * n * k
     g = m1 * b2 - m2 * a1
+    if g < 0:
+        a1, m1, b2, m2 = b2, m2, a1, m1
     counts = [0] * n
-    if g > 0:
+    if g:
         for c in range(-(-a1 // m1), (b2 - 1) // m2 + 1):
             counts[-c % n] += min(m1 * c - a1, b2 - m2 * c)
-    elif g < 0:
-        for c in range(-(-b2 // m2), (a1 - 1) // m1 + 1):
-            counts[-c % n] += min(a1 - m1 * c, m2 * c - b2)
     return tuple(counts)
 
 
@@ -210,14 +208,13 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     from the primitive parallelogram of its cone; the combination
     h(x) = g1(x) + x^2 g2(x) - x g3(x) vanishes to second order at x=1 and
     the count is h''(1)/2.  With (q, r) = divmod of a corner's class by its
-    width w, each of g1, x^2 g2 and x g3 is (w - r) x^(q+1) + r x^(q+2), so
-    a corner adds (w - r)(q + 1)q + r(q + 2)(q + 1) to h''(1), the third
-    with a minus sign.  That h vanishes needs no check: h(1) =
-    w1 + w2 - w3 = 0 for any (q, r), and h'(1) = r1 + r2 - r3 -
+    width w, each of g1, x^2 g2 and x g3 is (w - r) x^(q+1) + r x^(q+2),
+    whose second derivative at 1 is (q + 1)(wq + 2r): a corner adds that to
+    h''(1), the third with a minus sign.  That h vanishes needs no check:
+    h(1) = w1 + w2 - w3 = 0 for any (q, r), and h'(1) = r1 + r2 - r3 -
     n*(m3 q3 - m2 q2 - m1 q1), so h'(1) = 0 is the remainder identity,
     checked for every slot with the sign of h''(1).  Nor does its parity:
-    (q + 1)q and (q + 2)(q + 1) are products of two consecutive integers.
-    A corner's share of h''(1) is (q + 1)(wq + 2r), and half of it is
+    (q + 1)(wq + 2r) = w q(q + 1) + 2r(q + 1) is even.  Half of a share is
     (q + 1)N - w q(q + 1)/2 with N = wq + r: lambda's term for that point
     plus N.  The N's cancel (N3 = N1 + N2), so this is the formula of
     plgeom.lambda_exponents, not an independent count of it.
@@ -234,10 +231,10 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
             raise InvariantError(
                 f"remainder identity violated at {_site(n, m1, a1, m2, a2, k, j)}"
             )
-        twice = (  # h''(1), one line per corner
-            (w1 - r1) * (q1 + 1) * q1 + r1 * (q1 + 2) * (q1 + 1)
-            + (w2 - r2) * (q2 + 1) * q2 + r2 * (q2 + 2) * (q2 + 1)
-            - (w3 - r3) * (q3 + 1) * q3 - r3 * (q3 + 2) * (q3 + 1)
+        twice = (  # h''(1), one product per corner
+            (q1 + 1) * (w1 * q1 + 2 * r1)
+            + (q2 + 1) * (w2 * q2 + 2 * r2)
+            - (q3 + 1) * (w3 * q3 + 2 * r3)
         )
         if twice < 0:
             raise InvariantError(

@@ -208,9 +208,9 @@ class TruncSeries:
 
 
 def _int_from_json(c) -> int:
-    """A coefficient as the writers spell it, an int's decimal text, or an
-    int; a float, a bool or None is refused, not truncated."""
-    if isinstance(c, str) or type(c) is int:
+    """A coefficient as the writers spell it, an int or its str(); a float,
+    a bool, None or other int() text ("+5", "007") is refused, not truncated."""
+    if type(c) is int or isinstance(c, str) and str(int(c)) == c:
         return int(c)
     raise TypeError(f"coefficient {c!r} is not an int")
 

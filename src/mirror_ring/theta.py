@@ -112,6 +112,8 @@ class RingElement:
 
 def basis_indices(n: int, m: int) -> list[ThetaIndex]:
     """All m*n basis labels of weight m; the label of class a is at index a."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return [ThetaIndex(m, a) for a in range(m * n)]

@@ -103,6 +103,22 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
             "86a4f581eda8867e364599ee8770af7217c6da1f44b586fd8d4d29d3ae33b244",
         ),
         (
+            ["floer-direct", "--n", "7", "--max-m", "3", "--trunc", "20"],
+            "cedc9c4751d996ff1361206f2c3e7c3dcc15dd5f03a7f562589fde9f7a1fde70",
+        ),
+        (
+            ["floer-brion", "--n", "7", "--max-m", "3", "--trunc", "20"],
+            "cedc9c4751d996ff1361206f2c3e7c3dcc15dd5f03a7f562589fde9f7a1fde70",
+        ),
+        (
+            ["floer-direct", "--n", "1", "--max-m", "4", "--trunc", "12"],
+            "af723612e6a554d7d4f1ab409ab08fa1161b02b88ccf00c6e63ce571ea02b0c0",
+        ),
+        (
+            ["floer-brion", "--n", "1", "--max-m", "4", "--trunc", "12"],
+            "af723612e6a554d7d4f1ab409ab08fa1161b02b88ccf00c6e63ce571ea02b0c0",
+        ),
+        (
             ["moduli", "--n", "4", "--trunc", "12"],
             "a93d79c6777265e5d468ead85082c05d7cb49468c97a9dc7a78def723d852b6b",
         ),
@@ -133,6 +149,7 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
     ],
     ids=[
         "theta", "floer-direct", "floer-brion", "theta-csv", "theta-n1", "theta-n1-csv",
+        "floer-direct-wide", "floer-brion-wide", "floer-direct-n1", "floer-brion-n1",
         "moduli", "assoc", "quiver", "quiver-n2", "quiver-n3", "quiver-n7", "verify",
     ],
 )

@@ -475,6 +475,18 @@ def test_brion_core_names_the_failing_slot(monkeypatch, shift, message):
     assert str(info.value) == message + "n=3 m=(2,2) p=(1/2,1/2) k=0 j=2"
 
 
+def test_brion_corner_share_is_the_second_derivative_of_its_polynomial():
+    """Each corner's polynomial (w - r) x^(q+1) + r x^(q+2), as integer
+    coefficients, has second derivative (q + 1)(wq + 2r) at x = 1: the one
+    product per corner that _brion_counts adds."""
+    for w in range(1, 13):
+        for r in range(w):
+            for q in range(-1, 9):
+                poly = {q + 1: w - r, q + 2: r}
+                second = sum(c * e * (e - 1) for e, c in poly.items())
+                assert second == (q + 1) * (w * q + 2 * r), (w, r, q)
+
+
 def test_counting_routes_are_independent_of_the_theta_route(monkeypatch):
     """With theta's kernel, its one-slot names and every profile-formula
     route made to raise, both counted tables still equal the theta table."""
@@ -557,6 +569,13 @@ def test_mirror_verify_passes():
     assert rep["failures"] == []
     assert rep["pairs_checked"] == 2 * 16
     assert rep["n"] == 4 and rep["D"] == 4
+
+
+def test_mirror_verify_refuses_n_below_one():
+    """n = 0 has no basis pairs; verify refuses it rather than report
+    zero pairs checked and no failure."""
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        mirror_verify(0, 2, 4)
 
 
 def test_mirror_verify_jobs_deterministic():

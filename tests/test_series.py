@@ -157,6 +157,13 @@ def test_constructor_rejects_what_is_not_an_int(n, D, terms):
         {"n": 1, "D": 2, "terms": [{"e": [1], "c": True}]},
         {"n": 1, "D": 2, "terms": [{"e": [1], "c": "1.5"}]},
         {"n": 1, "D": 2, "terms": [{"e": [1], "c": None}]},
+        # int() reads these, but no writer spells a coefficient so
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": "1_000"}]},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": " 7 "}]},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": "+5"}]},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": "007"}]},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": "\u0663"}]},
+        {"n": 1, "D": 2, "terms": [{"e": [1], "c": "-0"}]},
         # a repeated exponent vector is neither summed nor left to the last
         {"n": 1, "D": 2, "terms": [{"e": [1], "c": "2"}, {"e": [1], "c": "3"}]},
     ],

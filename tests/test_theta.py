@@ -112,6 +112,19 @@ def test_basis_needs_a_positive_weight():
         check_associativity(2, 3, (0, 1, 1))
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_basis_needs_a_positive_n(n):
+    """With fewer than one marked point there is no basis either: the
+    labels, an associativity report and a table refuse it rather than
+    pass having checked nothing."""
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        basis_indices(n, 1)
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        check_associativity(n, 4, (1, 1, 1))
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        build_table(n, 1, 2)
+
+
 def test_one_variable_square():
     """Weight-1 generator squared at n=1, low truncation."""
     a = ThetaIndex.make(1, 0, 1)
