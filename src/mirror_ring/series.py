@@ -10,7 +10,6 @@ after construction.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterator
 
 
@@ -113,25 +112,11 @@ class TruncSeries:
         return TruncSeries._raw(self.n, self.D, {e: c * v for e, v in self.terms.items()})
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
+        """The product truncated at D, by the graded kernel ``_gmul`` for
+        any operands; its one caller in the package is ``ULaurent.mul``."""
         self._compat(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return TruncSeries.zero(self.n, self.D)
         D = self.D
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            # a monomial times a series, too small to repay packing; distinct
-            # terms of b give distinct products, so nothing cancels
-            ((ea, ca),) = a.items()
-            room = D - sum(ea)
-            out = {
-                tuple(map(operator.add, ea, eb)): ca * cb
-                for eb, cb in b.items()
-                if sum(eb) <= room
-            }
-            return TruncSeries._raw(self.n, D, out)
-        return _series(_gmul(_pack(a, D), _pack(b, D), D), self.n, D)
+        return _series(_gmul(_pack(self.terms, D), _pack(other.terms, D), D), self.n, D)
 
     def invert_unit(self) -> "TruncSeries":
         """Multiplicative inverse; requires constant term +1 or -1."""

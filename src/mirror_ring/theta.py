@@ -28,6 +28,7 @@ pair and relies on neither law.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -60,6 +61,8 @@ class ThetaIndex(NamedTuple):
 
     @classmethod
     def make(cls, m: int, p, n: int) -> "ThetaIndex":
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         return cls(m, plgeom.scaled_index(m, p) % (m * n))
 
     def to_json_obj(self) -> dict:
@@ -77,15 +80,6 @@ class RingElement:
         self.n = n
         self.D = D
         self.coeffs: dict[int, TruncSeries] = {}
-
-    def add_term(self, a: int, series: TruncSeries):
-        a %= self.m * self.n
-        cur = self.coeffs.get(a)
-        acc = series if cur is None else cur.add(series)
-        if acc.is_zero():
-            self.coeffs.pop(a, None)
-        else:
-            self.coeffs[a] = acc
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -152,8 +146,12 @@ def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> Ring
     class's term map wrapped once as its series."""
     window = plgeom.k_window(n, m1, a1, m2, a2, D)
     row = [kernel(n, m1, a1, m2, a2, k) for k in window]
-    classes = product_terms(n, m1, a1, m2, a2, D, window, row)
-    out = RingElement(m1 + m2, n, D)
+    return _element(m1 + m2, n, D, product_terms(n, m1, a1, m2, a2, D, window, row))
+
+
+def _element(m: int, n: int, D: int, classes: dict) -> RingElement:
+    """The weight-m RingElement of a term map {a3: {exponents: count}}."""
+    out = RingElement(m, n, D)
     out.coeffs = {a3: TruncSeries._raw(n, D, terms) for a3, terms in classes.items()}
     return out
 
@@ -163,17 +161,6 @@ def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
     the exponents of the integer kernel ``plgeom.lambda_exponents``, read
     from its module at each call."""
     return assemble(n, a.m, a.a, b.m, b.a, D, plgeom.lambda_exponents)
-
-
-def _mul_with_basis(elem: RingElement, b: ThetaIndex, product) -> RingElement:
-    """elem * b expanded over elem's terms; product(x, y) is the basis
-    product x * y, so passing it with swapped arguments gives b * elem."""
-    out = RingElement(elem.m + b.m, elem.n, elem.D)
-    for a, s in elem.coeffs.items():
-        prod = product(ThetaIndex(elem.m, a), b)
-        for a3, s3 in prod.coeffs.items():
-            out.add_term(a3, s3.mul(s))
-    return out
 
 
 class StructureTable:
@@ -271,41 +258,67 @@ def specialize_ngon(table: StructureTable) -> dict:
     }
 
 
+def _compose(first: dict, second, D: int) -> dict:
+    """The term map of sum_x first[x] * second(x), truncated at D: first is
+    a term map {x: {exponents: count}} and second(x) the term map of a
+    basis product.  Exponent vectors add and counts multiply; a term of
+    total degree > D drops, and a class none of whose terms survives is
+    never made."""
+    out: dict[int, dict] = {}
+    for x, outer in first.items():
+        for a3, inner in second(x).items():
+            for e1, c1 in outer.items():
+                room = D - sum(e1)
+                for e2, c2 in inner.items():
+                    if sum(e2) <= room:
+                        acc = out.setdefault(a3, {})
+                        e = tuple(map(operator.add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+    return out
+
+
 def check_associativity(n: int, D: int, weights) -> dict:
     """Compare (a*b)*c with a*(b*c) over all basis triples at given weights.
+
+    Both sides are term maps {a3: {exponents: count}}, each ``_compose``d
+    from the term maps of basis products.  Every structure constant is a
+    sum of +1 monomials and nothing cancels, so the two sides are equal
+    exactly when their term maps are, the comparison ``floer.mirror_verify``
+    makes.  A RingElement is made only for a failure entry.
 
     Returns a report dict with the number of triples checked and a list of
     failures (empty when the ring laws hold at truncation D).
     """
     m1, m2, m3 = weights
-    # every basis pair recurs across triples; results are never mutated,
+    # every basis pair recurs across triples; term maps are never mutated,
     # so one product per ordered pair is shared for this call only
-    memo: dict[tuple[ThetaIndex, ThetaIndex], RingElement] = {}
+    memo: dict[tuple[ThetaIndex, ThetaIndex], dict] = {}
 
-    def product(x: ThetaIndex, y: ThetaIndex) -> RingElement:
+    def terms(x: ThetaIndex, y: ThetaIndex) -> dict:
         got = memo.get((x, y))
         if got is None:
-            got = memo[(x, y)] = theta_product(x, y, n, D)
+            elem = theta_product(x, y, n, D)
+            got = memo[x, y] = {a3: s.terms for a3, s in elem.coeffs.items()}
         return got
 
     failures = []
     checked = 0
     for a in basis_indices(n, m1):
         for b in basis_indices(n, m2):
-            ab = product(a, b)
+            ab = terms(a, b)
             for c in basis_indices(n, m3):
-                left = _mul_with_basis(ab, c, product)
-                bc = product(b, c)
-                right = _mul_with_basis(bc, a, lambda x, y: product(y, x))
+                left = _compose(ab, lambda x: terms(ThetaIndex(m1 + m2, x), c), D)
+                right = _compose(terms(b, c), lambda x: terms(a, ThetaIndex(m2 + m3, x)), D)
                 checked += 1
                 if left != right:
+                    m = m1 + m2 + m3
                     failures.append(
                         {
                             "a": a.to_json_obj(),
                             "b": b.to_json_obj(),
                             "c": c.to_json_obj(),
-                            "left": left.to_json_obj(),
-                            "right": right.to_json_obj(),
+                            "left": _element(m, n, D, left).to_json_obj(),
+                            "right": _element(m, n, D, right).to_json_obj(),
                         }
                     )
     return {

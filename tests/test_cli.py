@@ -127,6 +127,10 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
             "842800deda101497f9d2c97325969cef30cce745b8f955f0a24fb7f712db519e",
         ),
         (
+            ["assoc", "--n", "1", "--max-m", "3", "--trunc", "8"],
+            "b49fcc80a279ae796421789af7d4dd6c63deb8ea27d66423c4121c97d318de95",
+        ),
+        (
             ["quiver", "--n", "12"],
             "389650de49988822ce9c308be8f92e5925735a3a4ad4f0862368fd3794b96d0f",
         ),
@@ -150,7 +154,7 @@ TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30
     ids=[
         "theta", "floer-direct", "floer-brion", "theta-csv", "theta-n1", "theta-n1-csv",
         "floer-direct-wide", "floer-brion-wide", "floer-direct-n1", "floer-brion-n1",
-        "moduli", "assoc", "quiver", "quiver-n2", "quiver-n3", "quiver-n7", "verify",
+        "moduli", "assoc", "assoc-n1", "quiver", "quiver-n2", "quiver-n3", "quiver-n7", "verify",
     ],
 )
 def test_report_digest_at_benchmark_size(tmp_path, argv, digest):

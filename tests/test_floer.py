@@ -578,6 +578,15 @@ def test_mirror_verify_refuses_n_below_one():
         mirror_verify(0, 2, 4)
 
 
+@pytest.mark.parametrize("mode", ["direct", "brion"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_floer_product_refuses_n_below_one(n, mode):
+    """The p-signature entry point refuses n < 1 as the basis does, not by
+    a division by zero (n = 0) or an empty product (n = -1)."""
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        floer_product(n, 1, 0, 1, 0, 4, mode)
+
+
 def test_mirror_verify_jobs_deterministic():
     one = mirror_verify(2, 2, 4, jobs=1)
     two = mirror_verify(2, 2, 4, jobs=2)

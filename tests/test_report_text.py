@@ -1,5 +1,6 @@
 """Report text: cli._json_text against the stdlib encoder it replaces."""
 
+import hashlib
 import json
 
 import pytest
@@ -188,11 +189,14 @@ def test_failing_verify_report_is_stdlib_text(tmp_path, crooked_lambda):
 
 def test_failing_assoc_report_is_stdlib_text(tmp_path, crooked_lambda):
     """Its failures hold series deeper than a moduli report's, and each
-    failure's left and right sides share exponent vectors."""
+    failure's left and right sides share exponent vectors.  The digest
+    pins every failure entry's bytes."""
     out = tmp_path / "assoc.json"
     assert_stdlib_text(out, main(SMALL[6] + ["-o", str(out)]), want_rc=1)
     reports = json.loads(out.read_text())["reports"]
     assert sum(len(rep["failures"]) for rep in reports) == 135
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "c44f808cee33ed5447ed37f2cd9d7939eef3877a179722c6ed1466434ac62964"
 
 
 def test_reports_in_sequence_share_no_exponent_text(tmp_path):

@@ -112,13 +112,16 @@ def test_basis_needs_a_positive_weight():
         check_associativity(2, 3, (0, 1, 1))
 
 
-@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("n", [0, -1, -2])
 def test_basis_needs_a_positive_n(n):
     """With fewer than one marked point there is no basis either: the
-    labels, an associativity report and a table refuse it rather than
-    pass having checked nothing."""
+    labels, a label with a p signature (not reduced mod m*n <= 0), an
+    associativity report and a table refuse it rather than pass having
+    checked nothing."""
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
         basis_indices(n, 1)
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        ThetaIndex.make(1, 0, n)
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
         check_associativity(n, 4, (1, 1, 1))
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
@@ -165,13 +168,17 @@ def test_truncation_zero_keeps_only_flat_terms():
 def _product_with_extra_window(a, b, n, D, extra):
     """Same sum as theta_product but over an enlarged k-window."""
     base = plgeom.admissible_k_range(n, a.m, a.p, b.m, b.p, D)
-    out = RingElement(a.m + b.m, n, D)
+    m3 = a.m + b.m
+    classes = {}
     for k in range(min(base) - extra, max(base) + extra + 1):
         exps = tuple(plgeom.t_exponent(n, a.m, a.p, b.m, b.p, k, j) for j in range(n))
         if sum(exps) > D:
             continue
         p3 = plgeom.average_E(a.m, a.p, b.m, b.p + k * n)
-        out.add_term(plgeom.scaled_index(out.m, p3), TruncSeries(n, D, {exps: 1}))
+        terms = classes.setdefault(plgeom.scaled_index(m3, p3) % (m3 * n), {})
+        terms[exps] = terms.get(exps, 0) + 1
+    out = RingElement(m3, n, D)
+    out.coeffs = {a3: TruncSeries(n, D, terms) for a3, terms in classes.items()}
     return out
 
 
@@ -328,6 +335,85 @@ def test_associativity_one_product_per_pair(monkeypatch):
     # the memo lives for one call only
     check_associativity(3, 4, (1, 2, 1))
     assert len(calls) == 2 * len(set(calls))
+
+
+def _expanded(first, second, n, D):
+    """sum_x first[x] * second(x) as the series arithmetic spells it: each
+    class of first times each class of a basis product by TruncSeries.mul,
+    summed into its output class by .add, a class that sums to zero
+    dropped; returned as a term map."""
+    out = {}
+    for x, outer in first.items():
+        s = TruncSeries(n, D, outer)
+        for a3, inner in second(x).items():
+            prod = TruncSeries(n, D, inner).mul(s)
+            acc = out[a3].add(prod) if a3 in out else prod
+            if acc.is_zero():
+                out.pop(a3, None)
+            else:
+                out[a3] = acc
+    return {a3: s.terms for a3, s in out.items()}
+
+
+def _random_term_map(rng, n, D, classes):
+    """Up to four terms with counts 1..3 in each of the given classes."""
+    out = {}
+    for a in classes:
+        terms = {}
+        for _ in range(rng.randrange(1, 5)):
+            e = [0] * n
+            for _ in range(rng.randrange(0, D + 1)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = rng.randrange(1, 4)
+        out[a] = terms
+    return out
+
+
+def test_compose_matches_the_series_expansion():
+    """The term-map product check_associativity composes equals the
+    expansion through TruncSeries.mul and .add, on seeded random term
+    maps.  Class 0 of every second factor is one term of degree D and,
+    for D > 0, no outer term is constant, so every term of class 0
+    truncates away and the class is not made."""
+    rng = random.Random(SEED + 11)
+    for n in range(1, 5):
+        for D in range(0, 9):
+            for _ in range(6):
+                first = _random_term_map(rng, n, D, rng.sample(range(6), 3))
+                factors = {x: _random_term_map(rng, n, D, range(1, 4)) for x in first}
+                for x in first:
+                    if D:
+                        kept = {e: c for e, c in first[x].items() if any(e)}
+                        first[x] = kept or {(1,) + (0,) * (n - 1): 1}
+                    factors[x][0] = {(0,) * (n - 1) + (D,): 2}
+                got = theta._compose(first, factors.__getitem__, D)
+                assert got == _expanded(first, factors.__getitem__, n, D)
+                assert (0 in got) == (D == 0)
+            # and (a*b)*c over the products themselves
+            m1, m2 = rng.randrange(1, 3), rng.randrange(1, 3)
+            a, b = rng.choice(basis_indices(n, m1)), rng.choice(basis_indices(n, m2))
+            c = rng.choice(basis_indices(n, rng.randrange(1, 3)))
+            ab = {a3: s.terms for a3, s in theta_product(a, b, n, D).coeffs.items()}
+
+            def times_c(x):
+                elem = theta_product(ThetaIndex(m1 + m2, x), c, n, D)
+                return {a3: s.terms for a3, s in elem.coeffs.items()}
+
+            assert theta._compose(ab, times_c, D) == _expanded(ab, times_c, n, D)
+
+
+def test_associativity_makes_no_series_product(monkeypatch):
+    calls = []
+    real = TruncSeries.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(TruncSeries, "mul", counted)
+    rep = check_associativity(3, 4, (1, 2, 1))
+    assert rep["failures"] == [] and rep["triples_checked"] == 3 * 6 * 3
+    assert calls == []
 
 
 def test_commutativity_exhaustive_small():
