@@ -228,16 +228,8 @@ def _run_table(mode: str | None, args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_verify(args) -> int:
-    # a pool starts every worker it is sized for: never more than the CPUs
-    cpus = _usable_cpus()
-    report = floer.mirror_verify(args.n, args.max_m, args.trunc, jobs=min(args.jobs or cpus, cpus))
+    report = floer.mirror_verify(args.n, args.max_m, args.trunc, jobs=args.jobs)
     _emit(args.output, report)
     return 1 if report["failures"] else 0
 

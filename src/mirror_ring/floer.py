@@ -33,6 +33,7 @@ Theta against Brion compares two codings of one formula (see
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -246,8 +247,8 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
 
 
 def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
-    """Slot j of _brion_counts, for indices p1, p2 (ints or Fractions)."""
-    return _brion_counts(n, m1, plgeom.scaled_index(m1, p1), m2, plgeom.scaled_index(m2, p2), k)[j]
+    """Slot j mod n of _brion_counts, for indices p1, p2 (ints or Fractions)."""
+    return _brion_counts(n, m1, plgeom.scaled_index(m1, p1), m2, plgeom.scaled_index(m2, p2), k)[j % n]
 
 
 def _kernel(mode: str):
@@ -331,6 +332,12 @@ def _verify_pair(args):
     return out
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     """Compare the triangle-count products against the closed form everywhere.
 
@@ -341,12 +348,16 @@ def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     ``pairs_checked`` counts (pair, mode) checks, and the first differing
     monomial of every failing check is listed mode by mode, in pair order.
     The pair list and the merge order are fixed, so the report is
-    deterministic for any jobs.
+    deterministic for any jobs.  jobs = 0 asks for every usable CPU, and
+    no more workers start than there are usable CPUs or pairs.
     """
+    if D < 0:
+        raise ValueError(f"truncation order must be >= 0, got D={D}")
     tasks = [(n, a, b, D) for a, b in theta.basis_pairs(n, max_m)]
     # a pool starts all its workers at the first submit, so never ask for
-    # more than there are pairs
-    workers = min(jobs, len(tasks))
+    # more than there are CPUs or pairs
+    cpus = _usable_cpus()
+    workers = min(jobs or cpus, cpus, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -118,8 +118,8 @@ def lambda_exponents(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tupl
 
 
 def t_exponent_qr(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
-    """Slot j of lambda_exponents, for indices p1, p2 (ints or Fractions)."""
-    return lambda_exponents(n, m1, scaled_index(m1, p1), m2, scaled_index(m2, p2), k)[j]
+    """Slot j mod n of lambda_exponents, for indices p1, p2 (ints or Fractions)."""
+    return lambda_exponents(n, m1, scaled_index(m1, p1), m2, scaled_index(m2, p2), k)[j % n]
 
 
 def total_t_exponent(n: int, m1: int, p1, m2: int, p2, k: int) -> int:

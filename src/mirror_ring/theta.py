@@ -144,6 +144,8 @@ def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> Ring
     """Product of x_{m1,a1/m1} and x_{m2,a2/m2}, given the route's kernel:
     ``product_terms`` of its row over the pair's ``plgeom.k_window``, each
     class's term map wrapped once as its series."""
+    if D < 0:
+        raise ValueError(f"truncation order must be >= 0, got D={D}")
     window = plgeom.k_window(n, m1, a1, m2, a2, D)
     row = [kernel(n, m1, a1, m2, a2, k) for k in window]
     return _element(m1 + m2, n, D, product_terms(n, m1, a1, m2, a2, D, window, row))

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import mirror_ring
+import pinned_reports
 from mirror_ring import cli, floer, moduli
 from mirror_ring.cli import main
 
@@ -58,109 +59,34 @@ def test_moduli_report_matches_golden(tmp_path):
     assert {"s", "R_0", "R_1", "R_2", "b_0", "b_0_2", "c_2_3"} <= set(report)
 
 
-# sha256 of the reports at sizes above the goldens' D = 3, where solve_s
-# takes more steps than the goldens exercise; at (3, 20) the power table
-# is most of the round, and at (10, 8) a packed exponent key reaches
-# 8 * 9**9 > 2**30, so it takes a many-digit int; at (6, 12) the 57
-# series hold about nine terms per distinct exponent vector
 @pytest.mark.parametrize(
-    "n, D, digest",
-    [
-        (4, 8, "c126f1c92cc31e89d8d91afc389ce8c737b3968ceffff0656fc7d584d8147eb3"),
-        (5, 6, "dab199e57e27f0039e416b941cc6cb1efcb082f9bc4a1868d2104767328f4b7a"),
-        (3, 20, "605a43b6e6546e5cc03813b4981f555bed4532c7157e6ea94fa69bbec668b651"),
-        (10, 8, "79c15f3a36e2aac027ac3f7ae1ab40e64e36c4b35b720af2a8ca27063483f28c"),
-        (6, 12, "43b001cbd39810340332653a80f61fd1c8b68a87fa039b9e13c34b9754000ba0"),
-    ],
+    "argv, digest", pinned_reports.PINS, ids=["_".join(argv) for argv, _ in pinned_reports.PINS]
 )
-def test_moduli_report_digest_above_golden_size(tmp_path, n, D, digest):
-    argv = ["moduli", "--n", str(n), "--trunc", str(D)]
-    rc, text = run_to_file(tmp_path, "m.json", argv)
-    assert rc == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+def test_pinned_report(argv, digest):
+    pinned_reports.check(argv, digest)
 
 
-TABLE_DIGEST = "a07ca24b20df5525a1105513eb58ff97bc844496a30e882ff41bceb129896a30"
+def test_every_subcommand_is_pinned():
+    """Pruning the manifest must not drop a subcommand, or CSV, from the
+    reports checked under python -O."""
+    commands = [tuple(argv) for argv, _ in pinned_reports.PINS]
+    assert len(set(commands)) == len(commands)
+    assert {argv[0] for argv in commands} == set(cli.SUBCOMMANDS)
+    assert any(argv[-2:] == ("--format", "csv") for argv in commands)
 
 
-# sha256 of the reports at the benchmark's own sizes
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["theta", "--n", "5", "--max-m", "4", "--trunc", "12"], TABLE_DIGEST),
-        (["floer-direct", "--n", "5", "--max-m", "4", "--trunc", "12"], TABLE_DIGEST),
-        (["floer-brion", "--n", "5", "--max-m", "4", "--trunc", "12"], TABLE_DIGEST),
-        (
-            ["theta", "--n", "5", "--max-m", "4", "--trunc", "12", "--format", "csv"],
-            "f0be530b6320cea17c7e0bd8b0ec54b356b5c364806a687269b23be85704c5c8",
-        ),
-        (
-            ["theta", "--n", "1", "--max-m", "4", "--trunc", "12"],
-            "af723612e6a554d7d4f1ab409ab08fa1161b02b88ccf00c6e63ce571ea02b0c0",
-        ),
-        (
-            ["theta", "--n", "1", "--max-m", "4", "--trunc", "12", "--format", "csv"],
-            "86a4f581eda8867e364599ee8770af7217c6da1f44b586fd8d4d29d3ae33b244",
-        ),
-        (
-            ["floer-direct", "--n", "7", "--max-m", "3", "--trunc", "20"],
-            "cedc9c4751d996ff1361206f2c3e7c3dcc15dd5f03a7f562589fde9f7a1fde70",
-        ),
-        (
-            ["floer-brion", "--n", "7", "--max-m", "3", "--trunc", "20"],
-            "cedc9c4751d996ff1361206f2c3e7c3dcc15dd5f03a7f562589fde9f7a1fde70",
-        ),
-        (
-            ["floer-direct", "--n", "1", "--max-m", "4", "--trunc", "12"],
-            "af723612e6a554d7d4f1ab409ab08fa1161b02b88ccf00c6e63ce571ea02b0c0",
-        ),
-        (
-            ["floer-brion", "--n", "1", "--max-m", "4", "--trunc", "12"],
-            "af723612e6a554d7d4f1ab409ab08fa1161b02b88ccf00c6e63ce571ea02b0c0",
-        ),
-        (
-            ["moduli", "--n", "4", "--trunc", "12"],
-            "a93d79c6777265e5d468ead85082c05d7cb49468c97a9dc7a78def723d852b6b",
-        ),
-        (
-            ["assoc", "--n", "3", "--max-m", "2", "--trunc", "6"],
-            "842800deda101497f9d2c97325969cef30cce745b8f955f0a24fb7f712db519e",
-        ),
-        (
-            ["assoc", "--n", "1", "--max-m", "3", "--trunc", "8"],
-            "b49fcc80a279ae796421789af7d4dd6c63deb8ea27d66423c4121c97d318de95",
-        ),
-        (
-            ["quiver", "--n", "12"],
-            "389650de49988822ce9c308be8f92e5925735a3a4ad4f0862368fd3794b96d0f",
-        ),
-        (
-            ["quiver", "--n", "2"],
-            "c7e81cf0ee74ea2d30c517ec48022748222d2349e41b53ffab1cba156294dcde",
-        ),
-        (
-            ["quiver", "--n", "3"],
-            "6ff4c519434ee359d1abf84b68f466a930803b1ca7eb479bed224673d1434e4b",
-        ),
-        (
-            ["quiver", "--n", "7"],
-            "0b498bf5b39666507bcf5c871b958e93838a32f5259da9a4a29104b53b110e9d",
-        ),
-        (
-            ["verify", "--n", "5", "--max-m", "4", "--trunc", "12", "--jobs", "1"],
-            "6b0ab9293e9a5862a9beb03721add4c41f395ed829d5b7c4d1f7a7ff501cb5b2",
-        ),
-    ],
-    ids=[
-        "theta", "floer-direct", "floer-brion", "theta-csv", "theta-n1", "theta-n1-csv",
-        "floer-direct-wide", "floer-brion-wide", "floer-direct-n1", "floer-brion-n1",
-        "moduli", "assoc", "assoc-n1", "quiver", "quiver-n2", "quiver-n3", "quiver-n7", "verify",
-    ],
-)
-def test_report_digest_at_benchmark_size(tmp_path, argv, digest):
-    rc, text = run_to_file(tmp_path, "r.out", argv)
-    assert rc == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+def test_stdout_of_a_process_is_pinned():
+    """The manifest redirects stdout in-process; a real process's stdout
+    must give the same bytes."""
+    argv = ["moduli", "--n", "6", "--trunc", "12"]
+    [digest] = [d for a, d in pinned_reports.PINS if a == argv]
+    src = str(pathlib.Path(mirror_ring.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mirror_ring.cli", *argv],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_moduli_single_component_has_only_root_series(capsys):
@@ -423,39 +349,9 @@ def test_invariant_failure_survives_python_O():
     assert proc.stderr.startswith("mirror-ring: internal fault: ")
 
 
-def record_verify_jobs(monkeypatch) -> list:
-    seen = []
-
-    def fake_verify(n, max_m, D, jobs=1):
-        seen.append(jobs)
-        return {"n": n, "D": D, "pairs_checked": 0, "failures": []}
-
-    monkeypatch.setattr(floer, "mirror_verify", fake_verify)
-    return seen
-
-
-def test_jobs_zero_uses_cpu_affinity(tmp_path, monkeypatch):
-    seen = record_verify_jobs(monkeypatch)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    assert main(["verify", "--jobs", "0", "-o", str(tmp_path / "v.json")]) == 0
-    assert main(["verify", "--jobs", "2", "-o", str(tmp_path / "v.json")]) == 0
-    assert seen == [3, 2]
-
-
-def test_jobs_zero_falls_back_to_cpu_count(tmp_path, monkeypatch):
-    seen = record_verify_jobs(monkeypatch)
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
-    assert main(["verify", "-o", str(tmp_path / "v.json")]) == 0
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert main(["verify", "-o", str(tmp_path / "v.json")]) == 0
-    assert seen == [5, 1]
-
-
-def test_verify_caps_workers_at_usable_cpus(tmp_path, monkeypatch):
-    """A pool starts every worker it is sized for, so --jobs beyond the
-    usable CPUs must not reach it; the fake pool maps in-process."""
+def record_pool_sizes(monkeypatch) -> list:
+    """Swap in a pool that maps in-process and records the worker count
+    it is sized for: a pool starts every worker it is sized for."""
     import concurrent.futures
 
     sizes = []
@@ -474,11 +370,42 @@ def test_verify_caps_workers_at_usable_cpus(tmp_path, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    base = ["verify", "--n", "3", "--trunc", "4", "-o", str(tmp_path / "v.json")]
+    return sizes
+
+
+# nine pairs at n = 3, max-m = 1: more than any pool these tests size
+VERIFY_N3 = ["verify", "--n", "3", "--trunc", "4"]
+
+
+def test_jobs_zero_uses_cpu_affinity(tmp_path, monkeypatch):
+    sizes = record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(floer.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    monkeypatch.setattr(floer.os, "cpu_count", lambda: 64)
+    for jobs in ("0", "2"):
+        assert main(VERIFY_N3 + ["--jobs", jobs, "-o", str(tmp_path / "v.json")]) == 0
+    assert sizes == [3, 2]
+
+
+def test_jobs_zero_falls_back_to_cpu_count(tmp_path, monkeypatch):
+    sizes = record_pool_sizes(monkeypatch)
+    monkeypatch.delattr(floer.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(floer.os, "cpu_count", lambda: 5)
+    assert main(VERIFY_N3 + ["-o", str(tmp_path / "v.json")]) == 0
+    # no count known: one worker, in-process, with no pool
+    monkeypatch.setattr(floer.os, "cpu_count", lambda: None)
+    assert main(VERIFY_N3 + ["-o", str(tmp_path / "v.json")]) == 0
+    assert sizes == [5]
+
+
+def test_verify_caps_workers_at_usable_cpus(tmp_path, monkeypatch):
+    """--jobs beyond the usable CPUs must not reach the pool, from the
+    command line or from a library caller."""
+    sizes = record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(floer, "_usable_cpus", lambda: 3)
     for jobs in ("3000", "0", "2", "1"):
-        assert main(base + ["--jobs", jobs]) == 0
-    assert sizes == [3, 3, 2]
+        assert main(VERIFY_N3 + ["--jobs", jobs, "-o", str(tmp_path / "v.json")]) == 0
+    assert floer.mirror_verify(3, 1, 4, jobs=3000)["failures"] == []
+    assert sizes == [3, 3, 2, 3]
 
 
 def test_value_checks_through_main(capsys):

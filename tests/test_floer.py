@@ -616,6 +616,8 @@ def test_mirror_verify_caps_workers_at_pairs(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # so that the pairs, not the CPUs, cap the pool
+    monkeypatch.setattr(floer, "_usable_cpus", lambda: 64)
     assert mirror_verify(2, 1, 4, jobs=64) == mirror_verify(2, 1, 4, jobs=1)
     assert sizes == [4] and chunks == [1]
     mirror_verify(1, 1, 4, jobs=64)

@@ -76,6 +76,12 @@ def test_residue_parts_sum_to_full_section():
     assert total == theta_full_chart0(n, D)
 
 
+def test_negative_truncation_is_refused():
+    """Not the IndexError of a root with no degree-0 bucket."""
+    with pytest.raises(ValueError, match="truncation order must be >= 0, got D=-1"):
+        moduli.solve_s(2, -1)
+
+
 def test_chart_index_bounds():
     with pytest.raises(ValueError):
         theta_chart0(3, 3, 2)

@@ -282,6 +282,23 @@ def test_one_slot_entry_points_reject_a_weight_below_one(call, m1, m2):
         call(3, m1, 0, m2, 0, 0, 0)
 
 
+def test_one_slot_entry_points_read_slot_j_mod_n():
+    """t_j is t_(j mod n): all four one-slot routes read slot j mod n for
+    j in -n..2n-1, not an IndexError for j >= n."""
+    n, m1, p1, m2, p2 = 3, 1, 0, 2, Fraction(1, 2)
+    for k in range(-2, 3):
+        eps = floer.default_eps(n, m1, m2, k)
+        tri = floer.lift_triangle(n, m1, p1, m2, p2, k)
+        slots = plgeom.lambda_exponents(n, m1, m1 * p1, m2, int(m2 * p2), k)
+        for j in range(-n, 2 * n):
+            assert floer.count_direct(tri, n, j, eps) == slots[j % n], (k, j)
+            assert t_exponent(n, m1, p1, m2, p2, k, j) == slots[j % n], (k, j)
+            assert t_exponent_qr(n, m1, p1, m2, p2, k, j) == slots[j % n], (k, j)
+            assert floer.count_brion(n, m1, p1, m2, p2, k, j) == slots[j % n], (k, j)
+    # the slots differ, so a wrong slot would show
+    assert len(set(plgeom.lambda_exponents(n, m1, 0, m2, 1, 1))) > 1
+
+
 @pytest.mark.parametrize("m1, m2", [(0, 1), (1, 0), (1, -1), (-1, 1)])
 @pytest.mark.parametrize(
     "call", [admissible_k_range, floer.lift_triangle], ids=lambda f: f.__name__

@@ -306,6 +306,23 @@ def test_associativity_reports():
     assert rep["failures"] == [] and rep["triples_checked"] == 27
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: theta_product(ThetaIndex(1, 0), ThetaIndex(1, 1), 2, -1), id="theta_product"),
+        pytest.param(lambda: build_table(2, 1, -1), id="build_table"),
+        pytest.param(lambda: check_associativity(2, -1, (1, 1, 1)), id="check_associativity"),
+        pytest.param(lambda: floer.floer_product(2, 1, 0, 1, 0, -1, "direct"), id="floer_product"),
+        pytest.param(lambda: floer.mirror_verify(2, 1, -1), id="mirror_verify"),
+    ],
+)
+def test_negative_truncation_is_refused(call):
+    """D < 0 keeps no term: a ValueError naming D, not a table whose D
+    TruncSeries refuses, nor triples or pairs checked with no failure."""
+    with pytest.raises(ValueError, match="truncation order must be >= 0, got D=-1"):
+        call()
+
+
 def test_associativity_detects_corruption(monkeypatch):
     good = plgeom.lambda_exponents
 
