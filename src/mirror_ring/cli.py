@@ -267,13 +267,7 @@ def _run_quiver(args) -> int:
 
 
 def _run_assoc(args) -> int:
-    weights = range(1, args.max_m + 1)
-    reports = [
-        theta.check_associativity(args.n, args.trunc, (m1, m2, m3))
-        for m1 in weights
-        for m2 in weights
-        for m3 in weights
-    ]
+    reports = theta.associativity_sweep(args.n, args.max_m, args.trunc)
     _emit(args.output, {"n": args.n, "D": args.trunc, "reports": reports})
     return 1 if any(rep["failures"] for rep in reports) else 0
 

@@ -349,10 +349,13 @@ def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     monomial of every failing check is listed mode by mode, in pair order.
     The pair list and the merge order are fixed, so the report is
     deterministic for any jobs.  jobs = 0 asks for every usable CPU, and
-    no more workers start than there are usable CPUs or pairs.
+    no more workers start than there are usable CPUs or pairs; a negative
+    jobs is refused.
     """
     if D < 0:
         raise ValueError(f"truncation order must be >= 0, got D={D}")
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got jobs={jobs}")
     tasks = [(n, a, b, D) for a, b in theta.basis_pairs(n, max_m)]
     # a pool starts all its workers at the first submit, so never ask for
     # more than there are CPUs or pairs

@@ -10,9 +10,12 @@ vertex.  Normal forms are found by exploring the rewrite graph (swap one
 B_i A_i pair for another, kill mixed pairs), never by consulting a
 precomputed table, and the dimension counts come from enumerating all
 composable words up to length four and reducing each one.  Words are
-validated at the public edge (``PathWord``, ``normal_form``); ``hom_table``
-and ``multiply`` pass chains composable by construction to the one
-reduction core, ``_reduce``.
+validated at the public edge (``PathWord``, ``normal_form``);
+``hom_table``, ``multiply`` and ``multiplication_table`` pass chains
+composable by construction to the one reduction core, ``_reduce``.
+``multiplication_table`` reads the registry's words directly and makes
+no ``AlgebraElement``; ``multiply`` is the public bilinear product it is
+tested against.
 
 The n = 1 algebra is refused: with a single spoke the displayed
 relations say nothing and the structure is pinned down elsewhere by
@@ -316,11 +319,24 @@ def node_dual_hilbert(d: int) -> int:
 
 
 def multiplication_table(n: int) -> dict:
-    """Full basis-by-basis product table, keyed "x*y" in registry order."""
-    basis = [(s, AlgebraElement(n, {s: 1})) for s in basis_registry(n)]
+    """Full basis-by-basis product table, keyed "x*y" in registry order.
+
+    Reads each basis word once from the registry: a pair that composes is
+    reduced by ``_reduce``, two idempotents give the first, and a pair
+    that does not compose gives {}; each entry is what ``multiply`` makes
+    of the two basis elements.
+    """
+    words = [(s, w.arrows, w.source, w.target) for s, w in basis_registry(n).items()]
     out = {}
-    for (s1, x), (s2, y) in itertools.product(basis, repeat=2):
-        out[f"{s1}*{s2}"] = dict(sorted(multiply(x, y).terms.items()))
+    for s1, arrows1, source, _ in words:
+        for s2, arrows2, _, target in words:
+            if source != target:
+                out[f"{s1}*{s2}"] = {}
+                continue
+            arrows = arrows1 + arrows2
+            # two idempotents meet only at one vertex, where e_v e_v = e_v
+            sym = _reduce(arrows, n) if arrows else s1
+            out[f"{s1}*{s2}"] = {} if sym is None else {sym: 1}
     return out
 
 

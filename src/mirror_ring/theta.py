@@ -23,17 +23,24 @@ symmetry, so shifting both input classes by 1 shifts every output class
 by 1 and rotates every series by ``rotate(1)``.  It multiplies one pair
 per orbit and derives the rest; ``floer.mirror_verify`` computes every
 pair and relies on neither law.
+
+Associativity is checked on term maps, not series: ``_compose`` builds
+(a*b)*c and a*(b*c) from the term maps of basis products, each packed
+once into degree-sorted (degree, key, count) lists with the base-(D+1)
+keys of ``series._pack``, so a monomial product is one integer add and
+the degree cut ends an inner loop.  ``check_associativity`` makes each
+basis product once per call, and ``associativity_sweep`` once for all
+the weight triples of an ``assoc`` report.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import plgeom
-from .series import TruncSeries
+from .series import TruncSeries, _pack, _unpack
 
 
 # slot j of the kernel with a p signature; the benchmark under bench/ wraps
@@ -260,49 +267,48 @@ def specialize_ngon(table: StructureTable) -> dict:
     }
 
 
+def _packed(classes: dict, D: int) -> dict:
+    """A term map {a3: {exponents: count}} as ``_compose`` reads it: each
+    class's terms as a list of (degree, key, count) in degree order, the
+    exponents packed into one key by ``series._pack``."""
+    return {
+        a3: [(d, k, c) for d, bucket in enumerate(_pack(terms, D)) for k, c in bucket.items()]
+        for a3, terms in classes.items()
+    }
+
+
+def _unpacked(m: int, n: int, D: int, classes: dict) -> RingElement:
+    """The weight-m RingElement of a packed term map {a3: {key: count}}."""
+    return _element(m, n, D, {a3: _unpack([keys], n, D) for a3, keys in classes.items()})
+
+
 def _compose(first: dict, second, D: int) -> dict:
-    """The term map of sum_x first[x] * second(x), truncated at D: first is
-    a term map {x: {exponents: count}} and second(x) the term map of a
-    basis product.  Exponent vectors add and counts multiply; a term of
-    total degree > D drops, and a class none of whose terms survives is
-    never made."""
+    """The packed term map {a3: {key: count}} of sum_x first[x] * second(x),
+    truncated at D: first and every second(x) are ``_packed`` term maps,
+    second(x) that of a basis product.  Keys add and counts multiply; no
+    digit of a key can carry, because every kept term has total degree
+    <= D.  A term of total degree > D drops, and a class none of whose
+    terms survives is never made."""
     out: dict[int, dict] = {}
     for x, outer in first.items():
         for a3, inner in second(x).items():
-            for e1, c1 in outer.items():
-                room = D - sum(e1)
-                for e2, c2 in inner.items():
-                    if sum(e2) <= room:
+            acc = None
+            for d1, k1, c1 in outer:
+                room = D - d1
+                for d2, k2, c2 in inner:
+                    if d2 > room:
+                        break
+                    if acc is None:
                         acc = out.setdefault(a3, {})
-                        e = tuple(map(operator.add, e1, e2))
-                        acc[e] = acc.get(e, 0) + c1 * c2
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + c1 * c2
     return out
 
 
-def check_associativity(n: int, D: int, weights) -> dict:
-    """Compare (a*b)*c with a*(b*c) over all basis triples at given weights.
-
-    Both sides are term maps {a3: {exponents: count}}, each ``_compose``d
-    from the term maps of basis products.  Every structure constant is a
-    sum of +1 monomials and nothing cancels, so the two sides are equal
-    exactly when their term maps are, the comparison ``floer.mirror_verify``
-    makes.  A RingElement is made only for a failure entry.
-
-    Returns a report dict with the number of triples checked and a list of
-    failures (empty when the ring laws hold at truncation D).
-    """
+def _associativity(n: int, D: int, weights, terms) -> dict:
+    """The associativity report at one weight triple, reading the packed
+    term map of every basis product from terms(x, y)."""
     m1, m2, m3 = weights
-    # every basis pair recurs across triples; term maps are never mutated,
-    # so one product per ordered pair is shared for this call only
-    memo: dict[tuple[ThetaIndex, ThetaIndex], dict] = {}
-
-    def terms(x: ThetaIndex, y: ThetaIndex) -> dict:
-        got = memo.get((x, y))
-        if got is None:
-            elem = theta_product(x, y, n, D)
-            got = memo[x, y] = {a3: s.terms for a3, s in elem.coeffs.items()}
-        return got
-
     failures = []
     checked = 0
     for a in basis_indices(n, m1):
@@ -319,8 +325,8 @@ def check_associativity(n: int, D: int, weights) -> dict:
                             "a": a.to_json_obj(),
                             "b": b.to_json_obj(),
                             "c": c.to_json_obj(),
-                            "left": _element(m, n, D, left).to_json_obj(),
-                            "right": _element(m, n, D, right).to_json_obj(),
+                            "left": _unpacked(m, n, D, left).to_json_obj(),
+                            "right": _unpacked(m, n, D, right).to_json_obj(),
                         }
                     )
     return {
@@ -330,3 +336,52 @@ def check_associativity(n: int, D: int, weights) -> dict:
         "triples_checked": checked,
         "failures": failures,
     }
+
+
+def _product_memo(n: int, D: int):
+    """terms(x, y): the packed term map of the basis product x*y, made by
+    ``theta_product`` once per ordered pair for the life of this memo.
+    Term maps are never mutated, so every caller shares them."""
+    memo: dict[tuple[ThetaIndex, ThetaIndex], dict] = {}
+
+    def terms(x: ThetaIndex, y: ThetaIndex) -> dict:
+        got = memo.get((x, y))
+        if got is None:
+            elem = theta_product(x, y, n, D)
+            got = memo[x, y] = _packed({a3: s.terms for a3, s in elem.coeffs.items()}, D)
+        return got
+
+    return terms
+
+
+def check_associativity(n: int, D: int, weights) -> dict:
+    """Compare (a*b)*c with a*(b*c) over all basis triples at given weights.
+
+    Both sides are packed term maps, each ``_compose``d from the term maps
+    of basis products.  Every structure constant is a sum of +1 monomials
+    and nothing cancels, so the two sides are equal exactly when their
+    term maps are, the comparison ``floer.mirror_verify`` makes.  A
+    RingElement is made only for a failure entry.  Each basis product is
+    made once for this call.
+
+    Returns a report dict with the number of triples checked and a list of
+    failures (empty when the ring laws hold at truncation D).
+    """
+    return _associativity(n, D, weights, _product_memo(n, D))
+
+
+def associativity_sweep(n: int, max_m: int, D: int) -> list[dict]:
+    """``check_associativity`` at every weight triple (m1, m2, m3) with
+    weights in 1..max_m, in lexicographic order, sharing one product memo
+    across the triples: each ordered basis pair is multiplied once per
+    sweep."""
+    if max_m < 1:
+        raise ValueError(f"max_m must be >= 1, got {max_m}")
+    terms = _product_memo(n, D)
+    weights = range(1, max_m + 1)
+    return [
+        _associativity(n, D, (m1, m2, m3), terms)
+        for m1 in weights
+        for m2 in weights
+        for m3 in weights
+    ]

@@ -593,6 +593,14 @@ def test_mirror_verify_jobs_deterministic():
     assert one == two
 
 
+@pytest.mark.parametrize("jobs", [-1, -5])
+def test_mirror_verify_refuses_negative_jobs(jobs):
+    """A library caller's negative worker count is refused, as the CLI
+    refuses --jobs -1, not silently run as one worker."""
+    with pytest.raises(ValueError, match=f"jobs must be >= 0, got jobs={jobs}"):
+        mirror_verify(2, 1, 4, jobs=jobs)
+
+
 def test_mirror_verify_caps_workers_at_pairs(monkeypatch):
     """A pool starts every worker it is sized for, so --jobs beyond the
     pair count must not reach it, and each worker gets about four chunks

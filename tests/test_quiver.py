@@ -187,17 +187,34 @@ def test_multiplication_table_shape():
     assert table["e_0*e_1"] == {}
 
 
-def test_multiplication_table_goes_through_multiply(monkeypatch):
-    calls = []
-    reference = quiver.multiply
+@pytest.mark.parametrize("n", range(2, 6))
+def test_multiplication_table_matches_multiply(monkeypatch, n):
+    """Every entry is multiply's product of the two basis elements, and
+    every composable pair that is not two idempotents is reduced by
+    _reduce, so nothing is wired in."""
+    reg = basis_registry(n)
+    reduced = []
+    reference = quiver._reduce
 
-    def counted(a, b):
-        calls.append((a, b))
-        return reference(a, b)
+    def counted(arrows, n):
+        reduced.append(arrows)
+        return reference(arrows, n)
 
-    monkeypatch.setattr(quiver, "multiply", counted)
-    multiplication_table(2)
-    assert len(calls) == len(basis_registry(2)) ** 2 == 100
+    monkeypatch.setattr(quiver, "_reduce", counted)
+    table = multiplication_table(n)
+    composable = [
+        w1.arrows + w2.arrows
+        for w1 in reg.values()
+        for w2 in reg.values()
+        if w1.source == w2.target and (w1.arrows or w2.arrows)
+    ]
+    assert reduced == composable
+    monkeypatch.setattr(quiver, "_reduce", reference)
+    assert len(table) == len(reg) ** 2
+    for s1 in reg:
+        for s2 in reg:
+            expect = multiply(bas(n, s1), bas(n, s2)).terms
+            assert table[f"{s1}*{s2}"] == expect
     assert basis_registry(3) is basis_registry(3)
     with pytest.raises(TypeError):
         basis_registry(3)["c"] = PathWord((("B", 2), ("A", 2)))

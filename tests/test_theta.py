@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirror_ring import cli, floer, plgeom, theta
-from mirror_ring.series import TruncSeries
+from mirror_ring.series import TruncSeries, _unpack
 from mirror_ring.theta import (
     RingElement,
     ThetaIndex,
@@ -354,6 +354,62 @@ def test_associativity_one_product_per_pair(monkeypatch):
     assert len(calls) == 2 * len(set(calls))
 
 
+def _swept_and_one_by_one(n, max_m, D):
+    weights = range(1, max_m + 1)
+    one_by_one = [
+        check_associativity(n, D, (m1, m2, m3))
+        for m1 in weights
+        for m2 in weights
+        for m3 in weights
+    ]
+    return theta.associativity_sweep(n, max_m, D), one_by_one
+
+
+@pytest.mark.parametrize("n, max_m, D", [(1, 3, 8), (3, 2, 6), (4, 2, 5)])
+def test_associativity_sweep_is_check_associativity_per_triple(n, max_m, D):
+    swept, one_by_one = _swept_and_one_by_one(n, max_m, D)
+    assert swept == one_by_one and len(swept) == max_m ** 3
+    assert all(rep["failures"] == [] for rep in swept)
+
+
+def test_associativity_sweep_reports_the_same_failures(monkeypatch):
+    """Under the crooked exponents of test_associativity_detects_corruption
+    the shared memo changes no report, failure entries included."""
+    good = plgeom.lambda_exponents
+
+    def crooked(n, m1, a1, m2, a2, k):
+        exps = good(n, m1, a1, m2, a2, k)
+        if (m1, m2, k) == (2, 1, 1):
+            return (exps[0] + 1,) + exps[1:]
+        return exps
+
+    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
+    for n, max_m, D in [(1, 3, 8), (2, 2, 5)]:
+        swept, one_by_one = _swept_and_one_by_one(n, max_m, D)
+        assert swept == one_by_one
+        assert any(rep["failures"] for rep in swept)
+
+
+def test_assoc_run_makes_one_product_per_pair(monkeypatch, tmp_path):
+    """One assoc run multiplies each ordered basis pair once across all
+    its weight triples: 459 products at (3, 2, 6), where a memo per
+    triple made 927."""
+    calls = []
+    real = theta.theta_product
+
+    def counted(a, b, n, D):
+        calls.append((a, b))
+        return real(a, b, n, D)
+
+    monkeypatch.setattr(theta, "theta_product", counted)
+    out = tmp_path / "assoc.json"
+    argv = ["assoc", "--n", "3", "--max-m", "2", "--trunc", "6", "-o", str(out)]
+    assert cli.main(argv) == 0
+    assert len(calls) == len(set(calls)) == 459
+    with pytest.raises(ValueError, match="max_m must be >= 1, got 0"):
+        theta.associativity_sweep(3, 0, 6)
+
+
 def _expanded(first, second, n, D):
     """sum_x first[x] * second(x) as the series arithmetic spells it: each
     class of first times each class of a basis product by TruncSeries.mul,
@@ -386,12 +442,20 @@ def _random_term_map(rng, n, D, classes):
     return out
 
 
+def _composed(first, second, n, D):
+    """theta._compose on tuple-keyed term maps: both factors packed with
+    theta._packed, the result unpacked to {a3: {exponents: count}}."""
+    packed = {x: theta._packed(second(x), D) for x in first}
+    got = theta._compose(theta._packed(first, D), packed.__getitem__, D)
+    return {a3: _unpack([keys], n, D) for a3, keys in got.items()}
+
+
 def test_compose_matches_the_series_expansion():
-    """The term-map product check_associativity composes equals the
-    expansion through TruncSeries.mul and .add, on seeded random term
-    maps.  Class 0 of every second factor is one term of degree D and,
-    for D > 0, no outer term is constant, so every term of class 0
-    truncates away and the class is not made."""
+    """The packed term-map product check_associativity composes, unpacked,
+    equals the expansion through TruncSeries.mul and .add, on seeded
+    random term maps.  Class 0 of every second factor is one term of
+    degree D and, for D > 0, no outer term is constant, so every term of
+    class 0 truncates away and the class is not made."""
     rng = random.Random(SEED + 11)
     for n in range(1, 5):
         for D in range(0, 9):
@@ -403,7 +467,7 @@ def test_compose_matches_the_series_expansion():
                         kept = {e: c for e, c in first[x].items() if any(e)}
                         first[x] = kept or {(1,) + (0,) * (n - 1): 1}
                     factors[x][0] = {(0,) * (n - 1) + (D,): 2}
-                got = theta._compose(first, factors.__getitem__, D)
+                got = _composed(first, factors.__getitem__, n, D)
                 assert got == _expanded(first, factors.__getitem__, n, D)
                 assert (0 in got) == (D == 0)
             # and (a*b)*c over the products themselves
@@ -416,7 +480,36 @@ def test_compose_matches_the_series_expansion():
                 elem = theta_product(ThetaIndex(m1 + m2, x), c, n, D)
                 return {a3: s.terms for a3, s in elem.coeffs.items()}
 
-            assert theta._compose(ab, times_c, D) == _expanded(ab, times_c, n, D)
+            assert _composed(ab, times_c, n, D) == _expanded(ab, times_c, n, D)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_compose_keeps_degree_room_and_drops_room_plus_one(n):
+    """With an outer term of degree 2 at D = 5, room is 3: an inner term
+    of degree 3 is kept and one of degree 4 beside it drops, however the
+    exponents sit in the packed key.  At D = 0 every term is a constant
+    and the classes sum."""
+    D = 5
+    t = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+
+    def power(j, d):
+        return tuple(d * x for x in t[j])
+
+    first = {0: {power(n - 1, 2): 2}}
+    inner = {7: {power(0, 3): 3, power(n - 1, 4): 5}, 8: {power(0, 4): 1}}
+    got = _composed(first, {0: inner}.__getitem__, n, D)
+    expect = {7: {tuple(map(sum, zip(power(n - 1, 2), power(0, 3)))): 6}}
+    assert got == expect == _expanded(first, {0: inner}.__getitem__, n, D)
+    # the degree-4 term drops even when it is listed first
+    inner = {7: {power(n - 1, 4): 5, power(0, 3): 3}}
+    assert _composed(first, {0: inner}.__getitem__, n, D) == expect
+
+    zero = (0,) * n
+    first = {0: {zero: 2}, 1: {zero: 1}}
+    factors = {0: {4: {zero: 3}}, 1: {4: {zero: 5}, 6: {zero: 1}}}
+    expect = {4: {zero: 11}, 6: {zero: 1}}
+    assert _composed(first, factors.__getitem__, n, 0) == expect
+    assert _expanded(first, factors.__getitem__, n, 0) == expect
 
 
 def test_associativity_makes_no_series_product(monkeypatch):
