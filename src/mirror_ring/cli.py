@@ -65,11 +65,11 @@ def _json_text(obj) -> str:
     tail that holds the exponent block.  A report's series share few
     exponent vectors, as most are rotations or sums of a few, so each
     tail is built once per exponent vector and indent and kept in a dict
-    that lives for this call only.  A table is written entry by entry
-    through one template, with no dict tree.  It takes only what the
-    reports hold: dicts with str keys, lists, StructureTable,
-    TruncSeries, str, int, bool and None.  Anything else raises
-    TypeError.
+    that lives for this call only.  A table is written from its orbit
+    map through one template, with no dict tree and no derived entry.
+    It takes only what the reports hold: dicts with str keys, lists,
+    StructureTable, TruncSeries, str, int, bool and None.  Anything else
+    raises TypeError.
     """
     return _json_value(obj, "\n", {}) + "\n"
 
@@ -134,54 +134,69 @@ def _series_templates(n: int, D: int, newline: str) -> tuple:
 
 
 def _table_text(table: theta.StructureTable, newline: str, tails: dict) -> str:
-    """The text of table.to_json_obj(), with each label's text built once,
-    each output class spelled once per weight and each element's result
-    list written once, since (a, b) and (b, a) share one element; a class
-    text is digits and "/", which need no escape.
+    """The text of table.to_json_obj(), read from the table's orbit map:
+    the pairs in label order, each label's text built once, and each
+    (elem, r) result list written once, with elem's classes moved by r*m3
+    and in ascending order.
 
     A part whose series has one term at the table's (n, D), the shape of
-    nearly every part, is one fill of a template built once per table:
-    the part's head, the series' head, the term and the closings.  Any
-    other part holds its series' text from _json_value, the one writer of
-    the series layout.  The entries' pieces are joined once, with no
-    string per entry."""
+    nearly every part, is three pieces: the text up to the coefficient,
+    built once per output class and weight, the coefficient, and the text
+    after it, built once per exponent vector rotated by r.  Any other part
+    holds the text of its series rotated by r from _json_value, the one
+    writer of the series layout.  A class text is digits and "/", which
+    need no escape.  The entries' pieces are joined once, with no string
+    per entry."""
     n, D = table.n, table.D
     i2 = newline + "  "
     i4, i6, i8, i10 = (i2 + "  " * k for k in range(1, 5))
     label = "{" + i8 + '"m": %d,' + i8 + '"p": "%s"' + i6 + "}"
     head = "{" + i10 + '"p": "%s",' + i10 + '"series": '
-    part = head + "%s" + i8 + "}"
     _, opening, term_head, term_tail, _, closing = _series_templates(n, D, i10)
-    single = head + opening + term_head + "%s" + term_tail + closing + i8 + "}"
+    term_end = term_tail + closing + i8 + "}"
     a_key, b_key, r_key = "{" + i6 + '"a": ', "," + i6 + '"b": ', "," + i6 + '"result": '
     spell = theta.class_text
-    spelled: dict[tuple[int, int], str] = {}
-    labels: dict[theta.ThetaIndex, str] = {}
-    results: dict[int, str] = {}
+    # (part head, the one-term part's text up to its coefficient) by (a3, m3)
+    heads: dict[tuple[int, int], tuple[str, str]] = {}
+    # the one-term part's text after its coefficient, by exponent vector
+    ends: dict[tuple[int, ...], str] = {}
+    results: dict[tuple[int, int], str] = {}
+    orbits = table.orbits
+    labels = table.labels
+    texts = [label % (x.m, spell(x.a, x.m)) for x in labels]
     out = ["{" + i2 + '"D": %d,' % D + i2 + '"entries": ']
     opener = "[" + i4 + a_key
-    for a, b in table.sorted_keys():
-        elem = table.entries[a, b]
-        result = results.get(id(elem))
-        if result is None:
-            parts = []
-            for a3, s in elem.items():
-                p = spelled.get((a3, elem.m))
-                if p is None:
-                    p = spelled[a3, elem.m] = spell(a3, elem.m)
-                if len(s.terms) == 1 and s.n == n and s.D == D:
-                    [(e, c)] = s.terms.items()
-                    parts.append(single % (p, c, *e))
+    for a, a_text in zip(labels, texts):
+        for b, b_text in zip(labels, texts):
+            elem, r = orbits[a, b]
+            result = results.get((id(elem), r))
+            if result is None:
+                m3 = elem.m
+                if r:
+                    size, shift = m3 * n, r * m3
+                    items = sorted([((a3 + shift) % size, s) for a3, s in elem.coeffs.items()])
                 else:
-                    parts.append(part % (p, _json_value(s, i10, tails)))
-            result = "[" + i8 + ("," + i8).join(parts) + i6 + "]" if parts else "[]"
-            results[id(elem)] = result
-        for x in (a, b):
-            if x not in labels:
-                labels[x] = label % (x.m, spell(x.a, x.m))
-        out += (opener, labels[a], b_key, labels[b], r_key, result, i4 + "}")
-        opener = "," + i4 + a_key
-    out.append((i2 + "]" if results else "[]") + "," + i2 + '"n": %d' % n + newline + "}")
+                    items = elem.items()
+                parts = []
+                for a3, s in items:
+                    got = heads.get((a3, m3))
+                    if got is None:
+                        h = head % spell(a3, m3)
+                        got = heads[a3, m3] = (h, h + opening + term_head)
+                    if len(s.terms) == 1 and s.n == n and s.D == D:
+                        [(e, c)] = s.terms.items()
+                        e = e[r:] + e[:r]
+                        end = ends.get(e)
+                        if end is None:
+                            end = ends[e] = term_end % e
+                        parts.append(got[1] + str(c) + end)
+                    else:
+                        parts.append(got[0] + _json_value(s.rotate(r), i10, tails) + i8 + "}")
+                result = "[" + i8 + ("," + i8).join(parts) + i6 + "]" if parts else "[]"
+                results[id(elem), r] = result
+            out += (opener, a_text, b_key, b_text, r_key, result, i4 + "}")
+            opener = "," + i4 + a_key
+    out.append((i2 + "]" if labels else "[]") + "," + i2 + '"n": %d' % n + newline + "}")
     return "".join(out)
 
 

@@ -19,10 +19,14 @@ series.  Everything is exact over Z.
 
 ``build_table`` relies on two laws of the ring that every route's product
 must meet: it is commutative, and rotating the n marked points is a
-symmetry, so shifting both input classes by 1 shifts every output class
-by 1 and rotates every series by ``rotate(1)``.  It multiplies one pair
-per orbit and derives the rest; ``floer.mirror_verify`` computes every
-pair and relies on neither law.
+symmetry, so shifting both input classes by r shifts every output class
+by r and rotates every series by ``rotate(r)``.  It multiplies one pair
+per orbit and keeps only that: a ``StructureTable`` holds the orbit map
+from each ordered pair to its orbit's product and the shift that carries
+the orbit's first pair to it.  The report writer reads the orbit map;
+``StructureTable.entries`` derives every pair's element on first use,
+for the plain conversions and the tests.  ``floer.mirror_verify``
+computes every pair and relies on neither law.
 
 Associativity is checked on term maps, not series: ``_compose`` builds
 (a*b)*c and a*(b*c) from the term maps of basis products, each packed
@@ -35,6 +39,7 @@ the weight triples of an ``assoc`` report.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -173,15 +178,54 @@ def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
 
 
 class StructureTable:
-    """All pairwise basis products up to a weight cap, at truncation D."""
+    """All pairwise basis products up to a weight cap, at truncation D, as
+    the orbit map ``build_table`` makes.
 
-    def __init__(self, n: int, D: int, entries: dict):
+    orbits maps every ordered pair (x, y) of basis labels with weights up
+    to the cap to (elem, r): elem is the product made for the first pair
+    of the orbit in ``basis_pairs`` order, and 0 <= r < n is the diagonal
+    shift that carries that pair to (x, y), or to (y, x), which holds the
+    same value.  The product at (x, y) is elem with every class a3 moved
+    to (a3 + r*m3) mod (m3*n) and every series rotated by ``rotate(r)``.
+    """
+
+    def __init__(self, n: int, D: int, orbits: dict):
         self.n = n
         self.D = D
-        self.entries: dict[tuple[ThetaIndex, ThetaIndex], RingElement] = entries
+        self.orbits: dict[tuple[ThetaIndex, ThetaIndex], tuple[RingElement, int]] = orbits
 
-    def sorted_keys(self):
-        return sorted(self.entries)
+    @functools.cached_property
+    def entries(self) -> dict[tuple[ThetaIndex, ThetaIndex], RingElement]:
+        """Every pair's product, in the order of orbits, derived once per
+        (elem, r): pairs that hold one orbit value share one element, and
+        a pair at shift 0 holds elem itself."""
+        n, D = self.n, self.D
+        made: dict[tuple[int, int], RingElement] = {}
+        out = {}
+        for xy, (elem, r) in self.orbits.items():
+            got = made.get((id(elem), r))
+            if got is None:
+                got = elem
+                if r:
+                    m3 = elem.m
+                    got = RingElement(m3, n, D)
+                    got.coeffs = {
+                        (a3 + r * m3) % (m3 * n): s.rotate(r) for a3, s in elem.coeffs.items()
+                    }
+                made[id(elem), r] = got
+            out[xy] = got
+        return out
+
+    @property
+    def labels(self) -> list[ThetaIndex]:
+        """Every basis label up to the table's weight cap, in (m, a) order."""
+        top = max((x.m for x, _ in self.orbits), default=0)
+        return [x for m in range(1, top + 1) for x in basis_indices(self.n, m)]
+
+    def sorted_keys(self) -> list[tuple[ThetaIndex, ThetaIndex]]:
+        """Every pair in label order, the sorted order of its keys."""
+        labels = self.labels
+        return [(a, b) for a in labels for b in labels]
 
     def to_json_obj(self) -> dict:
         """The table's report data, each sorted entry converted on its own:
@@ -220,38 +264,32 @@ def build_table(n: int, max_m: int, D: int, product=None) -> StructureTable:
     independently counted tables are built for comparison.
 
     The product must be commutative, b*a = a*b, and rotation-equivariant:
-    the product at classes (p1 + 1, p2 + 1) is the one at (p1, p2) with
-    every output class moved by 1 and every series rotated by
-    ``rotate(1)``.  So ``product`` is called once per orbit of ordered
+    the product at classes (p1 + r, p2 + r) is the one at (p1, p2) with
+    every output class moved by r and every series rotated by
+    ``rotate(r)``.  So ``product`` is called once per orbit of ordered
     pairs under the swap and the diagonal shift, on the orbit's first pair
-    in ``basis_pairs`` order, and the rest of the orbit is derived from it;
-    (a, b) and (b, a) hold the same element.  Entries come in
-    ``basis_pairs`` order.  ``floer.mirror_verify`` does not rely on either
-    law: it computes every ordered pair.
+    in ``basis_pairs`` order, and nothing else is computed: the table's
+    orbit map sends each pair of the orbit, in ``basis_pairs`` order, to
+    that product and its shift r, and (a, b) and (b, a) hold the same
+    value.  ``floer.mirror_verify`` does not rely on either law: it
+    computes every ordered pair.
     """
     if product is None:
         product = theta_product
-    # entries keep basis_pairs order, which sorted_keys sorts far faster
-    # than orbit order
+    # the orbit map keeps basis_pairs order, the order of table.entries
     pairs = basis_pairs(n, max_m)
-    got: dict[tuple[ThetaIndex, ThetaIndex], RingElement] = {}
+    by_weight = [[]] + [basis_indices(n, m) for m in range(1, max_m + 1)]
+    got: dict[tuple[ThetaIndex, ThetaIndex], tuple[RingElement, int]] = {}
     for x, y in pairs:
         if (x, y) in got:
             continue
         elem = product(x, y, n, D)
-        m3 = elem.m
-        # the shift moves class a to (a + m) mod (m*n); the n-th shift
-        # comes back to the representative
+        xs, ys = by_weight[x.m], by_weight[y.m]
+        # the r-th shift moves class a to (a + r*m) mod (m*n)
         for r in range(n):
-            if r:
-                x = ThetaIndex(x.m, (x.a + x.m) % (x.m * n))
-                y = ThetaIndex(y.m, (y.a + y.m) % (y.m * n))
-                shifted = RingElement(m3, n, D)
-                shifted.coeffs = {
-                    (a3 + m3) % (m3 * n): s.rotate(1) for a3, s in elem.coeffs.items()
-                }
-                elem = shifted
-            got[x, y] = got[y, x] = elem
+            xr = xs[(x.a + r * x.m) % len(xs)]
+            yr = ys[(y.a + r * y.m) % len(ys)]
+            got[xr, yr] = got[yr, xr] = (elem, r)
     return StructureTable(n, D, {xy: got[xy] for xy in pairs})
 
 

@@ -1,8 +1,10 @@
 """Regenerate the frozen reference files under tests/golden/.
 
-Run from anywhere:
+Run from the repository root, with the package on the path:
 
-    python3 tests/regen_goldens.py
+    PYTHONPATH=src python3 tests/regen_goldens.py
+
+The files land in tests/golden/ beside this script.
 
 Every file this writes is deterministic, so a clean checkout regenerates
 byte-identical goldens.  The test suite never calls this script; it only

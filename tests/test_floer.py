@@ -5,6 +5,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -548,6 +549,72 @@ def test_every_route_keys_products_by_the_integer_class(n, m1, m2, a1, a2, D):
         for a3 in elem.coeffs:
             assert type(a3) is int and 0 <= a3 < elem.m * n
     assert products[1] == products[0] and products[2] == products[0]
+
+
+def _route_products():
+    """Each route's product with theta_product's (a, b, n, D) signature."""
+    return {
+        "theta": theta_product,
+        **{mode: partial(floer.counted_product, mode=mode) for mode in floer.COUNTING_MODES},
+    }
+
+
+def _reflected(elem, n) -> dict:
+    """The term map of elem under the reflection: class a3 goes to -a3 and
+    t_j to t_(-j mod n), so slot j of a new exponent is slot -j of the
+    old."""
+    size = elem.m * n
+    return {
+        (-a3) % size: {tuple(e[-j % n] for j in range(n)): c for e, c in s.terms.items()}
+        for a3, s in elem.coeffs.items()
+    }
+
+
+def _terms(elem) -> dict:
+    return {a3: s.terms for a3, s in elem.coeffs.items()}
+
+
+@pytest.mark.parametrize("route", ["theta", "direct", "brion"])
+def test_reflection_law_on_every_pair(route):
+    """th[m1, -a1] * th[m2, -a2] = sum sigma(C_a3) th[m3, -a3], where
+    th[m1, a1] * th[m2, a2] = sum C_a3 th[m3, a3] and sigma sends t_j to
+    t_(-j mod n): every ordered pair with weights <= 2, at n = 1..6 and
+    D = 6, each multiplied by the route itself."""
+    product = _route_products()[route]
+    D = 6
+    for n in range(1, 7):
+        pairs = theta.basis_pairs(n, 2)
+        got = {(a, b): product(a, b, n, D) for a, b in pairs}
+        for (a, b), elem in got.items():
+            mirror = (
+                ThetaIndex(a.m, -a.a % (a.m * n)),
+                ThetaIndex(b.m, -b.a % (b.m * n)),
+            )
+            assert _terms(got[mirror]) == _reflected(elem, n), (route, n, a, b)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m1=st.integers(1, 6),
+    m2=st.integers(1, 6),
+    a1=st.integers(0, 41),
+    a2=st.integers(0, 41),
+    D=st.integers(0, 12),
+)
+@example(n=7, m1=6, m2=6, a1=41, a2=41, D=12)
+@example(n=7, m1=6, m2=1, a1=41, a2=0, D=12)
+@example(n=5, m1=3, m2=4, a1=7, a2=0, D=0)
+def test_reflection_law_far_out(n, m1, m2, a1, a2, D):
+    """The reflection law on pairs out to weight 6, n = 7 and D = 12, for
+    all three routes; a class is drawn mod m*n."""
+    a = ThetaIndex(m1, a1 % (m1 * n))
+    b = ThetaIndex(m2, a2 % (m2 * n))
+    ma = ThetaIndex(m1, -a.a % (m1 * n))
+    mb = ThetaIndex(m2, -b.a % (m2 * n))
+    for route, product in _route_products().items():
+        elem = product(a, b, n, D)
+        assert _terms(product(ma, mb, n, D)) == _reflected(elem, n), route
 
 
 def test_floer_product_rejects_unknown_mode():

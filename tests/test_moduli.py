@@ -27,7 +27,7 @@ from mirror_ring.moduli import (
     theta_full_chart0,
 )
 from mirror_ring.plgeom import InvariantError, phi
-from mirror_ring.series import TruncSeries
+from mirror_ring.series import TruncSeries, _series
 from mirror_ring.theta import basis_pairs, theta_product
 from mirror_ring.toric import w_point
 
@@ -664,3 +664,59 @@ def test_product_table_multiplies_the_chart_expansions(n, max_m, D):
     assert _identity_failures(n, max_m, D, reflect=True) == []
     if n >= 3:
         assert _identity_failures(n, max_m, D, reflect=False)
+
+
+def _plain_mul(f, g, D):
+    """Product of two term maps {exponents: coefficient}, cut at total
+    degree D, zeros dropped: a reference that shares no code with the
+    series kernels."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= D:
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _inverted(terms):
+    """A term map under the inversion tau, which sends t_j to t_(n-1-j)."""
+    return {e[::-1]: c for e, c in terms.items()}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_inversion_takes_the_root_to_its_reciprocal(n):
+    """(1 + s)(1 + tau(s)) = 1: the inversion sends the marked point
+    u = 1 + s to u = 1/(1 + s)."""
+    D = 8
+    s = moduli._point_data(n, D)[-1].terms
+    one = {(0,) * n: 1}
+    assert _plain_mul({**one, **s}, {**one, **_inverted(s)}, D) == one
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_inversion_takes_R0_to_the_last_part_over_the_derivative(n):
+    """tau(R_0) = theta_(n-1)/Theta' at p_0, where R_0 = -theta_0/Theta'."""
+    D = 8
+    th, _, _, inv_dth_full, r0, _ = moduli._point_data(n, D)
+    rhs = _plain_mul(_series(th[n - 1], n, D).terms, _series(inv_dth_full, n, D).terms, D)
+    assert _inverted(r0.terms) == rhs
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_inversion_fixes_the_diagonal_b0(n):
+    """tau(b_0) = b_0, for b_0 = theta'_(n-1)/theta_(n-1) - theta'_0/theta_0
+    at p_0: checked as b_0 theta_(n-1) theta_0 = theta'_(n-1) theta_0 -
+    theta'_0 theta_(n-1), on the parts _point_data gives, with no
+    inversion."""
+    D = 12
+    th, dth, *_ = moduli._point_data(n, D)
+    part = {l: _series(th[l], n, D).terms for l in (0, n - 1)}
+    dpart = {l: _series(dth[l], n, D).terms for l in (0, n - 1)}
+    b0 = coords_b(n, D)[1][0].terms
+    assert _inverted(b0) == b0
+    want = _plain_mul(dpart[n - 1], part[0], D)
+    for e, c in _plain_mul(dpart[0], part[n - 1], D).items():
+        want[e] = want.get(e, 0) - c
+    lhs = _plain_mul(_plain_mul(b0, part[n - 1], D), part[0], D)
+    assert lhs == {e: c for e, c in want.items() if c}

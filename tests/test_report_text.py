@@ -116,15 +116,58 @@ def test_table_text_writes_series_of_several_terms():
     assert any(int(term["c"]) >= 2 for s in series for term in s["terms"])
 
 
+def odd_table(r):
+    """A table with one pair's orbit value replaced by (odd, r): odd holds
+    a series at another (n, D), an empty one, and one-term and multi-term
+    series at the table's (n, D)."""
+    table = theta.build_table(2, 1, 3)
+    odd = theta.RingElement(2, 2, 3)
+    odd.coeffs = {
+        1: SERIES,
+        3: TruncSeries(2, 3, {(1, 0): 5}),
+        0: TruncSeries(1, 0),
+        2: TruncSeries(2, 3, {(2, 1): 7, (0, 1): -1}),
+    }
+    key = table.sorted_keys()[1]
+    table.orbits[key] = (odd, r)
+    return table, key, odd
+
+
 def test_table_text_writes_a_series_at_its_own_size():
     """A table's series share one set of templates for the table's (n, D);
     a series held at another (n, D) is still written at its own."""
-    table = theta.build_table(2, 1, 3)
-    odd = theta.RingElement(2, 2, 3)
-    odd.coeffs = {1: SERIES, 3: TruncSeries(2, 3, {(1, 0): 5}), 0: TruncSeries(1, 0)}
-    key = table.sorted_keys()[1]
-    table.entries[key] = odd
+    table, key, odd = odd_table(0)
     assert cli._json_text(table) == reference(table)
+    assert table.entries[key] is odd
+
+
+def test_table_text_writes_an_orbit_value_at_its_shift():
+    """At shift r = 1 the odd element's classes move by its weight, its
+    one-term part is written through the rotated template fill and every
+    other part through the series writer, rotated."""
+    table, key, odd = odd_table(1)
+    assert cli._json_text(table) == reference(table)
+    shifted = table.entries[key]
+    assert sorted(shifted.coeffs) == [0, 1, 2, 3]
+    assert shifted.coeffs[3] == SERIES.rotate(1)
+    assert shifted.coeffs[1] == TruncSeries(2, 3, {(0, 1): 5})
+    assert shifted.coeffs[0] == TruncSeries(2, 3, {(1, 2): 7, (1, 0): -1})
+
+
+def test_table_text_makes_only_the_orbit_products():
+    """Writing the (5, 4, 12) table reads its orbit map alone: 255
+    products for 2500 pairs, and no entry is derived."""
+    calls = []
+
+    def counted(a, b, n, D):
+        calls.append((a, b))
+        return theta.theta_product(a, b, n, D)
+
+    table = theta.build_table(5, 4, 12, product=counted)
+    text = cli._json_text(table)
+    assert text.count('"result": ') == 2500
+    assert len(calls) == 255
+    assert "entries" not in vars(table)
 
 
 @pytest.mark.parametrize(
