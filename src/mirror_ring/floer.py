@@ -150,6 +150,8 @@ def count_direct(t: Triangle, n: int, j: int, eps) -> int:
     every candidate off the edges, so open versus closed never matters.
     Degenerate triangles count 0.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -248,6 +250,8 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
 
 def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     """Slot j mod n of _brion_counts, for indices p1, p2 (ints or Fractions)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return _brion_counts(n, m1, plgeom.scaled_index(m1, p1), m2, plgeom.scaled_index(m2, p2), k)[j % n]
 
 
@@ -277,7 +281,7 @@ def counted_product(a: theta.ThetaIndex, b: theta.ThetaIndex, n: int, D: int, mo
     the signature of theta.theta_product, plus the counting mode."""
     if mode not in COUNTING_MODES:
         raise ValueError(f"mode must be 'direct' or 'brion', got {mode!r}")
-    return theta.assemble(n, a.m, a.a, b.m, b.a, D, _kernel(mode))
+    return theta._element(a.m + b.m, n, D, theta.assemble(n, a.m, a.a, b.m, b.a, D, _kernel(mode)))
 
 
 def _first_difference(lhs: dict, rhs: dict):

@@ -289,6 +289,8 @@ def _point_data(n: int, D: int):
     table built from s alone takes all 2n values, and the residue parts'
     sum is the full section's value, so its vanishing proves the root.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if D < 0:
         raise ValueError(f"truncation order must be >= 0, got D={D}")
     s = _online_root(theta_full_chart0(n, D))

@@ -13,9 +13,9 @@ here) reads one slot of it with a p signature, and ``plgeom.t_exponent``
 is the Fraction reference it is tested against.  Every route's product
 is made by ``product_terms``, the one place for the degree cut and the
 output class, from integer classes, the k-window and the route's row of
-exponents over it; ``assemble`` solves the window with ``plgeom.k_window``,
-reads the row from the route's kernel and wraps each class's terms as a
-series.  Everything is exact over Z.
+exponents over it; ``assemble`` solves the window with ``plgeom.k_window``
+and reads the row from the kernel, and ``_element`` wraps a returned
+product's classes as series.  Everything is exact over Z.
 
 ``build_table`` relies on two laws of the ring that every route's product
 must meet: it is commutative, and rotating the n marked points is a
@@ -28,13 +28,13 @@ the orbit's first pair to it.  The report writer reads the orbit map;
 for the plain conversions and the tests.  ``floer.mirror_verify``
 computes every pair and relies on neither law.
 
-Associativity is checked on term maps, not series: ``_compose`` builds
-(a*b)*c and a*(b*c) from the term maps of basis products, each packed
-once into degree-sorted (degree, key, count) lists with the base-(D+1)
-keys of ``series._pack``, so a monomial product is one integer add and
-the degree cut ends an inner loop.  ``check_associativity`` makes each
-basis product once per call, and ``associativity_sweep`` once for all
-the weight triples of an ``assoc`` report.
+Associativity is checked on term maps, with no series built: ``_compose``
+builds (a*b)*c and a*(b*c) from basis products' term maps, which the memo
+packs from ``assemble`` once each into degree-sorted (degree, key, count)
+lists with the base-(D+1) keys of ``series._pack``: a monomial product is
+one integer add and the degree cut ends an inner loop.
+``check_associativity`` makes each basis product once per call,
+``associativity_sweep`` once per ``assoc`` report.
 """
 
 from __future__ import annotations
@@ -127,6 +127,8 @@ def basis_indices(n: int, m: int) -> list[ThetaIndex]:
 
 def hilbert_dimension(n: int, m: int) -> int:
     """Rank of the weight-m graded piece: 1 for m=0, else m*n."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"weight must be >= 0, got m={m}")
     return 1 if m == 0 else m * n
@@ -152,15 +154,15 @@ def product_terms(n: int, m1: int, a1: int, m2: int, a2: int, D: int, window, ro
     return classes
 
 
-def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> RingElement:
-    """Product of x_{m1,a1/m1} and x_{m2,a2/m2}, given the route's kernel:
-    ``product_terms`` of its row over the pair's ``plgeom.k_window``, each
-    class's term map wrapped once as its series."""
+def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> dict:
+    """The term map {a3: {exponents: count}} of x_{m1,a1/m1} * x_{m2,a2/m2},
+    given the route's kernel: ``product_terms`` of its row over the pair's
+    ``plgeom.k_window``.  ``_element`` wraps it as a product."""
     if D < 0:
         raise ValueError(f"truncation order must be >= 0, got D={D}")
     window = plgeom.k_window(n, m1, a1, m2, a2, D)
     row = [kernel(n, m1, a1, m2, a2, k) for k in window]
-    return _element(m1 + m2, n, D, product_terms(n, m1, a1, m2, a2, D, window, row))
+    return product_terms(n, m1, a1, m2, a2, D, window, row)
 
 
 def _element(m: int, n: int, D: int, classes: dict) -> RingElement:
@@ -174,7 +176,7 @@ def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
     """Product of two basis elements as a weight-(m1+m2) RingElement, with
     the exponents of the integer kernel ``plgeom.lambda_exponents``, read
     from its module at each call."""
-    return assemble(n, a.m, a.a, b.m, b.a, D, plgeom.lambda_exponents)
+    return _element(a.m + b.m, n, D, assemble(n, a.m, a.a, b.m, b.a, D, plgeom.lambda_exponents))
 
 
 class StructureTable:
@@ -377,16 +379,16 @@ def _associativity(n: int, D: int, weights, terms) -> dict:
 
 
 def _product_memo(n: int, D: int):
-    """terms(x, y): the packed term map of the basis product x*y, made by
-    ``theta_product`` once per ordered pair for the life of this memo.
-    Term maps are never mutated, so every caller shares them."""
+    """terms(x, y): the basis product x*y as a ``_packed`` term map, the one
+    ``assemble`` reads from ``plgeom.lambda_exponents``, packed once per ordered
+    pair for this memo's life.  No series is built; callers share the maps."""
     memo: dict[tuple[ThetaIndex, ThetaIndex], dict] = {}
 
     def terms(x: ThetaIndex, y: ThetaIndex) -> dict:
         got = memo.get((x, y))
         if got is None:
-            elem = theta_product(x, y, n, D)
-            got = memo[x, y] = _packed({a3: s.terms for a3, s in elem.coeffs.items()}, D)
+            got = assemble(n, x.m, x.a, y.m, y.a, D, plgeom.lambda_exponents)
+            got = memo[x, y] = _packed(got, D)
         return got
 
     return terms

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirror_ring import cli, floer, plgeom, theta
+from mirror_ring import cli, floer, moduli, plgeom, theta
 from mirror_ring.floer import (
     Triangle,
     count_brion,
@@ -66,6 +66,24 @@ def test_direct_requires_positive_eps():
     t = lift_triangle(1, 1, 0, 1, 0, 1)
     with pytest.raises(ValueError):
         count_direct(t, 1, 0, Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: moduli.solve_s(n, 4),
+        lambda n: count_brion(n, 1, 0, 1, 0, 0, 0),
+        lambda n: count_direct(lift_triangle(1, 1, 0, 1, 0, 1), n, 0, Fraction(1, 100)),
+    ],
+    ids=["solve_s", "count_brion", "count_direct"],
+)
+@pytest.mark.parametrize("n", [0, -2])
+def test_entry_points_need_a_positive_n(call, n):
+    """With fewer than one marked point the root, a Brion count and a
+    direct count refuse n itself, not with an empty min() or a division
+    by zero."""
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        call(n)
 
 
 def test_eps_default_in_smallness_regime():

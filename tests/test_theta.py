@@ -116,8 +116,8 @@ def test_basis_needs_a_positive_weight():
 def test_basis_needs_a_positive_n(n):
     """With fewer than one marked point there is no basis either: the
     labels, a label with a p signature (not reduced mod m*n <= 0), an
-    associativity report and a table refuse it rather than pass having
-    checked nothing."""
+    associativity report, a table and the rank of a graded piece refuse
+    it rather than pass having checked nothing or count m*n <= 0."""
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
         basis_indices(n, 1)
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
@@ -126,6 +126,8 @@ def test_basis_needs_a_positive_n(n):
         check_associativity(n, 4, (1, 1, 1))
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
         build_table(n, 1, 2)
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        hilbert_dimension(n, 1)
 
 
 def test_one_variable_square():
@@ -337,21 +339,45 @@ def test_associativity_detects_corruption(monkeypatch):
     assert rep["failures"], "corrupted exponent slipped through"
 
 
-def test_associativity_one_product_per_pair(monkeypatch):
+def _counted_term_maps(monkeypatch):
+    """Wrap the memo's term-map stage, theta.assemble, so each call
+    appends its pair (m1, a1, m2, a2) to the list returned."""
     calls = []
-    real = theta.theta_product
+    real = theta.assemble
 
-    def counted(a, b, n, D):
-        calls.append((a, b))
-        return real(a, b, n, D)
+    def counted(n, m1, a1, m2, a2, D, kernel):
+        calls.append((m1, a1, m2, a2))
+        return real(n, m1, a1, m2, a2, D, kernel)
 
-    monkeypatch.setattr(theta, "theta_product", counted)
+    monkeypatch.setattr(theta, "assemble", counted)
+    return calls
+
+
+def test_associativity_one_product_per_pair(monkeypatch):
+    calls = _counted_term_maps(monkeypatch)
     rep = check_associativity(3, 4, (1, 2, 1))
     assert rep["failures"] == [] and rep["triples_checked"] == 3 * 6 * 3
+    assert calls, "no term map was made"
     assert len(calls) == len(set(calls)), "a basis pair was multiplied twice"
     # the memo lives for one call only
     check_associativity(3, 4, (1, 2, 1))
     assert len(calls) == 2 * len(set(calls))
+
+
+def test_passing_sweep_builds_no_series(monkeypatch):
+    """The memo packs each kernel term map straight from assemble: a
+    passing sweep makes no RingElement and no TruncSeries, which only a
+    failure entry needs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a passing sweep built a product")
+
+    monkeypatch.setattr(theta, "_element", refuse)
+    monkeypatch.setattr(TruncSeries, "_raw", classmethod(refuse))
+    monkeypatch.setattr(TruncSeries, "__init__", refuse)
+    monkeypatch.setattr(RingElement, "__init__", refuse)
+    reps = theta.associativity_sweep(3, 2, 6)
+    assert len(reps) == 8 and all(rep["failures"] == [] for rep in reps)
 
 
 def _swept_and_one_by_one(n, max_m, D):
@@ -391,17 +417,10 @@ def test_associativity_sweep_reports_the_same_failures(monkeypatch):
 
 
 def test_assoc_run_makes_one_product_per_pair(monkeypatch, tmp_path):
-    """One assoc run multiplies each ordered basis pair once across all
-    its weight triples: 459 products at (3, 2, 6), where a memo per
-    triple made 927."""
-    calls = []
-    real = theta.theta_product
-
-    def counted(a, b, n, D):
-        calls.append((a, b))
-        return real(a, b, n, D)
-
-    monkeypatch.setattr(theta, "theta_product", counted)
+    """One assoc run makes each ordered basis pair's term map once across
+    all its weight triples: 459 at (3, 2, 6), where a memo per triple
+    made 927."""
+    calls = _counted_term_maps(monkeypatch)
     out = tmp_path / "assoc.json"
     argv = ["assoc", "--n", "3", "--max-m", "2", "--trunc", "6", "-o", str(out)]
     assert cli.main(argv) == 0
