@@ -26,6 +26,8 @@ classes through ``plgeom.k_window``.  Every term has coefficient +1 and
 nothing cancels, so `mirror_verify` compares what each product is made
 of: each count's row of exponent tuples against theta's, and only where
 the rows differ their ``product_terms`` maps.  It builds no product.
+Its task is one row of pairs, a label against every label of one
+weight, and a pool gets no more workers than there are rows.
 Theta against Brion compares two codings of one formula (see
 ``_brion_counts``); the direct count is the independent arithmetic.
 """
@@ -193,7 +195,8 @@ def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     counts = [0] * n
     if g:
         for c in range(-(-a1 // m1), (b2 - 1) // m2 + 1):
-            counts[-c % n] += min(m1 * c - a1, b2 - m2 * c)
+            left, right = m1 * c - a1, b2 - m2 * c
+            counts[-c % n] += left if left < right else right
     return tuple(counts)
 
 
@@ -293,11 +296,11 @@ def _first_difference(lhs: dict, rhs: dict):
     return a3, e, lt.get(e, 0), rt.get(e, 0)
 
 
-def _verify_pair(args):
-    """Per counting mode, the first difference from the closed form as a
-    failure entry, or None.
+def _verify_row(args):
+    """Per counting mode, the failure entries of one row of pairs: label a
+    against every label b of weight mb, in class order.
 
-    The pair's k-window is solved once by ``plgeom.k_window``, and each
+    Each pair's k-window is solved once by ``plgeom.k_window``, and each
     kernel gives its row of exponent tuples over it, theta's
     ``plgeom.lambda_exponents`` first.  A count whose row is theta's
     passes with no term map built.  Where the rows differ, the term maps
@@ -306,34 +309,40 @@ def _verify_pair(args):
     product equals the closed form exactly when they are equal.  That is
     the one comparison of products, and no product is built.
     """
-    n, a, b, D = args
-    m1, a1, m2, a2 = a.m, a.a, b.m, b.a
-    window = plgeom.k_window(n, m1, a1, m2, a2, D)
-    # each kernel is read from its module, so a patched one is compared
-    reference, *counted = [
-        [kernel(n, m1, a1, m2, a2, k) for k in window]
-        for kernel in (plgeom.lambda_exponents, *map(_kernel, COUNTING_MODES))
-    ]
-    closed = None
-    out = []
-    for mode, row in zip(COUNTING_MODES, counted):
-        diff = None
-        if row != reference:
-            if closed is None:
-                closed = theta.product_terms(n, m1, a1, m2, a2, D, window, reference)
-            terms = theta.product_terms(n, m1, a1, m2, a2, D, window, row)
+    n, a, mb, D = args
+    m1, a1 = a
+    # each kernel is read from its module once per row, so a patched one
+    # is the one compared, in a pool worker too
+    window_of, closed_form = plgeom.k_window, plgeom.lambda_exponents
+    direct, brion = _lifted_counts, _brion_counts
+    failures = tuple([] for _ in COUNTING_MODES)
+    for a2 in range(mb * n):
+        window = window_of(n, m1, a1, mb, a2, D)
+        reference = [closed_form(n, m1, a1, mb, a2, k) for k in window]
+        counted = (
+            [direct(n, m1, a1, mb, a2, k) for k in window],
+            [brion(n, m1, a1, mb, a2, k) for k in window],
+        )
+        if counted[0] == reference and counted[1] == reference:
+            continue
+        closed = theta.product_terms(n, m1, a1, mb, a2, D, window, reference)
+        for mode, row, out in zip(COUNTING_MODES, counted, failures):
+            if row == reference:
+                continue
+            terms = theta.product_terms(n, m1, a1, mb, a2, D, window, row)
             if terms != closed:
                 a3, e, lc, rc = _first_difference(terms, closed)
-                diff = {
-                    "mode": mode,
-                    "a": a.to_json_obj(),
-                    "b": b.to_json_obj(),
-                    "monomial": {"p": theta.class_text(a3, m1 + m2), "e": list(e)},
-                    "lhs": str(lc),
-                    "rhs": str(rc),
-                }
-        out.append(diff)
-    return out
+                out.append(
+                    {
+                        "mode": mode,
+                        "a": a.to_json_obj(),
+                        "b": theta.ThetaIndex(mb, a2).to_json_obj(),
+                        "monomial": {"p": theta.class_text(a3, m1 + mb), "e": list(e)},
+                        "lhs": str(lc),
+                        "rhs": str(rc),
+                    }
+                )
+    return failures
 
 
 def _usable_cpus() -> int:
@@ -348,21 +357,25 @@ def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     Runs over all generator pairs with weights up to max_m and, per pair,
     compares each counting route's row of exponent tuples with the closed
     form's, and only where the rows differ their term maps; no product is
-    built, even for a pair that fails.
+    built, even for a pair that fails.  A task is one row of pairs, a
+    label a against every label of one weight, in ``basis_pairs`` order.
     ``pairs_checked`` counts (pair, mode) checks, and the first differing
     monomial of every failing check is listed mode by mode, in pair order.
-    The pair list and the merge order are fixed, so the report is
+    The task list and the merge order are fixed, so the report is
     deterministic for any jobs.  jobs = 0 asks for every usable CPU, and
-    no more workers start than there are usable CPUs or pairs; a negative
+    no more workers start than there are usable CPUs or rows; a negative
     jobs is refused.
     """
     if D < 0:
         raise ValueError(f"truncation order must be >= 0, got D={D}")
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got jobs={jobs}")
-    tasks = [(n, a, b, D) for a, b in theta.basis_pairs(n, max_m)]
+    if max_m < 1:
+        raise ValueError(f"max_m must be >= 1, got {max_m}")
+    weights = range(1, max_m + 1)
+    tasks = [(n, a, mb, D) for ma in weights for mb in weights for a in theta.basis_indices(n, ma)]
     # a pool starts all its workers at the first submit, so never ask for
-    # more than there are CPUs or pairs
+    # more than there are CPUs or rows
     cpus = _usable_cpus()
     workers = min(jobs or cpus, cpus, len(tasks))
     if workers > 1:
@@ -372,9 +385,9 @@ def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
         # cheap, enough that a slow chunk does not leave a worker idle
         chunksize = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_pair, tasks, chunksize=chunksize))
+            results = list(pool.map(_verify_row, tasks, chunksize=chunksize))
     else:
-        results = [_verify_pair(t) for t in tasks]
-    failures = [f for per_mode in zip(*results) for f in per_mode if f is not None]
-    checks = len(tasks) * len(COUNTING_MODES)
-    return {"n": n, "D": D, "pairs_checked": checks, "failures": failures}
+        results = [_verify_row(t) for t in tasks]
+    failures = [f for per_mode in zip(*results) for row in per_mode for f in row]
+    pairs = sum(mb * n for _, _, mb, _ in tasks)
+    return {"n": n, "D": D, "pairs_checked": pairs * len(COUNTING_MODES), "failures": failures}

@@ -373,8 +373,8 @@ def record_pool_sizes(monkeypatch) -> list:
     return sizes
 
 
-# nine pairs at n = 3, max-m = 1: more than any pool these tests size
-VERIFY_N3 = ["verify", "--n", "3", "--trunc", "4"]
+# 18 rows of pairs at n = 3, max-m = 2: more than any pool these tests size
+VERIFY_N3 = ["verify", "--n", "3", "--max-m", "2", "--trunc", "4"]
 
 
 def test_jobs_zero_uses_cpu_affinity(tmp_path, monkeypatch):
@@ -404,7 +404,7 @@ def test_verify_caps_workers_at_usable_cpus(tmp_path, monkeypatch):
     monkeypatch.setattr(floer, "_usable_cpus", lambda: 3)
     for jobs in ("3000", "0", "2", "1"):
         assert main(VERIFY_N3 + ["--jobs", jobs, "-o", str(tmp_path / "v.json")]) == 0
-    assert floer.mirror_verify(3, 1, 4, jobs=3000)["failures"] == []
+    assert floer.mirror_verify(3, 2, 4, jobs=3000)["failures"] == []
     assert sizes == [3, 3, 2, 3]
 
 

@@ -686,10 +686,10 @@ def test_mirror_verify_refuses_negative_jobs(jobs):
         mirror_verify(2, 1, 4, jobs=jobs)
 
 
-def test_mirror_verify_caps_workers_at_pairs(monkeypatch):
-    """A pool starts every worker it is sized for, so --jobs beyond the
-    pair count must not reach it, and each worker gets about four chunks
-    of pairs; the fake pool maps in-process."""
+def _record_pools(monkeypatch):
+    """Swap in a pool that maps in-process and records each pool's size
+    and chunk size, with 64 usable CPUs so that the rows, not the CPUs,
+    cap it; returns the two record lists."""
     import concurrent.futures
 
     sizes, chunks = [], []
@@ -709,15 +709,49 @@ def test_mirror_verify_caps_workers_at_pairs(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    # so that the pairs, not the CPUs, cap the pool
     monkeypatch.setattr(floer, "_usable_cpus", lambda: 64)
+    return sizes, chunks
+
+
+def test_mirror_verify_caps_workers_at_rows(monkeypatch):
+    """A pool starts every worker it is sized for, so --jobs beyond the
+    row count must not reach it, and each worker gets about four chunks
+    of rows; the fake pool maps in-process."""
+    sizes, chunks = _record_pools(monkeypatch)
+    # two rows at n = 2, max_m = 1: one per label of weight 1
     assert mirror_verify(2, 1, 4, jobs=64) == mirror_verify(2, 1, 4, jobs=1)
-    assert sizes == [4] and chunks == [1]
+    assert sizes == [2] and chunks == [1]
     mirror_verify(1, 1, 4, jobs=64)
-    assert sizes == [4] and chunks == [1]
-    # 81 pairs on 2 workers: chunks of ceil(81 / 8) = 11
+    assert sizes == [2] and chunks == [1]
+    # 18 rows on 2 workers: chunks of ceil(18 / 8) = 3
     assert mirror_verify(3, 2, 4, jobs=2) == mirror_verify(3, 2, 4, jobs=1)
-    assert sizes == [4, 2] and chunks == [1, 11]
+    assert sizes == [2, 2] and chunks == [1, 3]
+
+
+@pytest.mark.parametrize("max_m", [0, -1])
+def test_mirror_verify_refuses_max_m_below_one(max_m):
+    """No weight below 1 has a basis label; verify refuses it by name
+    rather than report zero pairs checked and no failure."""
+    with pytest.raises(ValueError, match="max_m must be >= 1"):
+        mirror_verify(3, max_m, 4)
+
+
+@pytest.mark.parametrize("kernel", ["_lifted_counts", "_brion_counts"])
+@pytest.mark.parametrize("n, max_m, D", [(2, 2, 6), (3, 2, 4)])
+def test_pooled_failures_are_the_serial_failures(monkeypatch, kernel, n, max_m, D):
+    """A pool of row tasks lists exactly the failures of the in-process
+    run, mode by mode in pair order, with one count corrupted."""
+    monkeypatch.setattr(floer, kernel, _shift_one_exponent(getattr(floer, kernel)))
+    sizes, chunks = _record_pools(monkeypatch)
+    serial = mirror_verify(n, max_m, D, jobs=1)["failures"]
+    assert serial and sizes == []
+    assert mirror_verify(n, max_m, D, jobs=2)["failures"] == serial
+    assert sizes == [2]
+    mode = floer.COUNTING_MODES[kernel == "_brion_counts"]
+    listed = [(f["a"], f["b"]) for f in serial]
+    order = [(a.to_json_obj(), b.to_json_obj()) for a, b in theta.basis_pairs(n, max_m)]
+    assert {f["mode"] for f in serial} == {mode}
+    assert listed == [pair for pair in order if pair in listed]
 
 
 def _count_calls(monkeypatch, owner, name, record):

@@ -28,7 +28,7 @@ from mirror_ring.moduli import (
 )
 from mirror_ring.plgeom import InvariantError, phi
 from mirror_ring.series import TruncSeries, _series
-from mirror_ring.theta import basis_pairs, theta_product
+from mirror_ring.theta import ThetaIndex, basis_pairs, theta_product
 from mirror_ring.toric import w_point
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
@@ -612,11 +612,13 @@ def _expansion_mul(f, g, D):
     return {key: c for key, c in out.items() if c}
 
 
-def _identity_failures(n, max_m, D, reflect):
+def _identity_failures(n, max_m, D, reflect, negate=False):
     """The basis pairs where theta[m1, a1]*theta[m2, a2] differs from the
     sum over a3 of rho(C_a3)*theta[m3, a3], C_a3 the product table's
     series at class a3; rho sends t_j to t_(-j mod n), or is the identity
-    when reflect is False."""
+    when reflect is False.  With negate, C_a3 is instead the series at
+    class -a3 of the table product at classes (-a1, -a2): each chart
+    theta[m, a] is read as the table's class -a."""
     expansions = {}
 
     def expansion(m, a):
@@ -624,16 +626,21 @@ def _identity_failures(n, max_m, D, reflect):
             expansions[m, a] = _theta_expansion(n, m, a, D)
         return expansions[m, a]
 
+    def sign(label):
+        return ThetaIndex(label.m, -label.a % (label.m * n)) if negate else label
+
     failed = []
     for x, y in basis_pairs(n, max_m):
         lhs = _expansion_mul(expansion(x.m, x.a), expansion(y.m, y.a), D)
         rhs = {}
-        for a3, series in theta_product(x, y, n, D).coeffs.items():
+        m3 = x.m + y.m
+        for a3, series in theta_product(sign(x), sign(y), n, D).coeffs.items():
             coeff = {
                 (0, tuple(e[-i % n] for i in range(n)) if reflect else e): c
                 for e, c in series.iter_terms()
             }
-            for key, c in _expansion_mul(coeff, expansion(x.m + y.m, a3), D).items():
+            chart = expansion(m3, sign(ThetaIndex(m3, a3)).a)
+            for key, c in _expansion_mul(coeff, chart, D).items():
                 rhs[key] = rhs.get(key, 0) + c
         if lhs != {key: c for key, c in rhs.items() if c}:
             failed.append((x, y))
@@ -664,6 +671,21 @@ def test_product_table_multiplies_the_chart_expansions(n, max_m, D):
     assert _identity_failures(n, max_m, D, reflect=True) == []
     if n >= 3:
         assert _identity_failures(n, max_m, D, reflect=False)
+
+
+@pytest.mark.parametrize(
+    "n, max_m, D", [(1, 2, 6), (2, 2, 6), (3, 2, 6), (4, 2, 5), (5, 1, 5), (6, 2, 5)]
+)
+def test_product_table_at_the_negated_classes_multiplies_the_chart_expansions(n, max_m, D):
+    """The same identity with no reflection of t, read as a class sign:
+    theta[m1, a1]*theta[m2, a2] = sum over a3 of C_a3*theta[m3, a3], with
+    C_a3 the table product at classes (-a1, -a2) at its class -a3.  The
+    ring's reflection (the inversion [-1]) turns one reading into the
+    other.  At n >= 3 the class sign with the reflection of t as well
+    fails, as the reflection alone does."""
+    assert _identity_failures(n, max_m, D, reflect=False, negate=True) == []
+    if n >= 3:
+        assert _identity_failures(n, max_m, D, reflect=True, negate=True)
 
 
 def _plain_mul(f, g, D):
