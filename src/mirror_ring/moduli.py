@@ -5,9 +5,12 @@ Everything happens in a single affine chart.  The canonical section is
 expanded there as a Laurent series in the chart coordinate u with
 t-series coefficients of integer exponents; its distinguished root
 u = 1 + s(t) is solved online, one degree at a time on the graded powers
-of 1 + s.  One power table of 1 + s then evaluates every residue part at
-full precision, and the parts' sum, the section's value, must vanish:
-that is the proof of the root.  All point evaluations reduce to
+of 1 + s.  One power table of 1 + s then evaluates every residue part,
+and the parts' sum, the section's value, must vanish: that is the proof
+of the root.  The u^e coefficient of the section has t-degree
+iota(iota+1)/2, e = -iota, so (1 + s)^e is built and read only through
+D less that degree, its cut (_cuts); no bucket above the cut can reach
+degree D of a value.  All point evaluations reduce to
 substituting that root and cyclically rotating variable indices.  The b
 and c coordinate functions come out of unit-denominator expressions
 only; no 0/0 ratio is ever formed.
@@ -172,51 +175,98 @@ def _span(*parts: ULaurent) -> tuple[int, int]:
     return min(exps), max(exps)
 
 
-def _powers(s: list[dict], lo: int, hi: int) -> dict[int, list[dict]]:
-    """The graded (1 + s)^e for every lo <= e <= hi, from the graded s,
-    one inversion at most."""
-    D = len(s) - 1
+def _cuts(D: int, *parts: ULaurent) -> dict[int, int]:
+    """The cut of (1 + s)^e for every e in the parts' u-span: D less the
+    lowest t-degree of any u^e coefficient, raised to the cut of every
+    power further out on the same side, through which the chain e -> e+1
+    or e -> e-1 passes.  (1 + s)^0 is cut at 0 at least.
+
+    A coefficient c of lowest degree low meets the power only in products
+    c_a p_b with a >= low and a + b <= D, so no bucket of the power above
+    D - low can reach degree D.  In the section's chart every u^e
+    coefficient of t-degree iota(iota+1)/2, e = -iota, cuts (1 + s)^e
+    that much short of D.
+    """
+    need: dict[int, int] = {}
+    for g in parts:
+        for e, c in g.terms.items():
+            need[e] = max(need.get(e, -1), D - min(map(sum, c.terms)))
+    lo, hi = _span(*parts)
+    cuts = {}
+    for side in (range(hi, 0, -1), range(lo, 0)):
+        run = -1
+        for e in side:
+            run = cuts[e] = max(run, need.get(e, -1))
+    cuts[0] = max(need.get(0, 0), cuts.get(1, 0), cuts.get(-1, 0))
+    return cuts
+
+
+def _low(c: list[dict]) -> int:
+    """The lowest degree of a nonzero graded series."""
+    return next(d for d, bucket in enumerate(c) if bucket)
+
+
+def _powers(s: list[dict], cuts: dict[int, int]) -> dict[int, list[dict]]:
+    """The graded (1 + s)^e for every e of cuts, each through its cut
+    (_cuts) and no further, from the graded s, one inversion at most, at
+    the cut of (1 + s)^-1.  A bucket above the cut would meet the u^e
+    coefficients only above degree D.
+
+    Each power is one product of the power next inward, which is cut no
+    shorter, with 1 + s or its inverse, so it is exact through its cut."""
     base = [{0: 1}, *s[1:]]
-    pows = {0: [{0: 1}] + [{} for _ in range(D)]}
+    pows = {0: [{0: 1}] + [{} for _ in range(cuts[0])]}
     cur = pows[0]
-    for e in range(1, hi + 1):
-        cur = pows[e] = _gmul(cur, base, D)
-    if lo < 0:
-        inv = _ginv(base, D)
+    for e in range(1, max(cuts) + 1):
+        cur = pows[e] = _gmul(cur, base, cuts[e])
+    if -1 in cuts:
+        inv = _ginv(base, cuts[-1])
         cur = pows[0]
-        for e in range(1, -lo + 1):
-            cur = pows[-e] = _gmul(cur, inv, D)
+        for e in range(1, -min(cuts) + 1):
+            cur = pows[-e] = _gmul(cur, inv, cuts[-e])
     return pows
 
 
 def _substitute(g: ULaurent, pows: dict[int, list[dict]]) -> list[dict]:
     """g at u = 1 + s, graded: each u-coefficient of g, of any number of
-    terms, times its graded power from a table _powers built.  It does not
+    terms, times its graded power from a table _powers built.  A
+    coefficient of lowest degree low reads its power through D - low only,
+    so a power cut there loses no bucket of the value; a power cut shorter
+    is refused, naming e, rather than read past its end.  It does not
     reuse _defect, which solves the root, so that a fault there cannot
     reach both the root and the substitution that proves it."""
     D = g.D
-    coeffs = [(_pack(c.terms, D), pows[e]) for e, c in g.terms.items()]
+    coeffs = []
+    for e, c in g.terms.items():
+        packed = _pack(c.terms, D)
+        low, p = _low(packed), pows[e]
+        if len(p) <= D - low:
+            raise InvariantError(
+                f"(1 + s)^{e} is cut at t-degree {len(p) - 1}, "
+                f"short of the {D - low} its u-coefficient reaches"
+            )
+        coeffs.append((packed, p, low))
     out = []
     for d in range(D + 1):
         acc: dict = {}
-        for c, p in coeffs:
-            _degree(c, p, d, 0, acc)
+        for c, p, low in coeffs:
+            _degree(c, p, d, low, acc)
         out.append(_nonzero(acc))
     return out
 
 
 def _eval_at(g: ULaurent, s: TruncSeries) -> TruncSeries:
     """Substitute u = 1 + s into g, exactly, truncating at the shared D."""
-    pows = _powers(_pack(s.terms, s.D), *_span(g))
+    pows = _powers(_pack(s.terms, s.D), _cuts(g.D, g))
     return _series(_substitute(g, pows), g.n, g.D)
 
 
 def _defect(coeffs: dict, pows: dict, d: int) -> dict:
-    """Bucket d of sum_e c_e (1 + s)^e, from the graded c_e and the graded
-    powers, cancelled keys dropped."""
+    """Bucket d of sum_e c_e (1 + s)^e, from each graded c_e with its
+    lowest degree and the graded powers, cancelled keys dropped."""
     acc: dict = {}
-    for e, c in coeffs.items():
-        _degree(c, pows[e], d, 0, acc)
+    for e, (c, low) in coeffs.items():
+        _degree(c, pows[e], d, low, acc)
     return _nonzero(acc)
 
 
@@ -232,28 +282,49 @@ def _online_root(th: ULaurent) -> list[dict]:
     u-derivative of th at u = 1 has constant term -1, and s_d enters
     bucket d of (1 + s)^e as e s_d.  Only s is returned, so the buckets
     are gone before anyone checks it.
+
+    Chain e stops once d passes its cut (_cuts): the defect reads
+    (1 + s)^e through D - low only, low the lowest t-degree of th's
+    u^e coefficient, and a chain further in is cut no shorter.  A cut
+    short of that is refused before the first step.
     """
     D = th.D
-    lo, hi = _span(th)
-    coeffs = {e: _pack(c.terms, D) for e, c in th.terms.items()}
+    coeffs = {}
+    for e, c in th.terms.items():
+        packed = _pack(c.terms, D)
+        coeffs[e] = packed, _low(packed)
+    cuts = _cuts(D, th)
+    for e, (_, low) in coeffs.items():
+        if cuts[e] < D - low:
+            raise InvariantError(
+                f"(1 + s)^{e} is cut at t-degree {cuts[e]}, "
+                f"short of the {D - low} its u-coefficient reaches"
+            )
     s: list[dict] = [{} for _ in range(D + 1)]
-    pows = {e: [{0: 1}] for e in range(lo, hi + 1)}
+    pows = {e: [{0: 1}] for e in cuts}
+    lo, hi = min(cuts), max(cuts)
     for d in range(1, D + 1):
-        pows[0].append({})
+        if cuts[0] >= d:
+            pows[0].append({})
         for e in range(1, hi + 1):
+            if cuts[e] < d:
+                break
             below = pows[e - 1]
             pows[e].append(_degree(s, below, d, 1, dict(below[d])))
         for e in range(-1, lo - 1, -1):
+            if cuts[e] < d:
+                break
             acc = dict(pows[e + 1][d])
             for k, c in _degree(s, pows[e], d, 1).items():
                 acc[k] = acc.get(k, 0) - c
             pows[e].append(acc)
         s[d] = _defect(coeffs, pows, d)
         for e, p in pows.items():
-            bucket = p[d]
-            for k, c in s[d].items():
-                bucket[k] = bucket.get(k, 0) + e * c
-            p[d] = _nonzero(bucket)
+            if len(p) > d:
+                bucket = p[d]
+                for k, c in s[d].items():
+                    bucket[k] = bucket.get(k, 0) + e * c
+                p[d] = _nonzero(bucket)
     return s
 
 
@@ -288,6 +359,8 @@ def _point_data(n: int, D: int):
     _online_root finds s and never substitutes it back.  Here one power
     table built from s alone takes all 2n values, and the residue parts'
     sum is the full section's value, so its vanishing proves the root.
+    The table's cuts come from the parts' own coefficients, and
+    _substitute refuses a power cut short of what it reads.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -300,7 +373,7 @@ def _point_data(n: int, D: int):
         parts += [g, d_log_derivative(g)]
     # each summand of the section lies in one residue part and u d/du
     # drops only u^0, so the parts span exactly the section's u-exponents
-    pows = _powers(s, *_span(*parts))
+    pows = _powers(s, _cuts(D, *parts))
     vals = [_substitute(g, pows) for g in parts]
     th, dth = vals[0::2], vals[1::2]
     if any(_gsum(*th)):

@@ -13,8 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diagonal_oracle
+import residue_oracle
 import slice_oracle
 from mirror_ring import moduli
+from mirror_ring.cli import main
 from mirror_ring.moduli import (
     ULaurent,
     coords_b,
@@ -27,7 +29,7 @@ from mirror_ring.moduli import (
     theta_full_chart0,
 )
 from mirror_ring.plgeom import InvariantError, phi
-from mirror_ring.series import TruncSeries, _series
+from mirror_ring.series import TruncSeries, _pack, _series
 from mirror_ring.theta import ThetaIndex, basis_pairs, theta_product
 from mirror_ring.toric import w_point
 
@@ -272,10 +274,10 @@ def test_final_check_catches_a_corrupt_last_step(monkeypatch):
             out = {k: c for k, c in out.items() if k != first}
         return out
 
-    def spy(s, lo, hi):
+    def spy(s, cuts):
         # s comes graded, one bucket per degree 0..D
         tables.append(len(s) - 1)
-        return real_powers(s, lo, hi)
+        return real_powers(s, cuts)
 
     moduli.solve_s.cache_clear()
     moduli._point_data.cache_clear()
@@ -290,6 +292,174 @@ def test_final_check_catches_a_corrupt_last_step(monkeypatch):
     # every degree stepped once, then one table was built, at D
     assert steps == list(range(1, D + 1))
     assert tables == [D]
+
+
+def _triangular_cut(e, D):
+    """D less the t-degree iota(iota+1)/2 of the section's u^e summand,
+    e = -iota: the cut of (1 + s)^e in the section's chart, where that
+    degree grows outward on both sides, and (1 + s)^0 reaches D."""
+    return D - (-e) * (1 - e) // 2
+
+
+def _plain_inverse_of_one_plus(s, n, D):
+    """1/(1 + s) = sum_k (-s)^k through degree D, s with no constant term."""
+    one = {(0,) * n: 1}
+    neg = {e: -c for e, c in s.items()}
+    out, power = dict(one), one
+    for _ in range(D):
+        power = _plain_mul(power, neg, D)
+        for e, c in power.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _parts(n, D):
+    parts = []
+    for l in range(n):
+        g = theta_chart0(l, n, D)
+        parts += [g, d_log_derivative(g)]
+    return parts
+
+
+@pytest.mark.parametrize(
+    "n, sizes",
+    [pytest.param(n, range(11), id=f"{n}-D0..10") for n in range(1, 8)]
+    + [pytest.param(3, [20], id="3-D20")],
+)
+def test_each_power_is_exact_through_its_cut(n, sizes):
+    """_point_data's power table holds (1 + s)^e through its cut, D less
+    the t-degree of the u^e summand, and not one bucket more: checked
+    against powers of 1 + s formed with plain dict products."""
+    for D in sizes:
+        s = moduli._point_data(n, D)[-1]
+        cuts = moduli._cuts(D, *_parts(n, D))
+        assert cuts == {e: _triangular_cut(e, D) for e in cuts}, (n, D)
+        pows = moduli._powers(_pack(s.terms, D), cuts)
+        assert set(pows) == set(cuts), (n, D)
+        one = {(0,) * n: 1}
+        step = {1: {**one, **s.terms}, -1: _plain_inverse_of_one_plus(s.terms, n, D)}
+        for sign in (1, -1):
+            want, e = one, 0
+            while e + sign in cuts:
+                e += sign
+                want = _plain_mul(want, step[sign], cuts[e])
+                got = pows[e]
+                assert len(got) == cuts[e] + 1, (n, D, e)
+                padded = got + [{}] * (D - cuts[e])
+                assert _series(padded, n, D).terms == want, (n, D, e)
+        assert len(pows[0]) == D + 1 and pows[0][0] == {0: 1} and not any(pows[0][1:])
+
+
+def _outermost(cuts, side):
+    return max(cuts) if side > 0 else min(cuts)
+
+
+def _clear_moduli_caches():
+    moduli.solve_s.cache_clear()
+    moduli._point_data.cache_clear()
+
+
+@pytest.mark.parametrize("n, D", [(2, 4), (4, 12), (3, 20)])
+@pytest.mark.parametrize("side", [1, -1])
+def test_a_short_cut_is_refused(tmp_path, monkeypatch, n, D, side):
+    """One degree short on the outermost power of one side, in the cut
+    table the solve and its proof share: _point_data raises
+    InvariantError naming the power, not IndexError, and the moduli
+    report exits 3 and writes nothing."""
+    real = moduli._cuts
+
+    def short(D, *parts):
+        cuts = real(D, *parts)
+        cuts[_outermost(cuts, side)] -= 1
+        return cuts
+
+    monkeypatch.setattr(moduli, "_cuts", short)
+    e = _outermost(real(D, theta_full_chart0(n, D)), side)
+    want = _triangular_cut(e, D)
+    message = rf"\(1 \+ s\)\^{e} is cut at t-degree {want - 1}, short of the {want} "
+    _clear_moduli_caches()
+    try:
+        with pytest.raises(InvariantError, match=message):
+            moduli._point_data(n, D)
+        out = tmp_path / "moduli.json"
+        assert main(["moduli", "--n", str(n), "--trunc", str(D), "-o", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+    finally:
+        _clear_moduli_caches()
+
+
+@pytest.mark.parametrize("n, D", [(2, 4), (4, 12), (3, 20)])
+@pytest.mark.parametrize("side", [1, -1])
+def test_the_substitution_refuses_a_short_power(monkeypatch, n, D, side):
+    """The root is solved on its own cuts; a power table one degree short
+    on the outermost power of one side must not be read past its end."""
+    real = moduli._powers
+
+    def short(s, cuts):
+        e = _outermost(cuts, side)
+        return real(s, {**cuts, e: cuts[e] - 1})
+
+    monkeypatch.setattr(moduli, "_powers", short)
+    _clear_moduli_caches()
+    try:
+        with pytest.raises(InvariantError, match=r"short of the \d+ its u-coefficient"):
+            moduli._point_data(n, D)
+    finally:
+        _clear_moduli_caches()
+
+
+@pytest.mark.parametrize("n, D", [(2, 4), (4, 12), (3, 20)])
+def test_a_long_cut_changes_no_byte(tmp_path, monkeypatch, n, D):
+    """One degree more on the outermost power of each side reaches both
+    the solve and the table, and changes no byte of the report."""
+    argv = ["moduli", "--n", str(n), "--trunc", str(D), "-o"]
+    _clear_moduli_caches()
+    assert main(argv + [str(tmp_path / "want.json")]) == 0
+    real, tables = moduli._cuts, []
+
+    def long(D, *parts):
+        cuts = real(D, *parts)
+        for side in (1, -1):
+            cuts[_outermost(cuts, side)] += 1
+        tables.append(cuts)
+        return cuts
+
+    monkeypatch.setattr(moduli, "_cuts", long)
+    _clear_moduli_caches()
+    try:
+        assert main(argv + [str(tmp_path / "got.json")]) == 0
+    finally:
+        _clear_moduli_caches()
+    # the solve's cuts and the table's, each one longer at both ends
+    assert len(tables) == 2
+    got = (tmp_path / "got.json").read_bytes()
+    assert got == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("n, D", [(2, 8), (3, 8), (4, 8), (5, 7), (6, 6)])
+def test_residues_at_the_marked_points_sum_to_zero(n, D):
+    """The residue theorem for theta_l/Theta and theta_l theta_m/Theta^2
+    (tests/residue_oracle.py), on _point_data's values at p_0."""
+    th, dth, dth_full, ddth_full = residue_oracle.values(n, D, moduli._point_data)
+    assert residue_oracle.simple_pole_failures(n, D, th, dth_full) == []
+    assert residue_oracle.double_pole_failures(n, D, th, dth, dth_full, ddth_full) == []
+
+
+@pytest.mark.parametrize("n, D", [(2, 8), (3, 8), (4, 7)])
+def test_the_double_pole_residues_see_a_corrupt_derivative_value(n, D):
+    """theta'_0 swapped with theta'_(n-1), or + t_1 in one bucket of
+    theta'_1: the simple poles read no theta'_l, and the double poles
+    fail for every (l, m)."""
+    th, dth, dth_full, ddth_full = residue_oracle.values(n, D, moduli._point_data)
+    swapped = list(dth)
+    swapped[0], swapped[n - 1] = dth[n - 1], dth[0]
+    t1 = tuple(int(j == 1) for j in range(n))
+    bumped = list(dth)
+    bumped[1] = {**dth[1], t1: dth[1].get(t1, 0) + 1}
+    pairs = [(l, m) for l in range(n) for m in range(l, n)]
+    for bad in (swapped, bumped):
+        assert bad != dth
+        assert residue_oracle.double_pole_failures(n, D, th, bad, dth_full, ddth_full) == pairs
 
 
 def test_substitute_back_vanishes():
@@ -691,13 +861,18 @@ def test_product_table_at_the_negated_classes_multiplies_the_chart_expansions(n,
 def _plain_mul(f, g, D):
     """Product of two term maps {exponents: coefficient}, cut at total
     degree D, zeros dropped: a reference that shares no code with the
-    series kernels."""
+    series kernels.  g is grouped by degree, so no pair above D is formed."""
+    by_degree = {}
+    for e, c in g.items():
+        by_degree.setdefault(sum(e), []).append((e, c))
     out = {}
     for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if sum(e) <= D:
-                out[e] = out.get(e, 0) + c1 * c2
+        room = D - sum(e1)
+        for d2, terms in by_degree.items():
+            if d2 <= room:
+                for e2, c2 in terms:
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
@@ -721,6 +896,17 @@ def test_inversion_takes_R0_to_the_last_part_over_the_derivative(n):
     """tau(R_0) = theta_(n-1)/Theta' at p_0, where R_0 = -theta_0/Theta'."""
     D = 8
     th, _, _, inv_dth_full, r0, _ = moduli._point_data(n, D)
+    rhs = _plain_mul(_series(th[n - 1], n, D).terms, _series(inv_dth_full, n, D).terms, D)
+    assert _inverted(r0.terms) == rhs
+
+
+@pytest.mark.parametrize("n, D", [(3, 24), (4, 16)])
+def test_inversion_identities_at_a_reach_size(n, D):
+    """(1 + s)(1 + tau(s)) = 1 and tau(R_0) = theta_(n-1)/Theta' far
+    beyond D = 8."""
+    th, _, _, inv_dth_full, r0, s = moduli._point_data(n, D)
+    one = {(0,) * n: 1}
+    assert _plain_mul({**one, **s.terms}, {**one, **_inverted(s.terms)}, D) == one
     rhs = _plain_mul(_series(th[n - 1], n, D).terms, _series(inv_dth_full, n, D).terms, D)
     assert _inverted(r0.terms) == rhs
 
