@@ -11,23 +11,27 @@ piecewise-linear formula in `plgeom`, and the resulting product must match
 holds the degree cut and the output class and takes each route's row of
 exponents; the counting kernels never call the theta route's, the integer
 n*lambda kernel ``plgeom.lambda_exponents`` (whose one-slot p-signature
-names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).  All three
-kernels take (n, m1, a1, m2, a2, k) in the integer frame a = m*p and
-return all n slots of one lifted triangle.  The direct one counts them
-column by column on the lattice, from its shape in one orientation: the
-perturbation eps = 1/E, E an integer, is small enough that it only
-settles which boundary points count (``default_eps`` is that eps as a
-Fraction).  ``count_direct`` is its reference: slot j of a generic
+names are ``plgeom.t_exponent_qr`` and ``theta._exponent``).  A lifted
+triangle depends on a2 = m2*p2 and k only through b2 = a2 + m2*n*k, so
+all three kernels take (n, m1, a1, m2, b2s) in the integer frame a = m*p,
+b2s a range of b2, and return all n slots of each lifted triangle of the
+run, computing what depends on the first class alone once per run.  The
+direct one counts them column by column on the lattice, from its shape
+in one orientation: the perturbation eps = 1/E, E an integer, is small
+enough that it only settles which boundary points count
+(``default_eps`` is that eps as a Fraction).  ``count_direct`` is its reference: slot j of a generic
 three-edge scan of any Fraction triangle, which the direct kernel never
 calls.  ``counted_product`` takes two basis labels and
-``floer_product`` is its wrapper with a p signature; like
-``mirror_verify``, it solves each pair's k-window from the integer
-classes through ``plgeom.k_window``.  Every term has coefficient +1 and
-nothing cancels, so `mirror_verify` compares what each product is made
-of: each count's row of exponent tuples against theta's, and only where
-the rows differ their ``product_terms`` maps.  It builds no product.
-Its task is one row of pairs, a label against every label of one
-weight, and a pool gets no more workers than there are rows.
+``floer_product`` is its wrapper with a p signature; it solves each
+pair's k-window from the integer classes through ``plgeom.k_window``.
+Every term has coefficient +1 and nothing cancels, so `mirror_verify`
+compares what each product is made of: each count's list of exponent
+tuples against theta's, and only where the lists differ the
+``product_terms`` maps of the pairs whose terms differ.  It builds no
+product.  Its task is one row of pairs, a label against every label of
+one weight, whose windows tile one run of b2 (``plgeom.b2_window``):
+each kernel is called once per row, and a pool gets no more workers
+than there are rows.
 Theta against Brion compares two codings of one formula (see
 ``_brion_counts``); the direct count is the independent arithmetic.
 """
@@ -166,14 +170,16 @@ def count_direct(t: Triangle, n: int, j: int, eps) -> int:
     return _count_scaled(verts, L, n)[j % n]
 
 
-def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
+def _lifted_counts(n: int, m1: int, a1: int, m2: int, b2s) -> list:
     """count_direct of lift_triangle(n, m1, p1, m2, p2, k) at default_eps,
-    for every slot j, counted by the triangle's own shape on the lattice
-    itself; a1 = m1*p1, a2 = m2*p2.
+    for every slot j, at each b2 = a2 + m2*n*k of the range b2s, one
+    n-tuple per b2 in order; a1 = m1*p1, a2 = m2*p2.  Each triangle is
+    counted by its own shape on the lattice itself, and depends on a2 and
+    k only through b2.
 
-    With b2 = a2 + m2*n*k and gap g = m1 b2 - m2 a1 the corners are
-    A = (a1/(m1 n), 0), C = ((a1 + b2)/(m3 n), 0) and B = (b2/(m2 n), -g/m2):
-    g = 0 is the degenerate triangle, and C lies strictly between A and B.
+    With gap g = m1 b2 - m2 a1 the corners are A = (a1/(m1 n), 0),
+    C = ((a1 + b2)/(m3 n), 0) and B = (b2/(m2 n), -g/m2): g = 0 is the
+    degenerate triangle, and C lies strictly between A and B.
     The points counted are (c/n, b) with (c/n + eps, b + eps) in the
     triangle, and column c goes to slot (-c) mod n.  Line AB is
     y = a1 - m1 n x and line CB is y = a1 + b2 - m3 n x, so at such a point
@@ -188,27 +194,32 @@ def _lifted_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     B above y0 and left of C: the same count with (a1, m1) and (b2, m2)
     exchanged.
     """
-    b2 = a2 + m2 * n * k
-    g = m1 * b2 - m2 * a1
-    if g < 0:
-        a1, m1, b2, m2 = b2, m2, a1, m1
-    counts = [0] * n
-    if g:
-        for c in range(-(-a1 // m1), (b2 - 1) // m2 + 1):
-            left, right = m1 * c - a1, b2 - m2 * c
-            counts[-c % n] += left if left < right else right
-    return tuple(counts)
+    out = []
+    for b2 in b2s:
+        g = m1 * b2 - m2 * a1
+        lo, mlo, hi, mhi = (b2, m2, a1, m1) if g < 0 else (a1, m1, b2, m2)
+        counts = [0] * n
+        if g:
+            for c in range(-(-lo // mlo), (hi - 1) // mhi + 1):
+                left, right = mlo * c - lo, hi - mhi * c
+                counts[-c % n] += left if left < right else right
+        out.append(tuple(counts))
+    return out
 
 
-def _site(n: int, m1: int, a1: int, m2: int, a2: int, k: int, j: int) -> str:
-    """Where a Brion check failed, with each class spelled p = a/m."""
+def _site(n: int, m1: int, a1: int, m2: int, b2: int, j: int) -> str:
+    """Where a Brion check failed, with each class spelled p = a/m, from
+    a2 = b2 mod m2*n and k = b2 div m2*n."""
+    k, a2 = divmod(b2, m2 * n)
     p1, p2 = theta.class_text(a1, m1), theta.class_text(a2, m2)
     return f"n={n} m=({m1},{m2}) p=({p1},{p2}) k={k} j={j}"
 
 
-def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
-    """Vertex-cone counts of the k-th lifted triangle's lattice points, no
-    perturbation, for every slot j; a1 = m1*p1 and a2 = m2*p2 are integers.
+def _brion_counts(n: int, m1: int, a1: int, m2: int, b2s) -> list:
+    """Vertex-cone counts of the lifted triangles' lattice points, no
+    perturbation, for every slot j, at each b2 = a2 + m2*n*k of the range
+    b2s, one n-tuple per b2 in order; a1 = m1*p1 and a2 = m2*p2 are
+    integers.  Each count depends on a2 and k only through b2.
 
     Each corner of the triangle contributes a two-term polynomial read off
     from the primitive parallelogram of its cone; the combination
@@ -216,7 +227,9 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     the count is h''(1)/2.  With (q, r) = divmod of a corner's class by its
     width w, each of g1, x^2 g2 and x g3 is (w - r) x^(q+1) + r x^(q+2),
     whose second derivative at 1 is (q + 1)(wq + 2r): a corner adds that to
-    h''(1), the third with a minus sign.  That h vanishes needs no check:
+    h''(1), the third with a minus sign.  The first corner's class
+    a1 + m1*j depends on the slot alone, so its (q, r) and share are
+    computed once per run.  That h vanishes needs no check:
     h(1) = w1 + w2 - w3 = 0 for any (q, r), and h'(1) = r1 + r2 - r3 -
     n*(m3 q3 - m2 q2 - m1 q1), so h'(1) = 0 is the remainder identity,
     checked for every slot with the sign of h''(1).  Nor does its parity:
@@ -227,41 +240,45 @@ def _brion_counts(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
     """
     m3 = m1 + m2
     w1, w2, w3 = m1 * n, m2 * n, m3 * n
-    b2 = a2 + m2 * n * k
-    counts = []
+    first = []
     for j in range(n):
-        q1, r1 = divmod(a1 + m1 * j, w1)
-        q2, r2 = divmod(b2 + m2 * j, w2)
-        q3, r3 = divmod(a1 + b2 + m3 * j, w3)
-        if r1 + r2 - r3 != n * (m3 * q3 - m2 * q2 - m1 * q1):
-            raise InvariantError(
-                f"remainder identity violated at {_site(n, m1, a1, m2, a2, k, j)}"
-            )
-        twice = (  # h''(1), one product per corner
-            (q1 + 1) * (w1 * q1 + 2 * r1)
-            + (q2 + 1) * (w2 * q2 + 2 * r2)
-            - (q3 + 1) * (w3 * q3 + 2 * r3)
-        )
-        if twice < 0:
-            raise InvariantError(
-                f"h''(1) = {twice} is negative at "
-                f"{_site(n, m1, a1, m2, a2, k, j)}"
-            )
-        counts.append(twice // 2)
-    return tuple(counts)
+        N1 = a1 + m1 * j
+        q1, r1 = divmod(N1, w1)
+        first.append((j, N1, m2 * j, q1, r1, (q1 + 1) * (w1 * q1 + 2 * r1)))
+    out = []
+    for b2 in b2s:
+        counts = []
+        for j, N1, d2, q1, r1, share1 in first:
+            N2 = b2 + d2
+            q2, r2 = divmod(N2, w2)
+            q3, r3 = divmod(N1 + N2, w3)
+            if r1 + r2 - r3 != n * (m3 * q3 - m2 * q2 - m1 * q1):
+                raise InvariantError(
+                    f"remainder identity violated at {_site(n, m1, a1, m2, b2, j)}"
+                )
+            twice = share1 + (q2 + 1) * (w2 * q2 + 2 * r2) - (q3 + 1) * (w3 * q3 + 2 * r3)
+            if twice < 0:
+                raise InvariantError(
+                    f"h''(1) = {twice} is negative at {_site(n, m1, a1, m2, b2, j)}"
+                )
+            counts.append(twice // 2)
+        out.append(tuple(counts))
+    return out
 
 
 def count_brion(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     """Slot j mod n of _brion_counts, for indices p1, p2 (ints or Fractions)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _brion_counts(n, m1, plgeom.scaled_index(m1, p1), m2, plgeom.scaled_index(m2, p2), k)[j % n]
+    b2 = plgeom.scaled_index(m2, p2) + m2 * n * k
+    (counts,) = _brion_counts(n, m1, plgeom.scaled_index(m1, p1), m2, range(b2, b2 + 1))
+    return counts[j % n]
 
 
 def _kernel(mode: str):
-    """The counting kernel of a mode, (n, m1, a1, m2, a2, k) -> the n slot
-    counts; read from the module at each call, so a patched kernel is the
-    one every caller uses."""
+    """The counting kernel of a mode, (n, m1, a1, m2, b2s) -> the n slot
+    counts at each b2 of the run; read from the module at each call, so a
+    patched kernel is the one every caller uses."""
     return _brion_counts if mode == "brion" else _lifted_counts
 
 
@@ -300,36 +317,47 @@ def _verify_row(args):
     """Per counting mode, the failure entries of one row of pairs: label a
     against every label b of weight mb, in class order.
 
-    Each pair's k-window is solved once by ``plgeom.k_window``, and each
-    kernel gives its row of exponent tuples over it, theta's
-    ``plgeom.lambda_exponents`` first.  A count whose row is theta's
-    passes with no term map built.  Where the rows differ, the term maps
-    {a3: {exponents: count}} of ``theta.product_terms`` are compared:
+    Every kernel depends on (a2, k) only through b2 = a2 + mb*n*k, and the
+    row's windows tile one run of b2, ``plgeom.b2_window``, each pair on
+    its own residue a2 mod mb*n.  So each kernel gives its list of
+    exponent tuples over the whole run in one call, theta's
+    ``plgeom.lambda_exponents`` first, and a list of the wrong length or a
+    tuple not n wide is refused (``theta._check_run``).  Where every
+    count's list is theta's, the row passes with no pair walked.
+    Otherwise each pair's stride of the lists is compared, and where a
+    count's differs from theta's the term maps {a3: {exponents: count}}
+    of ``theta.product_terms`` are compared:
     every term has coefficient +1 and nothing cancels, so a count's
     product equals the closed form exactly when they are equal.  That is
     the one comparison of products, and no product is built.
     """
     n, a, mb, D = args
     m1, a1 = a
+    run = plgeom.b2_window(m1, a1, mb, D)
     # each kernel is read from its module once per row, so a patched one
     # is the one compared, in a pool worker too
-    window_of, closed_form = plgeom.k_window, plgeom.lambda_exponents
-    direct, brion = _lifted_counts, _brion_counts
+    kernels = (plgeom.lambda_exponents, _lifted_counts, _brion_counts)
+    reference, *counted = [kernel(n, m1, a1, mb, run) for kernel in kernels]
+    theta._check_run(n, run, reference)
     failures = tuple([] for _ in COUNTING_MODES)
-    for a2 in range(mb * n):
-        window = window_of(n, m1, a1, mb, a2, D)
-        reference = [closed_form(n, m1, a1, mb, a2, k) for k in window]
-        counted = (
-            [direct(n, m1, a1, mb, a2, k) for k in window],
-            [brion(n, m1, a1, mb, a2, k) for k in window],
-        )
-        if counted[0] == reference and counted[1] == reference:
+    if counted[0] == reference and counted[1] == reference:
+        return failures
+    for got in counted:
+        theta._check_run(n, run, got)
+    w = mb * n
+    for a2 in range(w):
+        # the pair's window is the run's stride of b2 = a2 mod w
+        first = (a2 - run.start) % w
+        ref = reference[first::w]
+        rows = [got[first::w] for got in counted]
+        if rows[0] == ref and rows[1] == ref:
             continue
-        closed = theta.product_terms(n, m1, a1, mb, a2, D, window, reference)
-        for mode, row, out in zip(COUNTING_MODES, counted, failures):
-            if row == reference:
+        b2s = run[first::w]
+        closed = theta.product_terms(n, m1, a1, mb, D, b2s, ref)
+        for mode, row, out in zip(COUNTING_MODES, rows, failures):
+            if row == ref:
                 continue
-            terms = theta.product_terms(n, m1, a1, mb, a2, D, window, row)
+            terms = theta.product_terms(n, m1, a1, mb, D, b2s, row)
             if terms != closed:
                 a3, e, lc, rc = _first_difference(terms, closed)
                 out.append(
@@ -354,11 +382,12 @@ def _usable_cpus() -> int:
 def mirror_verify(n: int, max_m: int, D: int, jobs: int = 1) -> dict:
     """Compare the triangle-count products against the closed form everywhere.
 
-    Runs over all generator pairs with weights up to max_m and, per pair,
-    compares each counting route's row of exponent tuples with the closed
-    form's, and only where the rows differ their term maps; no product is
-    built, even for a pair that fails.  A task is one row of pairs, a
-    label a against every label of one weight, in ``basis_pairs`` order.
+    Runs over all generator pairs with weights up to max_m and, per row of
+    pairs, compares each counting route's list of exponent tuples with the
+    closed form's, and only where the lists differ the term maps of the
+    pairs whose terms differ; no product is built, even for a pair that
+    fails.  A task is one row of pairs, a label a against every label of
+    one weight, in ``basis_pairs`` order.
     ``pairs_checked`` counts (pair, mode) checks, and the first differing
     monomial of every failing check is listed mode by mode, in pair order.
     The task list and the merge order are fixed, so the report is

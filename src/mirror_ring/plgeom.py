@@ -8,13 +8,14 @@ its supporting lines psi(q, .), weighted averages, and the convexity
 defect lambda.  The integer exponents of the t-variables produced by
 multiplying ring generators are n*lambda values.  ``lambda_exponents``
 is the one integer implementation of them, the theta route's kernel: all
-n slots of one product term from the integer classes a = m*p.
-``t_exponent`` computes them through phi, the Fraction reference, and
-``t_exponent_qr`` reads one slot of the integer kernel with a p
-signature.  The k-window of a product, ``k_window``, is solved in
-integers from the integer classes, and ``admissible_k_range`` is its
-wrapper with a p signature; ``scaled_index`` is the one check that an
-index p has m*p integral.
+n slots of every product term of a run of b2 = a2 + m2*n*k, from the
+integer classes a = m*p.  ``t_exponent`` computes them through phi, the
+Fraction reference, and ``t_exponent_qr`` reads one slot of the integer
+kernel with a p signature.  ``b2_window`` solves in integers the run of
+b2 that can reach total degree <= D; the k-window of a product,
+``k_window``, is the k it holds at one a2, and ``admissible_k_range`` is
+that window's wrapper with a p signature; ``scaled_index`` is the one
+check that an index p has m*p integral.
 """
 
 from __future__ import annotations
@@ -87,39 +88,49 @@ def t_exponent(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     return int(val)
 
 
-def lambda_exponents(n: int, m1: int, a1: int, m2: int, a2: int, k: int) -> tuple:
-    """Exponents of t_0..t_{n-1} in the k-th product term, n*lambda in
-    integers; a1 = m1*p1 and a2 = m2*p2 are any integers.
+def lambda_exponents(n: int, m1: int, a1: int, m2: int, b2s) -> list:
+    """Exponents of t_0..t_{n-1}, n*lambda in integers, of the term at each
+    b2 = a2 + m2*n*k of the range b2s, one n-tuple per b2 in order; a1 =
+    m1*p1 and a2 = m2*p2 are any integers.  The term depends on a2 and k
+    only through b2.
 
-    At slot j, with N1 = a1 + m1*j and N2 = a2 + m2*(j + n*k), the three
-    points of lambda are N1/(m1 n), N2/(m2 n) and their average N3/(m3 n),
-    where N3 = N1 + N2, and n*m*phi(N/(m n)) = kappa*N - n*m*kappa*(kappa+1)/2
-    with kappa = N // (m n).
+    At slot j, with N1 = a1 + m1*j and N2 = b2 + m2*j, the three points of
+    lambda are N1/(m1 n), N2/(m2 n) and their average N3/(m3 n), where
+    N3 = N1 + N2, and n*m*phi(N/(m n)) = kappa*N - n*m*kappa*(kappa+1)/2
+    with kappa = N // (m n).  The first point's term depends on the slot
+    alone, so it is computed once per run.
     """
     w1, w2, w3 = m1 * n, m2 * n, (m1 + m2) * n
-    b2 = a2 + w2 * k
-    out = []
+    first = []
     for j in range(n):
         N1 = a1 + m1 * j
-        N2 = b2 + m2 * j
-        N3 = N1 + N2
-        k1, k2, k3 = N1 // w1, N2 // w2, N3 // w3
-        # each w*kappa*(kappa+1) is even, so the halving is exact
-        val = k1 * N1 + k2 * N2 - k3 * N3 - (
-            w1 * k1 * (k1 + 1) + w2 * k2 * (k2 + 1) - w3 * k3 * (k3 + 1)
-        ) // 2
-        if val < 0:
-            raise InvariantError(
-                f"t-exponent came out negative: {val} for n={n} m=({m1},{m2}) "
-                f"p=({Fraction(a1, m1)},{Fraction(a2, m2)}) k={k} j={j}"
-            )
-        out.append(val)
-    return tuple(out)
+        k1 = N1 // w1
+        # each w*kappa*(kappa+1) is even, so every halving is exact
+        first.append((j, N1, k1 * N1 - w1 * k1 * (k1 + 1) // 2, m2 * j))
+    out = []
+    for b2 in b2s:
+        exps = []
+        for j, N1, t1, d2 in first:
+            N2 = b2 + d2
+            N3 = N1 + N2
+            k2, k3 = N2 // w2, N3 // w3
+            val = t1 + k2 * N2 - k3 * N3 - (w2 * k2 * (k2 + 1) - w3 * k3 * (k3 + 1)) // 2
+            if val < 0:
+                k, a2 = divmod(b2, w2)
+                raise InvariantError(
+                    f"t-exponent came out negative: {val} for n={n} m=({m1},{m2}) "
+                    f"p=({Fraction(a1, m1)},{Fraction(a2, m2)}) k={k} j={j}"
+                )
+            exps.append(val)
+        out.append(tuple(exps))
+    return out
 
 
 def t_exponent_qr(n: int, m1: int, p1, m2: int, p2, k: int, j: int) -> int:
     """Slot j mod n of lambda_exponents, for indices p1, p2 (ints or Fractions)."""
-    return lambda_exponents(n, m1, scaled_index(m1, p1), m2, scaled_index(m2, p2), k)[j % n]
+    b2 = scaled_index(m2, p2) + m2 * n * k
+    (exps,) = lambda_exponents(n, m1, scaled_index(m1, p1), m2, range(b2, b2 + 1))
+    return exps[j % n]
 
 
 def total_t_exponent(n: int, m1: int, p1, m2: int, p2, k: int) -> int:
@@ -127,32 +138,41 @@ def total_t_exponent(n: int, m1: int, p1, m2: int, p2, k: int) -> int:
     return sum(t_exponent(n, m1, p1, m2, p2, k, j) for j in range(n))
 
 
-def k_window(n: int, m1: int, a1: int, m2: int, a2: int, D: int) -> range:
-    """All integers k that can contribute a term of total degree <= D to
-    the product of the integer classes a1 = m1*p1 and a2 = m2*p2; the
-    weights are >= 1, as every label's are.
+def b2_window(m1: int, a1: int, m2: int, D: int) -> range:
+    """All integers b2 = a2 + m2*n*k at which the product of the integer
+    classes a1 = m1*p1 and a2 = m2*p2 can have a term of total degree <= D,
+    for every a2, k and n; the weights are >= 1, as every label's are.
 
     The total exponent at shift k equals the unscaled defect
     lambda(p1, p2 + k*n), and phi is squeezed between (t-1/2)^2/2 - 1/8
     and (t-1/2)^2/2, so the total is at least
-    m1*m2/(2*(m1+m2)) * (p1 - p2 - k*n)^2 - (m1+m2)/8.  Any k violating
+    m1*m2/(2*(m1+m2)) * (p1 - p2 - k*n)^2 - (m1+m2)/8.  Any b2 violating
     the resulting quadratic bound is provably degree > D and is skipped.
 
-    With Q = m1*m2 and P = a1*m2 - a2*m1, so that p1 - p2 = P/Q, the bound
-    reads 4*Q*u^2 <= (8*m3*D + m3^2)*Q^2 for u = P - k*n*Q, that is
+    With Q = m1*m2 and u = a1*m2 - m1*b2, so that p1 - p2 - k*n = u/Q, the
+    bound reads 4*Q*u^2 <= (8*m3*D + m3^2)*Q^2, that is
     u^2 <= (8*m3*D + m3^2)*Q/4; so |u| <= s with s solved in integers by
-    isqrt, and the window is the k between the two roots.  A negative
-    right side (D < 0) admits no k.
+    isqrt, and the run is the b2 between the two roots.  It holds no n:
+    the pairs of one label against every label of weight m2 tile it, each
+    a2 on its own residue mod m2*n.  A negative right side (D < 0) admits
+    no b2.
     """
     m3 = m1 + m2
-    Q = m1 * m2
-    P = a1 * m2 - a2 * m1
-    rhs = (8 * m3 * D + m3 * m3) * Q
+    rhs = (8 * m3 * D + m3 * m3) * m1 * m2
     if rhs < 0:
         return range(0)
     s = math.isqrt(rhs // 4)
-    step = n * Q
-    return range(-((s - P) // step), (P + s) // step + 1)
+    c = a1 * m2
+    return range(-((s - c) // m1), (c + s) // m1 + 1)
+
+
+def k_window(n: int, m1: int, a1: int, m2: int, a2: int, D: int) -> range:
+    """All integers k that can contribute a term of total degree <= D to
+    the product of the integer classes a1 = m1*p1 and a2 = m2*p2: the k
+    whose b2 = a2 + m2*n*k lies in ``b2_window``."""
+    run = b2_window(m1, a1, m2, D)
+    w = m2 * n
+    return range(-((a2 - run.start) // w), (run.stop - 1 - a2) // w + 1)
 
 
 def admissible_k_range(n: int, m1: int, p1, m2: int, p2, D: int) -> list[int]:

@@ -7,15 +7,17 @@ the report; p = a/m is spelled only in report text and in the
 p-signature wrappers.  The product of two of them is a finite
 sum of basis elements at weight m1+m2 whose coefficients are monomials
 in t_0..t_{n-1} with exponents n*lambda.  This route takes them from the
-one integer kernel ``plgeom.lambda_exponents``, all n slots of a term
-from the integer classes; ``plgeom.t_exponent_qr`` (alias ``_exponent``
-here) reads one slot of it with a p signature, and ``plgeom.t_exponent``
-is the Fraction reference it is tested against.  Every route's product
-is made by ``product_terms``, the one place for the degree cut and the
-output class, from integer classes, the k-window and the route's row of
-exponents over it; ``assemble`` solves the window with ``plgeom.k_window``
-and reads the row from the kernel, and ``_element`` wraps a returned
-product's classes as series.  Everything is exact over Z.
+one integer kernel ``plgeom.lambda_exponents``, all n slots of every term
+of a run of b2 = a2 + m2*n*k from the integer classes;
+``plgeom.t_exponent_qr`` (alias ``_exponent`` here) reads one slot of it
+with a p signature, and ``plgeom.t_exponent`` is the Fraction reference
+it is tested against.  Every route's product is made by
+``product_terms``, the one place for the degree cut and the output
+class, from integer classes, a run of b2 and the route's row of
+exponents over it; ``assemble`` solves the pair's window with
+``plgeom.k_window`` and hands the kernel's row over its run straight to
+``product_terms``, and ``_element`` wraps a returned product's classes
+as series.  Everything is exact over Z.
 
 ``build_table`` relies on two laws of the ring that every route's product
 must meet: it is commutative, and rotating the n marked points is a
@@ -45,6 +47,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import plgeom
+from .plgeom import InvariantError
 from .series import TruncSeries, _pack, _unpack
 
 
@@ -134,35 +137,50 @@ def hilbert_dimension(n: int, m: int) -> int:
     return 1 if m == 0 else m * n
 
 
-def product_terms(n: int, m1: int, a1: int, m2: int, a2: int, D: int, window, row) -> dict:
-    """What the product of x_{m1,a1/m1} and x_{m2,a2/m2} is made of, given
-    the pair's k-window and a route's row over it: {a3: {exponents: count}}.
+def _check_run(n: int, b2s, row) -> None:
+    """Refuse a kernel's row that is not one n-tuple per b2 of the run b2s,
+    a fault of the kernel, with InvariantError."""
+    if len(row) != len(b2s):
+        raise InvariantError(f"a kernel returned {len(row)} terms for a run of {len(b2s)}")
+    widths = set(map(len, row)) - {n}
+    if widths:
+        raise InvariantError(f"a kernel returned a term of {min(widths)} slots at n={n}")
 
-    row holds the n t-exponents of the k-th term for each k in window, as
-    the route's kernel gives them from a1 = m1*p1 and a2 = m2*p2.  The k-th
-    term lands on the class E(p1, p2 + k*n) mod n, kept as its integer
-    a3 = (a1 + a2 + m2*n*k) mod (m3*n); terms of total degree > D drop.
-    Every term has coefficient +1 and nothing cancels, so two products are
-    equal exactly when their term maps are.
+
+def product_terms(n: int, m1: int, a1: int, m2: int, D: int, b2s, row) -> dict:
+    """What the product of x_{m1,a1/m1} and x_{m2,a2/m2} is made of, given
+    the run b2s of b2 = a2 + m2*n*k over the pair's k-window and a route's
+    row over it: {a3: {exponents: count}}.
+
+    row holds the n t-exponents of the term at each b2 of b2s, as the
+    route's kernel gives them from a1 = m1*p1; a row of another length or
+    a term not n wide is refused (``_check_run``).  The term at b2 lands on
+    the class E(p1, p2 + k*n) mod n, kept as its integer
+    a3 = (a1 + b2) mod (m3*n); terms of total degree > D drop.  Every term
+    has coefficient +1 and nothing cancels, so two products are equal
+    exactly when their term maps are.
     """
-    m3 = m1 + m2
+    _check_run(n, b2s, row)
+    width = (m1 + m2) * n
     classes: dict[int, dict] = {}
-    for k, exps in zip(window, row):
+    for b2, exps in zip(b2s, row):
         if sum(exps) <= D:
-            terms = classes.setdefault((a1 + a2 + m2 * n * k) % (m3 * n), {})
+            terms = classes.setdefault((a1 + b2) % width, {})
             terms[exps] = terms.get(exps, 0) + 1
     return classes
 
 
 def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> dict:
     """The term map {a3: {exponents: count}} of x_{m1,a1/m1} * x_{m2,a2/m2},
-    given the route's kernel: ``product_terms`` of its row over the pair's
-    ``plgeom.k_window``.  ``_element`` wraps it as a product."""
+    given the route's kernel: ``product_terms`` of its row over the run
+    b2 = a2 + m2*n*k, k in the pair's ``plgeom.k_window``.  ``_element``
+    wraps it as a product."""
     if D < 0:
         raise ValueError(f"truncation order must be >= 0, got D={D}")
     window = plgeom.k_window(n, m1, a1, m2, a2, D)
-    row = [kernel(n, m1, a1, m2, a2, k) for k in window]
-    return product_terms(n, m1, a1, m2, a2, D, window, row)
+    w = m2 * n
+    b2s = range(a2 + w * window.start, a2 + w * window.stop, w)
+    return product_terms(n, m1, a1, m2, D, b2s, kernel(n, m1, a1, m2, b2s))
 
 
 def _element(m: int, n: int, D: int, classes: dict) -> RingElement:

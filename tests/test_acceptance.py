@@ -17,6 +17,7 @@ import diagonal_oracle
 from mirror_ring import floer, moduli, plgeom, quiver, theta, toric
 from mirror_ring.series import TruncSeries
 from mirror_ring.theta import ThetaIndex, basis_indices, build_table
+from run_kernels import at_k
 
 SEED = 434019
 
@@ -54,7 +55,7 @@ def _triple_grid():
                         for k in range(-5, 6):
                             tri = floer.lift_triangle(n, m1, p1, m2, p2, k)
                             eps = floer.default_eps(n, m1, m2, k)
-                            frame = floer._lifted_counts(
+                            frame = at_k(floer._lifted_counts)(
                                 n, m1, int(m1 * p1), m2, int(m2 * p2), k
                             )
                             for j in range(n):

@@ -13,7 +13,7 @@ import pytest
 
 import mirror_ring
 import pinned_reports
-from mirror_ring import cli, floer, moduli
+from mirror_ring import cli, floer, moduli, plgeom
 from mirror_ring.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -289,6 +289,43 @@ def test_invariant_failure_exits_three(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("mirror-ring: internal fault: ")
     assert "nonzero residual" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _narrow_terms(good):
+    """Every term of the run cut to its first slot."""
+    return lambda n, m1, a1, m2, b2s: [exps[:1] for exps in good(n, m1, a1, m2, b2s)]
+
+
+def _short_run(good):
+    """The run's last term dropped."""
+    return lambda n, m1, a1, m2, b2s: good(n, m1, a1, m2, b2s)[:-1]
+
+
+@pytest.mark.parametrize(
+    "cmd, owner, kernel, fault",
+    [
+        ("theta", plgeom, "lambda_exponents", _narrow_terms),
+        ("theta", plgeom, "lambda_exponents", _short_run),
+        ("verify", plgeom, "lambda_exponents", _narrow_terms),
+        ("verify", plgeom, "lambda_exponents", _short_run),
+        ("verify", floer, "_lifted_counts", _short_run),
+        ("verify", floer, "_brion_counts", _narrow_terms),
+    ],
+    ids=lambda v: getattr(v, "__name__", v) if callable(v) else v,
+)
+def test_malformed_kernel_result_exits_three(tmp_path, monkeypatch, capsys, cmd, owner, kernel, fault):
+    """A kernel that returns a run of the wrong length, or a term not n
+    wide, is an internal fault at n = 2: exit 3, one stderr line naming
+    it, no report; never the exit 1 of a verification failure, a
+    TypeError from the writer or a term silently cut."""
+    monkeypatch.setattr(owner, kernel, fault(getattr(owner, kernel)))
+    out = tmp_path / "report.json"
+    extra = ["--jobs", "1"] if cmd == "verify" else []
+    assert main([cmd, "--n", "2", "--max-m", "2", "--trunc", "4", *extra, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("mirror-ring: internal fault: a kernel returned ")
     assert list(tmp_path.iterdir()) == []
 
 

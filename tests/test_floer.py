@@ -25,6 +25,7 @@ from mirror_ring.floer import (
 from mirror_ring.plgeom import InvariantError
 from mirror_ring.series import TruncSeries
 from mirror_ring.theta import ThetaIndex, theta_product
+from run_kernels import at_k, lifted
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 
@@ -258,7 +259,7 @@ def test_four_routes_agree_far_out(case):
     |k| = 50; count_direct at default_eps joins them for |k| <= 20."""
     n, m1, p1, m2, p2, k = case
     t = lift_triangle(n, m1, p1, m2, p2, k) if abs(k) <= 20 else None
-    frame = floer._lifted_counts(n, m1, int(m1 * p1), m2, int(m2 * p2), k)
+    frame = at_k(floer._lifted_counts)(n, m1, int(m1 * p1), m2, int(m2 * p2), k)
     for j in range(n):
         te = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
         assert theta._exponent(n, m1, p1, m2, p2, k, j) == te
@@ -267,6 +268,34 @@ def test_four_routes_agree_far_out(case):
         assert frame[j] == te
         if t is not None:
             assert count_direct(t, n, j, default_eps(n, m1, m2, k)) == te
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m1=st.integers(1, 6),
+    m2=st.integers(1, 6),
+    a1=st.integers(-120, 120),
+    start=st.integers(-300, 300),
+    length=st.integers(0, 12),
+    strided=st.booleans(),
+)
+@example(n=5, m1=4, m2=3, a1=7, start=-40, length=12, strided=False)
+@example(n=5, m1=4, m2=3, a1=7, start=-40, length=12, strided=True)
+@example(n=3, m1=2, m2=1, a1=1, start=4, length=1, strided=False)
+@example(n=3, m1=2, m2=1, a1=1, start=4, length=0, strided=True)
+def test_each_run_kernel_is_its_one_element_runs(n, m1, m2, a1, start, length, strided):
+    """Over a contiguous run, a run strided by m2*n (one pair's window), a
+    one-element run or an empty one, each kernel's list is the
+    concatenation of its one-element runs: what it computes once per run
+    changes no term, and every term is n wide."""
+    step = m2 * n if strided else 1
+    b2s = range(start, start + length * step, step)
+    for owner, name in KERNELS:
+        kernel = getattr(owner, name)
+        want = [exps for b2 in b2s for exps in kernel(n, m1, a1, m2, range(b2, b2 + 1))]
+        assert kernel(n, m1, a1, m2, b2s) == want, name
+        assert len(want) == length and all(len(exps) == n for exps in want), name
 
 
 def test_integer_frame_matches_the_fraction_lift():
@@ -286,7 +315,7 @@ def test_integer_frame_matches_the_fraction_lift():
                             t = lift_triangle(*args, k)
                             eps = default_eps(n, m1, m2, k)
                             want = tuple(count_direct(t, n, j, eps) for j in range(n))
-                            assert floer._lifted_counts(n, m1, a1, m2, a2, k) == want
+                            assert at_k(floer._lifted_counts)(n, m1, a1, m2, a2, k) == want
                             brion = tuple(count_brion(*args, k, j) for j in range(n))
                             assert want == brion, (args, k)
 
@@ -335,7 +364,7 @@ def test_shape_kernel_settles_lattice_points_on_the_edges(sign, case):
     assert _edges_with_lattice_points(*case) == {"AB", "CB", "y0"}
     t = lift_triangle(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), k)
     eps = default_eps(n, m1, m2, k)
-    counts = floer._lifted_counts(*case)
+    counts = at_k(floer._lifted_counts)(*case)
     assert len(counts) == n
     for j in range(n):
         assert counts[j] == count_direct(t, n, j, eps), j
@@ -366,7 +395,7 @@ def test_shape_kernel_matches_count_direct_far_out(case):
     t = lift_triangle(n, m1, Fraction(a1, m1), m2, Fraction(a2, m2), k)
     eps = default_eps(n, m1, m2, k)
     want = tuple(count_direct(t, n, j, eps) for j in range(n))
-    assert floer._lifted_counts(n, m1, a1, m2, a2, k) == want
+    assert at_k(floer._lifted_counts)(n, m1, a1, m2, a2, k) == want
 
 
 def test_shape_kernel_shares_no_code_with_the_reference(monkeypatch, tmp_path):
@@ -456,8 +485,8 @@ def test_brion_core_counts_every_slot(n, m1, m2, a1, a2, k):
     t_exponent_qr, at every slot, both equal to the Fraction reference, for
     classes outside [0, m*n) and negative k alike."""
     p1, p2 = Fraction(a1, m1), Fraction(a2, m2)
-    counts = floer._brion_counts(n, m1, a1, m2, a2, k)
-    exps = plgeom.lambda_exponents(n, m1, a1, m2, a2, k)
+    counts = at_k(floer._brion_counts)(n, m1, a1, m2, a2, k)
+    exps = at_k(plgeom.lambda_exponents)(n, m1, a1, m2, a2, k)
     assert len(counts) == len(exps) == n
     for j in range(n):
         want = plgeom.t_exponent(n, m1, p1, m2, p2, k, j)
@@ -479,18 +508,19 @@ def test_brion_core_names_the_failing_slot(monkeypatch, shift, message):
     """A corrupted first quotient of the core at a zero count (the
     degenerate k = 0 of x_{2,1/2}^2 at n = 3, slot 2, with q1, r1 = 0, 5)
     raises InvariantError naming n, m, p as the report spells it, k and
-    j."""
+    j.  The first corner's quotients come first, once per run, one per
+    slot, so slot 2's is the third divmod."""
     real = divmod
     seen = []
 
     def crooked(x, w):
         q, r = real(x, w)
         seen.append(None)
-        return shift(q, r, w) if len(seen) == 7 else (q, r)
+        return shift(q, r, w) if len(seen) == 3 else (q, r)
 
     monkeypatch.setattr(floer, "divmod", crooked, raising=False)
     with pytest.raises(InvariantError) as info:
-        floer._brion_counts(3, 2, 1, 2, 1, 0)
+        at_k(floer._brion_counts)(3, 2, 1, 2, 1, 0)
     assert str(info.value) == message + "n=3 m=(2,2) p=(1/2,1/2) k=0 j=2"
 
 
@@ -741,7 +771,7 @@ def test_mirror_verify_refuses_max_m_below_one(max_m):
 def test_pooled_failures_are_the_serial_failures(monkeypatch, kernel, n, max_m, D):
     """A pool of row tasks lists exactly the failures of the in-process
     run, mode by mode in pair order, with one count corrupted."""
-    monkeypatch.setattr(floer, kernel, _shift_one_exponent(getattr(floer, kernel)))
+    monkeypatch.setattr(floer, kernel, lifted(getattr(floer, kernel), _shift_one_exponent))
     sizes, chunks = _record_pools(monkeypatch)
     serial = mirror_verify(n, max_m, D, jobs=1)["failures"]
     assert serial and sizes == []
@@ -768,52 +798,73 @@ def _count_calls(monkeypatch, owner, name, record):
     return calls
 
 
+KERNELS = [(plgeom, "lambda_exponents"), (floer, "_lifted_counts"), (floer, "_brion_counts")]
+
+
+def _row_runs(n, max_m, D):
+    """Each row (m1, a1, mb) of verify with the b2 = a2 + mb*n*k of every
+    pair's window in it, pair by pair, in ascending order."""
+    return {
+        (a.m, a.a, mb): sorted(
+            a2 + mb * n * k for a2 in range(mb * n) for k in plgeom.k_window(n, a.m, a.a, mb, a2, D)
+        )
+        for ma in range(1, max_m + 1)
+        for a in theta.basis_indices(n, ma)
+        for mb in range(1, max_m + 1)
+    }
+
+
 def test_mirror_verify_reads_theta_once_per_pair(monkeypatch):
-    """On a clean run verify reads theta's kernel, all n slots at a time,
-    at every k in the window once per pair, not once per mode, and builds
-    no product of its own."""
+    """On a clean run verify calls each kernel, theta's included, once per
+    row, over a run that is exactly the union of the row's pair windows:
+    each (pair, k) once, not once per mode.  It builds no product of its
+    own."""
     n, max_m, D = 3, 2, 4
-    exponents = _count_calls(
-        monkeypatch, plgeom, "lambda_exponents", lambda nn, m1, a1, m2, a2, k: (m1, a1, m2, a2)
-    )
+    calls = [
+        _count_calls(monkeypatch, owner, name, lambda nn, m1, a1, m2, b2s: ((m1, a1, m2), b2s))
+        for owner, name in KERNELS
+    ]
     products = _count_calls(monkeypatch, theta, "theta_product", lambda a, b, nn, DD: (a, b))
     rep = mirror_verify(n, max_m, D, jobs=1)
     pairs = theta.basis_pairs(n, max_m)
     assert rep["pairs_checked"] == 2 * len(pairs) == 2 * 81
     assert rep["failures"] == []
     assert products == []
-    assert Counter(exponents) == {
-        (a.m, a.a, b.m, b.a): len(plgeom.admissible_k_range(n, a.m, a.p, b.m, b.p, D))
-        for a, b in pairs
-    }
+    rows = _row_runs(n, max_m, D)
+    assert sum(map(len, rows.values())) == sum(
+        len(plgeom.admissible_k_range(n, a.m, a.p, b.m, b.p, D)) for a, b in pairs
+    )
+    for got in calls:
+        assert len(got) == len(rows) == 18
+        assert {row: list(b2s) for row, b2s in got} == rows
 
 
 def test_mirror_verify_builds_term_maps_only_where_rows_differ(monkeypatch):
-    """Verify at (3, 2, 6) calls each kernel once per k of every pair's
-    window and, on a passing run, builds no term map at all.  With one
-    Brion exponent shifted it builds term maps for the Brion checks of the
-    failing pairs only, theta's row and then Brion's, never for direct."""
+    """Verify at (3, 2, 6) calls each kernel once per row, over the union
+    of the row's windows, and, on a passing run, builds no term map at
+    all.  With one Brion exponent shifted it builds term maps for the
+    Brion checks of the failing pairs only, over each pair's window,
+    theta's terms and then Brion's, never for direct."""
     n, max_m, D = 3, 2, 6
     pairs = theta.basis_pairs(n, max_m)
-    windows = sum(len(plgeom.k_window(n, a.m, a.a, b.m, b.a, D)) for a, b in pairs)
-
-    def record(nn, m1, a1, m2, a2, k):
-        return m1, a1, m2, a2, k
-
-    kernels = [(plgeom, "lambda_exponents"), (floer, "_lifted_counts"), (floer, "_brion_counts")]
-    calls = [_count_calls(monkeypatch, owner, name, record) for owner, name in kernels]
+    rows = _row_runs(n, max_m, D)
+    calls = [
+        _count_calls(monkeypatch, owner, name, lambda nn, m1, a1, m2, b2s: ((m1, a1, m2), b2s))
+        for owner, name in KERNELS
+    ]
     maps = _count_calls(
         monkeypatch,
         theta,
         "product_terms",
-        lambda nn, m1, a1, m2, a2, DD, window, row: ((m1, a1, m2, a2), row),
+        lambda nn, m1, a1, m2, DD, b2s, row: ((m1, a1, m2, list(b2s)), row),
     )
     rep = mirror_verify(n, max_m, D, jobs=1)
     assert rep["failures"] == [] and rep["pairs_checked"] == 2 * len(pairs)
-    assert [len(c) for c in calls] == [windows] * 3
+    for got in calls:
+        assert {row: list(b2s) for row, b2s in got} == rows and len(got) == len(rows)
     assert maps == []
 
-    crooked = _shift_one_exponent(floer._brion_counts)
+    crooked = lifted(floer._brion_counts, _shift_one_exponent)
     monkeypatch.setattr(floer, "_brion_counts", crooked)
     failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
     assert failures and {f["mode"] for f in failures} == {"brion"}
@@ -821,8 +872,9 @@ def test_mirror_verify_builds_term_maps_only_where_rows_differ(monkeypatch):
     for f in failures:
         a, b = (ThetaIndex.make(f[x]["m"], Fraction(f[x]["p"]), n) for x in "ab")
         window = plgeom.k_window(n, a.m, a.a, b.m, b.a, D)
+        b2s = [b.a + b.m * n * k for k in window]
         for kernel in (plgeom.lambda_exponents, crooked):
-            want.append(((a.m, a.a, b.m, b.a), [kernel(n, a.m, a.a, b.m, b.a, k) for k in window]))
+            want.append(((a.m, a.a, b.m, b2s), [at_k(kernel)(n, a.m, a.a, b.m, b.a, k) for k in window]))
     assert maps == want
 
 
@@ -839,7 +891,7 @@ def test_mirror_verify_builds_no_product_where_tuples_differ(monkeypatch):
     here made to raise, and lists exactly the pairs whose products differ:
     a pair whose tuples differ but whose products agree is not listed."""
     n, max_m, D = 2, 2, 6
-    good = plgeom.lambda_exponents
+    good = at_k(plgeom.lambda_exponents)
     crooked = _swap_two_terms(good)
     pairs = theta.basis_pairs(n, max_m)
     before = {(a, b): theta_product(a, b, n, D) for a, b in pairs}
@@ -848,7 +900,7 @@ def test_mirror_verify_builds_no_product_where_tuples_differ(monkeypatch):
         for a, b in pairs
         if _theta_tuples(crooked, n, a, b, D) != _theta_tuples(good, n, a, b, D)
     ]
-    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
+    monkeypatch.setattr(plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, _swap_two_terms))
     changed = [(a, b) for a, b in differ if theta_product(a, b, n, D) != before[(a, b)]]
     assert 0 < len(changed) < len(differ) < len(pairs)
 
@@ -870,17 +922,19 @@ def test_mirror_verify_ignores_differences_above_the_cut(monkeypatch):
     degree > D, before and after, changes no product: verify reports
     nothing and builds no product."""
     n, max_m, D = 3, 2, 4
-    good = plgeom.lambda_exponents
     touched = []
 
-    def crooked(nn, m1, a1, m2, a2, k):
-        exps = good(nn, m1, a1, m2, a2, k)
-        if sum(exps) > D:
-            touched.append((m1, a1, m2, a2, k))
-            return (exps[0] + 1,) + exps[1:]
-        return exps
+    def fault(good):
+        def crooked(nn, m1, a1, m2, a2, k):
+            exps = good(nn, m1, a1, m2, a2, k)
+            if sum(exps) > D:
+                touched.append((m1, a1, m2, a2, k))
+                return (exps[0] + 1,) + exps[1:]
+            return exps
 
-    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
+        return crooked
+
+    monkeypatch.setattr(plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, fault))
     products = _count_calls(monkeypatch, theta, "theta_product", lambda a, b, nn, DD: (a, b))
     assert mirror_verify(n, max_m, D, jobs=1)["failures"] == []
     assert touched
@@ -892,13 +946,15 @@ def test_mirror_verify_reports_a_term_pulled_under_the_cut(monkeypatch):
     term that the counts drop: only theta's side is under the cut, and
     verify reports exactly the pairs whose products differ."""
     n, max_m, D = 3, 2, 4
-    good = plgeom.lambda_exponents
 
-    def crooked(nn, m1, a1, m2, a2, k):
-        exps = good(nn, m1, a1, m2, a2, k)
-        return (0,) * nn if sum(exps) > D else exps
+    def fault(good):
+        def crooked(nn, m1, a1, m2, a2, k):
+            exps = good(nn, m1, a1, m2, a2, k)
+            return (0,) * nn if sum(exps) > D else exps
 
-    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
+        return crooked
+
+    monkeypatch.setattr(plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, fault))
     want = [
         (mode, a.to_json_obj(), b.to_json_obj())
         for mode in floer.COUNTING_MODES
@@ -911,7 +967,9 @@ def test_mirror_verify_reports_a_term_pulled_under_the_cut(monkeypatch):
 
 
 def test_mirror_verify_pinpoints_corruption(monkeypatch):
-    monkeypatch.setattr(plgeom, "lambda_exponents", _shift_one_exponent(plgeom.lambda_exponents))
+    monkeypatch.setattr(
+        plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, _shift_one_exponent)
+    )
     rep = mirror_verify(2, 1, 4, jobs=1)
     assert rep["failures"], "corrupted closed form went unnoticed"
     first = rep["failures"][0]
@@ -937,8 +995,8 @@ def test_only_the_direct_count_catches_a_wrong_lambda_formula(monkeypatch):
 
         return crooked
 
-    monkeypatch.setattr(plgeom, "lambda_exponents", wrong(plgeom.lambda_exponents))
-    monkeypatch.setattr(floer, "_brion_counts", wrong(floer._brion_counts))
+    monkeypatch.setattr(plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, wrong))
+    monkeypatch.setattr(floer, "_brion_counts", lifted(floer._brion_counts, wrong))
     failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
     assert [(f["mode"], f["a"], f["b"]) for f in failures] == [
         ("direct", a.to_json_obj(), b.to_json_obj()) for a, b in theta.basis_pairs(n, max_m)
@@ -958,15 +1016,17 @@ def test_verify_counts_the_pairs_the_table_derives(monkeypatch):
     before = theta.build_table(n, max_m, D, product=direct).entries
     # its swap (x_{1,0}, x_{2,1/2}) comes first in basis_pairs order
     a, b = ThetaIndex.make(2, Fraction(1, 2), n), ThetaIndex.make(1, 0, n)
-    good = floer._lifted_counts
 
-    def crooked(nn, m1, a1, m2, a2, k):
-        counts = good(nn, m1, a1, m2, a2, k)
-        if (m1, a1, m2, a2) == (2, 1, 1, 0):
-            return (counts[0] + 1,) + counts[1:]
-        return counts
+    def fault(good):
+        def crooked(nn, m1, a1, m2, a2, k):
+            counts = good(nn, m1, a1, m2, a2, k)
+            if (m1, a1, m2, a2) == (2, 1, 1, 0):
+                return (counts[0] + 1,) + counts[1:]
+            return counts
 
-    monkeypatch.setattr(floer, "_lifted_counts", crooked)
+        return crooked
+
+    monkeypatch.setattr(floer, "_lifted_counts", lifted(floer._lifted_counts, fault))
     assert direct(a, b, n, D) != theta_product(a, b, n, D)
     assert theta.build_table(n, max_m, D, product=direct).entries == before
     failures = mirror_verify(n, max_m, D, jobs=1)["failures"]
@@ -1029,11 +1089,7 @@ def _swap_two_terms(good):
             corrupt,
             id=corrupt.__name__ if owner is plgeom else f"{corrupt.__name__}-{kernel}",
         )
-        for owner, kernel in [
-            (plgeom, "lambda_exponents"),
-            (floer, "_lifted_counts"),
-            (floer, "_brion_counts"),
-        ]
+        for owner, kernel in KERNELS
         for corrupt in [_shift_one_exponent, _merge_two_terms, _swap_two_terms]
     ],
 )
@@ -1043,7 +1099,7 @@ def test_mirror_verify_failures_name_the_smallest_difference(monkeypatch, owner,
     with both coefficients, mode by mode in pair order, and no pair that
     agrees is listed."""
     n, max_m, D = 2, 2, 6
-    monkeypatch.setattr(owner, kernel, corrupt(getattr(owner, kernel)))
+    monkeypatch.setattr(owner, kernel, lifted(getattr(owner, kernel), corrupt))
     pairs = [
         (a, b)
         for m1 in range(1, max_m + 1)

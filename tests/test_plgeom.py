@@ -19,9 +19,11 @@ from mirror_ring.plgeom import (
     phi,
     psi,
     t_exponent,
+    b2_window,
     t_exponent_qr,
     total_t_exponent,
 )
+from run_kernels import at_k
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 
@@ -196,6 +198,48 @@ def test_closed_form_window_matches_fraction_walk(case):
     assert admissible_k_range(*case) == want
 
 
+def closed_form_k_window(n, m1, a1, m2, a2, D):
+    """k_window as it was solved before the b2 run: the k between the
+    roots of |a1*m2 - a2*m1 - k*n*m1*m2| <= s, a reference copy."""
+    m3 = m1 + m2
+    Q = m1 * m2
+    P = a1 * m2 - a2 * m1
+    rhs = (8 * m3 * D + m3 * m3) * Q
+    if rhs < 0:
+        return range(0)
+    s = math.isqrt(rhs // 4)
+    step = n * Q
+    return range(-((s - P) // step), (P + s) // step + 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    m1=st.integers(1, 6),
+    m2=st.integers(1, 6),
+    D=st.integers(0, 30),
+)
+@example(n=10, m1=6, m2=6, D=30)
+@example(n=1, m1=1, m2=1, D=0)
+@example(n=10, m1=1, m2=6, D=0)  # a run shorter than m2*n: most windows empty
+def test_row_windows_tile_the_b2_run(n, m1, m2, D):
+    """For every a1 of weight m1, the run of b2 is the disjoint union over
+    the classes a2 of weight m2 of a2 + m2*n*k, k in k_window: each window
+    is the run's stride of b2 = a2 mod m2*n, as verify reads it.  And
+    k_window, derived from the run, equals the closed form."""
+    w = m2 * n
+    for a1 in range(m1 * n):
+        run = b2_window(m1, a1, m2, D)
+        tiles = []
+        for a2 in range(w):
+            window = k_window(n, m1, a1, m2, a2, D)
+            assert window == closed_form_k_window(n, m1, a1, m2, a2, D), (a1, a2)
+            b2s = [a2 + w * k for k in window]
+            assert b2s == list(run[(a2 - run.start) % w :: w]), (a1, a2)
+            tiles += b2s
+        assert sorted(tiles) == list(run) and len(set(tiles)) == len(tiles), a1
+
+
 def test_window_total_is_convex_in_k():
     rng = random.Random(SEED + 7)
     for _ in range(60):
@@ -289,14 +333,14 @@ def test_one_slot_entry_points_read_slot_j_mod_n():
     for k in range(-2, 3):
         eps = floer.default_eps(n, m1, m2, k)
         tri = floer.lift_triangle(n, m1, p1, m2, p2, k)
-        slots = plgeom.lambda_exponents(n, m1, m1 * p1, m2, int(m2 * p2), k)
+        slots = at_k(plgeom.lambda_exponents)(n, m1, m1 * p1, m2, int(m2 * p2), k)
         for j in range(-n, 2 * n):
             assert floer.count_direct(tri, n, j, eps) == slots[j % n], (k, j)
             assert t_exponent(n, m1, p1, m2, p2, k, j) == slots[j % n], (k, j)
             assert t_exponent_qr(n, m1, p1, m2, p2, k, j) == slots[j % n], (k, j)
             assert floer.count_brion(n, m1, p1, m2, p2, k, j) == slots[j % n], (k, j)
     # the slots differ, so a wrong slot would show
-    assert len(set(plgeom.lambda_exponents(n, m1, 0, m2, 1, 1))) > 1
+    assert len(set(at_k(plgeom.lambda_exponents)(n, m1, 0, m2, 1, 1))) > 1
 
 
 @pytest.mark.parametrize("m1, m2", [(0, 1), (1, 0), (1, -1), (-1, 1)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mirror_ring import cli, plgeom, theta
 from mirror_ring.cli import main
 from mirror_ring.series import TruncSeries
+from run_kernels import lifted
 
 
 def plain(obj):
@@ -215,13 +216,15 @@ def test_every_report_is_stdlib_text(tmp_path, argv):
 @pytest.fixture
 def crooked_lambda(monkeypatch):
     """lambda_exponents with 1 added to slot 0 at k = 1, so the routes disagree."""
-    good = plgeom.lambda_exponents
 
-    def crooked(n, m1, a1, m2, a2, k):
-        exps = good(n, m1, a1, m2, a2, k)
-        return (exps[0] + 1,) + exps[1:] if k == 1 and exps[0] else exps
+    def fault(good):
+        def crooked(n, m1, a1, m2, a2, k):
+            exps = good(n, m1, a1, m2, a2, k)
+            return (exps[0] + 1,) + exps[1:] if k == 1 and exps[0] else exps
 
-    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
+        return crooked
+
+    monkeypatch.setattr(plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, fault))
 
 
 def test_failing_verify_report_is_stdlib_text(tmp_path, crooked_lambda):

@@ -25,6 +25,7 @@ from mirror_ring.theta import (
     specialize_ngon,
     theta_product,
 )
+from run_kernels import lifted
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -325,8 +326,9 @@ def test_negative_truncation_is_refused(call):
         call()
 
 
-def test_associativity_detects_corruption(monkeypatch):
-    good = plgeom.lambda_exponents
+def _bump_at_2_1_1(good):
+    """Slot 0 of the k = 1 term of every (m1, m2) = (2, 1) product goes up
+    by 1."""
 
     def crooked(n, m1, a1, m2, a2, k):
         exps = good(n, m1, a1, m2, a2, k)
@@ -334,7 +336,13 @@ def test_associativity_detects_corruption(monkeypatch):
             return (exps[0] + 1,) + exps[1:]
         return exps
 
-    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
+    return crooked
+
+
+def test_associativity_detects_corruption(monkeypatch):
+    monkeypatch.setattr(
+        plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, _bump_at_2_1_1)
+    )
     rep = check_associativity(1, 5, (1, 1, 1))
     assert rep["failures"], "corrupted exponent slipped through"
 
@@ -401,15 +409,9 @@ def test_associativity_sweep_is_check_associativity_per_triple(n, max_m, D):
 def test_associativity_sweep_reports_the_same_failures(monkeypatch):
     """Under the crooked exponents of test_associativity_detects_corruption
     the shared memo changes no report, failure entries included."""
-    good = plgeom.lambda_exponents
-
-    def crooked(n, m1, a1, m2, a2, k):
-        exps = good(n, m1, a1, m2, a2, k)
-        if (m1, m2, k) == (2, 1, 1):
-            return (exps[0] + 1,) + exps[1:]
-        return exps
-
-    monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
+    monkeypatch.setattr(
+        plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, _bump_at_2_1_1)
+    )
     for n, max_m, D in [(1, 3, 8), (2, 2, 5)]:
         swept, one_by_one = _swept_and_one_by_one(n, max_m, D)
         assert swept == one_by_one
