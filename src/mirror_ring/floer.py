@@ -22,8 +22,8 @@ enough that it only settles which boundary points count
 (``default_eps`` is that eps as a Fraction).  ``count_direct`` is its reference: slot j of a generic
 three-edge scan of any Fraction triangle, which the direct kernel never
 calls.  ``counted_product`` takes two basis labels and
-``floer_product`` is its wrapper with a p signature; it solves each
-pair's k-window from the integer classes through ``plgeom.k_window``.
+``floer_product`` is its wrapper with a p signature; it reads each
+pair's window from the integer classes through ``theta.assemble``.
 Every term has coefficient +1 and nothing cancels, so `mirror_verify`
 compares what each product is made of: each count's list of exponent
 tuples against theta's, and only where the lists differ the
@@ -346,7 +346,8 @@ def _verify_row(args):
         theta._check_run(n, run, got)
     w = mb * n
     for a2 in range(w):
-        # the pair's window is the run's stride of b2 = a2 mod w
+        # the pair's window is the run's stride of b2 = a2 mod w, as in
+        # theta.assemble
         first = (a2 - run.start) % w
         ref = reference[first::w]
         rows = [got[first::w] for got in counted]

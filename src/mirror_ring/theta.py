@@ -14,8 +14,8 @@ with a p signature, and ``plgeom.t_exponent`` is the Fraction reference
 it is tested against.  Every route's product is made by
 ``product_terms``, the one place for the degree cut and the output
 class, from integer classes, a run of b2 and the route's row of
-exponents over it; ``assemble`` solves the pair's window with
-``plgeom.k_window`` and hands the kernel's row over its run straight to
+exponents over it; ``assemble`` reads the pair's window as a stride of
+``plgeom.b2_window`` and hands the kernel's row over it straight to
 ``product_terms``, and ``_element`` wraps a returned product's classes
 as series.  Everything is exact over Z.
 
@@ -142,9 +142,9 @@ def _check_run(n: int, b2s, row) -> None:
     a fault of the kernel, with InvariantError."""
     if len(row) != len(b2s):
         raise InvariantError(f"a kernel returned {len(row)} terms for a run of {len(b2s)}")
-    widths = set(map(len, row)) - {n}
-    if widths:
-        raise InvariantError(f"a kernel returned a term of {min(widths)} slots at n={n}")
+    if not {n}.issuperset(map(len, row)):
+        width = min(len(exps) for exps in row if len(exps) != n)
+        raise InvariantError(f"a kernel returned a term of {width} slots at n={n}")
 
 
 def product_terms(n: int, m1: int, a1: int, m2: int, D: int, b2s, row) -> dict:
@@ -172,14 +172,15 @@ def product_terms(n: int, m1: int, a1: int, m2: int, D: int, b2s, row) -> dict:
 
 def assemble(n: int, m1: int, a1: int, m2: int, a2: int, D: int, kernel) -> dict:
     """The term map {a3: {exponents: count}} of x_{m1,a1/m1} * x_{m2,a2/m2},
-    given the route's kernel: ``product_terms`` of its row over the run
-    b2 = a2 + m2*n*k, k in the pair's ``plgeom.k_window``.  ``_element``
-    wraps it as a product."""
+    given the route's kernel: ``product_terms`` of its row over the pair's
+    window, the run b2 = a2 + m2*n*k, k in ``plgeom.k_window``.  That is
+    the stride of ``plgeom.b2_window`` at b2 = a2 mod m2*n, read here as a
+    slice of it.  ``_element`` wraps it as a product."""
     if D < 0:
         raise ValueError(f"truncation order must be >= 0, got D={D}")
-    window = plgeom.k_window(n, m1, a1, m2, a2, D)
+    run = plgeom.b2_window(m1, a1, m2, D)
     w = m2 * n
-    b2s = range(a2 + w * window.start, a2 + w * window.stop, w)
+    b2s = run[(a2 - run.start) % w :: w]
     return product_terms(n, m1, a1, m2, D, b2s, kernel(n, m1, a1, m2, b2s))
 
 
