@@ -314,7 +314,9 @@ def _short_run(good):
     ],
     ids=lambda v: getattr(v, "__name__", v) if callable(v) else v,
 )
-def test_malformed_kernel_result_exits_three(tmp_path, monkeypatch, capsys, cmd, owner, kernel, fault):
+def test_malformed_kernel_result_exits_three(
+    tmp_path, monkeypatch, capsys, cmd, owner, kernel, fault
+):
     """A kernel that returns a run of the wrong length, or a term not n
     wide, is an internal fault at n = 2: exit 3, one stderr line naming
     it, no report; never the exit 1 of a verification failure, a

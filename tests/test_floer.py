@@ -28,6 +28,8 @@ from mirror_ring.theta import ThetaIndex, theta_product
 from run_kernels import at_k, lifted
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
+# the three exponent kernels, as verify reads them from their modules
+KERNELS = [(plgeom, "lambda_exponents"), (floer, "_lifted_counts"), (floer, "_brion_counts")]
 
 
 def test_lift_vertices_reference():
@@ -798,12 +800,9 @@ def _count_calls(monkeypatch, owner, name, record):
     return calls
 
 
-KERNELS = [(plgeom, "lambda_exponents"), (floer, "_lifted_counts"), (floer, "_brion_counts")]
-
-
 def _row_runs(n, max_m, D):
     """Each row (m1, a1, mb) of verify with the b2 = a2 + mb*n*k of every
-    pair's window in it, pair by pair, in ascending order."""
+    pair's window in it, sorted."""
     return {
         (a.m, a.a, mb): sorted(
             a2 + mb * n * k for a2 in range(mb * n) for k in plgeom.k_window(n, a.m, a.a, mb, a2, D)
@@ -874,7 +873,8 @@ def test_mirror_verify_builds_term_maps_only_where_rows_differ(monkeypatch):
         window = plgeom.k_window(n, a.m, a.a, b.m, b.a, D)
         b2s = [b.a + b.m * n * k for k in window]
         for kernel in (plgeom.lambda_exponents, crooked):
-            want.append(((a.m, a.a, b.m, b2s), [at_k(kernel)(n, a.m, a.a, b.m, b.a, k) for k in window]))
+            row = [at_k(kernel)(n, a.m, a.a, b.m, b.a, k) for k in window]
+            want.append(((a.m, a.a, b.m, b2s), row))
     assert maps == want
 
 
@@ -900,7 +900,9 @@ def test_mirror_verify_builds_no_product_where_tuples_differ(monkeypatch):
         for a, b in pairs
         if _theta_tuples(crooked, n, a, b, D) != _theta_tuples(good, n, a, b, D)
     ]
-    monkeypatch.setattr(plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, _swap_two_terms))
+    monkeypatch.setattr(
+        plgeom, "lambda_exponents", lifted(plgeom.lambda_exponents, _swap_two_terms)
+    )
     changed = [(a, b) for a, b in differ if theta_product(a, b, n, D) != before[(a, b)]]
     assert 0 < len(changed) < len(differ) < len(pairs)
 
