@@ -53,6 +53,9 @@ PINS = [
         *routes("--n 7 --max-m 3 --trunc 20", "cedc9c4751d996ff1361206f2c3e7c3dcc15dd5f03a7f562589fde9f7a1fde70"),
         # at n = 1 most series have several terms, some with coefficients above 1
         *routes("--n 1 --max-m 4 --trunc 12", "af723612e6a554d7d4f1ab409ab08fa1161b02b88ccf00c6e63ce571ea02b0c0"),
+        # the reflection fixes slot 0 and swaps the rest in pairs at an even n
+        *routes("--n 2 --max-m 4 --trunc 10", "67a1ae0b98135fdbe442d0bdb6ec542bcc032ed647f121adb03913eb5f9b9112"),
+        *routes("--n 6 --max-m 3 --trunc 8", "ffee951dbe246f272bf20f6c60b6f3b0b72260ffa3010a3a86874f9ca104f6ca"),
         ("theta --n 1 --max-m 4 --trunc 12 --format csv", "86a4f581eda8867e364599ee8770af7217c6da1f44b586fd8d4d29d3ae33b244"),
         ("theta --n 1 --max-m 1 --trunc 0", "9414d99ec5c9f081f66420de6a2df51e71dd7bdd9f6131f2a17fd44a725af691"),
         ("theta --n 3 --max-m 2 --trunc 6 --format csv", "2a4a56e5b22c8091222827a1bc9fb109db240a805b36f440517576e295a1f850"),
