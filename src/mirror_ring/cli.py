@@ -66,7 +66,7 @@ def _json_text(obj) -> str:
     exponent vectors, as most are rotations or sums of a few, so each
     tail is built once per exponent vector and indent and kept in a dict
     that lives for this call only.  A table is written from its orbit
-    map through one template, with no dict tree and no derived entry.
+    list through one template, with no dict tree and no derived entry.
     It takes only what the reports hold: dicts with str keys, lists,
     StructureTable, TruncSeries, str, int, bool and None.  Anything else
     raises TypeError.
@@ -134,19 +134,19 @@ def _series_templates(n: int, D: int, newline: str) -> tuple:
 
 
 def _table_text(table: theta.StructureTable, newline: str, tails: dict) -> str:
-    """The text of table.to_json_obj(), read from the table's orbit map:
-    the pairs in label order, each label's text built once, and each
-    (elem, r) result list written once, with elem's classes moved by r*m3
-    and in ascending order.
+    """The text of table.to_json_obj(), read from the table's orbit list
+    in its order, which is label order: each label's text built once, and
+    each (elem, r, sign) result list written once, with elem's classes
+    moved to (sign*a3 + r*m3) mod (m3*n) and in ascending order.
 
     A part whose series has one term at the table's (n, D), the shape of
     nearly every part, is three pieces: the text up to the coefficient,
     built once per output class and weight, the coefficient, and the text
-    after it, built once per exponent vector rotated by r.  Any other part
-    holds the text of its series rotated by r from _json_value, the one
-    writer of the series layout.  A class text is digits and "/", which
-    need no escape.  The entries' pieces are joined once, with no string
-    per entry."""
+    after it, built once per exponent vector moved by (r, sign).  Any
+    other part holds the text of ``theta.moved_series`` from _json_value,
+    the one writer of the series layout.  A class text is digits and "/",
+    which need no escape.  The entries' pieces are joined once, with no
+    string per entry."""
     n, D = table.n, table.D
     i2 = newline + "  "
     i4, i6, i8, i10 = (i2 + "  " * k for k in range(1, 5))
@@ -160,21 +160,22 @@ def _table_text(table: theta.StructureTable, newline: str, tails: dict) -> str:
     heads: dict[tuple[int, int], tuple[str, str]] = {}
     # the one-term part's text after its coefficient, by exponent vector
     ends: dict[tuple[int, ...], str] = {}
-    results: dict[tuple[int, int], str] = {}
-    orbits = table.orbits
+    results: dict[tuple[int, int, int], str] = {}
+    orbits = iter(table.orbits)
     labels = table.labels
     texts = [label % (x.m, spell(x.a, x.m)) for x in labels]
     out = ["{" + i2 + '"D": %d,' % D + i2 + '"entries": ']
     opener = "[" + i4 + a_key
-    for a, a_text in zip(labels, texts):
-        for b, b_text in zip(labels, texts):
-            elem, r = orbits[a, b]
-            result = results.get((id(elem), r))
+    for a_text in texts:
+        for b_text in texts:
+            elem, r, sign = next(orbits)
+            result = results.get((id(elem), r, sign))
             if result is None:
                 m3 = elem.m
-                if r:
+                if r or sign < 0:
                     size, shift = m3 * n, r * m3
-                    items = sorted([((a3 + shift) % size, s) for a3, s in elem.coeffs.items()])
+                    items = [((sign * a3 + shift) % size, s) for a3, s in elem.coeffs.items()]
+                    items.sort()
                 else:
                     items = elem.items()
                 parts = []
@@ -185,15 +186,18 @@ def _table_text(table: theta.StructureTable, newline: str, tails: dict) -> str:
                         got = heads[a3, m3] = (h, h + opening + term_head)
                     if len(s.terms) == 1 and s.n == n and s.D == D:
                         [(e, c)] = s.terms.items()
+                        if sign < 0:
+                            e = e[:1] + e[:0:-1]
                         e = e[r:] + e[:r]
                         end = ends.get(e)
                         if end is None:
                             end = ends[e] = term_end % e
                         parts.append(got[1] + str(c) + end)
                     else:
-                        parts.append(got[0] + _json_value(s.rotate(r), i10, tails) + i8 + "}")
+                        moved = theta.moved_series(s, r, sign)
+                        parts.append(got[0] + _json_value(moved, i10, tails) + i8 + "}")
                 result = "[" + i8 + ("," + i8).join(parts) + i6 + "]" if parts else "[]"
-                results[id(elem), r] = result
+                results[id(elem), r, sign] = result
             out += (opener, a_text, b_key, b_text, r_key, result, i4 + "}")
             opener = "," + i4 + a_key
     out.append((i2 + "]" if labels else "[]") + "," + i2 + '"n": %d' % n + newline + "}")

@@ -19,16 +19,20 @@ exponents over it; ``assemble`` reads the pair's window as a stride of
 ``product_terms``, and ``_element`` wraps a returned product's classes
 as series.  Everything is exact over Z.
 
-``build_table`` relies on two laws of the ring that every route's product
-must meet: it is commutative, and rotating the n marked points is a
+``build_table`` relies on three laws of the ring that every route's
+product must meet: it is commutative; rotating the n marked points is a
 symmetry, so shifting both input classes by r shifts every output class
-by r and rotates every series by ``rotate(r)``.  It multiplies one pair
-per orbit and keeps only that: a ``StructureTable`` holds the orbit map
-from each ordered pair to its orbit's product and the shift that carries
-the orbit's first pair to it.  The report writer reads the orbit map;
+by r and rotates every series by ``rotate(r)``; and the inversion
+[-1] is one, so negating both input classes negates every output class
+and sends t_j to t_(-j mod n) in every series.  It multiplies one pair
+per orbit of this dihedral action and the swap, and keeps only that: a
+``StructureTable`` holds a flat list, indexed by label position, of each
+ordered pair's orbit product and the move (r, sign) that carries the
+orbit's first pair to it.  The report writer reads the list;
 ``StructureTable.entries`` derives every pair's element on first use,
-for the plain conversions and the tests.  ``floer.mirror_verify``
-computes every pair and relies on neither law.
+for the plain conversions and the tests.  ``floer.mirror_verify`` and
+the ``assoc`` memo compute every ordered pair and rely on none of the
+laws.
 
 Associativity is checked on term maps, with no series built: ``_compose``
 builds (a*b)*c and a*(b*c) from basis products' term maps, which the memo
@@ -198,70 +202,110 @@ def theta_product(a: ThetaIndex, b: ThetaIndex, n: int, D: int) -> RingElement:
     return _element(a.m + b.m, n, D, assemble(n, a.m, a.a, b.m, b.a, D, plgeom.lambda_exponents))
 
 
-class StructureTable:
-    """All pairwise basis products up to a weight cap, at truncation D, as
-    the orbit map ``build_table`` makes.
+def moved_series(s: TruncSeries, r: int, sign: int) -> TruncSeries:
+    """s under the orbit move (r, sign): when sign is -1 reflected, slot j
+    taking the exponent of slot -j mod n, then rotated by ``rotate(r)``."""
+    if sign < 0:
+        s = TruncSeries._raw(s.n, s.D, {e[:1] + e[:0:-1]: c for e, c in s.terms.items()})
+    return s.rotate(r)
 
-    orbits maps every ordered pair (x, y) of basis labels with weights up
-    to the cap to (elem, r): elem is the product made for the first pair
-    of the orbit in ``basis_pairs`` order, and 0 <= r < n is the diagonal
-    shift that carries that pair to (x, y), or to (y, x), which holds the
-    same value.  The product at (x, y) is elem with every class a3 moved
-    to (a3 + r*m3) mod (m3*n) and every series rotated by ``rotate(r)``.
+
+def _moved(elem: RingElement, r: int, sign: int, n: int, D: int) -> RingElement:
+    """elem under the orbit move (r, sign) at (n, D): every class a3 goes to
+    (sign*a3 + r*m3) mod (m3*n) and every series to ``moved_series``."""
+    m3 = elem.m
+    out = RingElement(m3, n, D)
+    out.coeffs = {
+        (sign * a3 + r * m3) % (m3 * n): moved_series(s, r, sign) for a3, s in elem.coeffs.items()
+    }
+    return out
+
+
+def _offset(n: int, m: int) -> int:
+    """Position of the label (m, 0) among all labels in (m, a) order."""
+    return n * m * (m - 1) // 2
+
+
+def _labels(n: int, max_m: int) -> list[ThetaIndex]:
+    """Every basis label of weights 1..max_m in (m, a) order; the label
+    (m, a) is at position ``_offset(n, m)`` + a."""
+    return [x for m in range(1, max_m + 1) for x in basis_indices(n, m)]
+
+
+class StructureTable:
+    """All pairwise basis products with both weights <= max_m, at
+    truncation D, as the orbit list ``build_table`` makes.
+
+    orbits[i*L + j], with L labels in (m, a) order, is the pair
+    (labels[i], labels[j]) as (elem, r, sign): elem is the product made
+    for the first pair (x, y) of its orbit in ``basis_pairs`` order, and
+    the move (r, sign), 0 <= r < n and sign = +1 or -1, carries (x, y) to
+    the classes (sign*x.a + r*x.m, sign*y.a + r*y.m), each taken mod m*n,
+    which are the pair's own or its swap's, holding the same value.  The
+    product at the pair is ``_moved(elem, r, sign)``.
     """
 
-    def __init__(self, n: int, D: int, orbits: dict):
+    def __init__(self, n: int, D: int, max_m: int, orbits: list):
         self.n = n
         self.D = D
-        self.orbits: dict[tuple[ThetaIndex, ThetaIndex], tuple[RingElement, int]] = orbits
+        self.max_m = max_m
+        self.orbits: list[tuple[RingElement, int, int]] = orbits
+
+    @functools.cached_property
+    def _values(self) -> list[RingElement]:
+        """Every pair's product in the order of orbits, derived once per
+        (elem, r, sign): pairs that hold one orbit value share one element,
+        and a pair at the move (0, 1) holds elem itself."""
+        n, D = self.n, self.D
+        made: dict[tuple[int, int, int], RingElement] = {}
+        out = []
+        for elem, r, sign in self.orbits:
+            key = (id(elem), r, sign)
+            got = made.get(key)
+            if got is None:
+                got = made[key] = elem if r == 0 and sign == 1 else _moved(elem, r, sign, n, D)
+            out.append(got)
+        return out
 
     @functools.cached_property
     def entries(self) -> dict[tuple[ThetaIndex, ThetaIndex], RingElement]:
-        """Every pair's product, in the order of orbits, derived once per
-        (elem, r): pairs that hold one orbit value share one element, and
-        a pair at shift 0 holds elem itself."""
-        n, D = self.n, self.D
-        made: dict[tuple[int, int], RingElement] = {}
-        out = {}
-        for xy, (elem, r) in self.orbits.items():
-            got = made.get((id(elem), r))
-            if got is None:
-                got = elem
-                if r:
-                    m3 = elem.m
-                    got = RingElement(m3, n, D)
-                    got.coeffs = {
-                        (a3 + r * m3) % (m3 * n): s.rotate(r) for a3, s in elem.coeffs.items()
-                    }
-                made[id(elem), r] = got
-            out[xy] = got
-        return out
+        """Every pair's product keyed by its labels, in ``basis_pairs``
+        order, read from the orbit list."""
+        n, labels, values = self.n, self.labels, self._values
+        size = len(labels)
+        spans = [range(_offset(n, m), _offset(n, m + 1)) for m in range(1, self.max_m + 1)]
+        return {
+            (labels[i], labels[j]): values[i * size + j]
+            for xs in spans
+            for ys in spans
+            for i in xs
+            for j in ys
+        }
 
     @property
     def labels(self) -> list[ThetaIndex]:
         """Every basis label up to the table's weight cap, in (m, a) order."""
-        top = max((x.m for x, _ in self.orbits), default=0)
-        return [x for m in range(1, top + 1) for x in basis_indices(self.n, m)]
+        return _labels(self.n, self.max_m)
 
     def sorted_keys(self) -> list[tuple[ThetaIndex, ThetaIndex]]:
-        """Every pair in label order, the sorted order of its keys."""
+        """Every pair in label order, the sorted order of its keys and the
+        order of orbits."""
         labels = self.labels
         return [(a, b) for a in labels for b in labels]
 
     def to_json_obj(self) -> dict:
         """The table's report data, each sorted entry converted on its own:
         the plain reference that cli's table writer is tested against."""
-        entries = []
-        for a, b in self.sorted_keys():
-            result = self.entries[a, b].to_json_obj()
-            entries.append({"a": a.to_json_obj(), "b": b.to_json_obj(), "result": result})
+        entries = [
+            {"a": a.to_json_obj(), "b": b.to_json_obj(), "result": elem.to_json_obj()}
+            for (a, b), elem in zip(self.sorted_keys(), self._values)
+        ]
         return {"n": self.n, "D": self.D, "entries": entries}
 
     def to_csv(self) -> str:
         """One monomial per row: flat, diff-friendly dump of the table."""
         lines = ["m1,p1,m2,p2,p_out,exponents,coeff"]
-        for a, b in self.sorted_keys():
-            elem = self.entries[a, b]
+        for (a, b), elem in zip(self.sorted_keys(), self._values):
             for a3, s in elem.items():
                 head = f"{a.m},{a.p},{b.m},{b.p},{Fraction(a3, elem.m)},"
                 lines += [f"{head}{' '.join(map(str, e))},{c}" for e, c in s.iter_terms()]
@@ -284,34 +328,46 @@ def build_table(n: int, max_m: int, D: int, product=None) -> StructureTable:
     signature (a, b, n, D) -> RingElement may stand in, which is how the
     independently counted tables are built for comparison.
 
-    The product must be commutative, b*a = a*b, and rotation-equivariant:
-    the product at classes (p1 + r, p2 + r) is the one at (p1, p2) with
-    every output class moved by r and every series rotated by
-    ``rotate(r)``.  So ``product`` is called once per orbit of ordered
-    pairs under the swap and the diagonal shift, on the orbit's first pair
-    in ``basis_pairs`` order, and nothing else is computed: the table's
-    orbit map sends each pair of the orbit, in ``basis_pairs`` order, to
-    that product and its shift r, and (a, b) and (b, a) hold the same
-    value.  ``floer.mirror_verify`` does not rely on either law: it
-    computes every ordered pair.
+    The product must obey three laws.  It is commutative, b*a = a*b.  It
+    is rotation-equivariant: the product at classes (p1 + r, p2 + r) is
+    the one at (p1, p2) with every output class moved by r and every
+    series rotated by ``rotate(r)``.  And it is reflection-equivariant:
+    the product at (-p1, -p2) is the one at (p1, p2) with every output
+    class negated and t_j sent to t_(-j mod n).  So ``product`` is called
+    once per orbit of ordered pairs under the swap, the diagonal shift and
+    the reflection, on the orbit's first pair in ``basis_pairs`` order, and
+    nothing else is computed.  The orbit list is filled by index
+    arithmetic on label positions: each pair of the orbit, and its swap,
+    holds that product and the move (r, sign) that carries the first
+    pair to it, the unreflected move with the least r where several do.
+    ``floer.mirror_verify`` relies on none of the laws: it computes every
+    ordered pair.
     """
     if product is None:
         product = theta_product
-    # the orbit map keeps basis_pairs order, the order of table.entries
-    pairs = basis_pairs(n, max_m)
-    by_weight = [[]] + [basis_indices(n, m) for m in range(1, max_m + 1)]
-    got: dict[tuple[ThetaIndex, ThetaIndex], tuple[RingElement, int]] = {}
-    for x, y in pairs:
-        if (x, y) in got:
-            continue
-        elem = product(x, y, n, D)
-        xs, ys = by_weight[x.m], by_weight[y.m]
-        # the r-th shift moves class a to (a + r*m) mod (m*n)
-        for r in range(n):
-            xr = xs[(x.a + r * x.m) % len(xs)]
-            yr = ys[(y.a + r * y.m) % len(ys)]
-            got[xr, yr] = got[yr, xr] = (elem, r)
-    return StructureTable(n, D, {xy: got[xy] for xy in pairs})
+    if max_m < 1:
+        raise ValueError(f"max_m must be >= 1, got {max_m}")
+    labels = _labels(n, max_m)
+    size = len(labels)
+    orbits: list = [None] * (size * size)
+    # the last move written wins: sign +1 over -1, then the least r
+    moves = [(sign, r) for sign in (-1, 1) for r in range(n - 1, -1, -1)]
+    for m1 in range(1, max_m + 1):
+        o1, w1 = _offset(n, m1), m1 * n
+        # the first pair of every orbit has m1 <= m2
+        for m2 in range(m1, max_m + 1):
+            o2, w2 = _offset(n, m2), m2 * n
+            for a1 in range(w1):
+                row = (o1 + a1) * size + o2
+                for a2 in range(w2):
+                    if orbits[row + a2] is not None:
+                        continue
+                    elem = product(labels[o1 + a1], labels[o2 + a2], n, D)
+                    for sign, r in moves:
+                        i = o1 + (sign * a1 + r * m1) % w1
+                        j = o2 + (sign * a2 + r * m2) % w2
+                        orbits[i * size + j] = orbits[j * size + i] = (elem, r, sign)
+    return StructureTable(n, D, max_m, orbits)
 
 
 def specialize_ngon(table: StructureTable) -> dict:

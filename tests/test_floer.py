@@ -667,6 +667,33 @@ def test_reflection_law_far_out(n, m1, m2, a1, a2, D):
         assert _terms(product(ma, mb, n, D)) == _reflected(elem, n), route
 
 
+def test_a_rotated_lambda_is_seen_through_the_reflection_law(monkeypatch):
+    """lambda with every term rotated by one slot still gives a commutative,
+    rotation-equivariant product, but not a reflection-equivariant one at
+    n = 3.  build_table derives reflected pairs, so its theta table is
+    then not the every-pair products; verify, which computes every pair,
+    and the reflection-law check both fail."""
+    n, max_m, D = 3, 2, 6
+    kernel = plgeom.lambda_exponents
+
+    def rotated(n, m1, a1, m2, b2s):
+        return [e[1:] + e[:1] for e in kernel(n, m1, a1, m2, b2s)]
+
+    monkeypatch.setattr(plgeom, "lambda_exponents", rotated)
+    got = {(a, b): theta_product(a, b, n, D) for a, b in theta.basis_pairs(n, max_m)}
+    for (a, b), elem in got.items():
+        assert got[b, a] == elem
+        shifted = got[ThetaIndex.make(a.m, a.p + 1, n), ThetaIndex.make(b.m, b.p + 1, n)]
+        size = elem.m * n
+        assert shifted.coeffs == {(a3 + elem.m) % size: s.rotate(1) for a3, s in elem.coeffs.items()}
+    table = theta.build_table(n, max_m, D)
+    assert list(table.entries) == list(got)
+    assert table.entries != got
+    assert mirror_verify(n, max_m, D, jobs=1)["failures"]
+    with pytest.raises(AssertionError):
+        test_reflection_law_on_every_pair("theta")
+
+
 def test_floer_product_rejects_unknown_mode():
     with pytest.raises(ValueError):
         floer_product(1, 1, 0, 1, 0, 2, "guess")

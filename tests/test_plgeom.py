@@ -10,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirror_ring import floer, plgeom, theta
+from mirror_ring import cli, floer, plgeom, theta
 from mirror_ring.plgeom import (
     admissible_k_range,
     average_E,
     k_window,
+    InvariantError,
     lambda_defect,
+    lambda_exponents,
     phi,
     psi,
     t_exponent,
@@ -23,7 +25,7 @@ from mirror_ring.plgeom import (
     t_exponent_qr,
     total_t_exponent,
 )
-from run_kernels import at_k
+from run_kernels import at_k, floor_fault
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 
@@ -360,3 +362,45 @@ def test_lift_triangle_converts_an_index_first():
     want = floer.lift_triangle(3, 2, Fraction(1, 2), 1, 1, 0)
     for p in (0.5, "1/2"):
         assert floer.lift_triangle(3, 2, p, 1, True, 0) == want
+
+
+@pytest.mark.parametrize(
+    "n, m1, a1, m2, a2, k, j, text",
+    [
+        (1, 1, 0, 1, 0, 0, 0, "-1 for n=1 m=(1,1) p=(0,0) k=0 j=0"),
+        (3, 1, 1, 2, 3, -1, 2, "-5 for n=3 m=(1,2) p=(1,3/2) k=-1 j=2"),
+        (4, 2, 3, 1, 1, 1, 3, "-4 for n=4 m=(2,1) p=(3/2,1) k=1 j=3"),
+    ],
+)
+def test_a_negative_lambda_exponent_names_its_site(n, m1, a1, m2, a2, k, j, text):
+    """A run whose middle b2 = a2 + m2*n*k takes k2 one too large at slot j,
+    where the exponent is 0, makes lambda_exponents raise InvariantError
+    naming that b2 as p2 = a2/m2 and k, and the slot j; the run's first
+    term is made before it, with no fault."""
+    b2, w = a2 + m2 * n * k, m2 * n
+    run = [b2 - w, floor_fault(b2, m2 * j), b2 + w]
+    assert lambda_exponents(n, m1, a1, m2, [b2])[0][j] == 0
+    with pytest.raises(InvariantError) as err:
+        lambda_exponents(n, m1, a1, m2, run)
+    assert str(err.value) == "t-exponent came out negative: " + text
+
+
+def test_a_negative_lambda_exponent_exits_three(tmp_path, monkeypatch, capsys):
+    """The same fault met by the theta table at n = 3, on the pair
+    x_{1,0} * x_{2,1}, which is its orbit's first pair, is an internal
+    fault: exit 3, one stderr line with the site, no report."""
+    kernel = plgeom.lambda_exponents
+
+    def faulty(n, m1, a1, m2, b2s):
+        hit = (m1, a1, m2) == (1, 0, 2)
+        return kernel(n, m1, a1, m2, [floor_fault(b2, 4) if hit and b2 == -4 else b2 for b2 in b2s])
+
+    monkeypatch.setattr(plgeom, "lambda_exponents", faulty)
+    out = tmp_path / "table.json"
+    assert cli.main(["theta", "--n", "3", "--max-m", "2", "--trunc", "6", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "mirror-ring: internal fault: t-exponent came out negative: "
+        "-6 for n=3 m=(1,2) p=(0,1) k=-1 j=2\n"
+    )
+    assert list(tmp_path.iterdir()) == []

@@ -117,27 +117,27 @@ def test_table_text_writes_series_of_several_terms():
     assert any(int(term["c"]) >= 2 for s in series for term in s["terms"])
 
 
-def odd_table(r):
-    """A table with one pair's orbit value replaced by (odd, r): odd holds
-    a series at another (n, D), an empty one, and one-term and multi-term
-    series at the table's (n, D)."""
-    table = theta.build_table(2, 1, 3)
-    odd = theta.RingElement(2, 2, 3)
+def odd_table(n, r, sign=1):
+    """A table at n with the orbit value of its second pair replaced by
+    (odd, r, sign): odd holds a series at another (n, D), an empty one,
+    and one-term and multi-term series at the table's (n, D)."""
+    table = theta.build_table(n, 1, 3)
+    odd = theta.RingElement(2, n, 3)
     odd.coeffs = {
         1: SERIES,
-        3: TruncSeries(2, 3, {(1, 0): 5}),
+        3: TruncSeries(n, 3, {(1, 0, 2)[:n]: 5}),
         0: TruncSeries(1, 0),
-        2: TruncSeries(2, 3, {(2, 1): 7, (0, 1): -1}),
+        2: TruncSeries(n, 3, {(2, 1, 0)[:n]: 7, (0, 1, 0)[:n]: -1}),
     }
     key = table.sorted_keys()[1]
-    table.orbits[key] = (odd, r)
+    table.orbits[1] = (odd, r, sign)
     return table, key, odd
 
 
 def test_table_text_writes_a_series_at_its_own_size():
     """A table's series share one set of templates for the table's (n, D);
     a series held at another (n, D) is still written at its own."""
-    table, key, odd = odd_table(0)
+    table, key, odd = odd_table(2, 0)
     assert cli._json_text(table) == reference(table)
     assert table.entries[key] is odd
 
@@ -146,7 +146,7 @@ def test_table_text_writes_an_orbit_value_at_its_shift():
     """At shift r = 1 the odd element's classes move by its weight, its
     one-term part is written through the rotated template fill and every
     other part through the series writer, rotated."""
-    table, key, odd = odd_table(1)
+    table, key, odd = odd_table(2, 1)
     assert cli._json_text(table) == reference(table)
     shifted = table.entries[key]
     assert sorted(shifted.coeffs) == [0, 1, 2, 3]
@@ -155,8 +155,26 @@ def test_table_text_writes_an_orbit_value_at_its_shift():
     assert shifted.coeffs[0] == TruncSeries(2, 3, {(1, 2): 7, (1, 0): -1})
 
 
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_table_text_writes_an_orbit_value_reflected(r):
+    """Under the move (r, -1) at n = 3 the odd element's class a3 goes to
+    (2*r - a3) mod 6 and slot j of each exponent takes slot -j before the
+    rotation by r: the one-term part through the template fill, the
+    multi-term, empty and other-size parts through the series writer."""
+    table, key, odd = odd_table(3, r, -1)
+    assert cli._json_text(table) == reference(table)
+    moved = table.entries[key]
+    assert sorted(moved.coeffs) == sorted((2 * r - a3) % 6 for a3 in odd.coeffs)
+    assert moved.coeffs[(2 * r) % 6] == TruncSeries(1, 0)
+    if r == 1:
+        assert moved.coeffs[5] == TruncSeries(3, 3, {(2, 0, 1): 5})
+        assert moved.coeffs[0] == TruncSeries(3, 3, {(0, 1, 2): 7, (0, 1, 0): -1})
+        want = {(2, 1, 0): -(2**70), (0, 0, 0): 1, (0, 0, 4): 2**64 + 1}
+        assert moved.coeffs[1] == TruncSeries(3, 4, want)
+
+
 def test_table_text_makes_only_the_orbit_products():
-    """Writing the (5, 4, 12) table reads its orbit map alone: 255
+    """Writing the (5, 4, 12) table reads its orbit list alone: 149
     products for 2500 pairs, and no entry is derived."""
     calls = []
 
@@ -167,8 +185,8 @@ def test_table_text_makes_only_the_orbit_products():
     table = theta.build_table(5, 4, 12, product=counted)
     text = cli._json_text(table)
     assert text.count('"result": ') == 2500
-    assert len(calls) == 255
-    assert "entries" not in vars(table)
+    assert len(calls) == 149
+    assert "entries" not in vars(table) and "_values" not in vars(table)
 
 
 @pytest.mark.parametrize(

@@ -257,9 +257,9 @@ def test_orbit_table_equals_every_pair(mode):
 
 
 def test_build_table_multiplies_once_per_orbit():
-    """product runs once per orbit of ordered pairs under the swap and the
-    diagonal shift, on the orbit's first pair in basis_pairs order, and
-    (a, b) and (b, a) hold one element."""
+    """product runs once per orbit of ordered pairs under the swap, the
+    diagonal shift and the reflection, on the orbit's first pair in
+    basis_pairs order, and (a, b) and (b, a) hold one element."""
     n, max_m = 5, 4
     calls = []
 
@@ -273,11 +273,12 @@ def test_build_table_multiplies_once_per_orbit():
         if (a, b) in seen:
             continue
         firsts.append((a, b))
-        for r in range(n):
-            ar = ThetaIndex.make(a.m, a.p + r, n)
-            br = ThetaIndex.make(b.m, b.p + r, n)
-            seen |= {(ar, br), (br, ar)}
-    assert len(calls) == 255
+        for sign in (1, -1):
+            for r in range(n):
+                ar = ThetaIndex.make(a.m, sign * a.p + r, n)
+                br = ThetaIndex.make(b.m, sign * b.p + r, n)
+                seen |= {(ar, br), (br, ar)}
+    assert len(calls) == 149
     assert calls == firsts
     for a, b in basis_pairs(n, max_m):
         assert table.entries[(a, b)] is table.entries[(b, a)]
