@@ -271,15 +271,15 @@ class StructureTable:
     def entries(self) -> dict[tuple[ThetaIndex, ThetaIndex], RingElement]:
         """Every pair's product keyed by its labels, in ``basis_pairs``
         order, read from the orbit list."""
-        n, labels, values = self.n, self.labels, self._values
-        size = len(labels)
-        spans = [range(_offset(n, m), _offset(n, m + 1)) for m in range(1, self.max_m + 1)]
+        n, values = self.n, self._values
+        size = _offset(n, self.max_m + 1)
+
+        def position(x: ThetaIndex) -> int:
+            return _offset(n, x.m) + x.a
+
         return {
-            (labels[i], labels[j]): values[i * size + j]
-            for xs in spans
-            for ys in spans
-            for i in xs
-            for j in ys
+            (x, y): values[position(x) * size + position(y)]
+            for x, y in basis_pairs(n, self.max_m)
         }
 
     @property

@@ -684,8 +684,9 @@ def test_a_rotated_lambda_is_seen_through_the_reflection_law(monkeypatch):
     for (a, b), elem in got.items():
         assert got[b, a] == elem
         shifted = got[ThetaIndex.make(a.m, a.p + 1, n), ThetaIndex.make(b.m, b.p + 1, n)]
-        size = elem.m * n
-        assert shifted.coeffs == {(a3 + elem.m) % size: s.rotate(1) for a3, s in elem.coeffs.items()}
+        m3 = elem.m
+        want = {(a3 + m3) % (m3 * n): s.rotate(1) for a3, s in elem.coeffs.items()}
+        assert shifted.coeffs == want
     table = theta.build_table(n, max_m, D)
     assert list(table.entries) == list(got)
     assert table.entries != got
