@@ -36,9 +36,12 @@ laws.
 
 Associativity is checked on term maps, with no series built: ``_compose``
 builds (a*b)*c and a*(b*c) from basis products' term maps, which the memo
-packs from ``assemble`` once each into degree-sorted (degree, key, count)
-lists with the base-(D+1) keys of ``series._pack``: a monomial product is
-one integer add and the degree cut ends an inner loop.
+packs from ``assemble`` once each, term by term, into degree-sorted
+(degree, key, count) lists with the base-(D+1) key scheme of
+``series._pack``: a monomial product is one integer add and the degree
+cut ends an inner loop.  The memo is keyed by the four integers
+(m1, a1, m2, a2) of an ordered pair and the check loops over integer
+classes, so a ThetaIndex is made only for a failure entry.
 ``check_associativity`` makes each basis product once per call,
 ``associativity_sweep`` once per ``assoc`` report.
 """
@@ -52,7 +55,7 @@ from typing import NamedTuple
 
 from . import plgeom
 from .plgeom import InvariantError
-from .series import TruncSeries, _pack, _unpack
+from .series import TruncSeries, _unpack
 
 
 # slot j of the kernel with a p signature; the benchmark under bench/ wraps
@@ -125,11 +128,17 @@ class RingElement:
 
 def basis_indices(n: int, m: int) -> list[ThetaIndex]:
     """All m*n basis labels of weight m; the label of class a is at index a."""
+    _check_basis(n, m)
+    return [ThetaIndex(m, a) for a in range(m * n)]
+
+
+def _check_basis(n: int, m: int) -> None:
+    """Refuse n < 1 or a weight m < 1, which have no basis labels: they are
+    not read as an empty basis, which every loop over it would pass."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return [ThetaIndex(m, a) for a in range(m * n)]
 
 
 def hilbert_dimension(n: int, m: int) -> int:
@@ -271,15 +280,17 @@ class StructureTable:
     def entries(self) -> dict[tuple[ThetaIndex, ThetaIndex], RingElement]:
         """Every pair's product keyed by its labels, in ``basis_pairs``
         order, read from the orbit list."""
-        n, values = self.n, self._values
-        size = _offset(n, self.max_m + 1)
+        return self._by_pair(self._values)
 
-        def position(x: ThetaIndex) -> int:
-            return _offset(n, x.m) + x.a
-
+    def _by_pair(self, values: list) -> dict:
+        """values, one per slot in the order of orbits, keyed by each slot's
+        pair of labels in ``basis_pairs`` order."""
+        labels = self.labels
+        size = len(labels)
+        position = {x: i for i, x in enumerate(labels)}
         return {
-            (x, y): values[position(x) * size + position(y)]
-            for x, y in basis_pairs(n, self.max_m)
+            (x, y): values[position[x] * size + position[y]]
+            for x, y in basis_pairs(self.n, self.max_m)
         }
 
     @property
@@ -373,23 +384,48 @@ def build_table(n: int, max_m: int, D: int, product=None) -> StructureTable:
 def specialize_ngon(table: StructureTable) -> dict:
     """Constant terms of the whole table: the product table of the t=0 fiber.
 
-    Returns {(a, b): {p3: integer coefficient}}, each output class p3 a
-    Fraction, with zero entries dropped.
+    Returns {(a, b): {p3: integer coefficient}}, keyed in ``basis_pairs``
+    order, each output class p3 a Fraction in ascending order, with zero
+    entries dropped.  It reads the orbit list, taking each distinct
+    (elem, r, sign) once: a move only permutes the slots of each exponent
+    vector, so it fixes every constant term, and only elem's classes move,
+    a3 to (sign*a3 + r*m3) mod (m3*n).  No pair's full product is derived.
     """
-    return {
-        key: {Fraction(a3, elem.m): c for a3, s in elem.items() if (c := s.constant_term())}
-        for key, elem in table.entries.items()
-    }
+    n = table.n
+    made: dict[tuple[int, int, int], dict] = {}
+    fibers = []
+    for elem, r, sign in table.orbits:
+        key = (id(elem), r, sign)
+        got = made.get(key)
+        if got is None:
+            m3 = elem.m
+            moved = sorted(
+                ((sign * a3 + r * m3) % (m3 * n), c)
+                for a3, s in elem.coeffs.items()
+                if (c := s.constant_term())
+            )
+            got = made[key] = {Fraction(a3, m3): c for a3, c in moved}
+        fibers.append(got.copy())
+    return table._by_pair(fibers)
 
 
 def _packed(classes: dict, D: int) -> dict:
     """A term map {a3: {exponents: count}} as ``_compose`` reads it: each
-    class's terms as a list of (degree, key, count) in degree order, the
-    exponents packed into one key by ``series._pack``."""
-    return {
-        a3: [(d, k, c) for d, bucket in enumerate(_pack(terms, D)) for k, c in bucket.items()]
-        for a3, terms in classes.items()
-    }
+    class's terms as a list of (degree, key, count) sorted by degree, then
+    key.  Each term's exponents are packed into one base-(D+1) key, the
+    key ``series._pack`` gives them, so ``series._unpack`` reads it back."""
+    base = D + 1
+    out = {}
+    for a3, terms in classes.items():
+        rows = []
+        for exps, c in terms.items():
+            k = 0
+            for x in exps:
+                k = k * base + x
+            rows.append((sum(exps), k, c))
+        rows.sort()
+        out[a3] = rows
+    return out
 
 
 def _unpacked(m: int, n: int, D: int, classes: dict) -> RingElement:
@@ -422,24 +458,29 @@ def _compose(first: dict, second, D: int) -> dict:
 
 def _associativity(n: int, D: int, weights, terms) -> dict:
     """The associativity report at one weight triple, reading the packed
-    term map of every basis product from terms(x, y)."""
+    term map of every basis product from terms(m1, a1, m2, a2).  n and
+    the weights are checked once, here, as ``basis_indices`` checks them;
+    the loops run over the integer classes a in range(m*n)."""
+    for m in weights:
+        _check_basis(n, m)
     m1, m2, m3 = weights
+    m12, m23 = m1 + m2, m2 + m3
     failures = []
     checked = 0
-    for a in basis_indices(n, m1):
-        for b in basis_indices(n, m2):
-            ab = terms(a, b)
-            for c in basis_indices(n, m3):
-                left = _compose(ab, lambda x: terms(ThetaIndex(m1 + m2, x), c), D)
-                right = _compose(terms(b, c), lambda x: terms(a, ThetaIndex(m2 + m3, x)), D)
+    for a in range(m1 * n):
+        for b in range(m2 * n):
+            ab = terms(m1, a, m2, b)
+            for c in range(m3 * n):
+                left = _compose(ab, lambda x: terms(m12, x, m3, c), D)
+                right = _compose(terms(m2, b, m3, c), lambda x: terms(m1, a, m23, x), D)
                 checked += 1
                 if left != right:
-                    m = m1 + m2 + m3
+                    m = m12 + m3
                     failures.append(
                         {
-                            "a": a.to_json_obj(),
-                            "b": b.to_json_obj(),
-                            "c": c.to_json_obj(),
+                            "a": ThetaIndex(m1, a).to_json_obj(),
+                            "b": ThetaIndex(m2, b).to_json_obj(),
+                            "c": ThetaIndex(m3, c).to_json_obj(),
                             "left": _unpacked(m, n, D, left).to_json_obj(),
                             "right": _unpacked(m, n, D, right).to_json_obj(),
                         }
@@ -454,16 +495,19 @@ def _associativity(n: int, D: int, weights, terms) -> dict:
 
 
 def _product_memo(n: int, D: int):
-    """terms(x, y): the basis product x*y as a ``_packed`` term map, the one
-    ``assemble`` reads from ``plgeom.lambda_exponents``, packed once per ordered
-    pair for this memo's life.  No series is built; callers share the maps."""
-    memo: dict[tuple[ThetaIndex, ThetaIndex], dict] = {}
+    """terms(m1, a1, m2, a2): the basis product x_{m1,a1/m1} * x_{m2,a2/m2}
+    as a ``_packed`` term map, the one ``assemble`` reads from
+    ``plgeom.lambda_exponents``, packed once per ordered pair for this
+    memo's life in a flat dict keyed by the four integers.  No series is
+    built; callers share the maps."""
+    memo: dict[tuple[int, int, int, int], dict] = {}
 
-    def terms(x: ThetaIndex, y: ThetaIndex) -> dict:
-        got = memo.get((x, y))
+    def terms(m1: int, a1: int, m2: int, a2: int) -> dict:
+        key = (m1, a1, m2, a2)
+        got = memo.get(key)
         if got is None:
-            got = assemble(n, x.m, x.a, y.m, y.a, D, plgeom.lambda_exponents)
-            got = memo[x, y] = _packed(got, D)
+            got = assemble(n, m1, a1, m2, a2, D, plgeom.lambda_exponents)
+            got = memo[key] = _packed(got, D)
         return got
 
     return terms

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirror_ring import cli, floer, plgeom, theta
-from mirror_ring.series import TruncSeries, _unpack
+from mirror_ring.series import TruncSeries, _pack, _unpack
 from mirror_ring.theta import (
     RingElement,
     ThetaIndex,
@@ -109,8 +109,13 @@ def test_basis_needs_a_positive_weight():
     for m in (0, -1):
         with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
             basis_indices(2, m)
-    with pytest.raises(ValueError):
-        check_associativity(2, 3, (0, 1, 1))
+    for weights in [(0, 1, 1), (1, 1, 0), (1, -1, 1)]:
+        m = min(weights)
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            check_associativity(2, 3, weights)
+    for max_m in (0, -1):
+        with pytest.raises(ValueError, match=f"max_m must be >= 1, got {max_m}"):
+            theta.associativity_sweep(2, max_m, 3)
 
 
 @pytest.mark.parametrize("n", [0, -1, -2])
@@ -118,13 +123,16 @@ def test_basis_needs_a_positive_n(n):
     """With fewer than one marked point there is no basis either: the
     labels, a label with a p signature (not reduced mod m*n <= 0), an
     associativity report, a table and the rank of a graded piece refuse
-    it rather than pass having checked nothing or count m*n <= 0."""
+    it rather than pass having checked nothing or count m*n <= 0: the
+    associativity loops run over range(m*n), which would be empty."""
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
         basis_indices(n, 1)
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
         ThetaIndex.make(1, 0, n)
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
         check_associativity(n, 4, (1, 1, 1))
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        theta.associativity_sweep(n, 2, 4)
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
         build_table(n, 1, 2)
     with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
@@ -422,11 +430,15 @@ def test_associativity_sweep_reports_the_same_failures(monkeypatch):
 def test_assoc_run_makes_one_product_per_pair(monkeypatch, tmp_path):
     """One assoc run makes each ordered basis pair's term map once across
     all its weight triples: 459 at (3, 2, 6), where a memo per triple
-    made 927."""
+    made 927.  The library sweep, whose memo is keyed by the integers
+    (m1, a1, m2, a2), calls theta.assemble as often."""
     calls = _counted_term_maps(monkeypatch)
     out = tmp_path / "assoc.json"
     argv = ["assoc", "--n", "3", "--max-m", "2", "--trunc", "6", "-o", str(out)]
     assert cli.main(argv) == 0
+    assert len(calls) == len(set(calls)) == 459
+    calls.clear()
+    assert all(rep["failures"] == [] for rep in theta.associativity_sweep(3, 2, 6))
     assert len(calls) == len(set(calls)) == 459
     with pytest.raises(ValueError, match="max_m must be >= 1, got 0"):
         theta.associativity_sweep(3, 0, 6)
@@ -462,6 +474,43 @@ def _random_term_map(rng, n, D, classes):
             terms[tuple(e)] = rng.randrange(1, 4)
         out[a] = terms
     return out
+
+
+@st.composite
+def term_maps(draw):
+    """(n, D, term map): up to four classes of up to six terms each, every
+    exponent vector of total degree <= D, counts 1..5."""
+    n, D = draw(st.integers(1, 6)), draw(st.integers(0, 12))
+    raw = st.lists(st.integers(0, D), min_size=n, max_size=n)
+
+    def capped(xs):
+        out, room = [], D
+        for x in xs:
+            out.append(min(x, room))
+            room -= out[-1]
+        return tuple(out)
+
+    terms = st.dictionaries(raw.map(capped), st.integers(1, 5), min_size=1, max_size=6)
+    return n, D, draw(st.dictionaries(st.integers(0, 40), terms, max_size=4))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(term_maps())
+def test_packed_rows_are_the_pack_buckets_in_degree_order(case):
+    """theta._packed gives each class the (degree, key, count) rows of
+    series._pack's buckets, in degree order, and theta._unpacked, which
+    reads failure entries back through series._unpack, returns the terms."""
+    n, D, classes = case
+    packed = theta._packed(classes, D)
+    assert list(packed) == list(classes)
+    for a3, terms in classes.items():
+        rows = packed[a3]
+        degrees = [d for d, _, _ in rows]
+        assert degrees == sorted(degrees)
+        flat = [(d, k, c) for d, bucket in enumerate(_pack(terms, D)) for k, c in bucket.items()]
+        assert sorted(rows) == sorted(flat) and len(rows) == len(flat)
+    elem = theta._unpacked(2, n, D, {a3: {k: c for _, k, c in rows} for a3, rows in packed.items()})
+    assert {a3: s.terms for a3, s in elem.coeffs.items()} == classes
 
 
 def _composed(first, second, n, D):
@@ -583,6 +632,24 @@ def ngon_block(table) -> dict:
         key = f"{a.m},{a.p}|{b.m},{b.p}"
         block[key] = {str(p): c for p, c in sorted(consts.items())}
     return block
+
+
+@pytest.mark.parametrize("n, max_m, D", [(1, 3, 6), (4, 3, 8), (5, 4, 12), (6, 2, 6)])
+def test_specialize_reads_the_orbit_list(n, max_m, D):
+    """specialize_ngon moves only the classes of each orbit product's
+    constant terms: it leaves the derived _values and entries unbuilt, and
+    gives every pair's constant terms as read from its full product, in
+    basis_pairs key order and ascending class order."""
+    table = build_table(n, max_m, D)
+    spec = specialize_ngon(table)
+    assert "_values" not in vars(table) and "entries" not in vars(table)
+    want = {
+        key: {Fraction(a3, elem.m): c for a3, s in elem.items() if (c := s.constant_term())}
+        for key, elem in table.entries.items()
+    }
+    assert list(spec) == list(want) == basis_pairs(n, max_m)
+    assert [list(v.items()) for v in spec.values()] == [list(v.items()) for v in want.values()]
+    assert len({id(v) for v in spec.values()}) == len(spec), "two pairs share one dict"
 
 
 def test_specialize_against_golden():
