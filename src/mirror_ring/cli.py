@@ -26,7 +26,7 @@ from functools import partial
 
 from . import floer, moduli, quiver, theta
 from .plgeom import InvariantError
-from .series import TruncSeries
+from .series import GradedSeries, TruncSeries, _exponents, _flat, _pack
 
 # the C escaper json.dumps uses for str with ensure_ascii
 _escape = json.encoder.encode_basestring_ascii
@@ -56,65 +56,104 @@ def _check_ranges(args: argparse.Namespace):
 def _json_text(obj) -> str:
     """The text json.dumps gives obj with a two-space indent and sorted
     keys, plus a newline, where each TruncSeries and each StructureTable
-    stands for its ``to_json_obj()``.
+    stands for its ``to_json_obj()``, and each GradedSeries for that of
+    the TruncSeries it holds.
 
     With an indent, json.dumps runs its pure-Python encoder; this writer
     joins each container's items once and escapes strings with the same
-    C escaper.  A series is written straight from its sorted exponent
-    keys, a term as the head of the term template, the coefficient and a
-    tail that holds the exponent block.  A report's series share few
-    exponent vectors, as most are rotations or sums of a few, so each
-    tail is built once per exponent vector and indent and kept in a dict
-    that lives for this call only.  A table is written from its orbit
-    list through one template, with no dict tree and no derived entry.
-    It takes only what the reports hold: dicts with str keys, lists,
-    StructureTable, TruncSeries, str, int, bool and None.  Anything else
+    C escaper.  A series is written from its packed keys (a TruncSeries
+    is packed first), sorted as ints, which order like the exponent
+    vectors: a term is the head of the term template, the coefficient
+    and a tail that holds the exponent block.  A report's series share
+    few exponent vectors, as most are rotations or sums of a few, so each
+    tail is built once per packed key, indent and (n, D), the pair that
+    fixes what the key spells, and kept in a dict that lives for this
+    call only.  A table is written from its orbit list through one
+    template, with no dict tree and no derived entry.  It takes only what
+    the reports hold: dicts with str keys, lists, StructureTable,
+    TruncSeries, GradedSeries, str, int, bool and None.  Anything else
     raises TypeError.
     """
     return _json_value(obj, "\n", {}) + "\n"
 
 
 def _json_value(obj, newline: str, tails: dict) -> str:
-    """The text of obj at this indent; tails maps an indent to the
-    {exponent vector: tail} of the series written at it so far."""
+    """The text of obj at this indent; tails is _series_text's."""
     kind = type(obj)
     if kind is str:
         return _escape(obj)
     if kind is int:
         return int.__repr__(obj)
+    if kind is GradedSeries:
+        return _series_text(obj.n, obj.D, obj.buckets, newline, tails)
     if kind is TruncSeries:
-        empty, opening, head, tail, sep, closing = _series_templates(obj.n, obj.D, newline)
-        terms = obj.terms
-        if not terms:
-            return empty
-        known = tails.get(newline)
-        if known is None:
-            known = tails[newline] = {}
-        parts = []
-        for e in sorted(terms):
-            text = known.get(e)
-            if text is None:
-                text = known[e] = tail % e
-            parts.append(head + str(terms[e]) + text)
-        return opening + sep.join(parts) + closing
+        return _series_text(obj.n, obj.D, _pack(obj.terms, obj.D), newline, tails)
+    # a container is one join of its pieces, so an item's text is copied
+    # once, into the container's
     if kind is list:
         if not obj:
             return "[]"
         inner = newline + "  "
-        items = [_json_value(x, inner, tails) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        pieces = ["," + inner] * (2 * len(obj) + 1)
+        pieces[0] = "[" + inner
+        pieces[1::2] = [_json_value(x, inner, tails) for x in obj]
+        pieces[-1] = newline + "]"
+        return "".join(pieces)
     if kind is dict:
         if not obj:
             return "{}"
         inner = newline + "  "
-        # the escaper raises TypeError on a key that is not a str
-        items = [_escape(key) + ": " + _json_value(obj[key], inner, tails) for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        pieces = []
+        for key in sorted(obj):
+            # the escaper raises TypeError on a key that is not a str
+            pieces += ("," + inner, _escape(key), ": ", _json_value(obj[key], inner, tails))
+        pieces[0] = "{" + inner
+        pieces.append(newline + "}")
+        return "".join(pieces)
     if kind is theta.StructureTable:
         return _table_text(obj, newline, tails)
     if obj is None or kind is bool:
         return _LITERALS[obj]
     raise TypeError(f"cannot write {kind.__name__} to a report")
+
+
+def _series_text(n: int, D: int, graded: list[dict], newline: str, tails: dict) -> str:
+    """The text of _series(graded, n, D).to_json_obj() at this indent,
+    from the packed keys, with one int sort.  tails maps (indent, n, D) to
+    the pieces of the series layout there and two memos: of each packed
+    key's text, its exponent block and the next term's head, and of each
+    coefficient's str."""
+    got = tails.get((newline, n, D))
+    if got is None:
+        empty, opening, head, tail, sep, closing = _series_templates(n, D, newline)
+        joint, base = sep + head, D + 1
+        texts = _Memo(lambda k: tail % _exponents(k, n, base) + joint)
+        got = tails[newline, n, D] = (empty, opening + head, joint, closing, texts, _Memo(str))
+    empty, start, joint, closing, texts, spelled = got
+    flat = _flat(graded)
+    if not flat:
+        return empty
+    keys = sorted(flat)
+    # the opening and the first head, then each coefficient and its key's text
+    pieces = [start] * (2 * len(keys) + 1)
+    pieces[1::2] = map(spelled.__getitem__, map(flat.__getitem__, keys))
+    pieces[2::2] = map(texts.__getitem__, keys)
+    pieces[-1] = pieces[-1][: -len(joint)] + closing
+    return "".join(pieces)
+
+
+class _Memo(dict):
+    """f(key) by key, each computed on its first lookup."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
 
 
 def _series_templates(n: int, D: int, newline: str) -> tuple:
@@ -254,19 +293,23 @@ def _run_verify(args) -> int:
 
 
 def _run_moduli(args) -> int:
+    """The moduli report, read from the graded core of the moduli layer
+    and written from its packed keys: the values of solve_s, residue_R,
+    coords_b and coords_c, with no TruncSeries made."""
     n, D = args.n, args.trunc
-    out = {"n": n, "D": D, "s": moduli.solve_s(n, D)}
+    graded = partial(GradedSeries, n, D)
+    out = {"n": n, "D": D, "s": graded(moduli._point_data(n, D)[-1])}
     if n >= 2:
         for i in range(n):
-            out[f"R_{i}"] = moduli.residue_R(i, n, D)
-        b_off, b_diag = moduli.coords_b(n, D)
+            out[f"R_{i}"] = graded(moduli._residue(i, n, D))
+        b_off, b_diag = moduli._coords_b(n, D)
         for (i, j), v in b_off.items():
-            out[f"b_{i}_{j}"] = v
+            out[f"b_{i}_{j}"] = graded(v)
         for i, v in b_diag.items():
-            out[f"b_{i}"] = v
+            out[f"b_{i}"] = graded(v)
         if n >= 3:
-            for (i, j), v in moduli.coords_c_from_b(n, D, b_off, b_diag).items():
-                out[f"c_{i}_{j}"] = v
+            for (i, j), v in moduli._coords_c(n, D, b_off, b_diag).items():
+                out[f"c_{i}_{j}"] = graded(v)
     _emit(args.output, out)
     return 0
 

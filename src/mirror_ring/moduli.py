@@ -15,14 +15,17 @@ substituting that root and cyclically rotating variable indices.  The b
 and c coordinate functions come out of unit-denominator expressions
 only; no 0/0 ratio is ever formed.
 
-From the root to the report, series stay graded, as lists of D + 1
-buckets of packed exponent keys, handled by series.py's graded helpers.
-The root, the power table, every substituted residue part, the residual
-check, the full-section derivative and its inverse, and the products of
-R_0 and coords_b are all formed that way.  series._series makes a
-TruncSeries once per report series, for s, R_0, each b_(0,j) and the
-diagonal b_0; every other report series is one of them rotated, on
-exponent tuples, or a sum of them.
+From the root to the report text, series stay graded, as lists of
+D + 1 buckets of packed exponent keys, handled by series.py's graded
+helpers.  The root, the power table, every substituted residue part, the
+residual check, the full-section derivative and its inverse, R_0, the
+products of coords_b, every rotation (series._grotate) and the running
+sums of c are all formed that way, by one core: _point_data, _residue,
+_coords_b and _coords_c.  The moduli report reads the core and writes
+its text from the packed keys, with no exponent tuple built.  The public
+solve_s, residue_R, coords_b, coords_c and coords_c_from_b are thin
+wrappers over the core that make a TruncSeries (series._series) of each
+value they return.
 
 Sign convention: the logarithmic vector field is oriented as -u d/du in
 the residue and coordinate computations, which makes every residue a
@@ -35,7 +38,18 @@ from __future__ import annotations
 import functools
 
 from .plgeom import InvariantError
-from .series import TruncSeries, _degree, _ginv, _gmul, _gneg, _gsum, _nonzero, _pack, _series
+from .series import (
+    TruncSeries,
+    _degree,
+    _ginv,
+    _gmul,
+    _gneg,
+    _grotate,
+    _gsum,
+    _nonzero,
+    _pack,
+    _series,
+)
 
 
 def _window(n: int, D: int) -> int:
@@ -333,7 +347,7 @@ def solve_s(n: int, D: int) -> TruncSeries:
     """The unique no-constant-term series s with the section vanishing at
     u = 1 + s, read from _point_data, which finds it and proves it.  At
     n = 1 the root is u = 1 and s is zero."""
-    return _point_data(n, D)[-1]
+    return _series(_point_data(n, D)[-1], n, D)
 
 
 def eval_at_p0(g: ULaurent, n: int, D: int) -> TruncSeries:
@@ -353,8 +367,8 @@ def _ensure_multi(n: int):
 @functools.lru_cache(maxsize=None)
 def _point_data(n: int, D: int):
     """At u = 1 + s, every residue part and its logarithmic derivative,
-    the full-section derivative and its inverse, all graded; then the
-    residue R_0 that every R_i rotates and the root s, as series.
+    the full-section derivative and its inverse, the residue R_0 that
+    every R_i rotates and the root s, all graded.
 
     _online_root finds s and never substitutes it back.  Here one power
     table built from s alone takes all 2n values, and the residue parts'
@@ -380,11 +394,11 @@ def _point_data(n: int, D: int):
         raise InvariantError("root substitution left a nonzero residual")
     dth_full = _gsum(*dth)
     inv_dth_full = _ginv(dth_full, D)
-    r0 = _series(_gneg(_gmul(th[0], inv_dth_full, D)), n, D)
+    r0 = _gneg(_gmul(th[0], inv_dth_full, D))
     # at n = 1 the one part is the whole section, so R is undefined
-    if n > 1 and r0.constant_term() != 1:
+    if n > 1 and r0[0].get(0, 0) != 1:
         raise InvariantError("residue is not 1 at t=0")
-    return th, dth, dth_full, inv_dth_full, r0, _series(s, n, D)
+    return th, dth, dth_full, inv_dth_full, r0, s
 
 
 def residue_R(i: int, n: int, D: int) -> TruncSeries:
@@ -393,11 +407,20 @@ def residue_R(i: int, n: int, D: int) -> TruncSeries:
     A unit with constant term +1 under the -u d/du orientation; the i-th
     value is the rotation of the 0-th.
     """
+    return _series(_residue(i, n, D), n, D)
+
+
+def _residue(i: int, n: int, D: int) -> list[dict]:
+    """residue_R(i, n, D), graded."""
     _ensure_multi(n)
     if not 0 <= i < n:
         raise ValueError(f"index i must be in [0, {n}), got {i}")
-    r0 = _point_data(n, D)[4]
-    return r0.rotate(-i) if i else r0
+    return _grotate(_point_data(n, D)[4], -i, n, D)
+
+
+def _unpacked(values: dict, n: int, D: int) -> dict:
+    """A dict of graded series with each value made a TruncSeries."""
+    return {key: _series(g, n, D) for key, g in values.items()}
 
 
 def coords_b(n: int, D: int):
@@ -421,6 +444,13 @@ def coords_b(n: int, D: int):
     b_(i,j) is b_(0,j-i) rotated by -i: only the n - 2 products b_(0,j)
     are formed.
     """
+    b_off, b_diag = _coords_b(n, D)
+    return _unpacked(b_off, n, D), _unpacked(b_diag, n, D)
+
+
+def _coords_b(n: int, D: int):
+    """coords_b(n, D), graded: every product, rotation and check on the
+    packed keys, from _point_data's graded values."""
     _ensure_multi(n)
     th, dth, dth_full, inv_dth_full, *_ = _point_data(n, D)
     for l in range(1, n - 1):
@@ -432,21 +462,19 @@ def coords_b(n: int, D: int):
     r0_inv = _gneg(_gmul(dth_full, th0_inv, D))
     b_off = {}
     for j in range(2, n):
-        # the rotation acts on exponent tuples, between two graded products
-        rotated = _series(_gmul(dth[n - j], inv_dth_full, D), n, D).rotate(-j)
-        b0j = _series(_gmul(_pack(rotated.terms, D), r0_inv, D), n, D)
+        rotated = _grotate(_gmul(dth[n - j], inv_dth_full, D), -j, n, D)
+        b0j = _gmul(rotated, r0_inv, D)
+        # a rotation keeps the constant term, the key 0 of bucket 0
+        if b0j[0]:
+            raise InvariantError("off-diagonal value at t=0 is nonzero")
         for i in range(n):
-            val = b0j.rotate(-i)
-            if val.constant_term() != 0:
-                raise InvariantError("off-diagonal value at t=0 is nonzero")
-            b_off[(i, (i + j) % n)] = val
+            b_off[(i, (i + j) % n)] = _grotate(b0j, -i, n, D)
     core = _gsum(
         _gmul(dth[n - 1], _ginv(th[n - 1], D), D), _gneg(_gmul(dth[0], th0_inv, D))
     )
-    core_diag = _series(core, n, D)
-    if core_diag.constant_term() != 1:
+    if core[0].get(0, 0) != 1:
         raise InvariantError("diagonal value at t=0 is not 1")
-    b_diag = {i: core_diag.rotate(-i) for i in range(n)}
+    b_diag = {i: _grotate(core, -i, n, D) for i in range(n)}
     return b_off, b_diag
 
 
@@ -459,11 +487,20 @@ def coords_c(n: int, D: int) -> dict:
     """
     if n < 3:
         raise ValueError("the c coordinate system is unsupported for n < 3")
-    return coords_c_from_b(n, D, *coords_b(n, D))
+    return _unpacked(_coords_c(n, D, *_coords_b(n, D)), n, D)
 
 
 def coords_c_from_b(n: int, D: int, b_off: dict, b_diag: dict) -> dict:
-    """coords_c from the (b_off, b_diag) values coords_b(n, D) returned.
+    """coords_c from the (b_off, b_diag) values coords_b(n, D) returned."""
+    zero = TruncSeries.zero(n, D)
+    for v in (*b_off.values(), *b_diag.values()):
+        zero._compat(v)
+    packed = [{key: _pack(v.terms, D) for key, v in b.items()} for b in (b_off, b_diag)]
+    return _unpacked(_coords_c(n, D, *packed), n, D)
+
+
+def _coords_c(n: int, D: int, b_off: dict, b_diag: dict) -> dict:
+    """coords_c from graded b values, graded.
 
     Each column j is one running sum: c_(i,j) is c_(i-1,j) plus
     b_(i-1,j), a term that is absent for i - 1 = j - 1 and is the
@@ -471,13 +508,13 @@ def coords_c_from_b(n: int, D: int, b_off: dict, b_diag: dict) -> dict:
     """
     out = {}
     for j in range(2, n + 1):
-        acc = TruncSeries.zero(n, D)
+        acc = [{} for _ in range(D + 1)]
         for i in range(2, n + 1):
             r = i - 1
             if r == j:
-                acc = acc.add(b_diag[j % n])
+                acc = _gsum(acc, b_diag[j % n])
             elif r != j - 1:
-                acc = acc.add(b_off[(r, j % n)])
+                acc = _gsum(acc, b_off[(r, j % n)])
             if i != j:
                 out[(i, j)] = acc
     return out

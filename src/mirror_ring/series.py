@@ -209,14 +209,15 @@ def _int_from_json(c) -> int:
 # a kept product has total degree <= D, so each of its exponents is < D+1;
 # the degree of a product is the sum of the bucket indices, so it is never
 # recomputed from the exponents.  Packed keys order like the exponent
-# tuples, so _unpack sorts ints and emits the terms in ascending exponent
-# order, and a writer's sort then walks a list already in order.
+# tuples, so _unpack, and the report writer, sort ints to put the terms in
+# ascending exponent order.
 #
 # _gmul and _ginv are the one product and inverse kernel, _gsum and _gneg
-# add and negate, and _series makes a TruncSeries: mul and invert_unit are
-# _pack, a kernel and _series, and the moduli layer keeps its series
-# graded with these helpers from the root to the report.  No bucket they
-# return holds a zero coefficient.
+# add and negate, _grotate rotates, and _series makes a TruncSeries: mul
+# and invert_unit are _pack, a kernel and _series, and the moduli layer
+# keeps its series graded with these helpers from the root to the report
+# text, which a GradedSeries carries.  No bucket they return holds a zero
+# coefficient.
 
 
 def _pack(terms: dict, D: int) -> list[dict]:
@@ -230,22 +231,29 @@ def _pack(terms: dict, D: int) -> list[dict]:
     return graded
 
 
-def _unpack(graded: list[dict], n: int, D: int) -> dict:
-    """The terms of a graded series, as a dict in ascending exponent order."""
-    base = D + 1
-    digits = range(n - 1, 0, -1)
+def _exponents(k: int, n: int, base: int) -> tuple[int, ...]:
+    """The exponent vector of the packed key k."""
+    e = [0] * n
+    for j in range(n - 1, 0, -1):
+        k, e[j] = divmod(k, base)
+    e[0] = k
+    return tuple(e)
+
+
+def _flat(graded: list[dict]) -> dict:
+    """The packed terms of a graded series in one dict; a key lies in one
+    bucket only, that of its degree."""
     flat: dict = {}
     for bucket in graded:
         flat.update(bucket)
-    out = {}
-    for k in sorted(flat):
-        c = flat[k]
-        e = [0] * n
-        for j in digits:
-            k, e[j] = divmod(k, base)
-        e[0] = k
-        out[tuple(e)] = c
-    return out
+    return flat
+
+
+def _unpack(graded: list[dict], n: int, D: int) -> dict:
+    """The terms of a graded series, as a dict in ascending exponent order."""
+    base = D + 1
+    flat = _flat(graded)
+    return {_exponents(k, n, base): flat[k] for k in sorted(flat)}
 
 
 def _degree(a: list[dict], b: list[dict], d: int, lo: int = 0, acc: dict | None = None) -> dict:
@@ -312,6 +320,32 @@ def _gneg(g: list[dict]) -> list[dict]:
     return [{k: -c for k, c in bucket.items()} for bucket in g]
 
 
+def _grotate(g: list[dict], shift: int, n: int, D: int) -> list[dict]:
+    """TruncSeries.rotate on a graded series.  t_0 is the key's top digit,
+    so the top s = shift mod n digits move to the bottom: k becomes
+    (k mod B^(n-s)) B^s + k div B^(n-s), B = D + 1.  The digits only move,
+    so each key stays in its degree bucket."""
+    s = shift % n
+    if s == 0:
+        return g
+    low = (D + 1) ** (n - s)
+    up = (D + 1) ** s
+    return [{k % low * up + k // low: c for k, c in bucket.items()} for bucket in g]
+
+
 def _series(g: list[dict], n: int, D: int) -> TruncSeries:
     """The TruncSeries of a graded series, its terms in exponent order."""
     return TruncSeries._raw(n, D, _unpack(g, n, D))
+
+
+class GradedSeries:
+    """A graded series at (n, D), held as the kernels return it, for a
+    report: the writer gives it the text of _series(buckets, n, D) with
+    no exponent tuple built for a term."""
+
+    __slots__ = ("n", "D", "buckets")
+
+    def __init__(self, n: int, D: int, buckets: list[dict]):
+        self.n = n
+        self.D = D
+        self.buckets = buckets

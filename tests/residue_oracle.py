@@ -171,5 +171,5 @@ def values(n: int, D: int, point_data) -> tuple:
         [_terms(v, n, D) for v in th],
         [_terms(v, n, D) for v in dth],
         _terms(dth_full, n, D),
-        second_derivative(dict(s.terms), n, D),
+        second_derivative(_terms(s, n, D), n, D),
     )

@@ -96,6 +96,26 @@ def test_moduli_single_component_has_only_root_series(capsys):
     assert report["s"]["terms"] == []
 
 
+@pytest.mark.parametrize("n, D", [(1, 4), (2, 6), (3, 0), (3, 8), (5, 6)])
+def test_moduli_report_is_the_public_values(capsys, n, D):
+    """The report, read from the graded core and written from its packed
+    keys, is the stdlib text of the TruncSeries that solve_s, residue_R,
+    coords_b and coords_c return: the wrappers and the core agree."""
+    want = {"n": n, "D": D, "s": moduli.solve_s(n, D)}
+    if n >= 2:
+        want.update({f"R_{i}": moduli.residue_R(i, n, D) for i in range(n)})
+        b_off, b_diag = moduli.coords_b(n, D)
+        want.update({f"b_{i}_{j}": v for (i, j), v in b_off.items()})
+        want.update({f"b_{i}": v for i, v in b_diag.items()})
+        if n >= 3:
+            c = moduli.coords_c(n, D)
+            assert c == moduli.coords_c_from_b(n, D, b_off, b_diag)
+            want.update({f"c_{i}_{j}": v for (i, j), v in c.items()})
+    plain = {key: v if type(v) is int else v.to_json_obj() for key, v in want.items()}
+    assert main(["moduli", "--n", str(n), "--trunc", str(D)]) == 0
+    assert capsys.readouterr().out == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
 def test_quiver_report(capsys):
     assert main(["quiver", "--n", "2"]) == 0
     report = json.loads(capsys.readouterr().out)

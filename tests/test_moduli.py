@@ -334,10 +334,11 @@ def test_each_power_is_exact_through_its_cut(n, sizes):
         s = moduli._point_data(n, D)[-1]
         cuts = moduli._cuts(D, *_parts(n, D))
         assert cuts == {e: _triangular_cut(e, D) for e in cuts}, (n, D)
-        pows = moduli._powers(_pack(s.terms, D), cuts)
+        pows = moduli._powers(s, cuts)
         assert set(pows) == set(cuts), (n, D)
         one = {(0,) * n: 1}
-        step = {1: {**one, **s.terms}, -1: _plain_inverse_of_one_plus(s.terms, n, D)}
+        terms = _series(s, n, D).terms
+        step = {1: {**one, **terms}, -1: _plain_inverse_of_one_plus(terms, n, D)}
         for sign in (1, -1):
             want, e = one, 0
             while e + sign in cuts:
@@ -886,7 +887,7 @@ def test_inversion_takes_the_root_to_its_reciprocal(n):
     """(1 + s)(1 + tau(s)) = 1: the inversion sends the marked point
     u = 1 + s to u = 1/(1 + s)."""
     D = 8
-    s = moduli._point_data(n, D)[-1].terms
+    s = _series(moduli._point_data(n, D)[-1], n, D).terms
     one = {(0,) * n: 1}
     assert _plain_mul({**one, **s}, {**one, **_inverted(s)}, D) == one
 
@@ -897,7 +898,7 @@ def test_inversion_takes_R0_to_the_last_part_over_the_derivative(n):
     D = 8
     th, _, _, inv_dth_full, r0, _ = moduli._point_data(n, D)
     rhs = _plain_mul(_series(th[n - 1], n, D).terms, _series(inv_dth_full, n, D).terms, D)
-    assert _inverted(r0.terms) == rhs
+    assert _inverted(_series(r0, n, D).terms) == rhs
 
 
 @pytest.mark.parametrize("n, D", [(3, 24), (4, 16)])
@@ -905,10 +906,11 @@ def test_inversion_identities_at_a_reach_size(n, D):
     """(1 + s)(1 + tau(s)) = 1 and tau(R_0) = theta_(n-1)/Theta' far
     beyond D = 8."""
     th, _, _, inv_dth_full, r0, s = moduli._point_data(n, D)
+    s = _series(s, n, D)
     one = {(0,) * n: 1}
     assert _plain_mul({**one, **s.terms}, {**one, **_inverted(s.terms)}, D) == one
     rhs = _plain_mul(_series(th[n - 1], n, D).terms, _series(inv_dth_full, n, D).terms, D)
-    assert _inverted(r0.terms) == rhs
+    assert _inverted(_series(r0, n, D).terms) == rhs
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

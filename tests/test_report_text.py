@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from mirror_ring import cli, plgeom, theta
 from mirror_ring.cli import main
-from mirror_ring.series import TruncSeries
+from mirror_ring.series import GradedSeries, TruncSeries, _series
 from run_kernels import lifted
 
 
 def plain(obj):
     """obj with every TruncSeries and StructureTable replaced by its
-    to_json_obj(), all the way down."""
+    to_json_obj(), and every GradedSeries by that of its TruncSeries, all
+    the way down."""
     if isinstance(obj, TruncSeries):
         return obj.to_json_obj()
+    if isinstance(obj, GradedSeries):
+        return _series(obj.buckets, obj.n, obj.D).to_json_obj()
     if isinstance(obj, theta.StructureTable):
         return plain(obj.to_json_obj())
     if isinstance(obj, list):
@@ -265,11 +268,24 @@ def test_failing_assoc_report_is_stdlib_text(tmp_path, crooked_lambda):
 
 def test_reports_in_sequence_share_no_exponent_text(tmp_path):
     """Two reports hold the same exponent vectors at different indents;
-    each is written at its own."""
+    each is written at its own.  A third holds one packed key, 5, at three
+    (n, D) at one indent, where it spells (1, 0), (0, 5) and (0, 1, 0):
+    each series gets its own exponent block, so the writer's tails are
+    keyed by (n, D) as well as by indent."""
     first = {"s": SERIES, "t": [TruncSeries(2, 5, {(1, 0): 3, (0, 2): -1})]}
     second = [{"u": [SERIES]}, {"v": TruncSeries(2, 5, {(0, 2): 4, (1, 0): 1})}]
-    for report in (first, second, first):
+    third = {
+        "p": GradedSeries(2, 4, [{}, {5: 2}, {}, {}, {}]),
+        "q": GradedSeries(2, 6, [{0: 1}, {}, {}, {}, {}, {5: -1}, {}]),
+        "r": GradedSeries(3, 4, [{}, {5: 7}, {}, {}, {}]),
+        "s": TruncSeries(2, 4, {(1, 0): 3}),
+    }
+    terms = {key: reference(value) for key, value in third.items()}
+    assert [list(json.loads(text)["terms"][-1]["e"]) for text in terms.values()] == [
+        [1, 0], [0, 5], [0, 1, 0], [1, 0]
+    ]
+    for report in (first, second, third, first, third):
         assert cli._json_text(report) == reference(report)
-    for name, report in (("a.json", first), ("b.json", second)):
+    for name, report in (("a.json", first), ("b.json", second), ("c.json", third)):
         cli._emit(str(tmp_path / name), report)
         assert (tmp_path / name).read_text() == reference(report)

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirror_ring.series import SeriesError, TruncSeries, _ginv, _gmul, _pack, _unpack
+from mirror_ring.series import (
+    SeriesError,
+    TruncSeries,
+    _exponents,
+    _ginv,
+    _gmul,
+    _grotate,
+    _pack,
+    _unpack,
+)
 
 SEED = int(os.environ.get("MIRROR_RING_SEED", "434019"))
 
@@ -400,3 +409,38 @@ def test_graded_kernels_match_a_plain_convolution(case):
     assert got.terms == _unpack(inv, n, D)
     assert list(got.terms) == sorted(got.terms)
     assert plain_product(got.terms, u.terms, D) == one
+
+
+@st.composite
+def rotations(draw):
+    """A series at n in 1..7 and D in 0..12 (D = 0 packs in base 1), of
+    up to 10 terms, so most degree buckets are empty, and a shift in
+    -2n..2n."""
+    n = draw(st.integers(1, 7))
+    D = draw(st.integers(0, 12))
+    terms = {}
+    for _ in range(draw(st.integers(0, 10))):
+        e = [0] * n
+        for _ in range(draw(st.integers(0, D))):
+            e[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(e)] = draw(COEFFS)
+    return TruncSeries(n, D, terms), draw(st.integers(-2 * n, 2 * n))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rotations())
+@example((TruncSeries(3, 0, {(0, 0, 0): 5}), -4))
+@example((TruncSeries(4, 6), 3))  # no terms: every bucket empty
+@example((TruncSeries(1, 9, {(9,): 2, (0,): -1}), 2))
+@example((TruncSeries(7, 12, {(12,) + (0,) * 6: 1, (0,) * 6 + (12,): -3, (1,) * 7: 2**70}), -13))
+@example((TruncSeries(5, 8, {(0, 0, 0, 0, 8): 1, (8, 0, 0, 0, 0): 1, (1, 2, 0, 0, 3): -1}), 7))
+def test_graded_rotation_matches_rotate(case):
+    """_grotate on packed keys is TruncSeries.rotate, packed, and leaves
+    every key in the bucket of its degree."""
+    a, shift = case
+    n, D = a.n, a.D
+    got = _grotate(_pack(a.terms, D), shift, n, D)
+    assert got == _pack(a.rotate(shift).terms, D)
+    assert len(got) == D + 1
+    for d, bucket in enumerate(got):
+        assert all(sum(_exponents(k, n, D + 1)) == d for k in bucket), (d, bucket)
