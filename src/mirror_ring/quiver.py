@@ -9,13 +9,19 @@ so B_i A_i means "apply A_i, then B_i" and is a loop at the central
 vertex.  Normal forms are found by exploring the rewrite graph (swap one
 B_i A_i pair for another, kill mixed pairs), never by consulting a
 precomputed table, and the dimension counts come from enumerating all
-composable words up to length four and reducing each one.  Words are
-validated at the public edge (``PathWord``, ``normal_form``);
-``hom_table``, ``multiply`` and ``multiplication_table`` pass chains
-composable by construction to the one reduction core, ``_reduce``.
-``multiplication_table`` reads the registry's words directly and makes
-no ``AlgebraElement``; ``multiply`` is the public bilinear product it is
-tested against.
+composable words up to length four and reducing each one.
+
+Inside the module a word is coded as a tuple of signed ints, A_i as i
+and B_i as -i, so a mixed pair is a positive x followed by a negative
+y != -x and a swap site is a negative x followed by -x.  The reduction
+core, ``_reduce``, walks the rewrite graph breadth first on coded words
+and stops at the first rewrite that shows a mixed pair.  Words are
+validated at the public edge (``PathWord``, ``normal_form``), which
+keeps label tuples and codes a word once; ``hom_table``, ``multiply``
+and ``multiplication_table`` pass coded chains composable by
+construction to ``_reduce``.  ``multiplication_table`` codes each
+registry word once and makes no ``AlgebraElement``; ``multiply`` is the
+public bilinear product it is tested against.
 
 The n = 1 algebra is refused: with a single spoke the displayed
 relations say nothing and the structure is pinned down elsewhere by
@@ -100,70 +106,65 @@ class PathWord(namedtuple("PathWord", "arrows vertex")):
         return "".join(f"{label}_{i}" for label, i in self.arrows)
 
 
-def _mixed_pair(arrows: tuple) -> bool:
+def _code(arrows: tuple) -> tuple:
+    """A label chain as a coded word: A_i becomes i and B_i becomes -i."""
+    return tuple(i if label == "A" else -i for label, i in arrows)
+
+
+def _mixed_pair(word: tuple) -> bool:
     """True when some display-adjacent A_x B_y has x != y."""
-    for left, right in zip(arrows, arrows[1:]):
-        if left[0] == "A" and right[0] == "B" and left[1] != right[1]:
+    x = word[0]
+    for y in word[1:]:
+        if x > 0 and y < 0 and x != -y:
             return True
+        x = y
     return False
 
 
-def _swap_sites(arrows: tuple) -> list:
-    """Positions of display-adjacent B_i A_i pairs."""
-    out = []
-    for t in range(len(arrows) - 1):
-        if (
-            arrows[t][0] == "B"
-            and arrows[t + 1][0] == "A"
-            and arrows[t][1] == arrows[t + 1][1]
-        ):
-            out.append(t)
-    return out
+def _word_symbol(word: tuple) -> str:
+    """Basis symbol of an irreducible coded word (no mixed pair, no swap
+    site that matters).  Only lengths <= 2 can reach this point."""
+    if len(word) == 1:
+        x = word[0]
+        return f"A_{x}" if x > 0 else f"B_{-x}"
+    if len(word) == 2:
+        x = word[0]
+        return "c" if x < 0 else f"A_{x}B_{x}"
+    raise InvariantError(f"irreducible word of length {len(word)}: {word}")
 
 
-def _swapped(arrows: tuple, t: int, j: int) -> tuple:
-    return arrows[:t] + (("B", j), ("A", j)) + arrows[t + 2:]
+def _reduce(word: tuple, n: int):
+    """Basis symbol of a nonempty composable coded word with indices in
+    1..n (unchecked), or None when it lies in the ideal.
 
-
-def _word_symbol(arrows: tuple) -> str:
-    """Basis symbol of an irreducible word (no mixed pair, no swap site
-    that matters).  Only lengths <= 2 can reach this point."""
-    if len(arrows) == 1:
-        label, i = arrows[0]
-        return f"{label}_{i}"
-    if len(arrows) == 2:
-        if arrows[0][0] == "B":
-            return "c"
-        i = arrows[0][1]
-        return f"A_{i}B_{i}"
-    raise InvariantError(f"irreducible word of length {len(arrows)}: {arrows}")
-
-
-def _reduce(arrows: tuple, n: int):
-    """Basis symbol of a nonempty composable chain with indices in 1..n
-    (unchecked), or None when it lies in the ideal.
-
-    Explores every rewrite of the word (replacing one central loop
-    representative by another); if any rewrite exposes a mixed pair the
+    Walks the rewrite graph breadth first: each B_i A_i pair (a swap site,
+    -i then i) may be replaced by any B_j A_j.  Each rewrite is tested for
+    a mixed pair as soon as it is made, and the first one found means the
     word maps to zero.  Otherwise the surviving word is one of the
     finitely many basis shapes.
     """
-    seen = {arrows}
-    frontier = [arrows]
+    if _mixed_pair(word):
+        return None
+    seen = {word}
+    frontier = [word]
+    spokes = range(1, n + 1)
     while frontier:
         nxt = []
-        for word in frontier:
-            if _mixed_pair(word):
-                return None
-            for t in _swap_sites(word):
-                for j in range(1, n + 1):
-                    cand = _swapped(word, t, j)
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
+        for w in frontier:
+            for t in range(len(w) - 1):
+                x = w[t]
+                if x < 0 and w[t + 1] == -x:
+                    head, tail = w[:t], w[t + 2:]
+                    for j in spokes:
+                        cand = head + (-j, j) + tail
+                        if cand not in seen:
+                            if _mixed_pair(cand):
+                                return None
+                            seen.add(cand)
+                            nxt.append(cand)
         frontier = nxt
     # no representative hits the ideal: the word itself is already basic
-    return _word_symbol(arrows)
+    return _word_symbol(word)
 
 
 def normal_form(w: PathWord, n: int) -> "AlgebraElement":
@@ -177,7 +178,7 @@ def normal_form(w: PathWord, n: int) -> "AlgebraElement":
         if w.vertex > n:
             raise ValueError(f"vertex {w.vertex} exceeds the spoke count {n}")
         return AlgebraElement(n, {f"e_{w.vertex}": 1})
-    sym = _reduce(w.arrows, n)
+    sym = _reduce(_code(w.arrows), n)
     return AlgebraElement(n, {} if sym is None else {sym: 1})
 
 
@@ -249,9 +250,9 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 w2 = reg[s2]
                 if source != w2.target:
                     continue
-                arrows = w1.arrows + w2.arrows
+                word = _code(w1.arrows + w2.arrows)
                 # two idempotents meet only at one vertex, where e_v e_v = e_v
-                sym = _reduce(arrows, n) if arrows else s1
+                sym = _reduce(word, n) if word else s1
                 if sym is not None:
                     out[sym] = out.get(sym, 0) + c1 * c2
     except KeyError as exc:
@@ -259,32 +260,23 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(n, out)
 
 
-def _composable_words(n: int, max_len: int):
-    """Every composable arrow chain of length 1..max_len, display order."""
-    alphabet = [("A", i) for i in range(1, n + 1)] + [
-        ("B", i) for i in range(1, n + 1)
-    ]
-    by_source = {v: [] for v in range(n + 1)}
-    for a in alphabet:
-        by_source[_arrow_ends(a)[0]].append(a)
-    chains = [(a,) for a in alphabet]
-    yield from chains
-    for _ in range(max_len - 1):
-        chains = [(a,) + c for c in chains for a in by_source[_arrow_ends(c[0])[1]]]
-        yield from chains
-
-
 def hom_table(n: int) -> dict:
     """Per-vertex-pair dimensions: (u, v) -> [deg-0 count, deg-1 count].
 
-    Walks every composable word up to length four, reduces each to the
-    basis, and buckets the distinct nonzero images together with the
+    Walks every composable coded word up to length four, reduces each to
+    the basis, and buckets the distinct nonzero images together with the
     idempotents by source and target.  Nothing about the expected answer
-    is wired in.
+    is wired in.  A word grows leftward: only B_i can follow A_i, and any
+    A_j can follow B_i.
     """
     reg = basis_registry(n)
     found = {f"e_{v}" for v in range(n + 1)}
-    found.update(_reduce(arrows, n) for arrows in _composable_words(n, 4))
+    spokes = range(1, n + 1)
+    words = [(i,) for i in spokes] + [(-i,) for i in spokes]
+    found.update(_reduce(w, n) for w in words)
+    for _ in range(3):  # lengths 2, 3 and 4
+        words = [(x,) + w for w in words for x in (spokes if w[0] < 0 else (-w[0],))]
+        found.update(_reduce(w, n) for w in words)
     found.discard(None)
     table = {}
     for sym in found:
@@ -326,17 +318,21 @@ def multiplication_table(n: int) -> dict:
     that does not compose gives {}; each entry is what ``multiply`` makes
     of the two basis elements.
     """
-    words = [(s, w.arrows, w.source, w.target) for s, w in basis_registry(n).items()]
+    words = [
+        (s, _code(w.arrows), w.source, w.target)
+        for s, w in basis_registry(n).items()
+    ]
     out = {}
-    for s1, arrows1, source, _ in words:
-        for s2, arrows2, _, target in words:
+    for s1, word1, source, _ in words:
+        prefix = s1 + "*"
+        for s2, word2, _, target in words:
             if source != target:
-                out[f"{s1}*{s2}"] = {}
+                out[prefix + s2] = {}
                 continue
-            arrows = arrows1 + arrows2
+            word = word1 + word2
             # two idempotents meet only at one vertex, where e_v e_v = e_v
-            sym = _reduce(arrows, n) if arrows else s1
-            out[f"{s1}*{s2}"] = {} if sym is None else {sym: 1}
+            sym = _reduce(word, n) if word else s1
+            out[prefix + s2] = {} if sym is None else {sym: 1}
     return out
 
 

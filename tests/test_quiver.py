@@ -6,6 +6,7 @@ import random
 import pytest
 
 from mirror_ring import quiver
+from mirror_ring.plgeom import InvariantError
 from mirror_ring.quiver import (
     AlgebraElement,
     PathWord,
@@ -28,6 +29,90 @@ def word(*arrows):
 
 def bas(n, sym):
     return AlgebraElement.basis(n, sym)
+
+
+# The label-tuple reduction the package used before words were coded as
+# signed ints, kept here as the tests' own reference: a breadth-first
+# search over ("A", i) / ("B", i) words that checks a rewrite for a mixed
+# pair only when it is taken off the frontier.
+
+
+def _ends(arrow):
+    label, i = arrow
+    return (0, i) if label == "A" else (i, 0)
+
+
+def _label_mixed_pair(arrows):
+    """True when some display-adjacent A_x B_y has x != y."""
+    for left, right in zip(arrows, arrows[1:]):
+        if left[0] == "A" and right[0] == "B" and left[1] != right[1]:
+            return True
+    return False
+
+
+def _label_swap_sites(arrows):
+    """Positions of display-adjacent B_i A_i pairs."""
+    return [
+        t
+        for t in range(len(arrows) - 1)
+        if arrows[t][0] == "B"
+        and arrows[t + 1][0] == "A"
+        and arrows[t][1] == arrows[t + 1][1]
+    ]
+
+
+def _label_swapped(arrows, t, j):
+    return arrows[:t] + (("B", j), ("A", j)) + arrows[t + 2:]
+
+
+def _label_symbol(arrows):
+    if len(arrows) == 1:
+        label, i = arrows[0]
+        return f"{label}_{i}"
+    if len(arrows) == 2:
+        if arrows[0][0] == "B":
+            return "c"
+        i = arrows[0][1]
+        return f"A_{i}B_{i}"
+    raise InvariantError(f"irreducible word of length {len(arrows)}: {arrows}")
+
+
+def _label_reduce(arrows, n):
+    seen = {arrows}
+    frontier = [arrows]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            if _label_mixed_pair(w):
+                return None
+            for t in _label_swap_sites(w):
+                for j in range(1, n + 1):
+                    cand = _label_swapped(w, t, j)
+                    if cand not in seen:
+                        seen.add(cand)
+                        nxt.append(cand)
+        frontier = nxt
+    return _label_symbol(arrows)
+
+
+def _label_words(n, max_len):
+    """Every composable label chain of length 1..max_len, display order."""
+    alphabet = [("A", i) for i in range(1, n + 1)] + [
+        ("B", i) for i in range(1, n + 1)
+    ]
+    by_source = {v: [] for v in range(n + 1)}
+    for a in alphabet:
+        by_source[_ends(a)[0]].append(a)
+    chains = [(a,) for a in alphabet]
+    yield from chains
+    for _ in range(max_len - 1):
+        chains = [(a,) + c for c in chains for a in by_source[_ends(c[0])[1]]]
+        yield from chains
+
+
+def _coded(arrows):
+    """A_i as i, B_i as -i."""
+    return tuple(i if label == "A" else -i for label, i in arrows)
 
 
 def test_loop_at_center_is_central_element():
@@ -141,25 +226,25 @@ def _random_single_path_reduce(arrows, n, rng):
     seen = {arrows}
     cur = arrows
     while True:
-        if quiver._mixed_pair(cur):
+        if _label_mixed_pair(cur):
             return AlgebraElement(n, {})
         moves = [
             (t, j)
-            for t in quiver._swap_sites(cur)
+            for t in _label_swap_sites(cur)
             for j in range(1, n + 1)
-            if quiver._swapped(cur, t, j) not in seen
+            if _label_swapped(cur, t, j) not in seen
         ]
         if not moves:
-            return AlgebraElement(n, {quiver._word_symbol(cur): 1})
+            return AlgebraElement(n, {_label_symbol(cur): 1})
         t, j = rng.choice(moves)
-        cur = quiver._swapped(cur, t, j)
+        cur = _label_swapped(cur, t, j)
         seen.add(cur)
 
 
 def test_rewrite_order_does_not_matter():
     rng = random.Random(SEED)
     for n in (2, 3):
-        words = list(quiver._composable_words(n, 6))
+        words = list(_label_words(n, 6))
         rng.shuffle(words)
         for arrows in words[:300]:
             expect = normal_form(PathWord(arrows), n)
@@ -167,10 +252,41 @@ def test_rewrite_order_does_not_matter():
                 assert _random_single_path_reduce(arrows, n, rng) == expect
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_coded_reduction_matches_the_label_reference(n):
+    words = list(_label_words(n, 6))
+    assert len(set(words)) == len(words)
+    for arrows in words:
+        assert quiver._reduce(_coded(arrows), n) == _label_reduce(arrows, n), arrows
+
+
+def test_coded_irreducible_words_name_their_symbol():
+    assert quiver._word_symbol((3,)) == "A_3"
+    assert quiver._word_symbol((-3,)) == "B_3"
+    assert quiver._word_symbol((-2, 2)) == "c"
+    assert quiver._word_symbol((2, -2)) == "A_2B_2"
+    with pytest.raises(InvariantError, match="length 3"):
+        quiver._word_symbol((-1, 1, -1))
+
+
+def test_hom_table_reduces_every_composable_word(monkeypatch):
+    reduced = []
+    reference = quiver._reduce
+
+    def counted(word, n):
+        reduced.append(word)
+        return reference(word, n)
+
+    monkeypatch.setattr(quiver, "_reduce", counted)
+    hom_table(12)
+    assert len(reduced) == 2340
+    assert reduced == [_coded(arrows) for arrows in _label_words(12, 4)]
+
+
 def test_every_short_word_reduces_to_basis_or_zero():
     n = 3
     reg = basis_registry(n)
-    for arrows in quiver._composable_words(n, 4):
+    for arrows in _label_words(n, 4):
         nf = normal_form(PathWord(arrows), n)
         for sym in nf.terms:
             assert sym in reg
@@ -196,14 +312,14 @@ def test_multiplication_table_matches_multiply(monkeypatch, n):
     reduced = []
     reference = quiver._reduce
 
-    def counted(arrows, n):
-        reduced.append(arrows)
-        return reference(arrows, n)
+    def counted(word, n):
+        reduced.append(word)
+        return reference(word, n)
 
     monkeypatch.setattr(quiver, "_reduce", counted)
     table = multiplication_table(n)
     composable = [
-        w1.arrows + w2.arrows
+        _coded(w1.arrows + w2.arrows)
         for w1 in reg.values()
         for w2 in reg.values()
         if w1.source == w2.target and (w1.arrows or w2.arrows)
@@ -276,11 +392,11 @@ def _validated_product(w1, w2, n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_unvalidated_core_matches_normal_form(n):
-    # hom_table reduces the raw chains of _composable_words; redo it with
+    # hom_table reduces raw coded chains; redo it with
     # a checked PathWord and normal_form per word
     reg = basis_registry(n)
     found = {f"e_{v}" for v in range(n + 1)}
-    for arrows in quiver._composable_words(n, 4):
+    for arrows in _label_words(n, 4):
         found.update(normal_form(PathWord(arrows), n).terms)
     expect = {}
     for sym in found:
