@@ -37,11 +37,6 @@ def bas(n, sym):
 # pair only when it is taken off the frontier.
 
 
-def _ends(arrow):
-    label, i = arrow
-    return (0, i) if label == "A" else (i, 0)
-
-
 def _label_mixed_pair(arrows):
     """True when some display-adjacent A_x B_y has x != y."""
     for left, right in zip(arrows, arrows[1:]):
@@ -102,11 +97,13 @@ def _label_words(n, max_len):
     ]
     by_source = {v: [] for v in range(n + 1)}
     for a in alphabet:
-        by_source[_ends(a)[0]].append(a)
+        by_source[quiver._arrow_ends(a)[0]].append(a)
     chains = [(a,) for a in alphabet]
     yield from chains
     for _ in range(max_len - 1):
-        chains = [(a,) + c for c in chains for a in by_source[_ends(c[0])[1]]]
+        chains = [
+            (a,) + c for c in chains for a in by_source[quiver._arrow_ends(c[0])[1]]
+        ]
         yield from chains
 
 
