@@ -14,6 +14,9 @@ An -o path that exists but is not a regular file once links are followed
 anything is written.  An -o path through a symbolic link writes the
 link's target and leaves the link in place.
 Each subcommand accepts only the flags it reads.
+The parser is built once per process, on the first call of ``main``, and
+every later call parses with that same parser; callers must not modify
+it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import floer, moduli, quiver, theta
 from .plgeom import InvariantError
@@ -376,7 +379,12 @@ SUBCOMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of the process: built on first use, then shared by every
+    call of main.  parse_args makes a fresh Namespace each time and the
+    defaults are ints and None, so one call leaves nothing for the next;
+    callers must not add to or change the parser."""
     parser = argparse.ArgumentParser(
         prog="mirror-ring",
         description=(

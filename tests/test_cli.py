@@ -1,5 +1,6 @@
 """Command line behavior: determinism, exit codes, report shapes."""
 
+import argparse
 import errno
 import hashlib
 import json
@@ -490,3 +491,81 @@ def test_counting_table_agrees_with_series_table(tmp_path):
         ["floer-brion", "--n", "2", "--max-m", "1", "--trunc", "3"],
     )[1]
     assert series == counted
+
+
+# one tiny run of each subcommand, without -o
+TINY = {
+    "theta": ["--n", "1", "--max-m", "1", "--trunc", "0"],
+    "floer-direct": ["--n", "1", "--max-m", "1", "--trunc", "0"],
+    "floer-brion": ["--n", "1", "--max-m", "1", "--trunc", "0"],
+    "verify": ["--n", "1", "--max-m", "1", "--trunc", "0", "--jobs", "1"],
+    "moduli": ["--n", "1", "--trunc", "0"],
+    "quiver": ["--n", "2"],
+    "assoc": ["--n", "1", "--max-m", "1", "--trunc", "0"],
+}
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's parser uncached before the test, so the test sees the
+    first build, and after it, so later tests get a real parser."""
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_one_parser_per_process(tmp_path, monkeypatch, capsys, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    # the subparsers are ArgumentParsers too.  argparse's own __init__
+    # names its class through the module, so the count wraps __init__
+    # rather than putting a subclass in the module's place
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert set(TINY) == set(cli.SUBCOMMANDS)
+    for command, flags in TINY.items():
+        assert main([command, *flags, "-o", str(tmp_path / f"{command}.out")]) == 0
+    for argv, code in ((["theta", "--eps=1/2"], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    # the top parser and one subparser per subcommand, built once
+    assert len(built) == 1 + len(cli.SUBCOMMANDS) == 8
+
+
+def test_calls_through_the_shared_parser_stay_independent(tmp_path, monkeypatch, capsys):
+    parse = cli._build_parser().parse_args
+    assert main(["verify", *TINY["verify"], "-o", str(tmp_path / "v.json")]) == 0
+    args = parse(["theta"])
+    assert (args.n, args.trunc, args.max_m, args.fmt, args.output) == (1, 6, 1, "json", None)
+    assert not hasattr(args, "jobs")
+
+    argv = ["theta", "--n", "2", "--max-m", "1", "--trunc", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", "--n", "2", "--eps=1/2"])
+    assert exc.value.code == 2
+    assert main(argv + ["-o", str(tmp_path / "in.json")]) == 0
+    src = str(pathlib.Path(mirror_ring.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mirror_ring.cli", *argv, "-o", str(tmp_path / "fresh.json")],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "in.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+    # the help formatter reads the width when it formats, not at build time
+    helps = []
+    for columns in ("52", "52", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["verify", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert main(["quiver", "--n", "2", "-o", str(tmp_path / "q.json")]) == 0
+    assert helps[0:2] == helps[2:4]
+    assert helps[0] != helps[4] and helps[1] != helps[5]
