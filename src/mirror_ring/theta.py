@@ -34,15 +34,18 @@ for the plain conversions and the tests.  ``floer.mirror_verify`` and
 the ``assoc`` memo compute every ordered pair and rely on none of the
 laws.
 
-Associativity is checked on term maps, with no series built: ``_compose``
-builds (a*b)*c and a*(b*c) from basis products' term maps, which the memo
-packs from ``assemble`` once each, term by term, into degree-sorted
-(degree, key, count) lists with the base-(D+1) key scheme of
-``series._pack``: a monomial product is one integer add and the degree
-cut ends an inner loop.  The memo is keyed by the four integers
-(m1, a1, m2, a2) of an ordered pair and the check loops over integer
-classes, so a ThetaIndex is made only for a failure entry.
-``check_associativity`` makes each basis product once per call,
+Associativity is checked on term maps, with no series built.  The memo
+makes every basis product of a weight pair (m1, m2) on the pair's first
+use, in a 2-D list indexed by the two integer classes.  A product is one
+list of (degree, a3*B + key, count) rows sorted by degree, B = (D+1)^n
+and key the base-(D+1) exponent key of ``series._pack``, so the output
+class a3 is the digit above the exponents.  ``_compose`` makes each side
+of a triple as one flat dict: a monomial product is one integer add, the
+degree cut ends an inner loop, and each row's middle class, read by
+divmod, indexes the second factors, a column of the (m1+m2, m3) table
+for (a*b)*c and a row of the (m1, m2+m3) table for a*(b*c).  A side is
+split back into classes, and a ThetaIndex made, only for a failure
+entry.  ``check_associativity`` makes each basis product once per call,
 ``associativity_sweep`` once per ``assoc`` report.
 """
 
@@ -409,119 +412,120 @@ def specialize_ngon(table: StructureTable) -> dict:
     return table._by_pair(fibers)
 
 
-def _packed(classes: dict, D: int) -> dict:
-    """A term map {a3: {exponents: count}} as ``_compose`` reads it: each
-    class's terms as a list of (degree, key, count) sorted by degree, then
-    key.  Each term's exponents are packed into one base-(D+1) key, the
-    key ``series._pack`` gives them, so ``series._unpack`` reads it back."""
-    base = D + 1
-    out = {}
-    for a3, terms in classes.items():
-        rows = []
-        for exps, c in terms.items():
-            k = 0
-            for x in exps:
-                k = k * base + x
-            rows.append((sum(exps), k, c))
-        rows.sort()
-        out[a3] = rows
-    return out
-
-
-def _unpacked(m: int, n: int, D: int, classes: dict) -> RingElement:
-    """The weight-m RingElement of a packed term map {a3: {key: count}}."""
+def _unpacked(m: int, n: int, D: int, B: int, side: dict) -> RingElement:
+    """The weight-m RingElement of a composed side {a3*B + key: count},
+    each key split back into its class a3 and its ``series._pack`` key."""
+    classes: dict[int, dict] = {}
+    for k, c in side.items():
+        a3, key = divmod(k, B)
+        classes.setdefault(a3, {})[key] = c
     return _element(m, n, D, {a3: _unpack([keys], n, D) for a3, keys in classes.items()})
 
 
-def _compose(first: dict, second, D: int) -> dict:
-    """The packed term map {a3: {key: count}} of sum_x first[x] * second(x),
-    truncated at D: first and every second(x) are ``_packed`` term maps,
-    second(x) that of a basis product.  Keys add and counts multiply; no
-    digit of a key can carry, because every kept term has total degree
-    <= D.  A term of total degree > D drops, and a class none of whose
-    terms survives is never made."""
-    out: dict[int, dict] = {}
-    for x, outer in first.items():
-        for a3, inner in second(x).items():
-            acc = None
-            for d1, k1, c1 in outer:
-                room = D - d1
-                for d2, k2, c2 in inner:
-                    if d2 > room:
-                        break
-                    if acc is None:
-                        acc = out.setdefault(a3, {})
-                    k = k1 + k2
-                    acc[k] = acc.get(k, 0) + c1 * c2
+def _compose(first: list, second: list, D: int, B: int) -> dict:
+    """One side of a triple: the sum over x of the part of first in the
+    middle class x times second[x], truncated at D, as one flat dict
+    {a3*B + key: count} with B = (D+1)**n.  first and every second[x] are
+    memo rows of basis products; a row of first reads its class x and its
+    key as divmod(key, B).  Keys add and counts multiply; no digit can
+    carry, because every kept term has total degree <= D, so the output
+    class of second[x]'s row stays the digit above the exponents.  Rows
+    are sorted by degree, so a term of total degree > D drops and ends
+    the inner loop; a class none of whose terms survives has no key."""
+    out: dict[int, int] = {}
+    for d1, k1, c1 in first:
+        x, k1 = divmod(k1, B)
+        room = D - d1
+        for d2, k2, c2 in second[x]:
+            if d2 > room:
+                break
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
     return out
 
 
-def _associativity(n: int, D: int, weights, terms) -> dict:
-    """The associativity report at one weight triple, reading the packed
-    term map of every basis product from terms(m1, a1, m2, a2).  n and
-    the weights are checked once, here, as ``basis_indices`` checks them;
-    the loops run over the integer classes a in range(m*n)."""
+def _associativity(n: int, D: int, weights, products) -> dict:
+    """The associativity report at one weight triple, reading every basis
+    product from the memo's tables, products(m1, m2)[a1][a2].  n and the
+    weights are checked once, here, as ``basis_indices`` checks them.
+    (a*b)*c composes a*b with column c of the (m1+m2, m3) table, and
+    a*(b*c) composes b*c with row a of the (m1, m2+m3) table."""
     for m in weights:
         _check_basis(n, m)
     m1, m2, m3 = weights
-    m12, m23 = m1 + m2, m2 + m3
+    B = (D + 1) ** n
+    ab_table, bc_table = products(m1, m2), products(m2, m3)
+    columns = list(zip(*products(m1 + m2, m3)))
     failures = []
-    checked = 0
-    for a in range(m1 * n):
-        for b in range(m2 * n):
-            ab = terms(m1, a, m2, b)
-            for c in range(m3 * n):
-                left = _compose(ab, lambda x: terms(m12, x, m3, c), D)
-                right = _compose(terms(m2, b, m3, c), lambda x: terms(m1, a, m23, x), D)
-                checked += 1
+    for a, (ab_row, row) in enumerate(zip(ab_table, products(m1, m2 + m3))):
+        for b, (ab, bc_row) in enumerate(zip(ab_row, bc_table)):
+            for c, (column, bc) in enumerate(zip(columns, bc_row)):
+                left = _compose(ab, column, D, B)
+                right = _compose(bc, row, D, B)
                 if left != right:
-                    m = m12 + m3
+                    m = m1 + m2 + m3
                     failures.append(
                         {
                             "a": ThetaIndex(m1, a).to_json_obj(),
                             "b": ThetaIndex(m2, b).to_json_obj(),
                             "c": ThetaIndex(m3, c).to_json_obj(),
-                            "left": _unpacked(m, n, D, left).to_json_obj(),
-                            "right": _unpacked(m, n, D, right).to_json_obj(),
+                            "left": _unpacked(m, n, D, B, left).to_json_obj(),
+                            "right": _unpacked(m, n, D, B, right).to_json_obj(),
                         }
                     )
     return {
         "n": n,
         "D": D,
         "weights": list(weights),
-        "triples_checked": checked,
+        "triples_checked": m1 * m2 * m3 * n**3,
         "failures": failures,
     }
 
 
 def _product_memo(n: int, D: int):
-    """terms(m1, a1, m2, a2): the basis product x_{m1,a1/m1} * x_{m2,a2/m2}
-    as a ``_packed`` term map, the one ``assemble`` reads from
-    ``plgeom.lambda_exponents``, packed once per ordered pair for this
-    memo's life in a flat dict keyed by the four integers.  No series is
-    built; callers share the maps."""
-    memo: dict[tuple[int, int, int, int], dict] = {}
+    """products(m1, m2): the basis products x_{m1,a1/m1} * x_{m2,a2/m2}
+    of one weight pair, the term maps ``assemble`` reads from
+    ``plgeom.lambda_exponents``, as a 2-D list indexed by the integer
+    classes a1 and a2.  Each pair's list is made in full on its first use
+    and kept for this memo's life; callers share it, and no series is
+    built.  A product is one list of rows (degree, a3*B + key, count),
+    B = (D+1)**n, sorted by degree: key is the ``series._pack`` key of the
+    term's exponents, and the class a3 < (m1+m2)*n is the digit above
+    them, since the same base-(D+1) sum starts from a3."""
+    base = D + 1
+    memo: dict[tuple[int, int], list] = {}
 
-    def terms(m1: int, a1: int, m2: int, a2: int) -> dict:
-        key = (m1, a1, m2, a2)
-        got = memo.get(key)
+    def rows(m1: int, a1: int, m2: int, a2: int) -> list:
+        out = []
+        for a3, terms in assemble(n, m1, a1, m2, a2, D, plgeom.lambda_exponents).items():
+            for exps, c in terms.items():
+                k = a3
+                for x in exps:
+                    k = k * base + x
+                out.append((sum(exps), k, c))
+        out.sort()
+        return out
+
+    def products(m1: int, m2: int) -> list:
+        got = memo.get((m1, m2))
         if got is None:
-            got = assemble(n, m1, a1, m2, a2, D, plgeom.lambda_exponents)
-            got = memo[key] = _packed(got, D)
+            got = memo[m1, m2] = [
+                [rows(m1, a1, m2, a2) for a2 in range(m2 * n)] for a1 in range(m1 * n)
+            ]
         return got
 
-    return terms
+    return products
 
 
 def check_associativity(n: int, D: int, weights) -> dict:
     """Compare (a*b)*c with a*(b*c) over all basis triples at given weights.
 
-    Both sides are packed term maps, each ``_compose``d from the term maps
-    of basis products.  Every structure constant is a sum of +1 monomials
-    and nothing cancels, so the two sides are equal exactly when their
-    term maps are, the comparison ``floer.mirror_verify`` makes.  A
-    RingElement is made only for a failure entry.  Each basis product is
-    made once for this call.
+    Each side is one flat term map keyed by class and exponents together,
+    ``_compose``d from the memo rows of basis products.  Every structure
+    constant is a sum of +1 monomials and nothing cancels, so the two
+    sides are equal exactly when their term maps are, the comparison
+    ``floer.mirror_verify`` makes.  A RingElement is made only for a
+    failure entry.  Each basis product is made once for this call.
 
     Returns a report dict with the number of triples checked and a list of
     failures (empty when the ring laws hold at truncation D).
@@ -532,14 +536,14 @@ def check_associativity(n: int, D: int, weights) -> dict:
 def associativity_sweep(n: int, max_m: int, D: int) -> list[dict]:
     """``check_associativity`` at every weight triple (m1, m2, m3) with
     weights in 1..max_m, in lexicographic order, sharing one product memo
-    across the triples: each ordered basis pair is multiplied once per
-    sweep."""
+    across the triples: each weight pair's table, and so each ordered
+    basis pair, is made once per sweep."""
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
-    terms = _product_memo(n, D)
+    products = _product_memo(n, D)
     weights = range(1, max_m + 1)
     return [
-        _associativity(n, D, (m1, m2, m3), terms)
+        _associativity(n, D, (m1, m2, m3), products)
         for m1 in weights
         for m2 in weights
         for m3 in weights

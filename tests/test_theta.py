@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirror_ring import cli, floer, plgeom, theta
+from mirror_ring import cli, floer, plgeom, series, theta
 from mirror_ring.series import TruncSeries, _pack, _unpack
 from mirror_ring.theta import (
     RingElement,
@@ -379,6 +379,10 @@ def test_associativity_one_product_per_pair(monkeypatch):
     # the memo lives for one call only
     check_associativity(3, 4, (1, 2, 1))
     assert len(calls) == 2 * len(set(calls))
+    # a sweep makes each weight pair's table once: 459 term maps at (3, 2, 6)
+    calls.clear()
+    assert all(rep["failures"] == [] for rep in theta.associativity_sweep(3, 2, 6))
+    assert len(calls) == len(set(calls)) == 459
 
 
 def test_passing_sweep_builds_no_series(monkeypatch):
@@ -425,6 +429,210 @@ def test_associativity_sweep_reports_the_same_failures(monkeypatch):
         swept, one_by_one = _swept_and_one_by_one(n, max_m, D)
         assert swept == one_by_one
         assert any(rep["failures"] for rep in swept)
+
+
+# The associativity check the package used before each basis product
+# became one flat row list coded by class, kept here as the tests' own
+# reference: a term map packed class by class, a memo keyed by the four
+# integers (m1, a1, m2, a2), and a compose that loops over the classes of
+# both factors and reads the second through a callable.
+
+
+def _ref_packed(classes, D):
+    base = D + 1
+    out = {}
+    for a3, terms in classes.items():
+        rows = []
+        for exps, c in terms.items():
+            k = 0
+            for x in exps:
+                k = k * base + x
+            rows.append((sum(exps), k, c))
+        rows.sort()
+        out[a3] = rows
+    return out
+
+
+def _ref_compose(first, second, D):
+    out = {}
+    for x, outer in first.items():
+        for a3, inner in second(x).items():
+            acc = None
+            for d1, k1, c1 in outer:
+                room = D - d1
+                for d2, k2, c2 in inner:
+                    if d2 > room:
+                        break
+                    if acc is None:
+                        acc = out.setdefault(a3, {})
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + c1 * c2
+    return out
+
+
+def _ref_memo(n, D):
+    memo = {}
+
+    def terms(m1, a1, m2, a2):
+        key = (m1, a1, m2, a2)
+        if key not in memo:
+            classes = theta.assemble(n, m1, a1, m2, a2, D, plgeom.lambda_exponents)
+            memo[key] = _ref_packed(classes, D)
+        return memo[key]
+
+    return terms
+
+
+def _ref_side(m, n, D, classes):
+    return theta._element(m, n, D, {a3: _unpack([k], n, D) for a3, k in classes.items()})
+
+
+def _ref_associativity(n, D, weights, terms):
+    m1, m2, m3 = weights
+    m12, m23 = m1 + m2, m2 + m3
+    failures = []
+    checked = 0
+    for a in range(m1 * n):
+        for b in range(m2 * n):
+            ab = terms(m1, a, m2, b)
+            for c in range(m3 * n):
+                left = _ref_compose(ab, lambda x: terms(m12, x, m3, c), D)
+                right = _ref_compose(terms(m2, b, m3, c), lambda x: terms(m1, a, m23, x), D)
+                checked += 1
+                if left != right:
+                    failures.append(
+                        {
+                            "a": ThetaIndex(m1, a).to_json_obj(),
+                            "b": ThetaIndex(m2, b).to_json_obj(),
+                            "c": ThetaIndex(m3, c).to_json_obj(),
+                            "left": _ref_side(m12 + m3, n, D, left).to_json_obj(),
+                            "right": _ref_side(m12 + m3, n, D, right).to_json_obj(),
+                        }
+                    )
+    return {
+        "n": n,
+        "D": D,
+        "weights": list(weights),
+        "triples_checked": checked,
+        "failures": failures,
+    }
+
+
+def _weight_triples(max_m):
+    weights = range(1, max_m + 1)
+    return [(m1, m2, m3) for m1 in weights for m2 in weights for m3 in weights]
+
+
+def _moved_term(good):
+    """theta.assemble with one term of the pair x_{1,0} * x_{1,0} moved to
+    the next class up, mod 2n, its exponents unchanged: the term of least
+    exponents in the least class."""
+
+    def crooked(n, m1, a1, m2, a2, D, kernel):
+        classes = {a3: dict(terms) for a3, terms in good(n, m1, a1, m2, a2, D, kernel).items()}
+        if (m1, a1, m2, a2) == (1, 0, 1, 0):
+            a3 = min(classes)
+            exps = min(classes[a3])
+            c = classes[a3].pop(exps)
+            if not classes[a3]:
+                del classes[a3]
+            terms = classes.setdefault((a3 + 1) % (2 * n), {})
+            terms[exps] = terms.get(exps, 0) + c
+        return classes
+
+    return crooked
+
+
+@pytest.mark.parametrize("fault", ["none", "bump_at_2_1_1", "moved_term"])
+@pytest.mark.parametrize("n, max_m, D", [(1, 3, 8), (2, 2, 5), (3, 2, 6), (4, 2, 7)])
+def test_associativity_matches_the_grouped_reference(monkeypatch, fault, n, max_m, D):
+    """associativity_sweep and check_associativity give the reference's
+    reports, failure entries included, with the true exponents, under the
+    crooked exponents of test_associativity_detects_corruption, and with
+    one term of one product moved to another class."""
+    if fault == "bump_at_2_1_1":
+        crooked = lifted(plgeom.lambda_exponents, _bump_at_2_1_1)
+        monkeypatch.setattr(plgeom, "lambda_exponents", crooked)
+    elif fault == "moved_term":
+        monkeypatch.setattr(theta, "assemble", _moved_term(theta.assemble))
+    triples = _weight_triples(max_m)
+    terms = _ref_memo(n, D)
+    expect = [_ref_associativity(n, D, weights, terms) for weights in triples]
+    assert theta.associativity_sweep(n, max_m, D) == expect
+    one_by_one = [_ref_associativity(n, D, w, _ref_memo(n, D)) for w in triples]
+    assert one_by_one == expect
+    assert [check_associativity(n, D, weights) for weights in triples] == expect
+    assert any(rep["failures"] for rep in expect) == (fault != "none")
+
+
+@pytest.mark.parametrize("n, max_m, D", [(1, 3, 8), (3, 2, 6)])
+def test_memo_rows_read_back_to_the_term_maps(monkeypatch, n, max_m, D):
+    """Every memo row of every product a sweep reads, split by
+    divmod(key, B) into its class and series._pack key and that key read
+    by series._exponents, gives back theta.assemble's term map, with its
+    class below (m1+m2)*n and its degree the row's.  At n = 1 a slot
+    reaches D, the largest digit, where a carry would first show."""
+    made = {}
+    real = theta._product_memo
+
+    def recording(n, D):
+        products = real(n, D)
+
+        def record(m1, m2):
+            made[m1, m2] = products(m1, m2)
+            return made[m1, m2]
+
+        return record
+
+    monkeypatch.setattr(theta, "_product_memo", recording)
+    theta.associativity_sweep(n, max_m, D)
+    weights = range(1, max_m + 1)
+    pairs = {(m1, m2) for m1 in weights for m2 in weights}
+    pairs |= {(m1 + m2, m3) for m1, m2 in pairs for m3 in weights}
+    pairs |= {(m1, m2 + m3) for m1 in weights for m2 in weights for m3 in weights}
+    assert set(made) == pairs
+    B = (D + 1) ** n
+    top = 0
+    for (m1, m2), table in made.items():
+        assert len(table) == m1 * n and all(len(row) == m2 * n for row in table)
+        for a1, row in enumerate(table):
+            for a2, rows in enumerate(row):
+                assert rows == sorted(rows)
+                classes = {}
+                for d, k, c in rows:
+                    a3, key = divmod(k, B)
+                    exps = series._exponents(key, n, D + 1)
+                    assert a3 < (m1 + m2) * n and sum(exps) == d
+                    classes.setdefault(a3, {})[exps] = c
+                    top = max(top, *exps)
+                assert classes == theta.assemble(n, m1, a1, m2, a2, D, plgeom.lambda_exponents)
+    assert top == D or n > 1
+
+
+def _class_moved_at_k1(n, m1, a1, m2, D, b2s, row):
+    """theta.product_terms with the term at k = 1 landing on its class
+    moved by m3 = m1 + m2, that is p3 moved by 1: a fault that every route
+    shares, since each makes its product there."""
+    m3, w = m1 + m2, m2 * n
+    classes = {}
+    for b2, exps in zip(b2s, row):
+        if sum(exps) <= D:
+            terms = classes.setdefault((a1 + b2 + m3 * (b2 // w == 1)) % (m3 * n), {})
+            terms[exps] = terms.get(exps, 0) + 1
+    return classes
+
+
+@pytest.mark.parametrize("n, max_m, D", [(2, 2, 5), (3, 2, 6)])
+def test_assoc_sees_an_output_class_moved_at_one_k(monkeypatch, tmp_path, n, max_m, D):
+    """The fault-matrix seed fault of the output class in product_terms
+    moved by m3 at one k: the assoc report fails.  At n = 1 a move by m3
+    is the identity mod m3*n, so there is no fault to see."""
+    monkeypatch.setattr(theta, "product_terms", _class_moved_at_k1)
+    out = tmp_path / "assoc.json"
+    argv = ["assoc", "--n", str(n), "--max-m", str(max_m), "--trunc", str(D), "-o", str(out)]
+    assert cli.main(argv) == 1
+    reports = json.loads(out.read_text())["reports"]
+    assert sum(len(rep["failures"]) for rep in reports) > 0
 
 
 def test_assoc_run_makes_one_product_per_pair(monkeypatch, tmp_path):
@@ -494,31 +702,50 @@ def term_maps(draw):
     return n, D, draw(st.dictionaries(st.integers(0, 40), terms, max_size=4))
 
 
+def _rows(classes, n, D):
+    """A term map {a3: {exponents: count}} as the memo's rows: every term
+    as (degree, a3*B + key, count), B = (D+1)**n and key the term's
+    series._pack key, sorted by degree."""
+    B = (D + 1) ** n
+    return sorted(
+        (d, a3 * B + k, c)
+        for a3, terms in classes.items()
+        for d, bucket in enumerate(_pack(terms, D))
+        for k, c in bucket.items()
+    )
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(term_maps())
 def test_packed_rows_are_the_pack_buckets_in_degree_order(case):
-    """theta._packed gives each class the (degree, key, count) rows of
-    series._pack's buckets, in degree order, and theta._unpacked, which
-    reads failure entries back through series._unpack, returns the terms."""
+    """The memo gives each product the (degree, key, count) rows of
+    series._pack's buckets of every class, the class a3 as the digit above
+    the key, in degree order; theta._unpacked, which reads failure entries
+    back through series._unpack, returns the terms from the keys."""
     n, D, classes = case
-    packed = theta._packed(classes, D)
-    assert list(packed) == list(classes)
-    for a3, terms in classes.items():
-        rows = packed[a3]
+    B = (D + 1) ** n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theta, "assemble", lambda *args: classes)
+        table = theta._product_memo(n, D)(1, 1)
+    assert len(table) == n and all(len(row) == n for row in table)
+    for rows in (rows for row in table for rows in row):
         degrees = [d for d, _, _ in rows]
         assert degrees == sorted(degrees)
-        flat = [(d, k, c) for d, bucket in enumerate(_pack(terms, D)) for k, c in bucket.items()]
-        assert sorted(rows) == sorted(flat) and len(rows) == len(flat)
-    elem = theta._unpacked(2, n, D, {a3: {k: c for _, k, c in rows} for a3, rows in packed.items()})
-    assert {a3: s.terms for a3, s in elem.coeffs.items()} == classes
+        assert rows == _rows(classes, n, D)
+        elem = theta._unpacked(2, n, D, B, {k: c for _, k, c in rows})
+        assert {a3: s.terms for a3, s in elem.coeffs.items()} == classes
 
 
 def _composed(first, second, n, D):
-    """theta._compose on tuple-keyed term maps: both factors packed with
-    theta._packed, the result unpacked to {a3: {exponents: count}}."""
-    packed = {x: theta._packed(second(x), D) for x in first}
-    got = theta._compose(theta._packed(first, D), packed.__getitem__, D)
-    return {a3: _unpack([keys], n, D) for a3, keys in got.items()}
+    """theta._compose on tuple-keyed term maps: both factors as memo rows,
+    second(x) in a list at index x, the flat result read back to
+    {a3: {exponents: count}} by theta._unpacked."""
+    B = (D + 1) ** n
+    factors = [[] for _ in range(max(first) + 1)]
+    for x in first:
+        factors[x] = _rows(second(x), n, D)
+    got = theta._compose(_rows(first, n, D), factors, D, B)
+    return {a3: s.terms for a3, s in theta._unpacked(1, n, D, B, got).coeffs.items()}
 
 
 def test_compose_matches_the_series_expansion():
